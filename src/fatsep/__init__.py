@@ -1,5 +1,6 @@
 """Packing and piercing of fat objects via measure-balanced box separators."""
 
+from .candidates import candidate_pierce_points
 from .geometry import (
     AxisBox,
     Ball,
@@ -11,7 +12,6 @@ from .geometry import (
     intersects,
     magnify,
     size,
-    split_longest,
 )
 from .instances import Instance, gen_instance, read_instance, write_instance
 from .measure import (
@@ -26,13 +26,9 @@ from .oracle import OracleResult, brute_pack, brute_pierce, fine_grid_pierce
 from .ptas import PtasConfig, ptas_pack, ptas_pierce
 from .separator import SeparatorConfig, SeparatorResult, find_base_box, separate, shell_sweep
 from .solver import (
-    PackSolution,
-    PierceSolution,
+    Solution,
     SolveConfig,
-    branch_on_pivot,
-    candidate_pierce_points,
     enumerate_boundary_independent_sets,
-    neighborhood,
     solve_pack,
     solve_pierce,
 )
@@ -45,14 +41,12 @@ __all__ = [
     "MeasureEstimate",
     "OVERFLOW",
     "OracleResult",
-    "PackSolution",
-    "PierceSolution",
     "PtasConfig",
     "RegionClass",
     "SeparatorConfig",
     "SeparatorResult",
+    "Solution",
     "SolveConfig",
-    "branch_on_pivot",
     "brute_pack",
     "brute_pierce",
     "candidate_pierce_points",
@@ -69,7 +63,6 @@ __all__ = [
     "greedy_pierce",
     "intersects",
     "magnify",
-    "neighborhood",
     "ptas_pack",
     "ptas_pierce",
     "read_instance",
@@ -78,6 +71,5 @@ __all__ = [
     "size",
     "solve_pack",
     "solve_pierce",
-    "split_longest",
     "write_instance",
 ]

@@ -81,7 +81,7 @@ def _run_one(inst: Instance, family: str, solver: str, cfg: SolveConfig) -> Benc
         wall_time=sol.wall_time,
         node_law_bound=bound,
         node_law_ok=sol.nodes <= bound,
-        aborted=not getattr(sol, "optimal", True),
+        aborted=sol.aborted,
         config_digest=config_digest(cfg),
     )
 

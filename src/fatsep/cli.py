@@ -32,7 +32,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _format_solution(problem: str, sol) -> str:
-    if problem in ("pack", "ptas-pack"):
+    if sol.problem == "pack":
         witness = " ".join(str(i) for i in sol.witness)
     else:
         witness = " ".join(f"{p[0]!r},{p[1]!r}" if len(p) == 2 else ",".join(repr(c) for c in p) for p in sol.witness)
@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("pack", "pierce", "ptas-pack", "ptas-pierce"):
         p = sub.add_parser(name, help=f"run the {name} solver")
         _add_shared(p)
-        p.add_argument("--parallel", action="store_true", help="parallel branch evaluation")
 
     p = sub.add_parser("separator", help="compute a separator box")
     _add_shared(p)
@@ -138,7 +137,6 @@ def _solve_config(args) -> SolveConfig:
         base_threshold=args.base_threshold,
         epsilon=args.epsilon,
         node_cap=args.node_cap,
-        parallel_branches=getattr(args, "parallel", False),
     )
 
 
@@ -191,7 +189,7 @@ def _dispatch(args) -> int:
         print(f"wall_time={sol.wall_time:.6f}s", file=sys.stderr)
         if args.svg:
             render_svg(inst, sol, args.svg)
-        return EXIT_OK if sol.optimal else EXIT_NODE_CAP
+        return EXIT_NODE_CAP if sol.aborted else EXIT_OK
 
     if cmd == "separator":
         inst = _load(args)

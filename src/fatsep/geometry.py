@@ -34,8 +34,8 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("ball center must be finite")
-        if not (self.radius > 0):
-            raise ValueError("ball radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -219,18 +219,6 @@ def magnify(box: BoxRegion, m: float) -> BoxRegion:
         tuple(x - h for x, h in zip(c, half)),
         tuple(x + h for x, h in zip(c, half)),
     )
-
-
-def split_longest(box: BoxRegion) -> Tuple[BoxRegion, BoxRegion]:
-    """Cut the box in the middle of its longest side (lowest axis on ties)."""
-    sides = box.sides
-    axis = max(range(box.dim), key=lambda i: (sides[i], -i))
-    mid = (box.low[axis] + box.high[axis]) / 2.0
-    hi1 = list(box.high)
-    hi1[axis] = mid
-    lo2 = list(box.low)
-    lo2[axis] = mid
-    return BoxRegion(box.low, tuple(hi1)), BoxRegion(tuple(lo2), box.high)
 
 
 def bounding_region(objs) -> BoxRegion:

@@ -13,10 +13,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import FatObject, Point, contains_point
+from .geometry import contains_point
 from .instances import Instance
-from .measure import IntersectionContext, greedy_pack, greedy_pierce, mask_to_ids
-from .solver import PackSolution, PierceSolution, SolveConfig, solve_pack, solve_pierce
+from .measure import greedy_pack, greedy_pierce
+from .separator import SeparatorResult, separate
+from .solver import Solution, SolveConfig, solve_pack, solve_pierce
 
 
 @dataclass
@@ -43,117 +44,91 @@ def _sub_instance(inst: Instance, ids: Sequence[int]) -> Instance:
     )
 
 
-def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> PackSolution:
-    """(1 - eps)-approximate packing; witness is always feasible."""
-    cfg = cfg or PtasConfig()
+def _drop_boundary(objs, sep: SeparatorResult) -> Tuple[int, list, set]:
+    """Packing: drop the boundary class; no object of either side is lost."""
+    return len(sep.boundary_ids), [], set()
+
+
+def _cover_boundary(objs, sep: SeparatorResult) -> Tuple[int, list, set]:
+    """Piercing: pierce the boundary class greedily; every object those
+    points pierce, on either side, is done."""
+    bp = greedy_pierce([objs[j] for j in sep.boundary_ids])
+    points = list(bp.witness)
+    covered = set()
+    for j, o in enumerate(objs):
+        if any(contains_point(o, p) for p in points):
+            covered.add(j)
+    return bp.value, points, covered
+
+
+def _ptas(inst: Instance, cfg: PtasConfig, problem: str, estimate, exact, boundary_step) -> Solution:
+    """Shared recursion of both schemes.
+
+    A part whose `estimate` is under the stop threshold, or whose separator
+    is unbalanced, is closed by `exact`.  Otherwise `boundary_step(objs,
+    sep)` pays for the boundary class and returns (cost, points, covered):
+    `cost` adds to `discarded`, `points` join the witness, and `covered`
+    local ids leave both sides before the recursion.
+    """
     start = time.perf_counter()
     stop = cfg.stop_threshold(inst.dim)
     discarded = 0
     nodes = 0
     max_depth = 0
+    aborted = False
 
-    def rec(ids: List[int], depth: int) -> Tuple[int, List[int]]:
-        nonlocal discarded, nodes, max_depth
+    def rec(ids: List[int], depth: int) -> Tuple[int, list]:
+        nonlocal discarded, nodes, max_depth, aborted
         nodes += 1
         max_depth = max(max_depth, depth)
         if not ids:
             return 0, []
         sub = _sub_instance(inst, ids)
-        est = greedy_pack(list(sub.objects))
-        if est.value <= stop or len(ids) < 2:
-            sol = solve_pack(sub, cfg.solve)
+        objs = list(sub.objects)
+        sep = None
+        if estimate(objs).value > stop and len(ids) >= 2:
+            sep = separate(objs, cfg.solve.separator_config())
+        if sep is None or sep.unbalanced(cfg.solve.balance_cap):
+            sol = exact(sub, cfg.solve)
             nodes += sol.nodes
-            return sol.value, [ids[j] for j in sol.witness]
-        from .separator import separate
-
-        sep = separate(list(sub.objects), cfg.solve.separator_config())
-        total = sep.mu_total.value
-        unbalanced = (
-            sep.degenerate
-            or len(sep.boundary_ids) == len(ids)
-            or max(sep.mu_inside.value, sep.mu_outside.value)
-            > cfg.solve.balance_cap * total
-        )
-        if unbalanced:
-            sol = solve_pack(sub, cfg.solve)
-            nodes += sol.nodes
-            return sol.value, [ids[j] for j in sol.witness]
-        discarded += len(sep.boundary_ids)
-        vin, win = rec([ids[j] for j in sep.inside_ids], depth + 1)
-        vout, wout = rec([ids[j] for j in sep.outside_ids], depth + 1)
-        return vin + vout, win + wout
-
-    value, witness = rec(list(range(inst.n)), 0)
-    sol = PackSolution(
-        value=value,
-        witness=sorted(witness),
-        nodes=nodes,
-        depth=max_depth,
-        wall_time=time.perf_counter() - start,
-        optimal=(discarded == 0),
-    )
-    sol.discarded = discarded  # realized boundary loss, reportable vs eps/3
-    return sol
-
-
-def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> PierceSolution:
-    """(1 + eps)-approximate piercing; witness always pierces everything."""
-    cfg = cfg or PtasConfig()
-    start = time.perf_counter()
-    stop = cfg.stop_threshold(inst.dim)
-    extra = 0
-    nodes = 0
-    max_depth = 0
-
-    def rec(ids: List[int], depth: int) -> Tuple[int, List[Point]]:
-        nonlocal extra, nodes, max_depth
-        nodes += 1
-        max_depth = max(max_depth, depth)
-        if not ids:
-            return 0, []
-        sub = _sub_instance(inst, ids)
-        est = greedy_pierce(list(sub.objects))
-        if est.value <= stop or len(ids) < 2:
-            sol = solve_pierce(sub, cfg.solve)
-            nodes += sol.nodes
+            aborted |= sol.aborted
+            if problem == "pack":
+                return sol.value, [ids[j] for j in sol.witness]
             return sol.value, list(sol.witness)
-        from .separator import separate
-
-        sep = separate(list(sub.objects), cfg.solve.separator_config())
-        total = sep.mu_total.value
-        unbalanced = (
-            sep.degenerate
-            or len(sep.boundary_ids) == len(ids)
-            or max(sep.mu_inside.value, sep.mu_outside.value)
-            > cfg.solve.balance_cap * total
-        )
-        if unbalanced:
-            sol = solve_pierce(sub, cfg.solve)
-            nodes += sol.nodes
-            return sol.value, list(sol.witness)
-        boundary_objs = [sub.objects[j] for j in sep.boundary_ids]
-        bp = greedy_pierce(boundary_objs)
-        extra += bp.value
-        points = list(bp.witness)
-        covered = set()
-        for j in range(len(ids)):
-            o = sub.objects[j]
-            if any(contains_point(o, p) for p in points):
-                covered.add(j)
+        cost, points, covered = boundary_step(objs, sep)
+        discarded += cost
         vin, win = rec([ids[j] for j in sep.inside_ids if j not in covered], depth + 1)
-        vout, wout = rec(
-            [ids[j] for j in sep.outside_ids if j not in covered], depth + 1
-        )
-        return bp.value + vin + vout, points + win + wout
+        vout, wout = rec([ids[j] for j in sep.outside_ids if j not in covered], depth + 1)
+        return len(points) + vin + vout, points + win + wout
 
     value, witness = rec(list(range(inst.n)), 0)
-    sol = PierceSolution(
+    return Solution(
+        problem=problem,
         value=value,
-        witness=witness,
+        witness=sorted(witness) if problem == "pack" else witness,
         nodes=nodes,
         depth=max_depth,
         wall_time=time.perf_counter() - start,
-        optimal=(extra == 0),
+        optimal=discarded == 0 and not aborted,
+        aborted=aborted,
+        discarded=discarded,
     )
-    sol.discarded = extra  # greedy points spent on boundary classes
-    return sol
+
+
+def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
+    """(1 - eps)-approximate packing; witness is always feasible.
+
+    `discarded` counts the boundary objects dropped, the realized loss to
+    compare against eps/3.
+    """
+    return _ptas(inst, cfg or PtasConfig(), "pack", greedy_pack, solve_pack, _drop_boundary)
+
+
+def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
+    """(1 + eps)-approximate piercing; witness always pierces everything.
+
+    `discarded` counts the greedy points spent on boundary classes.
+    """
+    return _ptas(
+        inst, cfg or PtasConfig(), "pierce", greedy_pierce, solve_pierce, _cover_boundary
+    )

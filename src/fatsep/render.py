@@ -6,7 +6,7 @@ from typing import Optional
 from .geometry import AxisBox, Ball, BoxRegion, bounding_region
 from .instances import Instance
 from .separator import SeparatorResult
-from .solver import PackSolution, PierceSolution
+from .solver import Solution
 
 _COLORS = {
     "plain": "#607d8b",
@@ -56,7 +56,7 @@ def render_svg(inst: Instance, overlay=None, path: Optional[str] = None) -> str:
             roles[i] = "outside"
         for i in overlay.boundary_ids:
             roles[i] = "boundary"
-    elif isinstance(overlay, PackSolution):
+    elif isinstance(overlay, Solution) and overlay.problem == "pack":
         witness_ids = set(overlay.witness)
 
     parts = [
@@ -91,7 +91,7 @@ def render_svg(inst: Instance, overlay=None, path: Optional[str] = None) -> str:
             f'height="{(b.high[1] - b.low[1]) * scale:.2f}" '
             f'fill="none" stroke="#1565c0" stroke-width="2"/>'
         )
-    if isinstance(overlay, PierceSolution):
+    if isinstance(overlay, Solution) and overlay.problem == "pierce":
         for p in overlay.witness:
             parts.append(
                 f'<circle class="pierce" cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" '

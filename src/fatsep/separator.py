@@ -9,7 +9,7 @@ against `balance_cap` and fall back to pivot branching when it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,14 +46,17 @@ class SeparatorResult:
     mu_boundary: MeasureEstimate
     degenerate: bool = False
 
-
-def theoretical_measure_gate(d: int, epsilon: float, c: float) -> float:
-    """Measure lower bound under which the balance guarantee is proven.
-
-    Astronomically large for any realistic c and d; kept as documentation of
-    why the implementation gates on a practical threshold instead.
-    """
-    return (3.0 * c * d * d * 8.0**d / epsilon) ** d
+    def unbalanced(self, balance_cap: float) -> bool:
+        """True when recursing on this split does not pay: the centers
+        coincide, every object is on the boundary, or one side holds more
+        than `balance_cap` of the total measure."""
+        n = len(self.inside_ids) + len(self.outside_ids) + len(self.boundary_ids)
+        return (
+            self.degenerate
+            or len(self.boundary_ids) == n
+            or max(self.mu_inside.value, self.mu_outside.value)
+            > balance_cap * self.mu_total.value
+        )
 
 
 def _centers_array(objs: Sequence[FatObject]) -> np.ndarray:

@@ -8,10 +8,8 @@ exactness never depend on separator quality.
 """
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import candidates as cand
@@ -35,7 +33,6 @@ class SolveConfig:
     base_threshold: int = 12
     epsilon: float = 0.25
     node_cap: int = 10**8
-    parallel_branches: bool = False
     balance_cap: float = 0.8
 
     def __post_init__(self):
@@ -49,47 +46,50 @@ class SolveConfig:
 
 
 @dataclass
-class PackSolution:
+class Solution:
+    """Result of every solver, exact or approximate.
+
+    `problem` is "pack" (witness: sorted object ids) or "pierce" (witness:
+    points).  `optimal` means the value is proven optimal; `aborted` means
+    some exact search hit the node cap and fell back to a greedy answer.
+    `discarded` is the PTAS's boundary cost: objects dropped (packing) or
+    greedy points spent (piercing).
+    """
+
+    problem: str
     value: int
-    witness: List[int]
+    witness: list
     nodes: int
     depth: int
     wall_time: float
     optimal: bool = True
-
-
-@dataclass
-class PierceSolution:
-    value: int
-    witness: List[Point]
-    nodes: int
-    depth: int
-    wall_time: float
-    optimal: bool = True
-
-
-class NodeCapExceeded(Exception):
-    def __init__(self, best_value: int, best_witness: list):
-        super().__init__(f"node cap exceeded; best-so-far value {best_value}")
-        self.best_value = best_value
-        self.best_witness = best_witness
+    aborted: bool = False
+    discarded: int = 0
 
 
 class _Budget:
     def __init__(self, cap: int):
         self.cap = cap
         self.count = 0
-        self._lock = threading.Lock()
 
     def tick(self):
-        with self._lock:
-            self.count += 1
-            if self.count > self.cap:
-                raise _CapStop
+        self.count += 1
+        if self.count > self.cap:
+            raise _CapStop
 
 
 class _CapStop(Exception):
     pass
+
+
+def _close_exact(exact, objs, cap: int):
+    """Run a capped exact closer, doubling the cap (up to len(objs)) until
+    the value fits under it."""
+    while True:
+        res = exact(objs, cap)
+        if res is not OVERFLOW:
+            return res
+        cap = min(len(objs), cap * 2)
 
 
 def enumerate_boundary_independent_sets(
@@ -104,14 +104,9 @@ def enumerate_boundary_independent_sets(
     if cap < 0:
         raise ValueError("cap must be >= 0")
     ctx = IntersectionContext(boundary)
-    yield from _enum_indep_masks(ctx, ctx.full_mask(), cap, as_lists=True)
 
-
-def _enum_indep_masks(ctx: IntersectionContext, mask: int, cap: int, as_lists=False):
-    n_bits = mask.bit_length()
-
-    def rec(prefix: List[int], prefix_mask: int, cand_mask: int):
-        yield (list(prefix) if as_lists else prefix_mask)
+    def rec(prefix: List[int], cand_mask: int):
+        yield list(prefix)
         if len(prefix) == cap:
             return
         rest = cand_mask
@@ -120,37 +115,20 @@ def _enum_indep_masks(ctx: IntersectionContext, mask: int, cap: int, as_lists=Fa
             i = low.bit_length() - 1
             rest ^= low
             higher = ~((1 << (i + 1)) - 1)
-            yield from rec(
-                prefix + [i], prefix_mask | low, cand_mask & higher & ~ctx.nbr[i]
-            )
+            yield from rec(prefix + [i], cand_mask & higher & ~ctx.nbr[i])
 
-    yield from rec([], 0, mask)
+    yield from rec([], ctx.full_mask())
 
 
-def neighborhood(inst: Instance, ids: Sequence[int]) -> List[int]:
-    """Closed neighborhood: `ids` plus every object intersecting one of them."""
-    ctx = IntersectionContext(inst.objects)
-    mask = 0
-    for i in ids:
-        mask |= ctx.nbr[i]
-    return mask_to_ids(mask)
-
-
-def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
-    """Sound finite pierce candidate set (see candidates module)."""
-    return cand.candidate_pierce_points(objs)
-
-
-class _PackSearch:
+class _Search:
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig, budget: _Budget):
         self.ctx = ctx
         self.cfg = cfg
         self.budget = budget
         self.sepcfg = cfg.separator_config()
-        # Thread fan-out happens once, at the outermost separated node;
-        # nested parallelism would multiply threads without bound.
-        self._parallel_remaining = 1 if cfg.parallel_branches else 0
 
+
+class _PackSearch(_Search):
     def solve(self, mask: int) -> Tuple[int, List[int], int, int]:
         """Returns (value, witness ids, nodes, depth)."""
         self.budget.tick()
@@ -159,29 +137,12 @@ class _PackSearch:
         ids = mask_to_ids(mask)
         g, _ = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
-            return self._base_case(mask, ids, g)
-        sub = [self.ctx.objs[i] for i in ids]
-        sep = separate(sub, self.sepcfg)
-        total = sep.mu_total.value
-        unbalanced = (
-            sep.degenerate
-            or len(sep.boundary_ids) == len(ids)
-            or max(sep.mu_inside.value, sep.mu_outside.value)
-            > self.cfg.balance_cap * total
-        )
-        if unbalanced:
+            res = _close_exact(exact_small_pack, [self.ctx.objs[i] for i in ids], max(g, 1))
+            return res.value, sorted(ids[j] for j in res.witness), 1, 0
+        sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
+        if sep.unbalanced(self.cfg.balance_cap):
             return self._pivot(mask, ids)
-        return self._separated(mask, ids, sep)
-
-    def _base_case(self, mask, ids, g):
-        sub = [self.ctx.objs[i] for i in ids]
-        cap = max(g, 1)
-        while True:
-            res = exact_small_pack(sub, cap)
-            if res is not OVERFLOW:
-                break
-            cap = min(len(ids), cap * 2)
-        return res.value, sorted(ids[j] for j in res.witness), 1, 0
+        return self._separated(ids, sep)
 
     def _pivot(self, mask, ids):
         # Max-degree pivot: Pack = max(Pack(C - o), 1 + Pack(C - N[o])).
@@ -194,41 +155,33 @@ class _PackSearch:
             return 1 + take[0], sorted(take[1] + [o]), nodes, depth
         return skip[0], skip[1], nodes, depth
 
-    def _separated(self, mask, ids, sep: SeparatorResult):
-        to_global = ids
+    def _separated(self, ids, sep: SeparatorResult):
         inside = 0
         for j in sep.inside_ids:
-            inside |= 1 << to_global[j]
+            inside |= 1 << ids[j]
         outside = 0
         for j in sep.outside_ids:
-            outside |= 1 << to_global[j]
-        boundary_ids = [to_global[j] for j in sep.boundary_ids]
+            outside |= 1 << ids[j]
+        boundary_ids = [ids[j] for j in sep.boundary_ids]
         boundary_objs = [self.ctx.objs[i] for i in boundary_ids]
 
         # Exact Pack of the boundary caps the enumeration depth; nothing is
         # missed since no optimal independent set can pack the boundary harder.
-        bcap = self._exact_pack_value(boundary_objs)
+        bcap = 0
+        if boundary_objs:
+            g = greedy_pack(boundary_objs).value
+            bcap = _close_exact(exact_small_pack, boundary_objs, max(g, 1)).value
 
-        bctx = IntersectionContext(boundary_objs)
         best = None
         nodes = 1
         depth = 0
-        for local in _enum_indep_masks(bctx, bctx.full_mask(), bcap, as_lists=True):
+        for local in enumerate_boundary_independent_sets(boundary_objs, bcap):
             chosen = [boundary_ids[j] for j in local]
             nmask = 0
             for i in chosen:
                 nmask |= self.ctx.nbr[i]
-            sub_in = inside & ~nmask
-            sub_out = outside & ~nmask
-            if self._parallel_remaining > 0:
-                self._parallel_remaining -= 1
-                with ThreadPoolExecutor(max_workers=2) as pool:
-                    fin = pool.submit(self.solve, sub_in)
-                    fout = pool.submit(self.solve, sub_out)
-                    rin, rout = fin.result(), fout.result()
-            else:
-                rin = self.solve(sub_in)
-                rout = self.solve(sub_out)
+            rin = self.solve(inside & ~nmask)
+            rout = self.solve(outside & ~nmask)
             nodes += rin[2] + rout[2]
             depth = max(depth, 1 + max(rin[3], rout[3]))
             value = len(chosen) + rin[0] + rout[0]
@@ -237,48 +190,8 @@ class _PackSearch:
         assert best is not None
         return best[0], best[1], nodes, depth
 
-    def _exact_pack_value(self, objs) -> int:
-        if not objs:
-            return 0
-        g = greedy_pack(objs).value
-        cap = max(g, 1)
-        while True:
-            res = exact_small_pack(objs, cap)
-            if res is not OVERFLOW:
-                return res.value
-            cap = min(len(objs), cap * 2)
 
-
-def solve_pack(inst: Instance, cfg: Optional[SolveConfig] = None) -> PackSolution:
-    cfg = cfg or SolveConfig()
-    start = time.perf_counter()
-    ctx = IntersectionContext(inst.objects)
-    budget = _Budget(cfg.node_cap)
-    search = _PackSearch(ctx, cfg, budget)
-    try:
-        value, witness, nodes, depth = search.solve(ctx.full_mask())
-        optimal = True
-    except _CapStop:
-        est = greedy_pack(inst.objects, ctx=ctx)
-        value, witness, nodes, depth = est.value, est.witness, budget.count, 0
-        optimal = False
-    return PackSolution(
-        value=value,
-        witness=witness,
-        nodes=nodes if optimal else budget.count,
-        depth=depth,
-        wall_time=time.perf_counter() - start,
-        optimal=optimal,
-    )
-
-
-class _PierceSearch:
-    def __init__(self, ctx: IntersectionContext, cfg: SolveConfig, budget: _Budget):
-        self.ctx = ctx
-        self.cfg = cfg
-        self.budget = budget
-        self.sepcfg = cfg.separator_config()
-
+class _PierceSearch(_Search):
     def solve(self, mask: int) -> Tuple[int, List[Point], int, int]:
         self.budget.tick()
         if not mask:
@@ -287,27 +200,13 @@ class _PierceSearch:
         sub = [self.ctx.objs[i] for i in ids]
         g = greedy_pierce(sub).value
         if g <= self.cfg.base_threshold:
-            return self._base_case(sub)
+            cap = max(1, min(self.cfg.base_threshold, len(sub)))
+            res = _close_exact(exact_small_pierce, sub, cap)
+            return res.value, list(res.witness), 1, 0
         sep = separate(sub, self.sepcfg)
-        total = sep.mu_total.value
-        unbalanced = (
-            sep.degenerate
-            or len(sep.boundary_ids) == len(ids)
-            or max(sep.mu_inside.value, sep.mu_outside.value)
-            > self.cfg.balance_cap * total
-        )
-        if unbalanced:
+        if sep.unbalanced(self.cfg.balance_cap):
             return self._pivot(mask, ids, sub)
-        return self._separated(mask, ids, sub, sep)
-
-    def _base_case(self, sub):
-        cap = max(1, min(self.cfg.base_threshold, len(sub)))
-        while True:
-            res = exact_small_pierce(sub, cap)
-            if res is not OVERFLOW:
-                break
-            cap = min(len(sub), cap * 2)
-        return res.value, list(res.witness), 1, 0
+        return self._separated(ids, sub, sep)
 
     def _pivot(self, mask, ids, sub):
         # Branch over candidate points inside the smallest object.
@@ -333,7 +232,7 @@ class _PierceSearch:
         assert best is not None, "candidate set must pierce the pivot object"
         return best[0], best[1], nodes, depth
 
-    def _separated(self, mask, ids, sub, sep: SeparatorResult):
+    def _separated(self, ids, sub, sep: SeparatorResult):
         points = cand.candidate_pierce_points(sub)
         cov_local = cand.coverage_masks(sub, points)
         points, cov_local = prune_dominated(points, cov_local)
@@ -385,53 +284,39 @@ class _PierceSearch:
         return best[0], best[1], state["nodes"], state["depth"]
 
 
-def solve_pierce(inst: Instance, cfg: Optional[SolveConfig] = None) -> PierceSolution:
+def _solve(problem: str, search_cls, fallback, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
+    """Run one exact search over the whole instance; on a node-cap abort,
+    return the greedy `fallback(ctx)` answer instead."""
     cfg = cfg or SolveConfig()
     start = time.perf_counter()
     ctx = IntersectionContext(inst.objects)
     budget = _Budget(cfg.node_cap)
-    search = _PierceSearch(ctx, cfg, budget)
     try:
-        value, witness, nodes, depth = search.solve(ctx.full_mask())
-        optimal = True
+        value, witness, nodes, depth = search_cls(ctx, cfg, budget).solve(ctx.full_mask())
+        aborted = False
     except _CapStop:
-        est = greedy_pierce(list(inst.objects))
+        est = fallback(ctx)
         value, witness, nodes, depth = est.value, est.witness, budget.count, 0
-        optimal = False
-    return PierceSolution(
+        aborted = True
+    return Solution(
+        problem=problem,
         value=value,
         witness=witness,
-        nodes=nodes if optimal else budget.count,
+        nodes=nodes,
         depth=depth,
         wall_time=time.perf_counter() - start,
-        optimal=optimal,
+        optimal=not aborted,
+        aborted=aborted,
     )
 
 
-def branch_on_pivot(inst: Instance, cfg: Optional[SolveConfig] = None, problem: str = "pack"):
-    """One forced pivot step, recursing through the normal solver.
+def solve_pack(inst: Instance, cfg: Optional[SolveConfig] = None) -> Solution:
+    return _solve(
+        "pack", _PackSearch, lambda ctx: greedy_pack(inst.objects, ctx=ctx), inst, cfg
+    )
 
-    Exists so the fallback path can be exercised directly; results match the
-    separator path on any instance.
-    """
-    cfg = cfg or SolveConfig()
-    ctx = IntersectionContext(inst.objects)
-    budget = _Budget(cfg.node_cap)
-    start = time.perf_counter()
-    if problem == "pack":
-        search = _PackSearch(ctx, cfg, budget)
-        if inst.n == 0:
-            return PackSolution(0, [], 1, 0, 0.0)
-        value, wit, nodes, depth = search._pivot(
-            ctx.full_mask(), list(range(inst.n))
-        )
-        return PackSolution(value, wit, nodes, depth, time.perf_counter() - start)
-    if problem == "pierce":
-        search = _PierceSearch(ctx, cfg, budget)
-        if inst.n == 0:
-            return PierceSolution(0, [], 1, 0, 0.0)
-        value, wit, nodes, depth = search._pivot(
-            ctx.full_mask(), list(range(inst.n)), list(inst.objects)
-        )
-        return PierceSolution(value, wit, nodes, depth, time.perf_counter() - start)
-    raise ValueError(f"unknown problem {problem!r}")
+
+def solve_pierce(inst: Instance, cfg: Optional[SolveConfig] = None) -> Solution:
+    return _solve(
+        "pierce", _PierceSearch, lambda ctx: greedy_pierce(list(inst.objects)), inst, cfg
+    )

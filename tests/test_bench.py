@@ -2,6 +2,7 @@ import csv
 import io
 
 from fatsep.bench import CSV_COLUMNS, config_digest, run_bench, to_csv
+from fatsep.instances import gen_instance
 from fatsep.solver import SolveConfig
 
 
@@ -71,3 +72,17 @@ def test_config_digest_stable_and_sensitive():
     assert config_digest(SolveConfig()) == config_digest(SolveConfig())
     assert config_digest(SolveConfig()) != config_digest(SolveConfig(base_threshold=5))
     assert len(config_digest(SolveConfig())) == 12
+
+
+def test_aborted_column_marks_node_cap_aborts_only():
+    dense = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=1, label="dense")
+    lossy = gen_instance("random", 2, n=80, seed=1, label="lossy")
+    records = run_bench(
+        [
+            {"instance": dense, "solvers": ["ptas-pack"],
+             "config": {"base_threshold": 1, "node_cap": 3}},
+            {"instance": lossy, "solvers": ["ptas-pack"], "config": {"epsilon": 0.5}},
+        ]
+    )
+    aborted = {r.label: r.aborted for r in records}
+    assert aborted == {"dense": True, "lossy": False}

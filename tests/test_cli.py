@@ -74,6 +74,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infinite_radius_exit_code(tmp_path, capsys):
+    bad = tmp_path / "inf.txt"
+    bad.write_text("fatsep v1 d=2 n=1\nball 0 0 inf\n")
+    rc = run_cli(["pack", "--in", str(bad)])
+    assert rc == EXIT_SPEC_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
 def test_node_cap_exit_code(tmp_path, capsys):
     p = tmp_path / "dense.txt"
     assert run_cli(["gen", "--family", "cluster", "--dim", "2", "--clusters", "4",
@@ -110,21 +118,31 @@ def test_byte_determinism_across_processes():
     assert rc1 == rc2 == 0 and out1 == out2 and out1
 
 
-def test_solver_byte_determinism_parallel(tmp_path):
-    p = tmp_path / "i.txt"
-    assert run_cli(["gen", "--family", "cluster", "--dim", "2", "--clusters", "3",
-                    "--cluster-size", "4", "--seed", "5", "--out", str(p)]) == EXIT_OK
-    base = ["pack", "--in", str(p), "--base-threshold", "3"]
-    rc1, out1 = cli_bytes(base)
-    rc2, out2 = cli_bytes(base + ["--parallel"])
-    assert rc1 == rc2 == 0
-    assert out1 == out2 and out1
-
-
 def test_ptas_subcommands(inst_file, tmp_path, capsys):
     for cmd in ("ptas-pack", "ptas-pierce"):
         out = tmp_path / f"{cmd}.txt"
         rc = run_cli([cmd, "--in", inst_file, "--epsilon", "0.5", "--out", str(out)])
         assert rc == EXIT_OK
         assert f"problem={cmd}" in out.read_text()
+    capsys.readouterr()
+
+
+def test_ptas_exit_code_tracks_node_cap_only(tmp_path, capsys):
+    # Dropping boundary objects makes the answer approximate (optimal=false)
+    # but is no abort: the exit code stays 0.
+    p = tmp_path / "big.txt"
+    assert run_cli(["gen", "--family", "random", "--dim", "2", "--n", "80",
+                    "--seed", "1", "--out", str(p)]) == EXIT_OK
+    out = tmp_path / "sol.txt"
+    rc = run_cli(["ptas-pack", "--in", str(p), "--epsilon", "0.5", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert "optimal=false" in out.read_text()
+    # An exact leaf that hits the node cap is an abort: exit code 3.
+    q = tmp_path / "dense.txt"
+    assert run_cli(["gen", "--family", "cluster", "--dim", "2", "--clusters", "4",
+                    "--cluster-size", "5", "--seed", "1", "--out", str(q)]) == EXIT_OK
+    rc = run_cli(["ptas-pack", "--in", str(q), "--base-threshold", "1",
+                  "--node-cap", "3", "--out", str(out)])
+    assert rc == EXIT_NODE_CAP
+    assert "optimal=false" in out.read_text()
     capsys.readouterr()

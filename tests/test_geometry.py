@@ -18,7 +18,6 @@ from fatsep.geometry import (
     intersects,
     magnify,
     size,
-    split_longest,
 )
 from conftest import random_objects
 
@@ -48,6 +47,12 @@ def test_size_scales_linearly():
 def test_box_aspect_guard():
     with pytest.raises(ValueError):
         AxisBox((0, 0), (10, 1))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_ball_radius_positive_and_finite(radius):
+    with pytest.raises(ValueError):
+        Ball((0, 0), radius)
 
 
 def test_intersects_examples():
@@ -85,25 +90,6 @@ def test_magnify_examples():
     assert m.high == pytest.approx((2.5, 5.0))
     with pytest.raises(ValueError):
         magnify(b, 0.5)
-
-
-def test_split_longest_examples():
-    a, b = split_longest(BoxRegion((0, 0), (4, 2)))
-    assert (a.high[0], b.low[0]) == (2, 2)
-    a, b = split_longest(BoxRegion((0, 0), (2, 2)))
-    assert a.high[0] == 1  # tie broken on the lowest axis
-    a, b = split_longest(BoxRegion((0, 0, 0), (2, 2, 4)))
-    assert a.high[2] == 2 and b.low[2] == 2
-
-
-@given(boxes())
-def test_split_halves_volume(box):
-    a, b = split_longest(box)
-    assert a.volume + b.volume == pytest.approx(box.volume)
-    assert a.volume == pytest.approx(b.volume)
-    for i in range(box.dim):
-        assert min(a.low[i], b.low[i]) == box.low[i]
-        assert max(a.high[i], b.high[i]) == box.high[i]
 
 
 @given(boxes(), st.floats(min_value=1, max_value=1.5), st.floats(min_value=0, max_value=0.5))

@@ -35,6 +35,18 @@ def test_small_instance_is_exact():
     assert psol.value == solve_pierce(inst).value
 
 
+def test_abort_flag_tracks_exact_leaves():
+    # A leaf that hits the node cap makes the whole run aborted and not
+    # optimal, even though nothing was discarded.
+    inst = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=1)
+    sol = ptas_pack(inst, PtasConfig(solve=SolveConfig(base_threshold=1, node_cap=3)))
+    assert sol.aborted and not sol.optimal and sol.discarded == 0
+    # Discarding boundary objects loses optimality but is no abort.
+    inst = gen_instance("random", 2, n=80, seed=1)
+    sol = ptas_pack(inst, PtasConfig(epsilon=0.5))
+    assert sol.discarded > 0 and not sol.optimal and not sol.aborted
+
+
 def test_far_clusters_exact_nothing_discarded():
     # each cluster fits under the stop threshold, so the recursion splits
     # between clusters (empty boundary) and closes each one exactly

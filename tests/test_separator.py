@@ -12,7 +12,6 @@ from fatsep.separator import (
     separate,
     shell_count,
     shell_sweep,
-    theoretical_measure_gate,
 )
 from conftest import random_objects
 
@@ -26,13 +25,6 @@ def tight_cluster(cx, cy, n, seed, r=0.1, spread=1.0):
         if all(math.dist(c, d.center) > 2 * r + 0.01 for d in disks):
             disks.append(Ball(c, r))
     return disks
-
-
-def test_theoretical_gate_is_astronomical():
-    # The proven balance gate is far beyond desk scale, which is why a
-    # practical base threshold gates recursion instead.
-    assert theoretical_measure_gate(2, 0.25, c=1.0) > 1e6
-    assert theoretical_measure_gate(3, 0.25, c=1.0) > 1e12
 
 
 def test_find_base_box_single_cluster():

@@ -5,9 +5,9 @@ from fatsep.instances import Instance, gen_instance
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import (
     SolveConfig,
-    branch_on_pivot,
+    _PackSearch,
+    _PierceSearch,
     enumerate_boundary_independent_sets,
-    neighborhood,
     solve_pack,
     solve_pierce,
 )
@@ -101,7 +101,7 @@ def test_pierce_at_least_pack():
         assert solve_pierce(inst).value >= solve_pack(inst).value
 
 
-# --- enumeration / neighborhood helpers ------------------------------------
+# --- boundary enumeration -------------------------------------------------
 
 
 def test_enumerate_empty_boundary():
@@ -138,57 +138,44 @@ def test_enumerate_respects_cap():
     assert len(got) == 1 + 5 + 10
 
 
-def test_neighborhood_empty_and_isolated():
-    inst = inst_of([Ball((0, 0), 1), Ball((100, 0), 1)])
-    assert neighborhood(inst, []) == []
-    assert neighborhood(inst, [0]) == [0]
-
-
-def test_neighborhood_chain():
-    # a-b-c chain: only neighbours touch, N({b}) is the whole chain.
-    a, b, c = Ball((0, 0), 1.1), Ball((2, 0), 1.1), Ball((4, 0), 1.1)
-    inst = inst_of([a, b, c])
-    assert neighborhood(inst, [1]) == [0, 1, 2]
-    assert neighborhood(inst, [0]) == [0, 1]
-
-
 # --- pivot fallback ---------------------------------------------------------
 
 
-def test_branch_on_pivot_trivial():
-    one = inst_of([Ball((0, 0), 1)])
-    assert branch_on_pivot(one, problem="pack").value == 1
-    assert branch_on_pivot(one, problem="pierce").value == 1
-    two = inst_of([Ball((0, 0), 1), Ball((10, 0), 1)])
-    assert branch_on_pivot(two, problem="pack").value == 2
-    assert branch_on_pivot(two, problem="pierce").value == 2
-
-
-def test_forced_fallback_same_value():
+def test_forced_fallback_same_value(monkeypatch):
     # balance_cap near zero declares every separator unbalanced, forcing the
-    # pivot path throughout; values must not change.
+    # pivot path throughout; values must still match the oracle and the
+    # unforced solve.
+    pivots = {"pack": 0, "pierce": 0}
+
+    def counting(cls, problem):
+        original = cls._pivot
+
+        def wrapper(self, *args):
+            pivots[problem] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "_pivot", wrapper)
+
+    counting(_PackSearch, "pack")
+    counting(_PierceSearch, "pierce")
     forced = SolveConfig(base_threshold=4, balance_cap=1e-9)
     normal = SolveConfig(base_threshold=4)
     for seed in range(10):
         inst = inst_of(random_objects(seed, 14))
-        assert solve_pack(inst, forced).value == solve_pack(inst, normal).value
+        value = solve_pack(inst, forced).value
+        assert value == brute_pack(inst).value
+        assert value == solve_pack(inst, normal).value
     forced = SolveConfig(base_threshold=3, balance_cap=1e-9)
     normal = SolveConfig(base_threshold=3)
     for seed in range(6):
         inst = gen_instance("random", 2, shape="box", n=10, seed=seed)
-        assert solve_pierce(inst, forced).value == solve_pierce(inst, normal).value
+        value = solve_pierce(inst, forced).value
+        assert value == brute_pierce(inst).value
+        assert value == solve_pierce(inst, normal).value
+    assert pivots["pack"] > 0 and pivots["pierce"] > 0
 
 
 # --- determinism / node cap -------------------------------------------------
-
-
-def test_determinism_including_parallel():
-    inst = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=3)
-    runs = [
-        solve_pack(inst, SolveConfig(base_threshold=3, parallel_branches=pb))
-        for pb in (False, True, False, True)
-    ]
-    assert len({(r.value, tuple(r.witness), r.nodes) for r in runs}) == 1
 
 
 def test_pierce_determinism():
