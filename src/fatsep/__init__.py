@@ -25,13 +25,7 @@ from .measure import (
 from .oracle import OracleResult, brute_pack, brute_pierce, fine_grid_pierce
 from .ptas import PtasConfig, ptas_pack, ptas_pierce
 from .separator import SeparatorConfig, SeparatorResult, find_base_box, separate, shell_sweep
-from .solver import (
-    Solution,
-    SolveConfig,
-    enumerate_boundary_independent_sets,
-    solve_pack,
-    solve_pierce,
-)
+from .solver import Solution, SolveConfig, solve_pack, solve_pierce
 
 __all__ = [
     "AxisBox",
@@ -53,7 +47,6 @@ __all__ = [
     "center",
     "center_in",
     "classify",
-    "enumerate_boundary_independent_sets",
     "exact_small_pack",
     "exact_small_pierce",
     "find_base_box",

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
     _add_shared(p)
-    p.add_argument("--family", default="grid", choices=["grid", "random", "cluster"])
+    p.add_argument("--family", default="grid", choices=["grid"])
     p.add_argument("--shape", default="ball", choices=["ball", "box"])
     p.add_argument("--ks", default="2,3,4,5", help="comma-separated grid k values")
     p.add_argument("--solvers", default="pack", help="comma-separated solver names")
@@ -223,7 +223,6 @@ def _dispatch(args) -> int:
                 "d": args.dim,
                 "shape": args.shape,
                 "k": k,
-                "n": args.n if hasattr(args, "n") else 0,
                 "seed": args.seed,
                 "solvers": solvers,
                 "config": {

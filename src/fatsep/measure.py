@@ -1,9 +1,11 @@
 """Packing/piercing measure estimates.
 
 Polynomial-time greedy bounds (smallest-first, id tie-break, fully
-deterministic) and exact evaluation that gives up past a cap.  The greedy
-packing value is always a lower bound on the true packing number; the greedy
-piercing value is always a feasible upper bound on the piercing number.
+deterministic) and exact branch and bound.  The greedy packing value is
+always a lower bound on the true packing number; the greedy piercing value
+is always a feasible upper bound on the piercing number.  Packing works on
+bitmasks over one `IntersectionContext`: the exact solver closes and
+enumerates its subproblems with `exact_pack_mask` and `independent_sets`.
 """
 from __future__ import annotations
 
@@ -30,14 +32,10 @@ class _Overflow:
 
 OVERFLOW = _Overflow()
 
-APPROX_LOWER = "approx_lower"
-EXACT = "exact"
-
 
 @dataclass
 class MeasureEstimate:
     value: int
-    kind: str
     witness: list = field(default_factory=list)
 
 
@@ -81,6 +79,48 @@ class IntersectionContext:
                     break
         return value, chosen
 
+    def exact_pack_mask(self, mask: int):
+        """Exact Pack within `mask`; returns (value, chosen_mask).
+
+        Branches on the closed neighborhood of the smallest remaining object:
+        every maximal independent set contains one of those objects, so depth
+        equals the solution size.
+        """
+        order, nbr = self.order, self.nbr
+        best_val = -1
+        best_wit = 0
+
+        def rec(mask: int, depth: int, picked: int):
+            nonlocal best_val, best_wit
+            if not mask:
+                if depth > best_val:
+                    best_val, best_wit = depth, picked
+                return
+            if depth + mask.bit_count() <= best_val:
+                return
+            v = next(i for i in order if mask & (1 << i))
+            for u in _bits(nbr[v] & mask):
+                rec(mask & ~nbr[u], depth + 1, picked | (1 << u))
+
+        rec(mask, 0, 0)
+        return best_val, best_wit
+
+    def independent_sets(self, mask: int):
+        """Yield every independent subset of `mask` once, as a sorted id list.
+
+        DFS with forward pruning: subsets extend only by non-intersecting,
+        higher-id objects, so each subset appears exactly once, the empty set
+        first.
+        """
+
+        def rec(prefix: List[int], cand: int):
+            yield prefix
+            for i in _bits(cand):
+                higher = ~((1 << (i + 1)) - 1)
+                yield from rec(prefix + [i], cand & higher & ~self.nbr[i])
+
+        yield from rec([], mask)
+
 
 def _bits(mask: int):
     while mask:
@@ -100,7 +140,7 @@ def greedy_pack(
     if ctx is None:
         ctx = IntersectionContext(objs)
     value, chosen = ctx.greedy_pack_mask(ctx.full_mask())
-    return MeasureEstimate(value=value, kind=APPROX_LOWER, witness=mask_to_ids(chosen))
+    return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
 
 
 def greedy_pierce(objs: Sequence[FatObject]) -> MeasureEstimate:
@@ -111,7 +151,7 @@ def greedy_pierce(objs: Sequence[FatObject]) -> MeasureEstimate:
     """
     n = len(objs)
     if n == 0:
-        return MeasureEstimate(value=0, kind=APPROX_LOWER, witness=[])
+        return MeasureEstimate(value=0, witness=[])
     ctx = IntersectionContext(objs)
     points = cand.candidate_pierce_points(objs)
     cov = cand.coverage_masks(objs, points)
@@ -131,52 +171,18 @@ def greedy_pierce(objs: Sequence[FatObject]) -> MeasureEstimate:
             picked.append(points[k])
             unpierced &= ~cov[k]
             todo &= ~cov[k]
-    return MeasureEstimate(value=len(picked), kind=APPROX_LOWER, witness=picked)
+    return MeasureEstimate(value=len(picked), witness=picked)
 
 
-class _CapHit(Exception):
-    pass
-
-
-def exact_small_pack(
-    objs: Sequence[FatObject],
-    cap: int,
-    ctx: Optional[IntersectionContext] = None,
-):
-    """Exact Pack if it is <= cap, else OVERFLOW.
-
-    Branches on the closed neighborhood of the smallest remaining object:
-    every maximal independent set contains one of those objects, so depth
-    equals the solution size and is bounded by cap.
-    """
+def exact_small_pack(objs: Sequence[FatObject], cap: int):
+    """Exact Pack if it is <= cap, else OVERFLOW."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if ctx is None:
-        ctx = IntersectionContext(objs)
-
-    best_val = -1
-    best_wit = 0
-
-    def rec(mask: int, depth: int, picked: int):
-        nonlocal best_val, best_wit
-        if not mask:
-            if depth > best_val:
-                best_val, best_wit = depth, picked
-            return
-        if depth + mask.bit_count() <= best_val:
-            return
-        if depth == cap:
-            raise _CapHit
-        v = next(i for i in ctx.order if mask & (1 << i))
-        branch = ctx.nbr[v] & mask
-        for u in _bits(branch):
-            rec(mask & ~ctx.nbr[u], depth + 1, picked | (1 << u))
-
-    try:
-        rec(ctx.full_mask(), 0, 0)
-    except _CapHit:
+    ctx = IntersectionContext(objs)
+    value, chosen = ctx.exact_pack_mask(ctx.full_mask())
+    if value > cap:
         return OVERFLOW
-    return MeasureEstimate(value=best_val, kind=EXACT, witness=mask_to_ids(best_wit))
+    return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
 
 
 def exact_small_pierce(objs: Sequence[FatObject], cap: int):
@@ -189,7 +195,7 @@ def exact_small_pierce(objs: Sequence[FatObject], cap: int):
         raise ValueError("cap must be >= 0")
     n = len(objs)
     if n == 0:
-        return MeasureEstimate(value=0, kind=EXACT, witness=[])
+        return MeasureEstimate(value=0, witness=[])
     ctx = IntersectionContext(objs)
     points = cand.candidate_pierce_points(objs)
     cov = cand.coverage_masks(objs, points)
@@ -217,7 +223,7 @@ def exact_small_pierce(objs: Sequence[FatObject], cap: int):
     rec(ctx.full_mask(), 0, [])
     if best_val > cap:
         return OVERFLOW
-    return MeasureEstimate(value=best_val, kind=EXACT, witness=best_pts)
+    return MeasureEstimate(value=best_val, witness=best_pts)
 
 
 def prune_dominated(points: Sequence[Point], cov: Sequence[int]):

@@ -18,18 +18,20 @@ from .geometry import BoxRegion, FatObject, RegionClass, center, classify, magni
 from .measure import IntersectionContext, MeasureEstimate, greedy_pack, mask_to_ids
 
 
+# Most magnification shells `shell_sweep` tries.
+SHELL_SAMPLES_CAP = 64
+# Ratio between consecutive cube sides on `find_base_box`'s ladder.
+SIDE_SEARCH_RATIO = 1.05
+
+
 @dataclass
 class SeparatorConfig:
     epsilon: float = 0.25
     balance_cap: float = 0.8
-    shell_samples_cap: int = 64
-    side_search_ratio: float = 1.05
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 0.5):
             raise ValueError("epsilon must lie in (0, 1/2]")
-        if self.side_search_ratio <= 1.0:
-            raise ValueError("side_search_ratio must exceed 1")
 
 
 @dataclass
@@ -103,7 +105,6 @@ def _achieving_box(
 def find_base_box(
     objs: Sequence[FatObject],
     tau: int,
-    cfg: Optional[SeparatorConfig] = None,
     ctx: Optional[IntersectionContext] = None,
 ) -> BoxRegion:
     """Approximately minimum-volume cube whose center measure reaches tau.
@@ -114,7 +115,6 @@ def find_base_box(
     in the side length), so no family member with at most half the volume
     can reach tau.
     """
-    cfg = cfg or SeparatorConfig()
     if ctx is None:
         ctx = IntersectionContext(objs)
     centers = _centers_array(objs)
@@ -137,7 +137,7 @@ def find_base_box(
     d_max = float(pos.max())
     s_lo = max(d_min, d_max * 1e-9)
 
-    ratio = cfg.side_search_ratio
+    ratio = SIDE_SEARCH_RATIO
     steps = max(int(math.ceil(math.log(d_max / s_lo) / math.log(ratio))), 0)
     ladder = [s_lo * ratio**j for j in range(steps + 1)]
     if ladder[-1] < d_max:
@@ -177,21 +177,19 @@ def shell_sweep(
     objs: Sequence[FatObject],
     base: BoxRegion,
     g: int,
-    cfg: Optional[SeparatorConfig] = None,
     ctx: Optional[IntersectionContext] = None,
 ) -> Tuple[float, int]:
     """Pick the magnification shell crossed by the least greedy measure.
 
     Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d)),
-    capped at shell_samples_cap; ties resolve to the smallest j.
+    capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.
     """
-    cfg = cfg or SeparatorConfig()
     if g < 1:
         raise ValueError("g must be >= 1")
     if ctx is None:
         ctx = IntersectionContext(objs)
     d = base.dim
-    count = min(shell_count(d, g), cfg.shell_samples_cap)
+    count = min(shell_count(d, g), SHELL_SAMPLES_CAP)
     step = 1.0 / g ** (1.0 / d)
     best_j = 0
     best_val = None
@@ -220,11 +218,11 @@ def separate(
     centers = _centers_array(objs)
     degenerate = float((centers.max(axis=0) - centers.min(axis=0)).max()) <= 0.0
 
-    base = find_base_box(objs, tau, cfg=cfg, ctx=ctx)
+    base = find_base_box(objs, tau, ctx=ctx)
     if degenerate:
         m_star = 1.0
     else:
-        m_star, _ = shell_sweep(objs, base, g, cfg=cfg, ctx=ctx)
+        m_star, _ = shell_sweep(objs, base, g, ctx=ctx)
     box = magnify(base, m_star)
 
     inside_ids: List[int] = []
@@ -244,7 +242,7 @@ def separate(
         for i in ids:
             mask |= 1 << i
         value, chosen = ctx.greedy_pack_mask(mask)
-        return MeasureEstimate(value=value, kind="approx_lower", witness=mask_to_ids(chosen))
+        return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
 
     return SeparatorResult(
         box=box,

@@ -1,10 +1,11 @@
 """Exact packing and piercing by recursive separation.
 
-Small subproblems (by greedy estimate) are closed exactly; larger ones are
-split with a box separator, enumerating independent sets (packing) or
-candidate pierce covers (piercing) of the boundary class.  Unbalanced or
-degenerate separators fall back to pivot branching, so termination and
-exactness never depend on separator quality.
+Each solve builds one `IntersectionContext` and searches subproblems as
+bitmasks over it.  Small subproblems (by greedy estimate) are closed
+exactly; larger ones are split with a box separator, enumerating
+independent sets (packing) or candidate pierce covers (piercing) of the
+boundary class.  Unbalanced or degenerate separators fall back to pivot
+branching, so termination and exactness never depend on separator quality.
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import candidates as cand
-from .geometry import FatObject, Point, size
+from .geometry import Point, size
 from .instances import Instance
 from .measure import (
-    OVERFLOW,
     IntersectionContext,
-    exact_small_pack,
     exact_small_pierce,
     greedy_pack,
     greedy_pierce,
@@ -82,42 +81,13 @@ class _CapStop(Exception):
     pass
 
 
-def _close_exact(exact, objs, cap: int):
-    """Run a capped exact closer, doubling the cap (up to len(objs)) until
-    the value fits under it."""
-    while True:
-        res = exact(objs, cap)
-        if res is not OVERFLOW:
-            return res
-        cap = min(len(objs), cap * 2)
-
-
-def enumerate_boundary_independent_sets(
-    boundary: Sequence[FatObject], cap: int
-):
-    """Yield every independent subset of `boundary` of size <= cap, once.
-
-    DFS with forward pruning: subsets extend only by non-intersecting,
-    higher-id objects, so each subset appears exactly once, the empty set
-    first.
-    """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    ctx = IntersectionContext(boundary)
-
-    def rec(prefix: List[int], cand_mask: int):
-        yield list(prefix)
-        if len(prefix) == cap:
-            return
-        rest = cand_mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            higher = ~((1 << (i + 1)) - 1)
-            yield from rec(prefix + [i], cand_mask & higher & ~ctx.nbr[i])
-
-    yield from rec([], ctx.full_mask())
+def _global_mask(ids: Sequence[int], local_ids) -> int:
+    """Mask over the solve's context of the local ids `local_ids`, where
+    local id j stands for global id ids[j]."""
+    mask = 0
+    for j in local_ids:
+        mask |= 1 << ids[j]
+    return mask
 
 
 class _Search:
@@ -134,11 +104,11 @@ class _PackSearch(_Search):
         self.budget.tick()
         if not mask:
             return 0, [], 1, 0
-        ids = mask_to_ids(mask)
         g, _ = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
-            res = _close_exact(exact_small_pack, [self.ctx.objs[i] for i in ids], max(g, 1))
-            return res.value, sorted(ids[j] for j in res.witness), 1, 0
+            value, chosen = self.ctx.exact_pack_mask(mask)
+            return value, mask_to_ids(chosen), 1, 0
+        ids = mask_to_ids(mask)
         sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
             return self._pivot(mask, ids)
@@ -156,27 +126,14 @@ class _PackSearch(_Search):
         return skip[0], skip[1], nodes, depth
 
     def _separated(self, ids, sep: SeparatorResult):
-        inside = 0
-        for j in sep.inside_ids:
-            inside |= 1 << ids[j]
-        outside = 0
-        for j in sep.outside_ids:
-            outside |= 1 << ids[j]
-        boundary_ids = [ids[j] for j in sep.boundary_ids]
-        boundary_objs = [self.ctx.objs[i] for i in boundary_ids]
-
-        # Exact Pack of the boundary caps the enumeration depth; nothing is
-        # missed since no optimal independent set can pack the boundary harder.
-        bcap = 0
-        if boundary_objs:
-            g = greedy_pack(boundary_objs).value
-            bcap = _close_exact(exact_small_pack, boundary_objs, max(g, 1)).value
+        inside = _global_mask(ids, sep.inside_ids)
+        outside = _global_mask(ids, sep.outside_ids)
+        boundary = _global_mask(ids, sep.boundary_ids)
 
         best = None
         nodes = 1
         depth = 0
-        for local in enumerate_boundary_independent_sets(boundary_objs, bcap):
-            chosen = [boundary_ids[j] for j in local]
+        for chosen in self.ctx.independent_sets(boundary):
             nmask = 0
             for i in chosen:
                 nmask |= self.ctx.nbr[i]
@@ -200,8 +157,8 @@ class _PierceSearch(_Search):
         sub = [self.ctx.objs[i] for i in ids]
         g = greedy_pierce(sub).value
         if g <= self.cfg.base_threshold:
-            cap = max(1, min(self.cfg.base_threshold, len(sub)))
-            res = _close_exact(exact_small_pierce, sub, cap)
+            # greedy_pierce is feasible, so the optimum fits under g.
+            res = exact_small_pierce(sub, g)
             return res.value, list(res.witness), 1, 0
         sep = separate(sub, self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
@@ -219,11 +176,7 @@ class _PierceSearch(_Search):
         for k, p in enumerate(points):
             if not cov_local[k] & (1 << o_local):
                 continue
-            removed = 0
-            for j in range(len(sub)):
-                if cov_local[k] & (1 << j):
-                    removed |= 1 << ids[j]
-            r = self.solve(mask & ~removed)
+            r = self.solve(mask & ~_global_mask(ids, mask_to_ids(cov_local[k])))
             nodes += r[2]
             depth = max(depth, 1 + r[3])
             value = 1 + r[0]
@@ -252,10 +205,7 @@ class _PierceSearch(_Search):
         state = {"best": None, "nodes": 1, "depth": 0}
 
         def to_global(local_mask: int) -> int:
-            m = 0
-            for j in mask_to_ids(local_mask):
-                m |= 1 << ids[j]
-            return m
+            return _global_mask(ids, mask_to_ids(local_mask))
 
         def dfs(unb: int, removed: int, picked: List[Point]):
             best = state["best"]

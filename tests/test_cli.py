@@ -103,6 +103,13 @@ def test_bench_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_bench_family_is_grid_only():
+    # --ks lists grid sizes, so no other family can be benchmarked.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--family", "random", "--ks", "2"])
+    assert exc.value.code == EXIT_SPEC_ERROR
+
+
 def test_render_svg(inst_file, tmp_path):
     svg = tmp_path / "fig.svg"
     rc = run_cli(["render", "--in", inst_file, "--svg", str(svg),

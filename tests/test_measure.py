@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from fatsep.geometry import AxisBox, Ball, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import (
     OVERFLOW,
+    IntersectionContext,
     exact_small_pack,
     exact_small_pierce,
     greedy_pack,
@@ -117,10 +120,22 @@ def test_exact_small_pack_matches_oracle():
 
 
 def test_exact_small_pack_full_cap_equals_oracle():
+    rng = random.Random(1)
     for seed in range(20):
         objs = random_objects(seed + 100, 14)
         inst = Instance(dim=2, objects=tuple(objs))
         assert exact_small_pack(objs, 14).value == brute_pack(inst).value
+        # A random proper sub-mask, closed on the full instance's context.
+        mask = rng.randrange(1, (1 << 14) - 1)
+        ids = [i for i in range(14) if mask >> i & 1]
+        value, chosen = IntersectionContext(objs).exact_pack_mask(mask)
+        sub = Instance(dim=2, objects=tuple(objs[i] for i in ids))
+        assert value == brute_pack(sub).value
+        assert chosen & ~mask == 0 and chosen.bit_count() == value
+        wit = [objs[i] for i in range(14) if chosen >> i & 1]
+        for i, a in enumerate(wit):
+            for b in wit[i + 1 :]:
+                assert not intersects(a, b)
 
 
 def test_exact_small_pierce_empty_and_overflow():

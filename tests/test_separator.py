@@ -7,6 +7,7 @@ from fatsep.geometry import Ball, BoxRegion, RegionClass, classify, magnify, siz
 from fatsep.instances import gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack
 from fatsep.separator import (
+    SIDE_SEARCH_RATIO,
     SeparatorConfig,
     find_base_box,
     separate,
@@ -31,8 +32,7 @@ def test_find_base_box_single_cluster():
     rng = random.Random(2)
     objs = [Ball((rng.uniform(0, 1), rng.uniform(0, 1)), 0.05) for _ in range(9)]
     ctx = IntersectionContext(objs)
-    cfg = SeparatorConfig()
-    box = find_base_box(objs, 3, cfg=cfg, ctx=ctx)
+    box = find_base_box(objs, 3, ctx=ctx)
     inside = [o for o in objs if all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))]
     assert greedy_pack(inside).value >= 3
     # independent oracle: exhaustive ascending ladder scan for the first
@@ -46,7 +46,7 @@ def test_find_base_box_single_cluster():
     pos = dists[dists > 0]
     s = max(float(pos.min()), float(pos.max()) * 1e-9)
     while _achieving_box(ctx, centers, s, 3) is None:
-        s *= cfg.side_search_ratio
+        s *= SIDE_SEARCH_RATIO
     assert box.longest_side == pytest.approx(s)
 
 

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
 from fatsep.geometry import Ball, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
+from fatsep.measure import IntersectionContext
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import (
     SolveConfig,
     _PackSearch,
     _PierceSearch,
-    enumerate_boundary_independent_sets,
     solve_pack,
     solve_pierce,
 )
@@ -104,38 +106,42 @@ def test_pierce_at_least_pack():
 # --- boundary enumeration -------------------------------------------------
 
 
+def independent_sets(objs, mask=None):
+    ctx = IntersectionContext(objs)
+    return list(ctx.independent_sets(ctx.full_mask() if mask is None else mask))
+
+
 def test_enumerate_empty_boundary():
-    assert list(enumerate_boundary_independent_sets([], 3)) == [[]]
+    assert independent_sets([]) == [[]]
 
 
 def test_enumerate_two_intersecting():
     objs = [Ball((0, 0), 1), Ball((0.5, 0), 1)]
-    got = sorted(map(tuple, enumerate_boundary_independent_sets(objs, 2)))
+    got = sorted(map(tuple, independent_sets(objs)))
     assert got == [(), (0,), (1,)]
 
 
 def test_enumerate_matches_powerset_filter():
+    rng = random.Random(0)
     for seed in range(10):
         objs = random_objects(seed, 6)
-        got = sorted(map(tuple, enumerate_boundary_independent_sets(objs, 6)))
-        want = []
-        for m in range(64):
-            ids = [i for i in range(6) if m >> i & 1]
-            if all(
-                not intersects(objs[a], objs[b])
-                for x, a in enumerate(ids)
-                for b in ids[x + 1 :]
-            ):
-                want.append(tuple(ids))
-        assert got == sorted(want)
-        assert got[0] == ()  # empty set first in sorted order too
-
-
-def test_enumerate_respects_cap():
-    objs = [Ball((10 * i, 0), 1) for i in range(5)]
-    got = list(enumerate_boundary_independent_sets(objs, 2))
-    assert max(len(s) for s in got) == 2
-    assert len(got) == 1 + 5 + 10
+        # The full mask, then a random proper sub-mask of it.
+        for mask in (63, rng.randrange(1, 63)):
+            got = independent_sets(objs, mask)
+            want = []
+            for m in range(64):
+                if m & ~mask:
+                    continue
+                ids = [i for i in range(6) if m >> i & 1]
+                if all(
+                    not intersects(objs[a], objs[b])
+                    for x, a in enumerate(ids)
+                    for b in ids[x + 1 :]
+                ):
+                    want.append(tuple(ids))
+            assert sorted(map(tuple, got)) == sorted(want)
+            assert all(s == sorted(s) for s in got)
+            assert got[0] == []  # the empty set comes first
 
 
 # --- pivot fallback ---------------------------------------------------------
