@@ -6,6 +6,10 @@ coordinates plus object centers — any pierce point can be pushed to the
 componentwise maximum of the lows of the boxes it pierces.  Disks (d=2):
 the lowest point of each disk plus all pairwise circle intersection points —
 the lowest point of any nonempty disk intersection is one of these.
+
+Coverage masks are computed with numpy, one block of points at a time, with
+the same float operations as `geometry.contains_point`, so every mask bit
+equals that predicate's answer.
 """
 from __future__ import annotations
 
@@ -13,7 +17,13 @@ import itertools
 import math
 from typing import List, Sequence
 
-from .geometry import AxisBox, Ball, FatObject, Point, TOL, contains_point
+import numpy as np
+
+from .geometry import AxisBox, Ball, FatObject, Point, TOL
+
+# Points per block of the coverage kernel: bounds its temporaries to
+# _CHUNK x len(objs) arrays instead of one array over every point.
+_CHUNK = 1024
 
 
 class UnsupportedShapeError(ValueError):
@@ -71,12 +81,43 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
 
 
 def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[int]:
-    """Bitmask per point of the objects it pierces (bit i = objs[i])."""
-    masks = []
-    for p in points:
-        m = 0
-        for i, o in enumerate(objs):
-            if contains_point(o, p):
-                m |= 1 << i
-        masks.append(m)
+    """Bitmask per point of the objects it pierces (bit i = objs[i]).
+
+    Boxes test `low - TOL <= x <= high + TOL` per axis.  Balls sum the
+    squared axis offsets in axis order and compare with `(radius + TOL) ** 2`;
+    squares use `float_power`, which calls the C `pow` that Python's `**`
+    calls (numpy's `square` and `power` can round the last bit otherwise).
+    """
+    n = len(objs)
+    if not n:
+        return [0] * len(points)
+    ball_ids = [i for i, o in enumerate(objs) if isinstance(o, Ball)]
+    box_ids = [i for i, o in enumerate(objs) if not isinstance(o, Ball)]
+    if ball_ids:
+        centers = np.array([objs[i].center for i in ball_ids])
+        limits = np.array([(objs[i].radius + TOL) ** 2 for i in ball_ids])
+    if box_ids:
+        lows = np.array([objs[i].low for i in box_ids]) - TOL
+        highs = np.array([objs[i].high for i in box_ids]) + TOL
+    nbytes = (n + 7) // 8
+    masks: List[int] = []
+    for start in range(0, len(points), _CHUNK):
+        block = np.array(points[start : start + _CHUNK], dtype=float)
+        hit = np.empty((len(block), n), dtype=bool)
+        if ball_ids:
+            d2 = np.zeros((len(block), len(ball_ids)))
+            for a in range(block.shape[1]):
+                d2 += np.float_power(block[:, a, None] - centers[:, a], 2.0)
+            hit[:, ball_ids] = d2 <= limits
+        if box_ids:
+            inside = np.ones((len(block), len(box_ids)), dtype=bool)
+            for a in range(block.shape[1]):
+                x = block[:, a, None]
+                inside &= (lows[:, a] <= x) & (x <= highs[:, a])
+            hit[:, box_ids] = inside
+        raw = np.packbits(hit, axis=1, bitorder="little").tobytes()
+        masks.extend(
+            int.from_bytes(raw[k : k + nbytes], "little")
+            for k in range(0, len(raw), nbytes)
+        )
     return masks

@@ -196,7 +196,7 @@ def exact_small_pierce(objs: Sequence[FatObject], cap: int):
     n = len(objs)
     if n == 0:
         return MeasureEstimate(value=0, witness=[])
-    ctx = IntersectionContext(objs)
+    order = sorted(range(n), key=lambda i: (size(objs[i]), i))
     points = cand.candidate_pierce_points(objs)
     cov = cand.coverage_masks(objs, points)
     points, cov = prune_dominated(points, cov)
@@ -212,7 +212,7 @@ def exact_small_pierce(objs: Sequence[FatObject], cap: int):
             return
         if count + 1 >= best_val:
             return
-        o = next(i for i in ctx.order if uncovered & (1 << i))
+        o = next(i for i in order if uncovered & (1 << i))
         obit = 1 << o
         for k in range(len(points)):
             if cov[k] & obit:
@@ -220,7 +220,7 @@ def exact_small_pierce(objs: Sequence[FatObject], cap: int):
                 rec(uncovered & ~cov[k], count + 1, picked)
                 picked.pop()
 
-    rec(ctx.full_mask(), 0, [])
+    rec((1 << n) - 1, 0, [])
     if best_val > cap:
         return OVERFLOW
     return MeasureEstimate(value=best_val, witness=best_pts)

@@ -2,7 +2,9 @@
 
 Deliberately independent of the solver machinery: these searches only share
 the geometry predicates and the pierce candidate construction (whose
-soundness is itself cross-checked against a fine grid here).
+soundness is itself cross-checked against a fine grid here).  Coverage masks
+come from a scalar `contains_point` loop here, not from the solver's numpy
+kernel.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import candidates as cand
-from .geometry import AxisBox, Ball, FatObject, Point, intersects
+from .geometry import AxisBox, Ball, FatObject, Point, contains_point, intersects
 from .instances import Instance
 
 PACK_GUARD = 24
@@ -114,6 +116,18 @@ def _min_cover(masks: List[int], points: List[Point], universe: int):
     return best_val, best_pts
 
 
+def _coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[int]:
+    """Bitmask per point of the objects it pierces (bit i = objs[i])."""
+    masks = []
+    for p in points:
+        m = 0
+        for i, o in enumerate(objs):
+            if contains_point(o, p):
+                m |= 1 << i
+        masks.append(m)
+    return masks
+
+
 def brute_pierce(inst: Instance) -> OracleResult:
     """Exhaustive minimum piercing over the sound candidate point set."""
     objs = inst.objects
@@ -123,7 +137,7 @@ def brute_pierce(inst: Instance) -> OracleResult:
     if n == 0:
         return OracleResult(value=0, witness=[], method=SET_COVER_EXHAUSTIVE)
     points = cand.candidate_pierce_points(objs)
-    cov = cand.coverage_masks(objs, points)
+    cov = _coverage_masks(objs, points)
     by_mask = {}
     for m, p in zip(cov, points):
         if m and (m not in by_mask or p < by_mask[m]):

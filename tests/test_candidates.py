@@ -1,11 +1,15 @@
+import math
+
 import pytest
 
 from fatsep.candidates import (
+    _CHUNK,
     UnsupportedShapeError,
     candidate_pierce_points,
     coverage_masks,
 )
-from fatsep.geometry import AxisBox, Ball, contains_point
+from fatsep.geometry import TOL, AxisBox, Ball, contains_point
+from fatsep.instances import gen_instance
 
 
 def test_single_disk_lowest_point():
@@ -53,3 +57,61 @@ def test_coverage_masks():
     b = AxisBox((10, 10), (11, 11))
     pts = [(0.5, 0.5), (10.5, 10.5), (5.0, 5.0)]
     assert coverage_masks([a, b], pts) == [1, 2, 0]
+
+
+def scalar_masks(objs, points):
+    """Reference: one `contains_point` call per (point, object)."""
+    return [
+        sum(1 << i for i, o in enumerate(objs) if contains_point(o, p)) for p in points
+    ]
+
+
+def boundary_points(objs):
+    """Points moved 0.5, 1 and 2 TOL in and out of every box face and circle rim."""
+    pts = []
+    for delta in (-2 * TOL, -TOL, -TOL / 2, TOL / 2, TOL, 2 * TOL):
+        for o in objs:
+            if isinstance(o, Ball):
+                r = o.radius + delta
+                for k in range(8):
+                    t = math.pi * k / 4
+                    pts.append((o.center[0] + r * math.cos(t), o.center[1] + r * math.sin(t)))
+                continue
+            mid = [(l + h) / 2 for l, h in zip(o.low, o.high)]
+            for a in range(o.dim):
+                for face, out in ((o.low[a], -1), (o.high[a], 1)):
+                    p = list(mid)
+                    p[a] = face + out * delta
+                    pts.append(tuple(p))
+    return pts
+
+
+def test_coverage_masks_matches_contains_point():
+    def check(objs, pts):
+        masks = coverage_masks(objs, pts)
+        assert masks == scalar_masks(objs, pts)
+        return masks
+
+    for shape, d in [("box", 2), ("box", 3), ("ball", 2)]:
+        for seed in range(4):
+            objs = list(gen_instance("random", d, shape=shape, n=12, seed=seed).objects)
+            check(objs, candidate_pierce_points(objs) + boundary_points(objs))
+    # A point at exactly radius + TOL from the center sits on the comparison's
+    # last bit: squares rounded other than as Python's `**` flips some.
+    for k in range(2000):
+        r = 0.5 + k / 997
+        check([Ball((0.0, 0.0), r)], [(r + TOL, 0.0)])
+    # Masks wider than 64 bits, over more than one block of points.
+    objs = list(gen_instance("random", 2, shape="box", n=70, seed=1).objects)
+    pts = candidate_pierce_points(objs) + boundary_points(objs)
+    assert len(pts) > 2 * _CHUNK
+    masks = check(objs, pts)
+    assert max(masks).bit_length() > 64
+    assert all(m >> len(objs) == 0 for m in masks)
+    # Empty inputs and a mixed ball/box family.
+    mixed = [Ball((0, 0), 1.0), AxisBox((0.5, 0.5), (2, 2)), Ball((2.5, 0), 1.5)]
+    assert coverage_masks(mixed, []) == []
+    assert coverage_masks([], [(0.0, 0.0), (1.0, 1.0)]) == [0, 0]
+    assert coverage_masks([], []) == []
+    grid = [(x / 4, y / 4) for x in range(-6, 18) for y in range(-8, 10)]
+    check(mixed, grid + boundary_points(mixed))

@@ -20,6 +20,19 @@ def inst_of(objs, d=2):
     return Instance(dim=d, objects=tuple(objs))
 
 
+def count_calls(monkeypatch, cls, name):
+    """Wrap method `cls.name` so each call bumps the returned one-item counter."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def wrapper(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
 # --- solve_pack -----------------------------------------------------------
 
 
@@ -77,7 +90,8 @@ def test_pierce_concentric():
 
 
 @pytest.mark.parametrize("shape,d", [("ball", 2), ("box", 2), ("box", 3)])
-def test_pierce_matches_oracle(shape, d):
+def test_pierce_matches_oracle(shape, d, monkeypatch):
+    separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     cfg = SolveConfig(base_threshold=3)
     for seed in range(20):
         inst = gen_instance("random", d, shape=shape, n=12, seed=seed)
@@ -87,14 +101,17 @@ def test_pierce_matches_oracle(shape, d):
         assert len(sol.witness) == sol.value
         for o in inst.objects:
             assert any(contains_point(o, p) for p in sol.witness)
+    assert separated[0] > 0
 
 
-def test_pierce_cluster_recursion_matches_oracle():
+def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
+    separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     cfg = SolveConfig(base_threshold=2)
     for seed in range(6):
         inst = gen_instance("cluster", 2, shape="box", clusters=3, cluster_size=4, seed=seed)
         sol = solve_pierce(inst, cfg)
         assert sol.value == brute_pierce(inst).value
+    assert separated[0] > 0
 
 
 def test_pierce_at_least_pack():
@@ -151,19 +168,8 @@ def test_forced_fallback_same_value(monkeypatch):
     # balance_cap near zero declares every separator unbalanced, forcing the
     # pivot path throughout; values must still match the oracle and the
     # unforced solve.
-    pivots = {"pack": 0, "pierce": 0}
-
-    def counting(cls, problem):
-        original = cls._pivot
-
-        def wrapper(self, *args):
-            pivots[problem] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, "_pivot", wrapper)
-
-    counting(_PackSearch, "pack")
-    counting(_PierceSearch, "pierce")
+    pack_pivots = count_calls(monkeypatch, _PackSearch, "_pivot")
+    pierce_pivots = count_calls(monkeypatch, _PierceSearch, "_pivot")
     forced = SolveConfig(base_threshold=4, balance_cap=1e-9)
     normal = SolveConfig(base_threshold=4)
     for seed in range(10):
@@ -178,7 +184,7 @@ def test_forced_fallback_same_value(monkeypatch):
         value = solve_pierce(inst, forced).value
         assert value == brute_pierce(inst).value
         assert value == solve_pierce(inst, normal).value
-    assert pivots["pack"] > 0 and pivots["pierce"] > 0
+    assert pack_pivots[0] > 0 and pierce_pivots[0] > 0
 
 
 # --- determinism / node cap -------------------------------------------------
