@@ -17,8 +17,9 @@ padded values to hardcode.  Protocol:
 import math
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fatsep.instances import gen_instance
 from fatsep.measure import greedy_pack, greedy_pierce

@@ -9,8 +9,9 @@ Usage: python scripts/scaling_report.py [out.csv]
 """
 import math
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fatsep.bench import run_bench, to_csv
 from fatsep.calibration import NODE_LAW_EXPONENT

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .geometry import AxisBox, Ball, FatObject, Point, TOL
+from .geometry import AxisBox, Ball, FatObject, Point, TOL, rows_to_masks
 
 # Points per block of the coverage kernel: bounds its temporaries to
 # _CHUNK x len(objs) arrays instead of one array over every point.
@@ -99,7 +99,6 @@ def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[i
     if box_ids:
         lows = np.array([objs[i].low for i in box_ids]) - TOL
         highs = np.array([objs[i].high for i in box_ids]) + TOL
-    nbytes = (n + 7) // 8
     masks: List[int] = []
     for start in range(0, len(points), _CHUNK):
         block = np.array(points[start : start + _CHUNK], dtype=float)
@@ -115,9 +114,5 @@ def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[i
                 x = block[:, a, None]
                 inside &= (lows[:, a] <= x) & (x <= highs[:, a])
             hit[:, box_ids] = inside
-        raw = np.packbits(hit, axis=1, bitorder="little").tobytes()
-        masks.extend(
-            int.from_bytes(raw[k : k + nbytes], "little")
-            for k in range(0, len(raw), nbytes)
-        )
+        masks.extend(rows_to_masks(hit))
     return masks

@@ -3,14 +3,18 @@
 All predicates use closed-set semantics with an absolute tolerance TOL on
 boundary coincidences; exact touches are resolved conservatively (tangent
 shapes intersect, objects coinciding with a region face are Boundary).
-Everything here is immutable and pure.
+Everything here is immutable and pure.  `rows_to_masks` turns the boolean
+arrays of the numpy kernels elsewhere into the Python-int bitmasks the
+searches work on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple, Union
+from typing import List, Tuple, Union
+
+import numpy as np
 
 TOL = 1e-9
 
@@ -178,6 +182,18 @@ def intersects(a: FatObject, b: FatObject) -> bool:
         al <= bh + TOL and bl <= ah + TOL
         for al, ah, bl, bh in zip(a.low, a.high, b.low, b.high)
     )
+
+
+def rows_to_masks(rows: np.ndarray) -> List[int]:
+    """Bitmask per row of a 2-d boolean array (bit j = column j)."""
+    nbytes = (rows.shape[1] + 7) // 8
+    if not nbytes:
+        return [0] * rows.shape[0]
+    raw = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [
+        int.from_bytes(raw[k : k + nbytes], "little")
+        for k in range(0, len(raw), nbytes)
+    ]
 
 
 def classify(obj: FatObject, box: BoxRegion) -> RegionClass:

@@ -6,14 +6,19 @@ always a lower bound on the true packing number; the greedy piercing value
 is always a feasible upper bound on the piercing number.  Packing works on
 bitmasks over one `IntersectionContext`: the exact solver closes and
 enumerates its subproblems with `exact_pack_mask` and `independent_sets`.
+The context's neighbourhood masks come from one numpy array per pair of
+shapes, with the float operations of `geometry.intersects`, so every bit
+equals that predicate's answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import candidates as cand
-from .geometry import FatObject, Point, intersects, size
+from .geometry import TOL, Ball, DimensionMismatchError, FatObject, Point, rows_to_masks, size
 
 
 class _Overflow:
@@ -47,13 +52,7 @@ class IntersectionContext:
         n = len(self.objs)
         self.sizes = [size(o) for o in self.objs]
         self.order = sorted(range(n), key=lambda i: (self.sizes[i], i))
-        self.nbr = [1 << i for i in range(n)]
-        for i in range(n):
-            oi = self.objs[i]
-            for j in range(i + 1, n):
-                if intersects(oi, self.objs[j]):
-                    self.nbr[i] |= 1 << j
-                    self.nbr[j] |= 1 << i
+        self.nbr = rows_to_masks(_intersection_matrix(self.objs))
 
     @property
     def n(self) -> int:
@@ -120,6 +119,55 @@ class IntersectionContext:
                 yield from rec(prefix + [i], cand & higher & ~self.nbr[i])
 
         yield from rec([], mask)
+
+
+def _intersection_matrix(objs: Sequence[FatObject]) -> np.ndarray:
+    """Boolean n x n array of `geometry.intersects` (every object meets itself).
+
+    Squared offsets are summed axis by axis in axis order and taken with
+    `float_power`, the C `pow` that Python's `**` calls.  A ball-box offset
+    is `_dist2_point_box`'s `l - x` below the box, `x - h` above it and 0
+    within; boxes compare `al <= bh + TOL and bl <= ah + TOL`.
+    """
+    n = len(objs)
+    hit = np.ones((n, n), dtype=bool)
+    if n < 2:
+        return hit
+    d = objs[0].dim
+    for o in objs:
+        if o.dim != d:
+            raise DimensionMismatchError(f"dimension mismatch: {d} vs {o.dim}")
+    balls = [i for i, o in enumerate(objs) if isinstance(o, Ball)]
+    boxes = [i for i, o in enumerate(objs) if not isinstance(o, Ball)]
+    c = np.array([objs[i].center for i in balls]).reshape(-1, d)
+    r = np.array([objs[i].radius for i in balls])
+    lo = np.array([objs[i].low for i in boxes]).reshape(-1, d)
+    hi = np.array([objs[i].high for i in boxes]).reshape(-1, d)
+    if balls:
+        d2 = np.zeros((len(balls), len(balls)))
+        term = np.empty_like(d2)
+        for a in range(d):
+            np.subtract(c[:, a, None], c[:, a], out=term)
+            d2 += np.float_power(term, 2.0, out=term)
+        limit = np.add(r[:, None], r, out=term)
+        limit += TOL
+        hit[np.ix_(balls, balls)] = d2 <= np.float_power(limit, 2.0, out=limit)
+    if boxes:
+        meet = np.ones((len(boxes), len(boxes)), dtype=bool)
+        for a in range(d):
+            meet &= lo[:, a, None] <= hi[:, a] + TOL
+            meet &= lo[:, a] <= hi[:, a, None] + TOL
+        hit[np.ix_(boxes, boxes)] = meet
+    if balls and boxes:
+        d2 = np.zeros((len(balls), len(boxes)))
+        for a in range(d):
+            x = c[:, a, None]
+            offset = np.maximum(np.maximum(lo[:, a] - x, x - hi[:, a]), 0.0)
+            d2 += np.float_power(offset, 2.0)
+        meet = d2 <= np.float_power(r + TOL, 2.0)[:, None]
+        hit[np.ix_(balls, boxes)] = meet
+        hit[np.ix_(boxes, balls)] = meet.T
+    return hit
 
 
 def _bits(mask: int):

@@ -4,7 +4,10 @@ Pipeline: find an (approximately) minimum-volume box whose center measure
 reaches a third of the total, sweep concentric magnified shells to find the
 one crossed by the least measure, then classify every object against that
 shell box.  No hard balance guarantee is promised; callers verify balance
-against `balance_cap` and fall back to pivot branching when it fails.
+against `balance_cap` and fall back to pivot branching when it fails.  The
+base-box search tests all candidate cubes of a ladder rung against every
+center in one numpy comparison per axis and packs the hits into bitmasks
+for the greedy measure.
 """
 from __future__ import annotations
 
@@ -14,7 +17,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import BoxRegion, FatObject, RegionClass, center, classify, magnify
+from .geometry import (
+    TOL,
+    BoxRegion,
+    FatObject,
+    RegionClass,
+    center,
+    classify,
+    magnify,
+    rows_to_masks,
+)
 from .measure import IntersectionContext, MeasureEstimate, greedy_pack, mask_to_ids
 
 
@@ -65,40 +77,36 @@ def _centers_array(objs: Sequence[FatObject]) -> np.ndarray:
     return np.array([center(o) for o in objs], dtype=float)
 
 
-def _candidate_lows(centers: np.ndarray, s: float) -> List[Tuple[float, ...]]:
-    """Cube low-corner candidates for side s: centered / low / high anchored
-    at every object center, plus the bounding-box corner."""
-    lows: List[Tuple[float, ...]] = []
-    for c in centers:
-        lows.append(tuple(c - s / 2.0))
-        lows.append(tuple(c))
-        lows.append(tuple(c - s))
-    lows.append(tuple(centers.min(axis=0)))
-    seen = set()
-    uniq = []
-    for lo in lows:
-        if lo not in seen:
-            seen.add(lo)
-            uniq.append(lo)
-    return uniq
-
-
 def _achieving_box(
     ctx: IntersectionContext, centers: np.ndarray, s: float, tau: int
 ) -> Optional[BoxRegion]:
-    """First candidate cube of side s whose center-measure reaches tau."""
-    for lo in _candidate_lows(centers, s):
-        lo_arr = np.array(lo)
-        hi_arr = lo_arr + s
-        in_box = np.all((centers >= lo_arr - 1e-9) & (centers <= hi_arr + 1e-9), axis=1)
-        if int(in_box.sum()) < tau:
+    """First candidate cube of side s whose center-measure reaches tau.
+
+    Candidates, in order: the cubes centered on, low-anchored at and
+    high-anchored at every object center, then the bounding-box corner.  All
+    are tested against every center in one array operation; a candidate
+    whose center mask was already tried cannot achieve, so it is skipped.
+    """
+    n, d = centers.shape
+    lows = np.empty((3 * n + 1, d))
+    lows[0:-1:3] = centers - s / 2.0
+    lows[1:-1:3] = centers
+    lows[2:-1:3] = centers - s
+    lows[-1] = centers.min(axis=0)
+    highs = lows + s
+    in_box = np.ones((len(lows), n), dtype=bool)
+    for a in range(d):
+        in_box &= centers[:, a] >= lows[:, a, None] - TOL
+        in_box &= centers[:, a] <= highs[:, a, None] + TOL
+    rows = np.flatnonzero(in_box.sum(axis=1) >= tau)
+    tried = set()
+    for k, mask in zip(rows, rows_to_masks(in_box[rows])):
+        if mask in tried:
             continue
-        mask = 0
-        for i in np.flatnonzero(in_box):
-            mask |= 1 << int(i)
+        tried.add(mask)
         value, _ = ctx.greedy_pack_mask(mask, stop_at=tau)
         if value >= tau:
-            return BoxRegion(lo, tuple(hi_arr))
+            return BoxRegion(tuple(lows[k]), tuple(highs[k]))
     return None
 
 
@@ -126,8 +134,7 @@ def find_base_box(
     if extent <= 0:
         # All centers coincide: point-like cube around the common center.
         c = centers[0]
-        eps = 1e-9
-        return BoxRegion(tuple(c - eps), tuple(c + eps))
+        return BoxRegion(tuple(c - TOL), tuple(c + TOL))
 
     # Pairwise center distances bound the ladder.
     diffs = centers[:, None, :] - centers[None, :, :]

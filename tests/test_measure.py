@@ -1,8 +1,16 @@
+import math
 import random
 
 import pytest
 
-from fatsep.geometry import AxisBox, Ball, contains_point, intersects
+from fatsep.geometry import (
+    TOL,
+    AxisBox,
+    Ball,
+    DimensionMismatchError,
+    contains_point,
+    intersects,
+)
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import (
     OVERFLOW,
@@ -155,3 +163,115 @@ def test_exact_small_pierce_matches_oracle():
                 assert any(contains_point(o, p) for p in got.witness)
         else:
             assert got is OVERFLOW
+
+
+def pairwise_nbr(objs):
+    """Closed-neighbourhood masks from one `intersects` call per pair."""
+    nbr = [1 << i for i in range(len(objs))]
+    for i in range(len(objs)):
+        for j in range(i + 1, len(objs)):
+            if intersects(objs[i], objs[j]):
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    return nbr
+
+
+def near_touching_pairs(d):
+    """Ball-ball, ball-box and box-box pairs whose gap is 0, +-0.5, +-1 or
+    +-2 TOL from touching, along an axis and along the diagonal."""
+    pairs = []
+    unit = [1.0] + [0.0] * (d - 1)
+    diag = [1.0 / math.sqrt(d)] * d
+    for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        for direction in (unit, diag):
+            origin = [3.7 * len(pairs)] + [1.3] * (d - 1)
+            # Centres exactly r1 + r2 + TOL apart, shifted by k TOL.
+            r1, r2 = 0.7, 1.1
+            gap = r1 + r2 + TOL + k * TOL
+            a = Ball(tuple(origin), r1)
+            b = Ball(tuple(x + gap * u for x, u in zip(origin, direction)), r2)
+            pairs.append((a, b))
+            # Ball centre r + TOL off a box face (or corner), shifted by k TOL.
+            box = AxisBox(tuple(origin), tuple(x + 0.9 for x in origin))
+            step = r1 + TOL + k * TOL
+            c = [
+                h + step * u if u else (l + h) / 2
+                for l, h, u in zip(box.low, box.high, direction)
+            ]
+            pairs.append((box, Ball(tuple(c), r1)))
+        # Box faces TOL apart, shifted by k TOL, on each axis in turn.
+        for axis in range(d):
+            origin = [3.7 * len(pairs)] + [1.3] * (d - 1)
+            box = AxisBox(tuple(origin), tuple(x + 0.9 for x in origin))
+            low = list(origin)
+            low[axis] = box.high[axis] + TOL + k * TOL
+            pairs.append((box, AxisBox(tuple(low), tuple(x + 0.6 for x in low))))
+    return pairs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_intersection_context_matches_intersects(d):
+    families = []
+    for seed in range(4):
+        families.append(random_objects(seed, 40, d=d))
+        families.append(random_objects(seed, 40, d=d, shape="box"))
+        mixed = random_objects(seed, 20, d=d) + random_objects(seed + 50, 20, d=d, shape="box")
+        random.Random(seed).shuffle(mixed)
+        families.append(mixed)
+    # More than 64 objects, so every mask spans several 64-bit words.
+    families.append(random_objects(7, 80, d=d) + random_objects(8, 70, d=d, shape="box"))
+    pairs = near_touching_pairs(d)
+    families.append([o for pair in pairs for o in pair])
+    for a, b in pairs:
+        families.append([a, b])
+        families.append([b, a])
+    for objs in families:
+        assert IntersectionContext(objs).nbr == pairwise_nbr(objs)
+    # Each kind of near-touching pair lands on both sides of the predicate.
+    outcomes = {}
+    for a, b in pairs:
+        outcomes.setdefault((type(a), type(b)), set()).add(intersects(a, b))
+    assert len(outcomes) == 3
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_intersection_context_rounds_like_intersects():
+    # Tangent pairs whose squared gap rounds differently under x * x than
+    # under Python's `**`: any kernel that squares another way flips a bit.
+    rng = random.Random(3)
+
+    def radii(gap):
+        found = []
+        while len(found) < 40:
+            r = rng.uniform(0.2, 0.5)
+            g = gap(r)
+            if g * g != g**2:
+                found.append(r)
+        assert {gap(r) * gap(r) > gap(r) ** 2 for r in found} == {True, False}
+        return found
+
+    objs = []
+    for k, r in enumerate(radii(lambda r: r + r + TOL)):
+        objs.append(Ball((0.0, 10.0 * k), r))
+        objs.append(Ball((r + r + TOL, 10.0 * k), r))
+    for k, r in enumerate(radii(lambda r: r + TOL)):
+        # Balls r + TOL beyond one box's high face and another's low face.
+        y = 10.0 * k + 5.0
+        objs.append(AxisBox((-1.0, y), (0.0, y + 1.0)))
+        objs.append(Ball((r + TOL, y + 0.5), r))
+        objs.append(AxisBox((0.0, y + 2.0), (1.0, y + 3.0)))
+        objs.append(Ball((-(r + TOL), y + 2.5), r))
+    nbr = IntersectionContext(objs).nbr
+    assert nbr == pairwise_nbr(objs)
+    assert all(nbr[i] & (1 << (i + 1)) for i in range(0, len(objs), 2))
+
+
+def test_intersection_context_small_and_mixed_dimensions():
+    assert IntersectionContext([]).nbr == []
+    assert IntersectionContext([Ball((0.0, 0.0, 0.0), 1.0)]).nbr == [1]
+    with pytest.raises(DimensionMismatchError):
+        IntersectionContext([Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)])
+    with pytest.raises(DimensionMismatchError):
+        IntersectionContext(
+            [AxisBox((0.0, 0.0), (1.0, 1.0)), Ball((5.0, 5.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)]
+        )

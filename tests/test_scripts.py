@@ -1,4 +1,5 @@
 """Smoke tests: the scripts under scripts/ still run against the package."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,12 +7,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_scaling_report_runs():
-    proc = subprocess.run(
-        [sys.executable, "scripts/scaling_report.py"],
-        cwd=ROOT,
+def run_scaling_report(cwd):
+    # Without PYTHONPATH, so the script has to find the package itself.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scaling_report.py")],
+        cwd=cwd,
+        env=env,
         capture_output=True,
         text=True,
     )
+
+
+def test_scaling_report_runs():
+    proc = run_scaling_report(ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("label,n,d,family,solver")
+
+
+def test_scaling_report_runs_outside_the_repository(tmp_path):
+    proc = run_scaling_report(tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("label,n,d,family,solver")

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from fatsep.geometry import Ball, BoxRegion, RegionClass, classify, magnify, size
+from fatsep import separator
+from fatsep.geometry import TOL, Ball, BoxRegion, RegionClass, classify, magnify, size
 from fatsep.instances import gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack
 from fatsep.separator import (
@@ -48,6 +50,78 @@ def test_find_base_box_single_cluster():
     while _achieving_box(ctx, centers, s, 3) is None:
         s *= SIDE_SEARCH_RATIO
     assert box.longest_side == pytest.approx(s)
+
+
+def reference_achieving_box(ctx, centers, s, tau):
+    """The per-candidate loop: one numpy comparison per candidate cube."""
+    lows = []
+    for c in centers:
+        lows += [tuple(c - s / 2.0), tuple(c), tuple(c - s)]
+    lows.append(tuple(centers.min(axis=0)))
+    seen = set()
+    for lo in lows:
+        if lo in seen:
+            continue
+        seen.add(lo)
+        lo_arr = np.array(lo)
+        hi_arr = lo_arr + s
+        in_box = np.all((centers >= lo_arr - 1e-9) & (centers <= hi_arr + 1e-9), axis=1)
+        if int(in_box.sum()) < tau:
+            continue
+        mask = 0
+        for i in np.flatnonzero(in_box):
+            mask |= 1 << int(i)
+        value, _ = ctx.greedy_pack_mask(mask, stop_at=tau)
+        if value >= tau:
+            return BoxRegion(lo, tuple(hi_arr))
+    return None
+
+
+def reference_base_box(monkeypatch, objs, tau):
+    with monkeypatch.context() as m:
+        m.setattr(separator, "_achieving_box", reference_achieving_box)
+        return find_base_box(objs, tau)
+
+
+def test_find_base_box_matches_per_candidate_loop(monkeypatch):
+    families = []
+    for d in (2, 3):
+        for seed in range(3):
+            families.append(random_objects(seed, 30, d=d))
+            families.append(random_objects(seed, 30, d=d, shape="box"))
+    # Repeated centres give repeated candidates, which are skipped.
+    twins = random_objects(9, 12)
+    families.append(twins + [Ball(o.center, o.radius / 2) for o in twins])
+    for objs in families:
+        g = greedy_pack(objs).value
+        for tau in sorted({1, max(1, g // 2), g}):
+            got = find_base_box(objs, tau)
+            want = reference_base_box(monkeypatch, objs, tau)
+            assert (got.low, got.high) == (want.low, want.high)
+
+
+def test_find_base_box_bounding_corner_first(monkeypatch):
+    # No cube anchored at a centre holds both centres; the one at the
+    # bounding-box corner (0, 0) does.
+    objs = [Ball((0.0, 1.0), 0.1), Ball((1.0, 0.0), 0.1)]
+    box = find_base_box(objs, 2)
+    assert box.low == (0.0, 0.0)
+    assert box.high == (math.sqrt(2.0), math.sqrt(2.0))
+    want = reference_base_box(monkeypatch, objs, 2)
+    assert (box.low, box.high) == (want.low, want.high)
+
+
+def test_achieving_box_tolerance_at_cube_faces():
+    # Q lies half a TOL past the far face of the unit cube low-anchored at P,
+    # and P half a TOL below the cube high-anchored at Q; either order
+    # reaches tau only through the TOL on one side of the comparison.
+    p, q = Ball((0.0, 0.0), 0.1), Ball((1.0 + TOL / 2, 0.0), 0.1)
+    for objs in ([p, q], [q, p]):
+        ctx = IntersectionContext(objs)
+        centers = separator._centers_array(objs)
+        got = separator._achieving_box(ctx, centers, 1.0, 2)
+        want = reference_achieving_box(ctx, centers, 1.0, 2)
+        assert got is not None and (got.low, got.high) == (want.low, want.high)
 
 
 def test_find_base_box_total_measure():
