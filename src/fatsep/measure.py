@@ -3,9 +3,10 @@
 Polynomial-time greedy bounds (smallest-first, id tie-break, fully
 deterministic) and exact branch and bound.  The greedy packing value is
 always a lower bound on the true packing number; the greedy piercing value
-is always a feasible upper bound on the piercing number.  Packing works on
-bitmasks over one `IntersectionContext`: the exact solver closes and
-enumerates its subproblems with `exact_pack_mask` and `independent_sets`.
+is always a feasible upper bound on the piercing number.  The exact solver
+searches packing subproblems with `exact_pack_mask` and `independent_sets`,
+and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
+`PierceTable`, all on bitmasks over one `IntersectionContext`.
 The context's neighbourhood masks come from one numpy array per pair of
 shapes, with the float operations of `geometry.intersects`, so every bit
 equals that predicate's answer.
@@ -120,6 +121,76 @@ class IntersectionContext:
 
         yield from rec([], mask)
 
+    def greedy_pierce_mask(self, cov: Sequence[int], mask: int) -> List[int]:
+        """Greedy piercing of `mask` by the points whose coverage is `cov`;
+        returns the picked indices into `cov`.
+
+        Rounds: take the smallest unpierced object, then pierce its whole
+        unpierced neighbourhood, each time with the first point of greatest
+        gain.  The result is feasible, so its size bounds Pierce from above.
+        """
+        picked: List[int] = []
+        unpierced = mask
+        while unpierced:
+            o = next(i for i in self.order if unpierced & (1 << i))
+            todo = self.nbr[o] & unpierced
+            while todo:
+                gains = [(c & todo).bit_count() for c in cov]
+                k = max(range(len(cov)), key=gains.__getitem__)
+                assert gains[k], "candidate set must cover every object"
+                picked.append(k)
+                unpierced &= ~cov[k]
+                todo &= ~cov[k]
+        return picked
+
+    def exact_pierce_mask(self, cov: Sequence[int], mask: int, cap: int) -> Optional[List[int]]:
+        """Minimum piercing of `mask` by the points whose coverage is `cov`,
+        as indices into `cov`; None if it needs more than `cap` points.
+
+        Set-cover branch over the points inside the smallest unpierced
+        object, so depth equals the cover size.
+        """
+        best_val = cap + 1
+        best: List[int] = []
+
+        def rec(uncovered: int, picked: List[int]):
+            nonlocal best_val, best
+            if not uncovered:
+                if len(picked) < best_val:
+                    best_val, best = len(picked), list(picked)
+                return
+            if len(picked) + 1 >= best_val:
+                return
+            obit = 1 << next(i for i in self.order if uncovered & (1 << i))
+            for k, c in enumerate(cov):
+                if c & obit:
+                    picked.append(k)
+                    rec(uncovered & ~c, picked)
+                    picked.pop()
+
+        rec(mask, [])
+        return best if best_val <= cap else None
+
+
+class PierceTable:
+    """Undominated candidate pierce points of a context's family (sorted) and
+    their coverage masks over that context.
+
+    One table serves every subfamily.  A subfamily's candidates are among the
+    family's (the grid of lows plus the centres for boxes, the lowest points
+    plus the pairwise circle intersections for disks), and `cov(p) ⊆ cov(q)`
+    implies `cov(p) & mask ⊆ cov(q) & mask`, so `restrict(mask)` still holds
+    a minimum piercing of `mask`.
+    """
+
+    def __init__(self, ctx: IntersectionContext):
+        points = cand.candidate_pierce_points(ctx.objs)
+        self.points, self.cov = prune_dominated(points, cand.coverage_masks(ctx.objs, points))
+
+    def restrict(self, mask: int):
+        """(points, coverage masks) of the table within `mask`, pruned again."""
+        return prune_dominated(self.points, [c & mask for c in self.cov])
+
 
 def _intersection_matrix(objs: Sequence[FatObject]) -> np.ndarray:
     """Boolean n x n array of `geometry.intersects` (every object meets itself).
@@ -194,32 +265,12 @@ def greedy_pack(
 def greedy_pierce(objs: Sequence[FatObject]) -> MeasureEstimate:
     """Feasible piercing point set, a constant-factor upper bound on Pierce.
 
-    Rounds: take the smallest unpierced object, then cover its whole
-    unpierced neighborhood with greedily chosen candidate points.
+    `IntersectionContext.greedy_pierce_mask` over the family's `PierceTable`.
     """
-    n = len(objs)
-    if n == 0:
-        return MeasureEstimate(value=0, witness=[])
     ctx = IntersectionContext(objs)
-    points = cand.candidate_pierce_points(objs)
-    cov = cand.coverage_masks(objs, points)
-    unpierced = ctx.full_mask()
-    picked: List[Point] = []
-    while unpierced:
-        o = next(i for i in ctx.order if unpierced & (1 << i))
-        todo = ctx.nbr[o] & unpierced
-        while todo:
-            best = None
-            for k, p in enumerate(points):
-                gain = (cov[k] & todo).bit_count()
-                if gain and (best is None or gain > best[0]):
-                    best = (gain, k)
-            assert best is not None, "candidate set must cover every object"
-            k = best[1]
-            picked.append(points[k])
-            unpierced &= ~cov[k]
-            todo &= ~cov[k]
-    return MeasureEstimate(value=len(picked), witness=picked)
+    table = PierceTable(ctx)
+    picked = ctx.greedy_pierce_mask(table.cov, ctx.full_mask())
+    return MeasureEstimate(value=len(picked), witness=[table.points[k] for k in picked])
 
 
 def exact_small_pack(objs: Sequence[FatObject], cap: int):
@@ -236,62 +287,29 @@ def exact_small_pack(objs: Sequence[FatObject], cap: int):
 def exact_small_pierce(objs: Sequence[FatObject], cap: int):
     """Exact Pierce if it is <= cap, else OVERFLOW.
 
-    Set-cover branch over candidate points inside the smallest uncovered
-    object; strictly dominated candidates are dropped up front.
+    `IntersectionContext.exact_pierce_mask` over the family's `PierceTable`.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    n = len(objs)
-    if n == 0:
-        return MeasureEstimate(value=0, witness=[])
-    order = sorted(range(n), key=lambda i: (size(objs[i]), i))
-    points = cand.candidate_pierce_points(objs)
-    cov = cand.coverage_masks(objs, points)
-    points, cov = prune_dominated(points, cov)
-
-    best_val = cap + 1
-    best_pts: List[Point] = []
-
-    def rec(uncovered: int, count: int, picked: List[Point]):
-        nonlocal best_val, best_pts
-        if not uncovered:
-            if count < best_val:
-                best_val, best_pts = count, list(picked)
-            return
-        if count + 1 >= best_val:
-            return
-        o = next(i for i in order if uncovered & (1 << i))
-        obit = 1 << o
-        for k in range(len(points)):
-            if cov[k] & obit:
-                picked.append(points[k])
-                rec(uncovered & ~cov[k], count + 1, picked)
-                picked.pop()
-
-    rec((1 << n) - 1, 0, [])
-    if best_val > cap:
+    ctx = IntersectionContext(objs)
+    table = PierceTable(ctx)
+    picked = ctx.exact_pierce_mask(table.cov, ctx.full_mask(), cap)
+    if picked is None:
         return OVERFLOW
-    return MeasureEstimate(value=best_val, witness=best_pts)
+    return MeasureEstimate(value=len(picked), witness=[table.points[k] for k in picked])
 
 
 def prune_dominated(points: Sequence[Point], cov: Sequence[int]):
     """Drop candidate points whose coverage is contained in another's.
 
     On equal coverage the lexicographically smallest point is kept, so the
-    result is deterministic.
+    result is deterministic.  Points are visited by falling coverage size,
+    so each point's strict supersets, and its equals with smaller points,
+    come before it.
     """
-    keep_points: List[Point] = []
-    keep_cov: List[int] = []
-    order = sorted(range(len(points)), key=lambda k: points[k])
-    for k in order:
-        c = cov[k]
-        if not c:
-            continue
-        if any(c & ~kc == 0 for kc in keep_cov):
-            continue
-        # Remove earlier entries now dominated by c (strictly smaller coverage).
-        keep = [(p, kc) for p, kc in zip(keep_points, keep_cov) if kc & ~c or kc == c]
-        keep_points = [p for p, _ in keep] + [points[k]]
-        keep_cov = [kc for _, kc in keep] + [c]
-    pair = sorted(zip(keep_points, keep_cov))
-    return [p for p, _ in pair], [c for _, c in pair]
+    keep = []
+    for _, p, c in sorted((-c.bit_count(), p, c) for p, c in zip(points, cov) if c):
+        if all(c & ~kc for _, kc in keep):
+            keep.append((p, c))
+    keep.sort()
+    return [p for p, _ in keep], [c for _, c in keep]

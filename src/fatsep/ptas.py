@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import contains_point
+from .candidates import coverage_masks
 from .instances import Instance
-from .measure import greedy_pack, greedy_pierce
+from .measure import greedy_pack, greedy_pierce, mask_to_ids
 from .separator import SeparatorResult, separate
 from .solver import Solution, SolveConfig, solve_pack, solve_pierce
 
@@ -54,11 +54,10 @@ def _cover_boundary(objs, sep: SeparatorResult) -> Tuple[int, list, set]:
     points pierce, on either side, is done."""
     bp = greedy_pierce([objs[j] for j in sep.boundary_ids])
     points = list(bp.witness)
-    covered = set()
-    for j, o in enumerate(objs):
-        if any(contains_point(o, p) for p in points):
-            covered.add(j)
-    return bp.value, points, covered
+    covered = 0
+    for mask in coverage_masks(objs, points):
+        covered |= mask
+    return bp.value, points, set(mask_to_ids(covered))
 
 
 def _ptas(inst: Instance, cfg: PtasConfig, problem: str, estimate, exact, boundary_step) -> Solution:

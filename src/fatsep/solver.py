@@ -1,8 +1,9 @@
 """Exact packing and piercing by recursive separation.
 
 Each solve builds one `IntersectionContext` and searches subproblems as
-bitmasks over it.  Small subproblems (by greedy estimate) are closed
-exactly; larger ones are split with a box separator, enumerating
+bitmasks over it; piercing also builds one `PierceTable` and restricts it
+to each subproblem's mask.  Small subproblems (by greedy estimate) are
+closed exactly; larger ones are split with a box separator, enumerating
 independent sets (packing) or candidate pierce covers (piercing) of the
 boundary class.  Unbalanced or degenerate separators fall back to pivot
 branching, so termination and exactness never depend on separator quality.
@@ -13,17 +14,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from . import candidates as cand
-from .geometry import Point, size
+from .geometry import Point
 from .instances import Instance
-from .measure import (
-    IntersectionContext,
-    exact_small_pierce,
-    greedy_pack,
-    greedy_pierce,
-    mask_to_ids,
-    prune_dominated,
-)
+from .measure import IntersectionContext, PierceTable, greedy_pack, mask_to_ids
 from .separator import SeparatorConfig, SeparatorResult, separate
 
 
@@ -99,6 +92,10 @@ class _Search:
 
 
 class _PackSearch(_Search):
+    def greedy(self) -> Tuple[int, List[int]]:
+        est = greedy_pack(self.ctx.objs, ctx=self.ctx)
+        return est.value, est.witness
+
     def solve(self, mask: int) -> Tuple[int, List[int], int, int]:
         """Returns (value, witness ids, nodes, depth)."""
         self.budget.tick()
@@ -149,104 +146,92 @@ class _PackSearch(_Search):
 
 
 class _PierceSearch(_Search):
+    def __init__(self, ctx: IntersectionContext, cfg: SolveConfig, budget: _Budget):
+        super().__init__(ctx, cfg, budget)
+        self.table = PierceTable(ctx)
+
+    def greedy(self) -> Tuple[int, List[Point]]:
+        picked = self.ctx.greedy_pierce_mask(self.table.cov, self.ctx.full_mask())
+        return len(picked), [self.table.points[k] for k in picked]
+
     def solve(self, mask: int) -> Tuple[int, List[Point], int, int]:
         self.budget.tick()
         if not mask:
             return 0, [], 1, 0
-        ids = mask_to_ids(mask)
-        sub = [self.ctx.objs[i] for i in ids]
-        g = greedy_pierce(sub).value
+        points, cov = self.table.restrict(mask)
+        g = len(self.ctx.greedy_pierce_mask(cov, mask))
         if g <= self.cfg.base_threshold:
-            # greedy_pierce is feasible, so the optimum fits under g.
-            res = exact_small_pierce(sub, g)
-            return res.value, list(res.witness), 1, 0
-        sep = separate(sub, self.sepcfg)
+            # The greedy cover is feasible, so the optimum fits under g.
+            picked = self.ctx.exact_pierce_mask(cov, mask, g)
+            return len(picked), [points[k] for k in picked], 1, 0
+        ids = mask_to_ids(mask)
+        sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
-            return self._pivot(mask, ids, sub)
-        return self._separated(ids, sub, sep)
+            return self._pivot(mask, points, cov)
+        return self._separated(ids, sep, points, cov)
 
-    def _pivot(self, mask, ids, sub):
-        # Branch over candidate points inside the smallest object.
-        points = cand.candidate_pierce_points(sub)
-        cov_local = cand.coverage_masks(sub, points)
-        o_local = min(range(len(sub)), key=lambda j: (size(sub[j]), j))
+    def _pivot(self, mask, points, cov):
+        # Branch over the points that pierce the smallest object.
+        obit = 1 << next(i for i in self.ctx.order if mask & (1 << i))
         best = None
         nodes = 1
         depth = 0
-        for k, p in enumerate(points):
-            if not cov_local[k] & (1 << o_local):
+        for p, c in zip(points, cov):
+            if not c & obit:
                 continue
-            r = self.solve(mask & ~_global_mask(ids, mask_to_ids(cov_local[k])))
+            r = self.solve(mask & ~c)
             nodes += r[2]
             depth = max(depth, 1 + r[3])
-            value = 1 + r[0]
-            if best is None or value < best[0]:
-                best = (value, [p] + r[1])
+            if best is None or 1 + r[0] < best[0]:
+                best = (1 + r[0], [p] + r[1])
         assert best is not None, "candidate set must pierce the pivot object"
         return best[0], best[1], nodes, depth
 
-    def _separated(self, ids, sub, sep: SeparatorResult):
-        points = cand.candidate_pierce_points(sub)
-        cov_local = cand.coverage_masks(sub, points)
-        points, cov_local = prune_dominated(points, cov_local)
-        n_local = len(sub)
-        order_local = sorted(range(n_local), key=lambda j: (size(sub[j]), j))
-
-        inside_local = 0
-        for j in sep.inside_ids:
-            inside_local |= 1 << j
-        outside_local = 0
-        for j in sep.outside_ids:
-            outside_local |= 1 << j
-        boundary_local = 0
-        for j in sep.boundary_ids:
-            boundary_local |= 1 << j
-
-        state = {"best": None, "nodes": 1, "depth": 0}
-
-        def to_global(local_mask: int) -> int:
-            return _global_mask(ids, mask_to_ids(local_mask))
+    def _separated(self, ids, sep: SeparatorResult, points, cov):
+        inside = _global_mask(ids, sep.inside_ids)
+        outside = _global_mask(ids, sep.outside_ids)
+        boundary = _global_mask(ids, sep.boundary_ids)
+        best = None
+        nodes = 1
+        depth = 0
 
         def dfs(unb: int, removed: int, picked: List[Point]):
-            best = state["best"]
+            nonlocal best, nodes, depth
             if best is not None and len(picked) >= best[0]:
                 return
             if not unb:
-                rin = self.solve(to_global(inside_local & ~removed))
-                rout = self.solve(to_global(outside_local & ~removed))
-                state["nodes"] += rin[2] + rout[2]
-                state["depth"] = max(state["depth"], 1 + max(rin[3], rout[3]))
+                rin = self.solve(inside & ~removed)
+                rout = self.solve(outside & ~removed)
+                nodes += rin[2] + rout[2]
+                depth = max(depth, 1 + max(rin[3], rout[3]))
                 value = len(picked) + rin[0] + rout[0]
-                if state["best"] is None or value < state["best"][0]:
-                    state["best"] = (value, list(picked) + rin[1] + rout[1])
+                if best is None or value < best[0]:
+                    best = (value, picked + rin[1] + rout[1])
                 return
-            o = next(j for j in order_local if unb & (1 << j))
-            obit = 1 << o
-            for k in range(len(points)):
-                if cov_local[k] & obit:
-                    picked.append(points[k])
-                    dfs(unb & ~cov_local[k], removed | cov_local[k], picked)
-                    picked.pop()
+            obit = 1 << next(i for i in self.ctx.order if unb & (1 << i))
+            for p, c in zip(points, cov):
+                if c & obit:
+                    dfs(unb & ~c, removed | c, picked + [p])
 
-        dfs(boundary_local, 0, [])
-        best = state["best"]
+        dfs(boundary, 0, [])
         assert best is not None
-        return best[0], best[1], state["nodes"], state["depth"]
+        return best[0], best[1], nodes, depth
 
 
-def _solve(problem: str, search_cls, fallback, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
+def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
     """Run one exact search over the whole instance; on a node-cap abort,
-    return the greedy `fallback(ctx)` answer instead."""
+    return the search's greedy answer instead."""
     cfg = cfg or SolveConfig()
     start = time.perf_counter()
     ctx = IntersectionContext(inst.objects)
     budget = _Budget(cfg.node_cap)
+    search = search_cls(ctx, cfg, budget)
     try:
-        value, witness, nodes, depth = search_cls(ctx, cfg, budget).solve(ctx.full_mask())
+        value, witness, nodes, depth = search.solve(ctx.full_mask())
         aborted = False
     except _CapStop:
-        est = fallback(ctx)
-        value, witness, nodes, depth = est.value, est.witness, budget.count, 0
+        value, witness = search.greedy()
+        nodes, depth = budget.count, 0
         aborted = True
     return Solution(
         problem=problem,
@@ -261,12 +246,8 @@ def _solve(problem: str, search_cls, fallback, inst: Instance, cfg: Optional[Sol
 
 
 def solve_pack(inst: Instance, cfg: Optional[SolveConfig] = None) -> Solution:
-    return _solve(
-        "pack", _PackSearch, lambda ctx: greedy_pack(inst.objects, ctx=ctx), inst, cfg
-    )
+    return _solve("pack", _PackSearch, inst, cfg)
 
 
 def solve_pierce(inst: Instance, cfg: Optional[SolveConfig] = None) -> Solution:
-    return _solve(
-        "pierce", _PierceSearch, lambda ctx: greedy_pierce(list(inst.objects)), inst, cfg
-    )
+    return _solve("pierce", _PierceSearch, inst, cfg)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fatsep import candidates as cand
 from fatsep.geometry import (
     TOL,
     AxisBox,
@@ -15,10 +16,12 @@ from fatsep.instances import Instance, gen_instance
 from fatsep.measure import (
     OVERFLOW,
     IntersectionContext,
+    PierceTable,
     exact_small_pack,
     exact_small_pierce,
     greedy_pack,
     greedy_pierce,
+    prune_dominated,
 )
 from fatsep.oracle import brute_pack, brute_pierce
 from conftest import random_objects
@@ -163,6 +166,55 @@ def test_exact_small_pierce_matches_oracle():
                 assert any(contains_point(o, p) for p in got.witness)
         else:
             assert got is OVERFLOW
+
+
+def prune_reference(points, cov):
+    """Each nonzero coverage that no other coverage strictly contains, with
+    its smallest point, sorted by point."""
+    first = {}
+    for p, c in zip(points, cov):
+        if c and (c not in first or p < first[c]):
+            first[c] = p
+    kept = sorted((p, c) for c, p in first.items() if not any(c != q and c & ~q == 0 for q in first))
+    return [p for p, _ in kept], [c for _, c in kept]
+
+
+def test_prune_dominated_matches_reference():
+    rng = random.Random(0)
+    for _ in range(2000):
+        m = rng.randint(0, 30)
+        points = rng.sample([(x, y) for x in range(8) for y in range(8)], m)
+        bits = rng.randint(1, 8)
+        cov = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(m)]
+        assert prune_dominated(points, cov) == prune_reference(points, cov)
+    objs = list(gen_instance("random", 2, shape="box", n=30, seed=1).objects)
+    points = cand.candidate_pierce_points(objs)
+    cov = cand.coverage_masks(objs, points)
+    assert prune_dominated(points, cov) == prune_reference(points, cov)
+
+
+@pytest.mark.parametrize("shape,d", [("ball", 2), ("box", 2), ("box", 3)])
+def test_pierce_table_restricts_to_every_submask(shape, d):
+    # The solver builds one table per solve and searches every subproblem on
+    # the table restricted to its mask: that must stay exact and feasible.
+    rng = random.Random(d)
+    for seed in range(8):
+        inst = gen_instance("random", d, shape=shape, n=rng.randint(6, 12), seed=seed)
+        objs = list(inst.objects)
+        ctx = IntersectionContext(objs)
+        table = PierceTable(ctx)
+        for mask in [ctx.full_mask()] + [rng.randrange(1, 1 << ctx.n) for _ in range(5)]:
+            ids = [i for i in range(ctx.n) if mask >> i & 1]
+            points, cov = table.restrict(mask)
+            assert all(c and c & ~mask == 0 for c in cov)
+            exact = ctx.exact_pierce_mask(cov, mask, len(ids))
+            sub = Instance(dim=d, objects=tuple(objs[i] for i in ids))
+            assert len(exact) == brute_pierce(sub).value
+            greedy = ctx.greedy_pierce_mask(cov, mask)
+            assert len(greedy) >= len(exact)
+            for picked in (exact, greedy):
+                for i in ids:
+                    assert any(contains_point(objs[i], points[k]) for k in picked)
 
 
 def pairwise_nbr(objs):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from fatsep import candidates
 from fatsep.geometry import Ball, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
-from fatsep.measure import IntersectionContext
+from fatsep.measure import IntersectionContext, greedy_pierce
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import (
     SolveConfig,
@@ -20,16 +21,17 @@ def inst_of(objs, d=2):
     return Instance(dim=d, objects=tuple(objs))
 
 
-def count_calls(monkeypatch, cls, name):
-    """Wrap method `cls.name` so each call bumps the returned one-item counter."""
+def count_calls(monkeypatch, owner, name):
+    """Wrap method or module function `owner.name` so each call bumps the
+    returned one-item counter."""
     calls = [0]
-    original = getattr(cls, name)
+    original = getattr(owner, name)
 
     def wrapper(self, *args):
         calls[0] += 1
         return original(self, *args)
 
-    monkeypatch.setattr(cls, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -112,6 +114,21 @@ def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
         sol = solve_pierce(inst, cfg)
         assert sol.value == brute_pierce(inst).value
     assert separated[0] > 0
+
+
+def test_pierce_builds_one_candidate_table(monkeypatch):
+    # Separated nodes, pivots and base cases all search masks over the one
+    # table built for the solve.
+    inst = gen_instance("random", 2, shape="box", n=14, seed=1)
+    want = brute_pierce(inst).value
+    separated = count_calls(monkeypatch, _PierceSearch, "_separated")
+    pivots = count_calls(monkeypatch, _PierceSearch, "_pivot")
+    points = count_calls(monkeypatch, candidates, "candidate_pierce_points")
+    masks = count_calls(monkeypatch, candidates, "coverage_masks")
+    sol = solve_pierce(inst, SolveConfig(base_threshold=2))
+    assert sol.value == want
+    assert separated[0] > 0 and pivots[0] > 0
+    assert points[0] == 1 and masks[0] == 1
 
 
 def test_pierce_at_least_pack():
@@ -213,5 +230,6 @@ def test_node_cap_pierce_feasible():
     inst = gen_instance("random", 2, shape="box", n=14, seed=2)
     sol = solve_pierce(inst, SolveConfig(base_threshold=1, node_cap=2))
     assert not sol.optimal
+    assert sol.value == greedy_pierce(list(inst.objects)).value
     for o in inst.objects:
         assert any(contains_point(o, p) for p in sol.witness)
