@@ -7,12 +7,18 @@ closed exactly; larger ones are split with a box separator, enumerating
 independent sets (packing) or candidate pierce covers (piercing) of the
 boundary class.  Unbalanced or degenerate separators fall back to pivot
 branching, so termination and exactness never depend on separator quality.
+
+A per-solve memo maps each mask to its answer, so every subproblem is
+expanded once however many boundary configurations or pivots reach it;
+`Solution.nodes` counts these expansions.  The node cap counts every
+subproblem request, memo hits included, and every step of the piercing
+boundary search, so it bounds the enumeration work the memo does not save.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import Point
 from .instances import Instance
@@ -42,8 +48,10 @@ class Solution:
     """Result of every solver, exact or approximate.
 
     `problem` is "pack" (witness: sorted object ids) or "pierce" (witness:
-    points).  `optimal` means the value is proven optimal; `aborted` means
-    some exact search hit the node cap and fell back to a greedy answer.
+    points).  `nodes` counts the subproblems expanded (distinct masks of an
+    exact search; the PTAS adds its parts).  `optimal` means the value is
+    proven optimal; `aborted` means some exact search hit the node cap and
+    fell back to a greedy answer.
     `discarded` is the PTAS's boundary cost: objects dropped (packing) or
     greedy points spent (piercing).
     """
@@ -84,11 +92,22 @@ def _global_mask(ids: Sequence[int], local_ids) -> int:
 
 
 class _Search:
+    """Memoized search over the masks of one context.  `solve(mask)` returns
+    (value, witness, depth); subclasses expand a mask in `_expand`."""
+
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig, budget: _Budget):
         self.ctx = ctx
         self.cfg = cfg
         self.budget = budget
         self.sepcfg = cfg.separator_config()
+        self.memo: Dict[int, tuple] = {}
+
+    def solve(self, mask: int) -> tuple:
+        self.budget.tick()
+        hit = self.memo.get(mask)
+        if hit is None:
+            hit = self.memo[mask] = self._expand(mask)
+        return hit
 
 
 class _PackSearch(_Search):
@@ -96,15 +115,13 @@ class _PackSearch(_Search):
         est = greedy_pack(self.ctx.objs, ctx=self.ctx)
         return est.value, est.witness
 
-    def solve(self, mask: int) -> Tuple[int, List[int], int, int]:
-        """Returns (value, witness ids, nodes, depth)."""
-        self.budget.tick()
+    def _expand(self, mask: int) -> Tuple[int, List[int], int]:
         if not mask:
-            return 0, [], 1, 0
+            return 0, [], 0
         g, _ = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
             value, chosen = self.ctx.exact_pack_mask(mask)
-            return value, mask_to_ids(chosen), 1, 0
+            return value, mask_to_ids(chosen), 0
         ids = mask_to_ids(mask)
         sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
@@ -116,11 +133,10 @@ class _PackSearch(_Search):
         o = max(ids, key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
         skip = self.solve(mask & ~(1 << o))
         take = self.solve(mask & ~self.ctx.nbr[o])
-        nodes = 1 + skip[2] + take[2]
-        depth = 1 + max(skip[3], take[3])
+        depth = 1 + max(skip[2], take[2])
         if 1 + take[0] >= skip[0]:
-            return 1 + take[0], sorted(take[1] + [o]), nodes, depth
-        return skip[0], skip[1], nodes, depth
+            return 1 + take[0], sorted(take[1] + [o]), depth
+        return skip[0], skip[1], depth
 
     def _separated(self, ids, sep: SeparatorResult):
         inside = _global_mask(ids, sep.inside_ids)
@@ -128,7 +144,6 @@ class _PackSearch(_Search):
         boundary = _global_mask(ids, sep.boundary_ids)
 
         best = None
-        nodes = 1
         depth = 0
         for chosen in self.ctx.independent_sets(boundary):
             nmask = 0
@@ -136,13 +151,12 @@ class _PackSearch(_Search):
                 nmask |= self.ctx.nbr[i]
             rin = self.solve(inside & ~nmask)
             rout = self.solve(outside & ~nmask)
-            nodes += rin[2] + rout[2]
-            depth = max(depth, 1 + max(rin[3], rout[3]))
+            depth = max(depth, 1 + max(rin[2], rout[2]))
             value = len(chosen) + rin[0] + rout[0]
             if best is None or value > best[0]:
                 best = (value, sorted(chosen + rin[1] + rout[1]))
         assert best is not None
-        return best[0], best[1], nodes, depth
+        return best[0], best[1], depth
 
 
 class _PierceSearch(_Search):
@@ -154,16 +168,15 @@ class _PierceSearch(_Search):
         picked = self.ctx.greedy_pierce_mask(self.table.cov, self.ctx.full_mask())
         return len(picked), [self.table.points[k] for k in picked]
 
-    def solve(self, mask: int) -> Tuple[int, List[Point], int, int]:
-        self.budget.tick()
+    def _expand(self, mask: int) -> Tuple[int, List[Point], int]:
         if not mask:
-            return 0, [], 1, 0
+            return 0, [], 0
         points, cov = self.table.restrict(mask)
         g = len(self.ctx.greedy_pierce_mask(cov, mask))
         if g <= self.cfg.base_threshold:
             # The greedy cover is feasible, so the optimum fits under g.
             picked = self.ctx.exact_pierce_mask(cov, mask, g)
-            return len(picked), [points[k] for k in picked], 1, 0
+            return len(picked), [points[k] for k in picked], 0
         ids = mask_to_ids(mask)
         sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
@@ -174,36 +187,33 @@ class _PierceSearch(_Search):
         # Branch over the points that pierce the smallest object.
         obit = 1 << next(i for i in self.ctx.order if mask & (1 << i))
         best = None
-        nodes = 1
         depth = 0
         for p, c in zip(points, cov):
             if not c & obit:
                 continue
             r = self.solve(mask & ~c)
-            nodes += r[2]
-            depth = max(depth, 1 + r[3])
+            depth = max(depth, 1 + r[2])
             if best is None or 1 + r[0] < best[0]:
                 best = (1 + r[0], [p] + r[1])
         assert best is not None, "candidate set must pierce the pivot object"
-        return best[0], best[1], nodes, depth
+        return best[0], best[1], depth
 
     def _separated(self, ids, sep: SeparatorResult, points, cov):
         inside = _global_mask(ids, sep.inside_ids)
         outside = _global_mask(ids, sep.outside_ids)
         boundary = _global_mask(ids, sep.boundary_ids)
         best = None
-        nodes = 1
         depth = 0
 
         def dfs(unb: int, removed: int, picked: List[Point]):
-            nonlocal best, nodes, depth
+            nonlocal best, depth
+            self.budget.tick()
             if best is not None and len(picked) >= best[0]:
                 return
             if not unb:
                 rin = self.solve(inside & ~removed)
                 rout = self.solve(outside & ~removed)
-                nodes += rin[2] + rout[2]
-                depth = max(depth, 1 + max(rin[3], rout[3]))
+                depth = max(depth, 1 + max(rin[2], rout[2]))
                 value = len(picked) + rin[0] + rout[0]
                 if best is None or value < best[0]:
                     best = (value, picked + rin[1] + rout[1])
@@ -215,7 +225,7 @@ class _PierceSearch(_Search):
 
         dfs(boundary, 0, [])
         assert best is not None
-        return best[0], best[1], nodes, depth
+        return best[0], best[1], depth
 
 
 def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
@@ -227,17 +237,17 @@ def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig])
     budget = _Budget(cfg.node_cap)
     search = search_cls(ctx, cfg, budget)
     try:
-        value, witness, nodes, depth = search.solve(ctx.full_mask())
+        value, witness, depth = search.solve(ctx.full_mask())
         aborted = False
     except _CapStop:
         value, witness = search.greedy()
-        nodes, depth = budget.count, 0
+        depth = 0
         aborted = True
     return Solution(
         problem=problem,
         value=value,
         witness=witness,
-        nodes=nodes,
+        nodes=len(search.memo),
         depth=depth,
         wall_time=time.perf_counter() - start,
         optimal=not aborted,

@@ -4,6 +4,7 @@ import pytest
 
 from fatsep.geometry import Ball, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
+from fatsep.measure import greedy_pack
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
 from fatsep.solver import SolveConfig, solve_pack, solve_pierce
 
@@ -112,3 +113,19 @@ def test_depth_bounded_by_balance_law():
         alpha_eff = 1.0 - cfg.solve.balance_cap
         bound = math.ceil(math.log(est) / math.log(1.0 / (1.0 - alpha_eff))) + 1
         assert sol.depth <= bound
+
+
+def test_pack_leaf_finishes_under_a_work_cap():
+    # Without the per-solve memo, one exact leaf of this run re-solved the
+    # same masks for minutes.  Memoized, its largest leaf makes about 108k
+    # budget ticks; the cap bounds that work, not the wall time.
+    inst = gen_instance("random", 2, shape="ball", n=400, seed=23)
+    eps = 0.5
+    cfg = PtasConfig(epsilon=eps, c_stop=2.0, solve=SolveConfig(node_cap=150_000))
+    sol = ptas_pack(inst, cfg)
+    assert not sol.aborted
+    wit = [inst.objects[i] for i in sol.witness]
+    assert len(wit) == sol.value
+    assert not any(intersects(a, b) for i, a in enumerate(wit) for b in wit[i + 1 :])
+    # Pack >= greedy, so the (1 - eps) guarantee implies this bound.
+    assert sol.value >= (1 - eps) * greedy_pack(inst.objects).value

@@ -5,12 +5,14 @@ import pytest
 from fatsep import candidates
 from fatsep.geometry import Ball, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
-from fatsep.measure import IntersectionContext, greedy_pierce
+from fatsep.measure import IntersectionContext, greedy_pack, greedy_pierce
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import (
     SolveConfig,
+    _Budget,
     _PackSearch,
     _PierceSearch,
+    _Search,
     solve_pack,
     solve_pierce,
 )
@@ -22,13 +24,13 @@ def inst_of(objs, d=2):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Wrap method or module function `owner.name` so each call bumps the
-    returned one-item counter."""
-    calls = [0]
+    """Wrap method or module function `owner.name` so each call appends its
+    arguments after the first (a method's `self`) to the returned list."""
+    calls = []
     original = getattr(owner, name)
 
     def wrapper(self, *args):
-        calls[0] += 1
+        calls.append(args)
         return original(self, *args)
 
     monkeypatch.setattr(owner, name, wrapper)
@@ -103,7 +105,7 @@ def test_pierce_matches_oracle(shape, d, monkeypatch):
         assert len(sol.witness) == sol.value
         for o in inst.objects:
             assert any(contains_point(o, p) for p in sol.witness)
-    assert separated[0] > 0
+    assert separated
 
 
 def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
@@ -113,7 +115,7 @@ def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
         inst = gen_instance("cluster", 2, shape="box", clusters=3, cluster_size=4, seed=seed)
         sol = solve_pierce(inst, cfg)
         assert sol.value == brute_pierce(inst).value
-    assert separated[0] > 0
+    assert separated
 
 
 def test_pierce_builds_one_candidate_table(monkeypatch):
@@ -127,8 +129,8 @@ def test_pierce_builds_one_candidate_table(monkeypatch):
     masks = count_calls(monkeypatch, candidates, "coverage_masks")
     sol = solve_pierce(inst, SolveConfig(base_threshold=2))
     assert sol.value == want
-    assert separated[0] > 0 and pivots[0] > 0
-    assert points[0] == 1 and masks[0] == 1
+    assert separated and pivots
+    assert len(points) == 1 and len(masks) == 1
 
 
 def test_pierce_at_least_pack():
@@ -201,7 +203,49 @@ def test_forced_fallback_same_value(monkeypatch):
         value = solve_pierce(inst, forced).value
         assert value == brute_pierce(inst).value
         assert value == solve_pierce(inst, normal).value
-    assert pack_pivots[0] > 0 and pierce_pivots[0] > 0
+    assert pack_pivots and pierce_pivots
+
+
+# --- memo -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve,brute,search,shape,n,base",
+    [
+        (solve_pack, brute_pack, _PackSearch, "ball", 16, 3),
+        (solve_pierce, brute_pierce, _PierceSearch, "box", 12, 2),
+    ],
+)
+def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, base):
+    # Base cases, separated nodes and pivots (forced by balance_cap=1e-9)
+    # each expand a mask at most once per solve; repeats come from the memo.
+    requests = count_calls(monkeypatch, _Search, "solve")
+    expanded = count_calls(monkeypatch, search, "_expand")
+    pivots = count_calls(monkeypatch, search, "_pivot")
+    separated = count_calls(monkeypatch, search, "_separated")
+    reached = {"base": 0, "pivot": 0, "separated": 0}
+    hits = 0
+    for balance_cap in (0.8, 1e-9):
+        cfg = SolveConfig(base_threshold=base, balance_cap=balance_cap)
+        for seed in range(8):
+            inst = gen_instance("random", 2, shape=shape, n=n, seed=seed)
+            for calls in (requests, expanded, pivots, separated):
+                calls.clear()
+            sol = solve(inst, cfg)
+            assert sol.optimal and sol.value == brute(inst).value
+            masks = [args[0] for args in expanded]
+            assert len(set(masks)) == len(masks) == sol.nodes
+            pivot_masks = [args[0] for args in pivots]
+            separated_masks = [sum(1 << i for i in args[0]) for args in separated]
+            assert len(set(pivot_masks)) == len(pivot_masks)
+            assert len(set(separated_masks)) == len(separated_masks)
+            assert set(pivot_masks + separated_masks) <= set(masks)
+            reached["pivot"] += len(pivot_masks)
+            reached["separated"] += len(separated_masks)
+            reached["base"] += len(masks) - len(pivot_masks) - len(separated_masks)
+            hits += len(requests) - len(masks)
+    assert all(reached.values()), reached
+    assert hits > 0
 
 
 # --- determinism / node cap -------------------------------------------------
@@ -233,3 +277,43 @@ def test_node_cap_pierce_feasible():
     assert sol.value == greedy_pierce(list(inst.objects)).value
     for o in inst.objects:
         assert any(contains_point(o, p) for p in sol.witness)
+
+
+@pytest.mark.parametrize(
+    "solve,greedy,inst",
+    [
+        (
+            solve_pack,
+            lambda inst: greedy_pack(inst.objects),
+            gen_instance("random", 2, shape="ball", n=24, seed=3),
+        ),
+        (
+            solve_pierce,
+            lambda inst: greedy_pierce(list(inst.objects)),
+            gen_instance("random", 2, shape="box", n=14, seed=1),
+        ),
+    ],
+)
+def test_node_cap_counts_work_not_expansions(monkeypatch, solve, greedy, inst):
+    # A cap above the number of expanded subproblems but below the ticks of
+    # an uncapped solve must still abort: memo hits, and the piercing
+    # boundary search's steps, count against the cap.
+    ticks = count_calls(monkeypatch, _Budget, "tick")
+    cfg = SolveConfig(base_threshold=2)
+    full = solve(inst, cfg)
+    assert full.optimal
+    cap = len(ticks) - 1
+    assert full.nodes < cap
+    sol = solve(inst, SolveConfig(base_threshold=2, node_cap=cap))
+    assert sol.aborted and not sol.optimal
+    want = greedy(inst)
+    assert (sol.value, sol.witness) == (want.value, want.witness)
+
+
+def test_pierce_node_cap_counts_boundary_steps(monkeypatch):
+    # The boundary search's own steps tick the budget, beyond its solve calls.
+    inst = gen_instance("random", 2, shape="box", n=14, seed=1)
+    ticks = count_calls(monkeypatch, _Budget, "tick")
+    requests = count_calls(monkeypatch, _Search, "solve")
+    sol = solve_pierce(inst, SolveConfig(base_threshold=2))
+    assert sol.optimal and len(ticks) > len(requests)
