@@ -62,11 +62,10 @@ class IntersectionContext:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def greedy_pack_mask(self, mask: int, stop_at: Optional[int] = None):
+    def greedy_pack_mask(self, mask: int):
         """Smallest-first maximal independent set within `mask`.
 
-        Returns (value, chosen_mask).  With `stop_at`, stops early once that
-        many objects are chosen (value is then only a lower bound).
+        Returns (value, chosen_mask).
         """
         chosen = 0
         value = 0
@@ -75,8 +74,6 @@ class IntersectionContext:
             if mask & bit and not (self.nbr[i] & chosen):
                 chosen |= bit
                 value += 1
-                if stop_at is not None and value >= stop_at:
-                    break
         return value, chosen
 
     def exact_pack_mask(self, mask: int):

@@ -4,10 +4,16 @@ Pipeline: find an (approximately) minimum-volume box whose center measure
 reaches a third of the total, sweep concentric magnified shells to find the
 one crossed by the least measure, then classify every object against that
 shell box.  No hard balance guarantee is promised; callers verify balance
-against `balance_cap` and fall back to pivot branching when it fails.  The
-base-box search tests all candidate cubes of a ladder rung against every
-center in one numpy comparison per axis and packs the hits into bitmasks
-for the greedy measure.
+against `balance_cap` and fall back to pivot branching when it fails.
+
+Both stages are numpy kernels with the scalar predicates' float operations,
+so their answers equal the scalar ones bit for bit.  The base-box search
+tests all candidate cubes of a ladder rung against every center in one
+comparison per axis, with the centers in size-rank order, so each cube's
+center set is a bitmask over ranks; the greedy measure then walks only that
+mask's set bits, smallest object first, and stops once the answer is known.
+`_Shapes.classify` gives every object's region class against a stack of
+boxes: the shell sweep classifies against all its shells in one call.
 """
 from __future__ import annotations
 
@@ -19,11 +25,11 @@ import numpy as np
 
 from .geometry import (
     TOL,
+    Ball,
     BoxRegion,
+    DimensionMismatchError,
     FatObject,
-    RegionClass,
     center,
-    classify,
     magnify,
     rows_to_masks,
 )
@@ -84,8 +90,9 @@ def _achieving_box(
 
     Candidates, in order: the cubes centered on, low-anchored at and
     high-anchored at every object center, then the bounding-box corner.  All
-    are tested against every center in one array operation; a candidate
-    whose center mask was already tried cannot achieve, so it is skipped.
+    are tested against every center in one array operation, with column r
+    holding the center of `ctx.order[r]`; a candidate whose center mask was
+    already tried cannot achieve, so it is skipped.
     """
     n, d = centers.shape
     lows = np.empty((3 * n + 1, d))
@@ -94,20 +101,41 @@ def _achieving_box(
     lows[2:-1:3] = centers - s
     lows[-1] = centers.min(axis=0)
     highs = lows + s
+    ranked = centers[ctx.order]
     in_box = np.ones((len(lows), n), dtype=bool)
     for a in range(d):
-        in_box &= centers[:, a] >= lows[:, a, None] - TOL
-        in_box &= centers[:, a] <= highs[:, a, None] + TOL
+        in_box &= ranked[:, a] >= lows[:, a, None] - TOL
+        in_box &= ranked[:, a] <= highs[:, a, None] + TOL
     rows = np.flatnonzero(in_box.sum(axis=1) >= tau)
     tried = set()
-    for k, mask in zip(rows, rows_to_masks(in_box[rows])):
-        if mask in tried:
+    for k, ranks in zip(rows, rows_to_masks(in_box[rows])):
+        if ranks in tried:
             continue
-        tried.add(mask)
-        value, _ = ctx.greedy_pack_mask(mask, stop_at=tau)
-        if value >= tau:
+        tried.add(ranks)
+        if _greedy_reaches(ctx, ranks, tau):
             return BoxRegion(tuple(lows[k]), tuple(highs[k]))
     return None
+
+
+def _greedy_reaches(ctx: IntersectionContext, ranks: int, tau: int) -> bool:
+    """`ctx.greedy_pack_mask(mask)[0] >= tau`, for the mask
+    whose bit r is set for object `ctx.order[r]` exactly when bit r of
+    `ranks` is.
+
+    Visits only the set bits, lowest rank first, and stops as soon as the
+    value reaches tau or the unvisited bits can no longer lift it there.
+    """
+    order, nbr = ctx.order, ctx.nbr
+    value, chosen, left = 0, 0, ranks.bit_count()
+    while value < tau <= value + left:
+        low = ranks & -ranks
+        ranks ^= low
+        left -= 1
+        i = order[low.bit_length() - 1]
+        if not nbr[i] & chosen:
+            chosen |= 1 << i
+            value += 1
+    return value >= tau
 
 
 def find_base_box(
@@ -136,12 +164,16 @@ def find_base_box(
         c = centers[0]
         return BoxRegion(tuple(c - TOL), tuple(c + TOL))
 
-    # Pairwise center distances bound the ladder.
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=2))
-    pos = dists[dists > 0]
-    d_min = float(pos.min())
-    d_max = float(pos.max())
+    # Pairwise center distances bound the ladder.  Squared distances are
+    # summed axis by axis into one n x n array; sqrt is monotone, so only the
+    # extreme positive entries need it.
+    d2 = np.zeros((n, n))
+    term = np.empty_like(d2)
+    for a in range(centers.shape[1]):
+        np.subtract(centers[:, a, None], centers[:, a], out=term)
+        d2 += np.multiply(term, term, out=term)
+    d_min = math.sqrt(float(d2.min(where=d2 > 0, initial=math.inf)))
+    d_max = math.sqrt(float(d2.max()))
     s_lo = max(d_min, d_max * 1e-9)
 
     ratio = SIDE_SEARCH_RATIO
@@ -150,30 +182,76 @@ def find_base_box(
     if ladder[-1] < d_max:
         ladder.append(d_max)
 
-    if _achieving_box(ctx, centers, ladder[-1], tau) is None:
+    best = _achieving_box(ctx, centers, ladder[-1], tau)
+    if best is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
 
+    # `best` is always the achieving box of rung `hi`.
     lo, hi = 0, len(ladder) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _achieving_box(ctx, centers, ladder[mid], tau) is not None:
-            hi = mid
+        box = _achieving_box(ctx, centers, ladder[mid], tau)
+        if box is not None:
+            hi, best = mid, box
         else:
             lo = mid + 1
-    box = _achieving_box(ctx, centers, ladder[lo], tau)
-    assert box is not None
-    return box
+    return best
 
 
-def _shell_boundary_mask(
-    objs: Sequence[FatObject], base: BoxRegion, m: float
-) -> int:
-    box = magnify(base, m)
-    mask = 0
-    for i, o in enumerate(objs):
-        if classify(o, box) is RegionClass.BOUNDARY:
-            mask |= 1 << i
-    return mask
+# `_Shapes.classify` codes of `RegionClass.INSIDE`, `.BOUNDARY` and `.OUTSIDE`.
+_INSIDE, _BOUNDARY, _OUTSIDE = 0, 1, 2
+
+
+class _Shapes:
+    """A family's bounding corners, and its balls' centers and radii, as
+    arrays for `classify`."""
+
+    def __init__(self, objs: Sequence[FatObject], d: int):
+        for o in objs:
+            if o.dim != d:
+                raise DimensionMismatchError(f"dimension mismatch: {o.dim} vs {d}")
+        self.balls = np.array([isinstance(o, Ball) for o in objs], dtype=bool)
+        balls = [o for o in objs if isinstance(o, Ball)]
+        boxes = [o for o in objs if not isinstance(o, Ball)]
+        self.ball_center = np.array([o.center for o in balls]).reshape(-1, d)
+        radius = np.array([o.radius for o in balls]).reshape(-1, 1)
+        self.ball_limit = np.float_power(radius[:, 0] + TOL, 2.0)
+        # `bounding_low_high`'s corners: center -/+ radius for balls.
+        self.low = np.empty((len(objs), d))
+        self.high = np.empty((len(objs), d))
+        self.low[self.balls] = self.ball_center - radius
+        self.high[self.balls] = self.ball_center + radius
+        self.low[~self.balls] = np.array([o.low for o in boxes]).reshape(-1, d)
+        self.high[~self.balls] = np.array([o.high for o in boxes]).reshape(-1, d)
+
+    def classify(self, boxes: Sequence[BoxRegion]) -> np.ndarray:
+        """Code (`_INSIDE`, `_BOUNDARY` or `_OUTSIDE`) of every object (column)
+        against every box (row), equal to `geometry.classify`.
+
+        The float operations are `classify`'s: a ball is outside when its
+        squared distance to the box, the `float_power` squares of
+        `_dist2_point_box`'s offsets summed in axis order, exceeds
+        `(radius + TOL) ** 2`; a box when on some axis `high < l - TOL` or
+        `low > h + TOL`; an object is inside when, on every axis, its
+        bounding corners satisfy `low >= l + TOL` and `high <= h - TOL`.
+        """
+        d = self.low.shape[1]
+        blow = np.array([b.low for b in boxes]).reshape(-1, d)
+        bhigh = np.array([b.high for b in boxes]).reshape(-1, d)
+        inside = np.ones((len(boxes), len(self.balls)), dtype=bool)
+        outside = np.zeros_like(inside)
+        d2 = np.zeros((len(boxes), len(self.ball_center)))
+        for a in range(d):
+            l, h = blow[:, a, None], bhigh[:, a, None]
+            inside &= self.low[:, a] >= l + TOL
+            inside &= self.high[:, a] <= h - TOL
+            outside |= self.high[:, a] < l - TOL
+            outside |= self.low[:, a] > h + TOL
+            x = self.ball_center[:, a]
+            d2 += np.float_power(np.maximum(np.maximum(l - x, x - h), 0.0), 2.0)
+        # Balls are outside by distance, not by their bounding corners.
+        outside[:, self.balls] = d2 > self.ball_limit
+        return np.where(outside, _OUTSIDE, np.where(inside, _INSIDE, _BOUNDARY)).astype(np.int8)
 
 
 def shell_count(d: int, g: int) -> int:
@@ -185,24 +263,28 @@ def shell_sweep(
     base: BoxRegion,
     g: int,
     ctx: Optional[IntersectionContext] = None,
+    shapes: Optional[_Shapes] = None,
 ) -> Tuple[float, int]:
     """Pick the magnification shell crossed by the least greedy measure.
 
     Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d)),
-    capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.
+    capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.  `shapes`,
+    when given, is `_Shapes(objs, base.dim)`.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     if ctx is None:
         ctx = IntersectionContext(objs)
     d = base.dim
+    if shapes is None:
+        shapes = _Shapes(objs, d)
     count = min(shell_count(d, g), SHELL_SAMPLES_CAP)
     step = 1.0 / g ** (1.0 / d)
+    shells = [magnify(base, 1.0 + j * step) for j in range(count)]
+    boundary = rows_to_masks(shapes.classify(shells) == _BOUNDARY)
     best_j = 0
     best_val = None
-    for j in range(count):
-        m = 1.0 + j * step
-        mask = _shell_boundary_mask(objs, base, m)
+    for j, mask in enumerate(boundary):
         value, _ = ctx.greedy_pack_mask(mask)
         if best_val is None or value < best_val:
             best_j, best_val = j, value
@@ -224,30 +306,20 @@ def separate(
 
     centers = _centers_array(objs)
     degenerate = float((centers.max(axis=0) - centers.min(axis=0)).max()) <= 0.0
+    shapes = _Shapes(objs, centers.shape[1])
 
     base = find_base_box(objs, tau, ctx=ctx)
     if degenerate:
         m_star = 1.0
     else:
-        m_star, _ = shell_sweep(objs, base, g, ctx=ctx)
+        m_star, _ = shell_sweep(objs, base, g, ctx=ctx, shapes=shapes)
     box = magnify(base, m_star)
+    codes = shapes.classify([box])[0]
+    inside, outside, boundary = rows_to_masks(
+        np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
+    )
 
-    inside_ids: List[int] = []
-    outside_ids: List[int] = []
-    boundary_ids: List[int] = []
-    for i, o in enumerate(objs):
-        cls = classify(o, box)
-        if cls is RegionClass.INSIDE:
-            inside_ids.append(i)
-        elif cls is RegionClass.OUTSIDE:
-            outside_ids.append(i)
-        else:
-            boundary_ids.append(i)
-
-    def part_measure(ids: List[int]) -> MeasureEstimate:
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
+    def part_measure(mask: int) -> MeasureEstimate:
         value, chosen = ctx.greedy_pack_mask(mask)
         return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
 
@@ -255,12 +327,12 @@ def separate(
         box=box,
         base_box=base,
         m_star=m_star,
-        inside_ids=inside_ids,
-        outside_ids=outside_ids,
-        boundary_ids=boundary_ids,
+        inside_ids=mask_to_ids(inside),
+        outside_ids=mask_to_ids(outside),
+        boundary_ids=mask_to_ids(boundary),
         mu_total=total,
-        mu_inside=part_measure(inside_ids),
-        mu_outside=part_measure(outside_ids),
-        mu_boundary=part_measure(boundary_ids),
+        mu_inside=part_measure(inside),
+        mu_outside=part_measure(outside),
+        mu_boundary=part_measure(boundary),
         degenerate=degenerate,
     )

@@ -1,4 +1,5 @@
 """Smoke tests: the scripts under scripts/ still run against the package."""
+import csv
 import os
 import subprocess
 import sys
@@ -23,6 +24,9 @@ def test_scaling_report_runs():
     proc = run_scaling_report(ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("label,n,d,family,solver")
+    rows = list(csv.DictReader(proc.stdout.split("\n\n")[0].splitlines()))
+    assert len(rows) == 8
+    assert all(r["node_law_ok"] == "1" for r in rows), rows
 
 
 def test_scaling_report_runs_outside_the_repository(tmp_path):

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from fatsep import separator
-from fatsep.geometry import TOL, Ball, BoxRegion, RegionClass, classify, magnify, size
+from fatsep.geometry import (
+    TOL,
+    AxisBox,
+    Ball,
+    BoxRegion,
+    DimensionMismatchError,
+    RegionClass,
+    classify,
+    magnify,
+    size,
+)
 from fatsep.instances import gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack
 from fatsep.separator import (
@@ -71,7 +81,7 @@ def reference_achieving_box(ctx, centers, s, tau):
         mask = 0
         for i in np.flatnonzero(in_box):
             mask |= 1 << int(i)
-        value, _ = ctx.greedy_pack_mask(mask, stop_at=tau)
+        value, _ = ctx.greedy_pack_mask(mask)
         if value >= tau:
             return BoxRegion(lo, tuple(hi_arr))
     return None
@@ -122,6 +132,159 @@ def test_achieving_box_tolerance_at_cube_faces():
         got = separator._achieving_box(ctx, centers, 1.0, 2)
         want = reference_achieving_box(ctx, centers, 1.0, 2)
         assert got is not None and (got.low, got.high) == (want.low, want.high)
+
+
+def test_find_base_box_evaluates_each_rung_once(monkeypatch):
+    # One call for the bounding rung, then one per bisection step; the
+    # smallest passing rung's box is kept, not searched for again.
+    for objs in (random_objects(1, 40), random_objects(2, 40, d=3, shape="box")):
+        calls = []
+        original = separator._achieving_box
+
+        def counting(ctx, centers, s, tau):
+            box = original(ctx, centers, s, tau)
+            calls.append((s, box))
+            return box
+
+        tau = max(1, greedy_pack(objs).value // 2)
+        with monkeypatch.context() as m:
+            m.setattr(separator, "_achieving_box", counting)
+            got = find_base_box(objs, tau)
+        sides = [s for s, _ in calls]
+        assert len(calls) > 2 and len(set(sides)) == len(sides)
+        assert sides[0] == max(sides)
+        passing = [(s, box) for s, box in calls if box is not None]
+        assert max(s for s, box in calls if box is None) < min(s for s, _ in passing)
+        assert min(passing)[1] == got
+
+
+def rank_walk_families():
+    """Families with tied sizes, ids shuffled so size order differs from id order."""
+    rng = random.Random(11)
+    families = []
+    for d in (2, 3):
+        for _ in range(4):
+            objs = [
+                Ball(tuple(rng.uniform(0, 8) for _ in range(d)), rng.choice((0.3, 0.5, 0.8)))
+                for _ in range(24)
+            ]
+            for _ in range(12):
+                lo = tuple(rng.uniform(0, 8) for _ in range(d))
+                w = rng.choice((0.6, 1.0))
+                objs.append(AxisBox(lo, tuple(x + w for x in lo)))
+            rng.shuffle(objs)
+            families.append(objs)
+    return families
+
+
+def test_achieving_box_rank_walk_matches_reference():
+    for objs in rank_walk_families():
+        ctx = IntersectionContext(objs)
+        assert ctx.order != sorted(ctx.order)
+        assert len(set(ctx.sizes)) < len(objs)
+        centers = separator._centers_array(objs)
+        g = greedy_pack(objs, ctx=ctx).value
+        for s in (0.5, 1.5, 3.0, 6.0, 12.0):
+            for tau in range(1, g + 1):
+                got = separator._achieving_box(ctx, centers, s, tau)
+                want = reference_achieving_box(ctx, centers, s, tau)
+                assert got == want, (s, tau)
+
+
+def test_greedy_reaches_equals_greedy_pack_mask():
+    # Every rank mask of a few small families, at every tau up to its size.
+    for objs in rank_walk_families()[:2]:
+        objs = objs[:9]
+        ctx = IntersectionContext(objs)
+        for ranks in range(1 << len(objs)):
+            mask = sum(1 << i for r, i in enumerate(ctx.order) if ranks >> r & 1)
+            for tau in range(ranks.bit_count() + 2):
+                want = ctx.greedy_pack_mask(mask)[0] >= tau
+                assert separator._greedy_reaches(ctx, ranks, tau) == want
+
+
+CODES = {
+    separator._INSIDE: RegionClass.INSIDE,
+    separator._BOUNDARY: RegionClass.BOUNDARY,
+    separator._OUTSIDE: RegionClass.OUTSIDE,
+}
+
+
+def assert_classify_matches(objs, boxes):
+    d = boxes[0].dim
+    codes = separator._Shapes(objs, d).classify(boxes)
+    assert codes.shape == (len(boxes), len(objs))
+    got = [[CODES[c] for c in row] for row in codes.tolist()]
+    want = [[classify(o, b) for o in objs] for b in boxes]
+    assert got == want
+    return want
+
+
+def near_faces(box, shape):
+    """Objects exactly and 0.5, 1 and 2 TOL either side of touching each
+    face of `box`: (those touching it from outside, those from inside)."""
+    r = box.shortest_side / 10
+    touch = ([], [])
+    for a in range(box.dim):
+        for face, out in ((box.low[a], -1.0), (box.high[a], 1.0)):
+            for k in (-2, -1, -0.5, 0, 0.5, 1, 2):
+                for side, objs in zip((1.0, -1.0), touch):
+                    c = list(box.center)
+                    c[a] = face + side * out * (r + k * TOL)
+                    if shape == "ball":
+                        objs.append(Ball(tuple(c), r))
+                    else:
+                        objs.append(AxisBox(tuple(v - r for v in c), tuple(v + r for v in c)))
+    return touch
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shapes_classify_matches_classify(d):
+    rng = random.Random(d)
+    base = BoxRegion(
+        tuple(rng.uniform(0, 2) for _ in range(d)), tuple(rng.uniform(4, 6) for _ in range(d))
+    )
+    shells = [magnify(base, 1.0 + j * 0.07) for j in range(12)]
+    soup = random_objects(d, 40, d=d, span=8.0) + random_objects(d, 40, d=d, shape="box", span=8.0)
+    near = []
+    for shape in ("ball", "box"):
+        for j in (0, 5, 11):
+            outside, inside = near_faces(shells[j], shape)
+            # Each side's offsets straddle its predicate's TOL.
+            assert {classify(o, shells[j]) for o in outside} == {RegionClass.OUTSIDE, RegionClass.BOUNDARY}
+            assert {classify(o, shells[j]) for o in inside} == {RegionClass.INSIDE, RegionClass.BOUNDARY}
+            near += outside + inside
+    balls = [o for o in near if isinstance(o, Ball)]
+    boxes = [o for o in near if isinstance(o, AxisBox)]
+    for objs in (balls, boxes, near + soup):
+        want = assert_classify_matches(objs, shells)
+        assert {c for row in want for c in row} == set(RegionClass)
+
+
+def test_shapes_classify_rounds_like_classify():
+    # Balls tangent to a face at 0, with gaps g = r + TOL whose square
+    # rounds differently under g * g than under Python's `**`: squaring
+    # either side of the kernel's ball test another way flips a class.
+    rng = random.Random(4)
+    radii = []
+    while len(radii) < 40:
+        r = rng.uniform(0.2, 0.5)
+        g = r + TOL
+        if g * g != g**2:
+            radii.append(r)
+    assert {(r + TOL) * (r + TOL) > (r + TOL) ** 2 for r in radii} == {True, False}
+    boxes = [BoxRegion((-1.0, 0.0), (0.0, 1.0)), BoxRegion((0.0, 0.0), (1.0, 1.0))]
+    objs = [Ball((r + TOL, 0.5), r) for r in radii] + [Ball((-(r + TOL), 0.5), r) for r in radii]
+    want = assert_classify_matches(objs, boxes)
+    assert want[0][: len(radii)] == [RegionClass.BOUNDARY] * len(radii)
+    assert want[1][len(radii) :] == [RegionClass.BOUNDARY] * len(radii)
+
+
+def test_shapes_classify_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        separator._Shapes([Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)], 2)
+    with pytest.raises(DimensionMismatchError):
+        shell_sweep([Ball((0.0, 0.0, 0.0), 1.0)], BoxRegion((0.0, 0.0), (1.0, 1.0)), 4)
 
 
 def test_find_base_box_total_measure():
