@@ -83,7 +83,8 @@ class IntersectionContext:
         every maximal independent set contains one of those objects, so depth
         equals the solution size.
         """
-        order, nbr = self.order, self.nbr
+        nbr = self.nbr
+        order = [i for i in self.order if mask >> i & 1]
         best_val = -1
         best_wit = 0
 
@@ -147,6 +148,7 @@ class IntersectionContext:
         Set-cover branch over the points inside the smallest unpierced
         object, so depth equals the cover size.
         """
+        order = [i for i in self.order if mask >> i & 1]
         best_val = cap + 1
         best: List[int] = []
 
@@ -158,7 +160,7 @@ class IntersectionContext:
                 return
             if len(picked) + 1 >= best_val:
                 return
-            obit = 1 << next(i for i in self.order if uncovered & (1 << i))
+            obit = 1 << next(i for i in order if uncovered & (1 << i))
             for k, c in enumerate(cov):
                 if c & obit:
                     picked.append(k)

@@ -1,23 +1,27 @@
 """Approximation schemes: recursive separation with boundary discarding.
 
-Packing drops the boundary class outright and unions the two sides'
-solutions; piercing covers the boundary with greedy points and recurses on
+The exact search of `solver` with one change at each separated part: the
+boundary class is not enumerated.  Packing drops it outright and unions the
+two sides' solutions; piercing covers it with greedy points and recurses on
 what is left.  Once the greedy estimate falls under the stop threshold the
-exact solver takes over, so each level loses at most the (small) boundary
+exact search takes over, so each level loses at most the (small) boundary
 measure and the overall ratio follows.
+
+Each call builds one `IntersectionContext` and one search object over it
+(piercing: with one `PierceTable`), and recurses on masks.  Estimates,
+splits, boundary covers and exact leaves all go through that search, whose
+`run` gives each leaf its own memo and node budget.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .candidates import coverage_masks
 from .instances import Instance
-from .measure import greedy_pack, greedy_pierce, mask_to_ids
-from .separator import SeparatorResult, separate
-from .solver import Solution, SolveConfig, solve_pack, solve_pierce
+from .measure import IntersectionContext
+from .solver import Solution, SolveConfig, _PackSearch, _PierceSearch
 
 
 @dataclass
@@ -35,72 +39,62 @@ class PtasConfig:
         return max(int(math.ceil((self.c_stop / self.epsilon) ** d)), 1)
 
 
-def _sub_instance(inst: Instance, ids: Sequence[int]) -> Instance:
-    return Instance(
-        dim=inst.dim,
-        objects=tuple(inst.objects[i] for i in ids),
-        label=inst.label,
-        seed=inst.seed,
-    )
-
-
-def _drop_boundary(objs, sep: SeparatorResult) -> Tuple[int, list, set]:
+def _drop_boundary(search, boundary: int) -> Tuple[int, list, int]:
     """Packing: drop the boundary class; no object of either side is lost."""
-    return len(sep.boundary_ids), [], set()
+    return boundary.bit_count(), [], 0
 
 
-def _cover_boundary(objs, sep: SeparatorResult) -> Tuple[int, list, set]:
+def _cover_boundary(search, boundary: int) -> Tuple[int, list, int]:
     """Piercing: pierce the boundary class greedily; every object those
     points pierce, on either side, is done."""
-    bp = greedy_pierce([objs[j] for j in sep.boundary_ids])
-    points = list(bp.witness)
+    value, points = search.greedy(boundary)
+    picked = set(points)
     covered = 0
-    for mask in coverage_masks(objs, points):
-        covered |= mask
-    return bp.value, points, set(mask_to_ids(covered))
+    for p, c in zip(search.table.points, search.table.cov):
+        if p in picked:
+            covered |= c
+    return value, points, covered
 
 
-def _ptas(inst: Instance, cfg: PtasConfig, problem: str, estimate, exact, boundary_step) -> Solution:
-    """Shared recursion of both schemes.
+def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_step) -> Solution:
+    """Shared recursion of both schemes, over masks of one context.
 
-    A part whose `estimate` is under the stop threshold, or whose separator
-    is unbalanced, is closed by `exact`.  Otherwise `boundary_step(objs,
-    sep)` pays for the boundary class and returns (cost, points, covered):
-    `cost` adds to `discarded`, `points` join the witness, and `covered`
-    local ids leave both sides before the recursion.
+    A part whose greedy estimate is under the stop threshold, or whose
+    separator is unbalanced, is closed by the exact search's `run`.
+    Otherwise `boundary_step(search, boundary)` pays for the boundary class
+    and returns (cost, points, covered): `cost` adds to `discarded`,
+    `points` join the witness, and the `covered` objects leave both sides
+    before the recursion.
     """
     start = time.perf_counter()
     stop = cfg.stop_threshold(inst.dim)
+    search = search_cls(IntersectionContext(inst.objects), cfg.solve)
     discarded = 0
     nodes = 0
     max_depth = 0
     aborted = False
 
-    def rec(ids: List[int], depth: int) -> Tuple[int, list]:
+    def rec(mask: int, depth: int) -> Tuple[int, list]:
         nonlocal discarded, nodes, max_depth, aborted
         nodes += 1
         max_depth = max(max_depth, depth)
-        if not ids:
+        if not mask:
             return 0, []
-        sub = _sub_instance(inst, ids)
-        objs = list(sub.objects)
-        sep = None
-        if estimate(objs).value > stop and len(ids) >= 2:
-            sep = separate(objs, cfg.solve.separator_config())
-        if sep is None or sep.unbalanced(cfg.solve.balance_cap):
-            sol = exact(sub, cfg.solve)
-            nodes += sol.nodes
-            aborted |= sol.aborted
-            if problem == "pack":
-                return sol.value, [ids[j] for j in sol.witness]
-            return sol.value, list(sol.witness)
-        cost, points, covered = boundary_step(objs, sep)
+        # A greedy value above stop >= 1 needs two objects, as `separate` does.
+        parts = search.split(mask) if search.greedy(mask)[0] > stop else None
+        if parts is None:
+            value, witness, _, leaf_nodes, leaf_aborted = search.run(mask)
+            nodes += leaf_nodes
+            aborted |= leaf_aborted
+            return value, witness
+        inside, outside, boundary = parts
+        cost, points, covered = boundary_step(search, boundary)
         discarded += cost
-        vin, win = rec([ids[j] for j in sep.inside_ids if j not in covered], depth + 1)
-        vout, wout = rec([ids[j] for j in sep.outside_ids if j not in covered], depth + 1)
+        vin, win = rec(inside & ~covered, depth + 1)
+        vout, wout = rec(outside & ~covered, depth + 1)
         return len(points) + vin + vout, points + win + wout
 
-    value, witness = rec(list(range(inst.n)), 0)
+    value, witness = rec(search.ctx.full_mask(), 0)
     return Solution(
         problem=problem,
         value=value,
@@ -120,7 +114,7 @@ def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
     `discarded` counts the boundary objects dropped, the realized loss to
     compare against eps/3.
     """
-    return _ptas(inst, cfg or PtasConfig(), "pack", greedy_pack, solve_pack, _drop_boundary)
+    return _ptas(inst, cfg or PtasConfig(), "pack", _PackSearch, _drop_boundary)
 
 
 def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
@@ -128,6 +122,4 @@ def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
 
     `discarded` counts the greedy points spent on boundary classes.
     """
-    return _ptas(
-        inst, cfg or PtasConfig(), "pierce", greedy_pierce, solve_pierce, _cover_boundary
-    )
+    return _ptas(inst, cfg or PtasConfig(), "pierce", _PierceSearch, _cover_boundary)

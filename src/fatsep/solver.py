@@ -8,8 +8,10 @@ independent sets (packing) or candidate pierce covers (piercing) of the
 boundary class.  Unbalanced or degenerate separators fall back to pivot
 branching, so termination and exactness never depend on separator quality.
 
-A per-solve memo maps each mask to its answer, so every subproblem is
-expanded once however many boundary configurations or pivots reach it;
+`_Search.run(mask)` is the one runner: the exact solvers run it on the
+full mask, and `ptas` on each leaf of its recursion over the same context.
+A memo per run maps each mask to its answer, so every subproblem is expanded
+once however many boundary configurations or pivots reach it;
 `Solution.nodes` counts these expansions.  The node cap counts every
 subproblem request, memo hits included, and every step of the piercing
 boundary search, so it bounds the enumeration work the memo does not save.
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import Point
 from .instances import Instance
-from .measure import IntersectionContext, PierceTable, greedy_pack, mask_to_ids
-from .separator import SeparatorConfig, SeparatorResult, separate
+from .measure import IntersectionContext, PierceTable, mask_to_ids
+from .separator import SeparatorConfig, separate
 
 
 @dataclass
@@ -82,25 +84,29 @@ class _CapStop(Exception):
     pass
 
 
-def _global_mask(ids: Sequence[int], local_ids) -> int:
-    """Mask over the solve's context of the local ids `local_ids`, where
-    local id j stands for global id ids[j]."""
-    mask = 0
-    for j in local_ids:
-        mask |= 1 << ids[j]
-    return mask
-
-
 class _Search:
     """Memoized search over the masks of one context.  `solve(mask)` returns
-    (value, witness, depth); subclasses expand a mask in `_expand`."""
+    (value, witness, depth); subclasses expand a mask in `_expand` and give
+    its greedy answer in `greedy`."""
 
-    def __init__(self, ctx: IntersectionContext, cfg: SolveConfig, budget: _Budget):
+    def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         self.ctx = ctx
         self.cfg = cfg
-        self.budget = budget
         self.sepcfg = cfg.separator_config()
+
+    def run(self, mask: int) -> tuple:
+        """Exact search of `mask` with a fresh memo and node budget:
+        (value, witness, depth, nodes, aborted).  On a node-cap abort the
+        answer is `greedy(mask)`."""
         self.memo: Dict[int, tuple] = {}
+        self.budget = _Budget(self.cfg.node_cap)
+        try:
+            value, witness, depth = self.solve(mask)
+            aborted = False
+        except _CapStop:
+            value, witness = self.greedy(mask)
+            depth, aborted = 0, True
+        return value, witness, depth, len(self.memo), aborted
 
     def solve(self, mask: int) -> tuple:
         self.budget.tick()
@@ -109,11 +115,21 @@ class _Search:
             hit = self.memo[mask] = self._expand(mask)
         return hit
 
+    def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
+        """(inside, outside, boundary) masks of the separator of `mask`'s
+        objects, or None when that split is unbalanced."""
+        ids = mask_to_ids(mask)
+        sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
+        if sep.unbalanced(self.cfg.balance_cap):
+            return None
+        parts = (sep.inside_ids, sep.outside_ids, sep.boundary_ids)
+        return tuple(sum(1 << ids[j] for j in part) for part in parts)
+
 
 class _PackSearch(_Search):
-    def greedy(self) -> Tuple[int, List[int]]:
-        est = greedy_pack(self.ctx.objs, ctx=self.ctx)
-        return est.value, est.witness
+    def greedy(self, mask: int) -> Tuple[int, List[int]]:
+        value, chosen = self.ctx.greedy_pack_mask(mask)
+        return value, mask_to_ids(chosen)
 
     def _expand(self, mask: int) -> Tuple[int, List[int], int]:
         if not mask:
@@ -122,15 +138,14 @@ class _PackSearch(_Search):
         if g <= self.cfg.base_threshold:
             value, chosen = self.ctx.exact_pack_mask(mask)
             return value, mask_to_ids(chosen), 0
-        ids = mask_to_ids(mask)
-        sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
-        if sep.unbalanced(self.cfg.balance_cap):
-            return self._pivot(mask, ids)
-        return self._separated(ids, sep)
+        parts = self.split(mask)
+        if parts is None:
+            return self._pivot(mask)
+        return self._separated(*parts)
 
-    def _pivot(self, mask, ids):
+    def _pivot(self, mask):
         # Max-degree pivot: Pack = max(Pack(C - o), 1 + Pack(C - N[o])).
-        o = max(ids, key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
+        o = max(mask_to_ids(mask), key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
         skip = self.solve(mask & ~(1 << o))
         take = self.solve(mask & ~self.ctx.nbr[o])
         depth = 1 + max(skip[2], take[2])
@@ -138,11 +153,7 @@ class _PackSearch(_Search):
             return 1 + take[0], sorted(take[1] + [o]), depth
         return skip[0], skip[1], depth
 
-    def _separated(self, ids, sep: SeparatorResult):
-        inside = _global_mask(ids, sep.inside_ids)
-        outside = _global_mask(ids, sep.outside_ids)
-        boundary = _global_mask(ids, sep.boundary_ids)
-
+    def _separated(self, inside: int, outside: int, boundary: int):
         best = None
         depth = 0
         for chosen in self.ctx.independent_sets(boundary):
@@ -160,13 +171,14 @@ class _PackSearch(_Search):
 
 
 class _PierceSearch(_Search):
-    def __init__(self, ctx: IntersectionContext, cfg: SolveConfig, budget: _Budget):
-        super().__init__(ctx, cfg, budget)
+    def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
+        super().__init__(ctx, cfg)
         self.table = PierceTable(ctx)
 
-    def greedy(self) -> Tuple[int, List[Point]]:
-        picked = self.ctx.greedy_pierce_mask(self.table.cov, self.ctx.full_mask())
-        return len(picked), [self.table.points[k] for k in picked]
+    def greedy(self, mask: int) -> Tuple[int, List[Point]]:
+        points, cov = self.table.restrict(mask)
+        picked = self.ctx.greedy_pierce_mask(cov, mask)
+        return len(picked), [points[k] for k in picked]
 
     def _expand(self, mask: int) -> Tuple[int, List[Point], int]:
         if not mask:
@@ -177,11 +189,10 @@ class _PierceSearch(_Search):
             # The greedy cover is feasible, so the optimum fits under g.
             picked = self.ctx.exact_pierce_mask(cov, mask, g)
             return len(picked), [points[k] for k in picked], 0
-        ids = mask_to_ids(mask)
-        sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
-        if sep.unbalanced(self.cfg.balance_cap):
+        parts = self.split(mask)
+        if parts is None:
             return self._pivot(mask, points, cov)
-        return self._separated(ids, sep, points, cov)
+        return self._separated(*parts, points, cov)
 
     def _pivot(self, mask, points, cov):
         # Branch over the points that pierce the smallest object.
@@ -198,10 +209,7 @@ class _PierceSearch(_Search):
         assert best is not None, "candidate set must pierce the pivot object"
         return best[0], best[1], depth
 
-    def _separated(self, ids, sep: SeparatorResult, points, cov):
-        inside = _global_mask(ids, sep.inside_ids)
-        outside = _global_mask(ids, sep.outside_ids)
-        boundary = _global_mask(ids, sep.boundary_ids)
+    def _separated(self, inside: int, outside: int, boundary: int, points, cov):
         best = None
         depth = 0
 
@@ -229,25 +237,16 @@ class _PierceSearch(_Search):
 
 
 def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
-    """Run one exact search over the whole instance; on a node-cap abort,
-    return the search's greedy answer instead."""
+    """Run one exact search over the whole instance."""
     cfg = cfg or SolveConfig()
     start = time.perf_counter()
     ctx = IntersectionContext(inst.objects)
-    budget = _Budget(cfg.node_cap)
-    search = search_cls(ctx, cfg, budget)
-    try:
-        value, witness, depth = search.solve(ctx.full_mask())
-        aborted = False
-    except _CapStop:
-        value, witness = search.greedy()
-        depth = 0
-        aborted = True
+    value, witness, depth, nodes, aborted = search_cls(ctx, cfg).run(ctx.full_mask())
     return Solution(
         problem=problem,
         value=value,
         witness=witness,
-        nodes=len(search.memo),
+        nodes=nodes,
         depth=depth,
         wall_time=time.perf_counter() - start,
         optimal=not aborted,

@@ -152,4 +152,8 @@ def test_ptas_exit_code_tracks_node_cap_only(tmp_path, capsys):
                   "--node-cap", "3", "--out", str(out)])
     assert rc == EXIT_NODE_CAP
     assert "optimal=false" in out.read_text()
+    rc = run_cli(["ptas-pierce", "--in", str(p), "--epsilon", "0.5", "--base-threshold", "1",
+                  "--node-cap", "3", "--out", str(out)])
+    assert rc == EXIT_NODE_CAP
+    assert "optimal=false" in out.read_text()
     capsys.readouterr()

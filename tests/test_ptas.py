@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from fatsep import candidates, measure, ptas, separator, solver
 from fatsep.geometry import Ball, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
-from fatsep.measure import greedy_pack
+from fatsep.measure import IntersectionContext, greedy_pack
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
+from fatsep.separator import separate
 from fatsep.solver import SolveConfig, solve_pack, solve_pierce
 
 
@@ -129,3 +131,137 @@ def test_pack_leaf_finishes_under_a_work_cap():
     assert not any(intersects(a, b) for i, a in enumerate(wit) for b in wit[i + 1 :])
     # Pack >= greedy, so the (1 - eps) guarantee implies this bound.
     assert sol.value >= (1 - eps) * greedy_pack(inst.objects).value
+
+
+# --- one context per call ---------------------------------------------------
+
+
+def reference_ptas_pack(inst, cfg):
+    """The object-list recursion `ptas_pack` replaced: each part is copied
+    into an instance of its own, estimated with `greedy_pack`, split with
+    `separate` and, at a leaf, closed by `solve_pack`."""
+    stop = cfg.stop_threshold(inst.dim)
+    stats = {"nodes": 0, "depth": 0, "discarded": 0, "aborted": False}
+
+    def rec(ids, depth):
+        stats["nodes"] += 1
+        stats["depth"] = max(stats["depth"], depth)
+        if not ids:
+            return 0, []
+        sub = Instance(dim=inst.dim, objects=tuple(inst.objects[i] for i in ids))
+        objs = list(sub.objects)
+        sep = None
+        if greedy_pack(objs).value > stop and len(ids) >= 2:
+            sep = separate(objs, cfg.solve.separator_config())
+        if sep is None or sep.unbalanced(cfg.solve.balance_cap):
+            sol = solve_pack(sub, cfg.solve)
+            stats["nodes"] += sol.nodes
+            stats["aborted"] |= sol.aborted
+            return sol.value, [ids[j] for j in sol.witness]
+        stats["discarded"] += len(sep.boundary_ids)
+        vin, win = rec([ids[j] for j in sep.inside_ids], depth + 1)
+        vout, wout = rec([ids[j] for j in sep.outside_ids], depth + 1)
+        return vin + vout, win + wout
+
+    value, witness = rec(list(range(inst.n)), 0)
+    return (
+        value,
+        sorted(witness),
+        stats["nodes"],
+        stats["depth"],
+        stats["discarded"],
+        stats["discarded"] == 0 and not stats["aborted"],
+        stats["aborted"],
+    )
+
+
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_pack_matches_object_list_recursion(shape):
+    runs = [
+        (
+            gen_instance("random", 2, shape=shape, n=n, seed=seed),
+            PtasConfig(epsilon=eps, c_stop=c_stop, solve=SolveConfig(base_threshold=base)),
+        )
+        for eps, c_stop, base in ((0.5, 1.0, 4), (0.5, 2.0, 12), (0.25, 1.0, 6))
+        for n, seeds in ((20, range(4)), (60, range(3)))
+        for seed in seeds
+    ]
+    # The node-cap case of test_abort_flag_tracks_exact_leaves.
+    runs.append(
+        (
+            gen_instance("cluster", 2, shape=shape, clusters=4, cluster_size=5, seed=1),
+            PtasConfig(solve=SolveConfig(base_threshold=1, node_cap=3)),
+        )
+    )
+    discarded = aborted = 0
+    for inst, cfg in runs:
+        sol = ptas_pack(inst, cfg)
+        got = (sol.value, sol.witness, sol.nodes, sol.depth, sol.discarded, sol.optimal, sol.aborted)
+        assert got == reference_ptas_pack(inst, cfg), (inst.label, cfg)
+        discarded += sol.discarded
+        aborted += sol.aborted
+    # Both the boundary drop and a capped leaf were compared.
+    assert discarded and aborted
+
+
+def count_everywhere(monkeypatch, module, name, within=(candidates, measure, ptas, separator, solver)):
+    """Wrap `module.name` in every module of `within` that binds it, so calls
+    through an imported name count too; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in within:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_pierce_builds_one_context_and_one_table(monkeypatch):
+    inst = gen_instance("random", 2, shape="box", n=60, seed=1)
+    contexts = []
+    init = IntersectionContext.__init__
+
+    def counted_init(self, objs):
+        contexts.append(len(objs))
+        init(self, objs)
+
+    monkeypatch.setattr(IntersectionContext, "__init__", counted_init)
+    points = count_everywhere(monkeypatch, candidates, "candidate_pierce_points")
+    masks = count_everywhere(monkeypatch, candidates, "coverage_masks")
+    splits = count_everywhere(monkeypatch, separator, "separate")
+    # `separate` measures its parts with its own `greedy_pack`; nothing else
+    # may call these.
+    solves = [
+        count_everywhere(monkeypatch, module, name, within=(measure, ptas, solver))
+        for module, name in (
+            (solver, "solve_pack"),
+            (solver, "solve_pierce"),
+            (measure, "greedy_pack"),
+            (measure, "greedy_pierce"),
+        )
+    ]
+    sol = ptas_pierce(inst, PtasConfig(epsilon=0.5, c_stop=1.0))
+    assert sol.discarded > 0 and splits
+    assert len(points) == 1 and len(masks) == 1
+    assert not any(solves)
+    # `separate` still builds a context of its own for each call.
+    assert len(contexts) == 1 + len(splits)
+    for o in inst.objects:
+        assert any(contains_point(o, p) for p in sol.witness)
+
+
+def test_pierce_leaf_abort_falls_back_to_greedy():
+    # The leaves of this run hit the node cap; each falls back to the greedy
+    # cover of its own part, restricted from the call's one table.
+    inst = gen_instance("random", 2, n=80, seed=1)
+    cfg = PtasConfig(epsilon=0.5, c_stop=1.0, solve=SolveConfig(base_threshold=1, node_cap=3))
+    sol = ptas_pierce(inst, cfg)
+    assert sol.aborted and not sol.optimal
+    assert sol.discarded > 0
+    assert len(sol.witness) == sol.value
+    for o in inst.objects:
+        assert any(contains_point(o, p) for p in sol.witness)

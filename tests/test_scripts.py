@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ still run against the package."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,16 @@ def test_scaling_report_runs_outside_the_repository(tmp_path):
     proc = run_scaling_report(tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("label,n,d,family,solver")
+
+
+def test_answers_repeat_byte_for_byte(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, str(ROOT / "scripts" / "answers.py"),
+           "--workload", "ptas-large", "--seed", "1", "--seconds", "1"]
+    runs = [subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+            for _ in range(2)]
+    assert all(r.returncode == 0 for r in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    records = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert {r["problem"] for r in records} == {"ptas_pack", "ptas_pierce"}
+    assert all(r["value"] == len(r["witness"]) for r in records)

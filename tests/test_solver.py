@@ -236,7 +236,7 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
             masks = [args[0] for args in expanded]
             assert len(set(masks)) == len(masks) == sol.nodes
             pivot_masks = [args[0] for args in pivots]
-            separated_masks = [sum(1 << i for i in args[0]) for args in separated]
+            separated_masks = [args[0] | args[1] | args[2] for args in separated]
             assert len(set(pivot_masks)) == len(pivot_masks)
             assert len(set(separated_masks)) == len(separated_masks)
             assert set(pivot_masks + separated_masks) <= set(masks)
