@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from .calibration import NODE_LAW_EXPONENT, node_law_bound
 from .instances import Instance, gen_instance
 from .ptas import PtasConfig, ptas_pack, ptas_pierce
-from .solver import SolveConfig, solve_pack, solve_pierce
+from .solver import Solution, SolveConfig, solve_pack, solve_pierce
 
 CSV_COLUMNS = [
     "label",
@@ -57,17 +57,22 @@ def config_digest(cfg: SolveConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _run_one(inst: Instance, family: str, solver: str, cfg: SolveConfig) -> BenchRecord:
+def run_solver(solver: str, inst: Instance, cfg: SolveConfig) -> Solution:
+    """Run the solver named "pack", "pierce", "ptas-pack" or "ptas-pierce";
+    the PTAS runs at `cfg.epsilon` with `cfg` for its exact leaves."""
     if solver == "pack":
-        sol = solve_pack(inst, cfg)
-    elif solver == "pierce":
-        sol = solve_pierce(inst, cfg)
-    elif solver == "ptas-pack":
-        sol = ptas_pack(inst, PtasConfig(epsilon=cfg.epsilon, solve=cfg))
-    elif solver == "ptas-pierce":
-        sol = ptas_pierce(inst, PtasConfig(epsilon=cfg.epsilon, solve=cfg))
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+        return solve_pack(inst, cfg)
+    if solver == "pierce":
+        return solve_pierce(inst, cfg)
+    if solver == "ptas-pack":
+        return ptas_pack(inst, PtasConfig(epsilon=cfg.epsilon, solve=cfg))
+    if solver == "ptas-pierce":
+        return ptas_pierce(inst, PtasConfig(epsilon=cfg.epsilon, solve=cfg))
+    raise ValueError(f"unknown solver {solver!r}")
+
+
+def _run_one(inst: Instance, family: str, solver: str, cfg: SolveConfig) -> BenchRecord:
+    sol = run_solver(solver, inst, cfg)
     bound = node_law_bound(inst.n, sol.value, inst.dim)
     return BenchRecord(
         label=inst.label,

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .geometry import AxisBox, Ball, FatObject, Point, TOL, rows_to_masks
+from .geometry import AxisBox, Ball, FatObject, Point, ShapeArrays, TOL, rows_to_masks
 
 # Points per block of the coverage kernel: bounds its temporaries to
 # _CHUNK x len(objs) arrays instead of one array over every point.
@@ -83,32 +83,30 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
 def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[int]:
     """Bitmask per point of the objects it pierces (bit i = objs[i]).
 
-    Boxes test `low - TOL <= x <= high + TOL` per axis.  Balls sum the
-    squared axis offsets in axis order and compare with `(radius + TOL) ** 2`;
-    squares use `float_power`, which calls the C `pow` that Python's `**`
-    calls (numpy's `square` and `power` can round the last bit otherwise).
+    Reads the family's `ShapeArrays`.  Boxes test `low - TOL <= x <= high +
+    TOL` per axis.  Balls sum the squared axis offsets in axis order and
+    compare with `(radius + TOL) ** 2`; squares use `float_power`, which
+    calls the C `pow` that Python's `**` calls (numpy's `square` and `power`
+    can round the last bit otherwise).
     """
     n = len(objs)
-    if not n:
-        return [0] * len(points)
-    ball_ids = [i for i, o in enumerate(objs) if isinstance(o, Ball)]
-    box_ids = [i for i, o in enumerate(objs) if not isinstance(o, Ball)]
-    if ball_ids:
-        centers = np.array([objs[i].center for i in ball_ids])
-        limits = np.array([(objs[i].radius + TOL) ** 2 for i in ball_ids])
-    if box_ids:
-        lows = np.array([objs[i].low for i in box_ids]) - TOL
-        highs = np.array([objs[i].high for i in box_ids]) + TOL
+    shapes = ShapeArrays(objs)
+    ball_ids = np.flatnonzero(shapes.ball)
+    box_ids = np.flatnonzero(~shapes.ball)
+    centers = shapes.center[ball_ids]
+    limits = np.float_power(shapes.radius[ball_ids] + TOL, 2.0)
+    lows = shapes.low[box_ids] - TOL
+    highs = shapes.high[box_ids] + TOL
     masks: List[int] = []
     for start in range(0, len(points), _CHUNK):
         block = np.array(points[start : start + _CHUNK], dtype=float)
         hit = np.empty((len(block), n), dtype=bool)
-        if ball_ids:
+        if ball_ids.size:
             d2 = np.zeros((len(block), len(ball_ids)))
             for a in range(block.shape[1]):
                 d2 += np.float_power(block[:, a, None] - centers[:, a], 2.0)
             hit[:, ball_ids] = d2 <= limits
-        if box_ids:
+        if box_ids.size:
             inside = np.ones((len(block), len(box_ids)), dtype=bool)
             for a in range(block.shape[1]):
                 x = block[:, a, None]

@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 parse/spec error, 3 node-cap abort (the best-so-far
-record is still written).  Timings never go into --out files, so every
-non-timing output is byte-reproducible.
+Exit codes: 0 success, 2 parse/spec error (also a missing --in or --svg, or
+a path that cannot be opened; one `error:` line on stderr), 3 node-cap
+abort (the best-so-far record is still written).  Timings never go into
+--out files, so every non-timing output is byte-reproducible.
 """
 from __future__ import annotations
 
@@ -10,13 +11,12 @@ import argparse
 import sys
 from typing import Optional
 
-from .bench import run_bench, to_csv
+from .bench import run_bench, run_solver, to_csv
 from .instances import Instance, ParseError, gen_instance, read_instance, write_instance
 from .oracle import OracleSizeError, brute_pack, brute_pierce
-from .ptas import PtasConfig, ptas_pack, ptas_pierce
 from .render import render_svg
 from .separator import SeparatorConfig, separate
-from .solver import SolveConfig, solve_pack, solve_pierce
+from .solver import SolveConfig
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -31,11 +31,15 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
+def _format_point(p) -> str:
+    return ",".join(map(repr, p))
+
+
 def _format_solution(problem: str, sol) -> str:
     if sol.problem == "pack":
         witness = " ".join(str(i) for i in sol.witness)
     else:
-        witness = " ".join(f"{p[0]!r},{p[1]!r}" if len(p) == 2 else ",".join(repr(c) for c in p) for p in sol.witness)
+        witness = " ".join(map(_format_point, sol.witness))
     lines = [
         "fatsep-solution v1",
         f"problem={problem}",
@@ -128,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Instance:
     if not args.inp:
-        raise SystemExit("--in is required for this command")
+        raise ValueError("--in is required for this command")
     return read_instance(args.inp)
 
 
@@ -144,7 +148,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, OracleSizeError, ValueError) as exc:
+    except (ParseError, OracleSizeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
 
@@ -176,15 +180,7 @@ def _dispatch(args) -> int:
 
     if cmd in ("pack", "pierce", "ptas-pack", "ptas-pierce"):
         inst = _load(args)
-        cfg = _solve_config(args)
-        if cmd == "pack":
-            sol = solve_pack(inst, cfg)
-        elif cmd == "pierce":
-            sol = solve_pierce(inst, cfg)
-        elif cmd == "ptas-pack":
-            sol = ptas_pack(inst, PtasConfig(epsilon=args.epsilon, solve=cfg))
-        else:
-            sol = ptas_pierce(inst, PtasConfig(epsilon=args.epsilon, solve=cfg))
+        sol = run_solver(cmd, inst, _solve_config(args))
         _emit(_format_solution(cmd, sol), args.out)
         print(f"wall_time={sol.wall_time:.6f}s", file=sys.stderr)
         if args.svg:
@@ -206,7 +202,7 @@ def _dispatch(args) -> int:
             witness = " ".join(map(str, res.witness))
         else:
             res = brute_pierce(inst)
-            witness = " ".join(f"{p[0]!r},{p[1]!r}" if len(p) == 2 else ",".join(repr(c) for c in p) for p in res.witness)
+            witness = " ".join(map(_format_point, res.witness))
         _emit(
             f"fatsep-oracle v1\nproblem={args.problem}\nvalue={res.value}\n"
             f"witness={witness}\nmethod={res.method}\n",
@@ -240,14 +236,12 @@ def _dispatch(args) -> int:
     if cmd == "render":
         inst = _load(args)
         if not args.svg:
-            raise SystemExit("render requires --svg PATH")
+            raise ValueError("render requires --svg PATH")
         overlay = None
         if args.overlay == "separator":
             overlay = separate(list(inst.objects), SeparatorConfig(epsilon=args.epsilon))
-        elif args.overlay == "pack":
-            overlay = solve_pack(inst, _solve_config(args))
-        elif args.overlay == "pierce":
-            overlay = solve_pierce(inst, _solve_config(args))
+        elif args.overlay in ("pack", "pierce"):
+            overlay = run_solver(args.overlay, inst, _solve_config(args))
         render_svg(inst, overlay, args.svg)
         return EXIT_OK
 

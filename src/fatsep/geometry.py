@@ -3,16 +3,17 @@
 All predicates use closed-set semantics with an absolute tolerance TOL on
 boundary coincidences; exact touches are resolved conservatively (tangent
 shapes intersect, objects coinciding with a region face are Boundary).
-Everything here is immutable and pure.  `rows_to_masks` turns the boolean
-arrays of the numpy kernels elsewhere into the Python-int bitmasks the
-searches work on.
+Everything here is immutable and pure.  `ShapeArrays` lays a family out as
+the arrays every numpy kernel elsewhere reads, and `rows_to_masks` turns
+those kernels' boolean arrays into the Python-int bitmasks the searches
+work on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -182,6 +183,42 @@ def intersects(a: FatObject, b: FatObject) -> bool:
         al <= bh + TOL and bl <= ah + TOL
         for al, ah, bl, bh in zip(a.low, a.high, b.low, b.high)
     )
+
+
+class ShapeArrays:
+    """A family laid out as arrays, one row per object, for the numpy kernels.
+
+    `ball` flags the balls; `radius` holds their radii (NaN for boxes);
+    `center` holds `center(o)`, and `low`/`high` the corners of
+    `bounding_low_high(o)`, with the same float operations, so every entry
+    equals the scalar one bit for bit.  All objects must share one dimension.
+    """
+
+    def __init__(self, objs: Sequence[FatObject]):
+        n = len(objs)
+        d = objs[0].dim if n else 0
+        for o in objs:
+            if o.dim != d:
+                raise DimensionMismatchError(f"dimension mismatch: {d} vs {o.dim}")
+        # One flat row per object: a ball's center twice and its radius, a
+        # box's corners and NaN (radii are finite, so NaN marks the boxes).
+        rows = np.array(
+            [
+                o.center + o.center + (o.radius,) if isinstance(o, Ball) else o.low + o.high + (math.nan,)
+                for o in objs
+            ],
+            dtype=float,
+        ).reshape(n, 2 * d + 1)
+        lo, hi, self.radius = rows[:, :d], rows[:, d:-1], rows[:, -1]
+        self.ball = ~np.isnan(self.radius)
+        ball, r = self.ball[:, None], self.radius[:, None]
+        self.center = np.where(ball, lo, (lo + hi) / 2.0)
+        self.low = np.where(ball, lo - r, lo)
+        self.high = np.where(ball, hi + r, hi)
+
+    @property
+    def dim(self) -> int:
+        return self.low.shape[1]
 
 
 def rows_to_masks(rows: np.ndarray) -> List[int]:

@@ -7,9 +7,11 @@ is always a feasible upper bound on the piercing number.  The exact solver
 searches packing subproblems with `exact_pack_mask` and `independent_sets`,
 and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
 `PierceTable`, all on bitmasks over one `IntersectionContext`.
-The context's neighbourhood masks come from one numpy array per pair of
-shapes, with the float operations of `geometry.intersects`, so every bit
-equals that predicate's answer.
+The context lays its family out once as `geometry.ShapeArrays` (`ctx.arrays`),
+which the separator's kernels read too.  Its neighbourhood masks come from
+one numpy array per pair of shapes over those arrays, with the float
+operations of `geometry.intersects`, so every bit equals that predicate's
+answer.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import candidates as cand
-from .geometry import TOL, Ball, DimensionMismatchError, FatObject, Point, rows_to_masks, size
+from .geometry import TOL, FatObject, Point, ShapeArrays, rows_to_masks, size
 
 
 class _Overflow:
@@ -46,14 +48,16 @@ class MeasureEstimate:
 
 
 class IntersectionContext:
-    """Precomputed sizes, ordering, and closed-neighborhood bitmasks."""
+    """Precomputed sizes, ordering, closed-neighborhood bitmasks, and the
+    family's `ShapeArrays`, which every numpy kernel of the solve reads."""
 
     def __init__(self, objs: Sequence[FatObject]):
         self.objs = list(objs)
         n = len(self.objs)
         self.sizes = [size(o) for o in self.objs]
         self.order = sorted(range(n), key=lambda i: (self.sizes[i], i))
-        self.nbr = rows_to_masks(_intersection_matrix(self.objs))
+        self.arrays = ShapeArrays(self.objs)
+        self.nbr = rows_to_masks(_intersection_matrix(self.arrays))
 
     @property
     def n(self) -> int:
@@ -191,7 +195,7 @@ class PierceTable:
         return prune_dominated(self.points, [c & mask for c in self.cov])
 
 
-def _intersection_matrix(objs: Sequence[FatObject]) -> np.ndarray:
+def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     """Boolean n x n array of `geometry.intersects` (every object meets itself).
 
     Squared offsets are summed axis by axis in axis order and taken with
@@ -199,38 +203,32 @@ def _intersection_matrix(objs: Sequence[FatObject]) -> np.ndarray:
     is `_dist2_point_box`'s `l - x` below the box, `x - h` above it and 0
     within; boxes compare `al <= bh + TOL and bl <= ah + TOL`.
     """
-    n = len(objs)
+    n = len(shapes.ball)
     hit = np.ones((n, n), dtype=bool)
-    if n < 2:
-        return hit
-    d = objs[0].dim
-    for o in objs:
-        if o.dim != d:
-            raise DimensionMismatchError(f"dimension mismatch: {d} vs {o.dim}")
-    balls = [i for i, o in enumerate(objs) if isinstance(o, Ball)]
-    boxes = [i for i, o in enumerate(objs) if not isinstance(o, Ball)]
-    c = np.array([objs[i].center for i in balls]).reshape(-1, d)
-    r = np.array([objs[i].radius for i in balls])
-    lo = np.array([objs[i].low for i in boxes]).reshape(-1, d)
-    hi = np.array([objs[i].high for i in boxes]).reshape(-1, d)
-    if balls:
+    balls = np.flatnonzero(shapes.ball)
+    boxes = np.flatnonzero(~shapes.ball)
+    c = shapes.center[balls]
+    r = shapes.radius[balls]
+    lo = shapes.low[boxes]
+    hi = shapes.high[boxes]
+    if balls.size:
         d2 = np.zeros((len(balls), len(balls)))
         term = np.empty_like(d2)
-        for a in range(d):
+        for a in range(shapes.dim):
             np.subtract(c[:, a, None], c[:, a], out=term)
             d2 += np.float_power(term, 2.0, out=term)
         limit = np.add(r[:, None], r, out=term)
         limit += TOL
         hit[np.ix_(balls, balls)] = d2 <= np.float_power(limit, 2.0, out=limit)
-    if boxes:
+    if boxes.size:
         meet = np.ones((len(boxes), len(boxes)), dtype=bool)
-        for a in range(d):
+        for a in range(shapes.dim):
             meet &= lo[:, a, None] <= hi[:, a] + TOL
             meet &= lo[:, a] <= hi[:, a, None] + TOL
         hit[np.ix_(boxes, boxes)] = meet
-    if balls and boxes:
+    if balls.size and boxes.size:
         d2 = np.zeros((len(balls), len(boxes)))
-        for a in range(d):
+        for a in range(shapes.dim):
             x = c[:, a, None]
             offset = np.maximum(np.maximum(lo[:, a] - x, x - hi[:, a]), 0.0)
             d2 += np.float_power(offset, 2.0)
@@ -251,12 +249,9 @@ def mask_to_ids(mask: int) -> List[int]:
     return list(_bits(mask))
 
 
-def greedy_pack(
-    objs: Sequence[FatObject], ctx: Optional[IntersectionContext] = None
-) -> MeasureEstimate:
+def greedy_pack(objs: Sequence[FatObject]) -> MeasureEstimate:
     """Maximal independent set, smallest object first; a lower bound on Pack."""
-    if ctx is None:
-        ctx = IntersectionContext(objs)
+    ctx = IntersectionContext(objs)
     value, chosen = ctx.greedy_pack_mask(ctx.full_mask())
     return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
 

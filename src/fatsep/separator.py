@@ -6,14 +6,17 @@ one crossed by the least measure, then classify every object against that
 shell box.  No hard balance guarantee is promised; callers verify balance
 against `balance_cap` and fall back to pivot branching when it fails.
 
-Both stages are numpy kernels with the scalar predicates' float operations,
-so their answers equal the scalar ones bit for bit.  The base-box search
-tests all candidate cubes of a ladder rung against every center in one
-comparison per axis, with the centers in size-rank order, so each cube's
-center set is a bitmask over ranks; the greedy measure then walks only that
-mask's set bits, smallest object first, and stops once the answer is known.
-`_Shapes.classify` gives every object's region class against a stack of
-boxes: the shell sweep classifies against all its shells in one call.
+`separate` builds one `IntersectionContext`; both stages take that context
+and read its `ShapeArrays` (`ctx.arrays`), so a family is laid out as arrays
+once per call.  Both are numpy kernels with the scalar predicates' float
+operations, so their answers equal the scalar ones bit for bit.  The
+base-box search tests all candidate cubes of a ladder rung against every
+center in one comparison per axis, with the centers in size-rank order, so
+each cube's center set is a bitmask over ranks; the greedy measure then
+walks only that mask's set bits, smallest object first, and stops once the
+answer is known.  `_classify` gives every object's region class against a
+stack of boxes: the shell sweep classifies against all its shells in one
+call.
 """
 from __future__ import annotations
 
@@ -25,15 +28,14 @@ import numpy as np
 
 from .geometry import (
     TOL,
-    Ball,
     BoxRegion,
     DimensionMismatchError,
     FatObject,
-    center,
+    ShapeArrays,
     magnify,
     rows_to_masks,
 )
-from .measure import IntersectionContext, MeasureEstimate, greedy_pack, mask_to_ids
+from .measure import IntersectionContext, MeasureEstimate, mask_to_ids
 
 
 # Most magnification shells `shell_sweep` tries.
@@ -79,13 +81,7 @@ class SeparatorResult:
         )
 
 
-def _centers_array(objs: Sequence[FatObject]) -> np.ndarray:
-    return np.array([center(o) for o in objs], dtype=float)
-
-
-def _achieving_box(
-    ctx: IntersectionContext, centers: np.ndarray, s: float, tau: int
-) -> Optional[BoxRegion]:
+def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[BoxRegion]:
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
@@ -94,6 +90,7 @@ def _achieving_box(
     holding the center of `ctx.order[r]`; a candidate whose center mask was
     already tried cannot achieve, so it is skipped.
     """
+    centers = ctx.arrays.center
     n, d = centers.shape
     lows = np.empty((3 * n + 1, d))
     lows[0:-1:3] = centers - s / 2.0
@@ -138,11 +135,7 @@ def _greedy_reaches(ctx: IntersectionContext, ranks: int, tau: int) -> bool:
     return value >= tau
 
 
-def find_base_box(
-    objs: Sequence[FatObject],
-    tau: int,
-    ctx: Optional[IntersectionContext] = None,
-) -> BoxRegion:
+def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     """Approximately minimum-volume cube whose center measure reaches tau.
 
     Searches cubes with sides on a geometric ladder between the extreme
@@ -151,10 +144,8 @@ def find_base_box(
     in the side length), so no family member with at most half the volume
     can reach tau.
     """
-    if ctx is None:
-        ctx = IntersectionContext(objs)
-    centers = _centers_array(objs)
-    n = len(objs)
+    centers = ctx.arrays.center
+    n = ctx.n
     if n == 0:
         raise ValueError("no objects")
 
@@ -182,7 +173,7 @@ def find_base_box(
     if ladder[-1] < d_max:
         ladder.append(d_max)
 
-    best = _achieving_box(ctx, centers, ladder[-1], tau)
+    best = _achieving_box(ctx, ladder[-1], tau)
     if best is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
 
@@ -190,7 +181,7 @@ def find_base_box(
     lo, hi = 0, len(ladder) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        box = _achieving_box(ctx, centers, ladder[mid], tau)
+        box = _achieving_box(ctx, ladder[mid], tau)
         if box is not None:
             hi, best = mid, box
         else:
@@ -198,90 +189,62 @@ def find_base_box(
     return best
 
 
-# `_Shapes.classify` codes of `RegionClass.INSIDE`, `.BOUNDARY` and `.OUTSIDE`.
+# `_classify` codes of `RegionClass.INSIDE`, `.BOUNDARY` and `.OUTSIDE`.
 _INSIDE, _BOUNDARY, _OUTSIDE = 0, 1, 2
 
 
-class _Shapes:
-    """A family's bounding corners, and its balls' centers and radii, as
-    arrays for `classify`."""
+def _classify(shapes: ShapeArrays, boxes: Sequence[BoxRegion]) -> np.ndarray:
+    """Code (`_INSIDE`, `_BOUNDARY` or `_OUTSIDE`) of every object (column)
+    against every box (row), equal to `geometry.classify`.
 
-    def __init__(self, objs: Sequence[FatObject], d: int):
-        for o in objs:
-            if o.dim != d:
-                raise DimensionMismatchError(f"dimension mismatch: {o.dim} vs {d}")
-        self.balls = np.array([isinstance(o, Ball) for o in objs], dtype=bool)
-        balls = [o for o in objs if isinstance(o, Ball)]
-        boxes = [o for o in objs if not isinstance(o, Ball)]
-        self.ball_center = np.array([o.center for o in balls]).reshape(-1, d)
-        radius = np.array([o.radius for o in balls]).reshape(-1, 1)
-        self.ball_limit = np.float_power(radius[:, 0] + TOL, 2.0)
-        # `bounding_low_high`'s corners: center -/+ radius for balls.
-        self.low = np.empty((len(objs), d))
-        self.high = np.empty((len(objs), d))
-        self.low[self.balls] = self.ball_center - radius
-        self.high[self.balls] = self.ball_center + radius
-        self.low[~self.balls] = np.array([o.low for o in boxes]).reshape(-1, d)
-        self.high[~self.balls] = np.array([o.high for o in boxes]).reshape(-1, d)
-
-    def classify(self, boxes: Sequence[BoxRegion]) -> np.ndarray:
-        """Code (`_INSIDE`, `_BOUNDARY` or `_OUTSIDE`) of every object (column)
-        against every box (row), equal to `geometry.classify`.
-
-        The float operations are `classify`'s: a ball is outside when its
-        squared distance to the box, the `float_power` squares of
-        `_dist2_point_box`'s offsets summed in axis order, exceeds
-        `(radius + TOL) ** 2`; a box when on some axis `high < l - TOL` or
-        `low > h + TOL`; an object is inside when, on every axis, its
-        bounding corners satisfy `low >= l + TOL` and `high <= h - TOL`.
-        """
-        d = self.low.shape[1]
-        blow = np.array([b.low for b in boxes]).reshape(-1, d)
-        bhigh = np.array([b.high for b in boxes]).reshape(-1, d)
-        inside = np.ones((len(boxes), len(self.balls)), dtype=bool)
-        outside = np.zeros_like(inside)
-        d2 = np.zeros((len(boxes), len(self.ball_center)))
-        for a in range(d):
-            l, h = blow[:, a, None], bhigh[:, a, None]
-            inside &= self.low[:, a] >= l + TOL
-            inside &= self.high[:, a] <= h - TOL
-            outside |= self.high[:, a] < l - TOL
-            outside |= self.low[:, a] > h + TOL
-            x = self.ball_center[:, a]
-            d2 += np.float_power(np.maximum(np.maximum(l - x, x - h), 0.0), 2.0)
-        # Balls are outside by distance, not by their bounding corners.
-        outside[:, self.balls] = d2 > self.ball_limit
-        return np.where(outside, _OUTSIDE, np.where(inside, _INSIDE, _BOUNDARY)).astype(np.int8)
+    The float operations are `classify`'s: a ball is outside when its
+    squared distance to the box, the `float_power` squares of
+    `_dist2_point_box`'s offsets summed in axis order, exceeds
+    `(radius + TOL) ** 2`; a box when on some axis `high < l - TOL` or
+    `low > h + TOL`; an object is inside when, on every axis, its
+    bounding corners satisfy `low >= l + TOL` and `high <= h - TOL`.
+    """
+    d = shapes.dim
+    for b in boxes:
+        if b.dim != d:
+            raise DimensionMismatchError(f"dimension mismatch: {d} vs {b.dim}")
+    blow = np.array([b.low for b in boxes]).reshape(-1, d)
+    bhigh = np.array([b.high for b in boxes]).reshape(-1, d)
+    balls = shapes.ball
+    ball_center = shapes.center[balls]
+    inside = np.ones((len(boxes), len(balls)), dtype=bool)
+    outside = np.zeros_like(inside)
+    d2 = np.zeros((len(boxes), len(ball_center)))
+    for a in range(d):
+        l, h = blow[:, a, None], bhigh[:, a, None]
+        inside &= shapes.low[:, a] >= l + TOL
+        inside &= shapes.high[:, a] <= h - TOL
+        outside |= shapes.high[:, a] < l - TOL
+        outside |= shapes.low[:, a] > h + TOL
+        x = ball_center[:, a]
+        d2 += np.float_power(np.maximum(np.maximum(l - x, x - h), 0.0), 2.0)
+    # Balls are outside by distance, not by their bounding corners.
+    outside[:, balls] = d2 > np.float_power(shapes.radius[balls] + TOL, 2.0)
+    return np.where(outside, _OUTSIDE, np.where(inside, _INSIDE, _BOUNDARY)).astype(np.int8)
 
 
 def shell_count(d: int, g: int) -> int:
     return int(math.floor((2.0 ** (1.0 / d) - 1.0) * g ** (1.0 / d))) + 1
 
 
-def shell_sweep(
-    objs: Sequence[FatObject],
-    base: BoxRegion,
-    g: int,
-    ctx: Optional[IntersectionContext] = None,
-    shapes: Optional[_Shapes] = None,
-) -> Tuple[float, int]:
+def shell_sweep(ctx: IntersectionContext, base: BoxRegion, g: int) -> Tuple[float, int]:
     """Pick the magnification shell crossed by the least greedy measure.
 
     Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d)),
-    capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.  `shapes`,
-    when given, is `_Shapes(objs, base.dim)`.
+    capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
-    if ctx is None:
-        ctx = IntersectionContext(objs)
     d = base.dim
-    if shapes is None:
-        shapes = _Shapes(objs, d)
     count = min(shell_count(d, g), SHELL_SAMPLES_CAP)
     step = 1.0 / g ** (1.0 / d)
     shells = [magnify(base, 1.0 + j * step) for j in range(count)]
-    boundary = rows_to_masks(shapes.classify(shells) == _BOUNDARY)
+    boundary = rows_to_masks(_classify(ctx.arrays, shells) == _BOUNDARY)
     best_j = 0
     best_val = None
     for j, mask in enumerate(boundary):
@@ -299,29 +262,29 @@ def separate(
     if len(objs) < 2:
         raise ValueError("separate needs at least 2 objects")
     ctx = IntersectionContext(objs)
-    total = greedy_pack(objs, ctx=ctx)
-    g = max(total.value, 1)
-    tau = int(math.ceil((1.0 + cfg.epsilon) / 3.0 * g))
-    tau = max(tau, 1)
-
-    centers = _centers_array(objs)
-    degenerate = float((centers.max(axis=0) - centers.min(axis=0)).max()) <= 0.0
-    shapes = _Shapes(objs, centers.shape[1])
-
-    base = find_base_box(objs, tau, ctx=ctx)
-    if degenerate:
-        m_star = 1.0
-    else:
-        m_star, _ = shell_sweep(objs, base, g, ctx=ctx, shapes=shapes)
-    box = magnify(base, m_star)
-    codes = shapes.classify([box])[0]
-    inside, outside, boundary = rows_to_masks(
-        np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
-    )
 
     def part_measure(mask: int) -> MeasureEstimate:
         value, chosen = ctx.greedy_pack_mask(mask)
         return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
+
+    total = part_measure(ctx.full_mask())
+    g = max(total.value, 1)
+    tau = int(math.ceil((1.0 + cfg.epsilon) / 3.0 * g))
+    tau = max(tau, 1)
+
+    centers = ctx.arrays.center
+    degenerate = float((centers.max(axis=0) - centers.min(axis=0)).max()) <= 0.0
+
+    base = find_base_box(ctx, tau)
+    if degenerate:
+        m_star = 1.0
+    else:
+        m_star, _ = shell_sweep(ctx, base, g)
+    box = magnify(base, m_star)
+    codes = _classify(ctx.arrays, [box])[0]
+    inside, outside, boundary = rows_to_masks(
+        np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
+    )
 
     return SeparatorResult(
         box=box,

@@ -66,12 +66,23 @@ def test_separator_record(inst_file, tmp_path):
     assert any(l.startswith("mu_total=") for l in lines)
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
+def test_parse_error_exit_code(inst_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("fatsep v1 d=2 n=1\nball 0 0\n")
-    rc = run_cli(["pack", "--in", str(bad)])
-    assert rc == EXIT_SPEC_ERROR
-    assert "error:" in capsys.readouterr().err
+    unopenable = str(tmp_path / "no-such-dir" / "f.txt")
+    for args in (
+        ["pack", "--in", str(bad)],
+        # A missing --in or --svg, and paths that cannot be opened.
+        ["pack"],
+        ["render", "--in", inst_file],
+        ["pack", "--in", unopenable],
+        ["pack", "--in", inst_file, "--out", unopenable],
+        ["render", "--in", inst_file, "--svg", unopenable],
+    ):
+        rc = run_cli(args)
+        assert rc == EXIT_SPEC_ERROR, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
 def test_infinite_radius_exit_code(tmp_path, capsys):

@@ -12,6 +12,9 @@ from fatsep.geometry import (
     BoxRegion,
     DimensionMismatchError,
     RegionClass,
+    ShapeArrays,
+    bounding_low_high,
+    center,
     center_in,
     classify,
     contains_point,
@@ -181,3 +184,30 @@ def _member(o, pts):
         c = np.array(o.center)
         return ((pts - c) ** 2).sum(axis=1) <= o.radius**2
     return np.all((pts >= np.array(o.low)) & (pts <= np.array(o.high)), axis=1)
+
+
+def test_shape_arrays_rows_equal_scalar_layout():
+    # Mixed ball/box families in d=2 and d=3, and one- and zero-object ones.
+    families = [[]]
+    for d in (2, 3):
+        for seed in range(3):
+            mixed = random_objects(seed, 15, d=d) + random_objects(seed, 15, d=d, shape="box")
+            random.Random(seed).shuffle(mixed)
+            families += [mixed, mixed[:1], [o for o in mixed if isinstance(o, AxisBox)][:1]]
+    families.append([AxisBox((0.1, 0.7), (0.3, 0.9)), Ball((0.1, 0.2), 0.3)])
+    for objs in families:
+        a = ShapeArrays(objs)
+        d = objs[0].dim if objs else 0
+        assert a.ball.shape == a.radius.shape == (len(objs),)
+        assert a.center.shape == a.low.shape == a.high.shape == (len(objs), d)
+        assert a.dim == d
+        for i, o in enumerate(objs):
+            assert a.ball[i] == isinstance(o, Ball)
+            assert tuple(a.center[i].tolist()) == center(o)
+            assert (tuple(a.low[i].tolist()), tuple(a.high[i].tolist())) == bounding_low_high(o)
+            if isinstance(o, Ball):
+                assert a.radius[i] == o.radius
+            else:
+                assert math.isnan(a.radius[i])
+    with pytest.raises(DimensionMismatchError):
+        ShapeArrays([Ball((0.0, 0.0), 1.0), AxisBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])

@@ -233,10 +233,9 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
     points = count_everywhere(monkeypatch, candidates, "candidate_pierce_points")
     masks = count_everywhere(monkeypatch, candidates, "coverage_masks")
     splits = count_everywhere(monkeypatch, separator, "separate")
-    # `separate` measures its parts with its own `greedy_pack`; nothing else
-    # may call these.
+    # Nothing may call these; `separate` measures its parts on its context.
     solves = [
-        count_everywhere(monkeypatch, module, name, within=(measure, ptas, solver))
+        count_everywhere(monkeypatch, module, name)
         for module, name in (
             (solver, "solve_pack"),
             (solver, "solve_pierce"),

@@ -47,3 +47,10 @@ def test_answers_repeat_byte_for_byte(tmp_path):
     records = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert {r["problem"] for r in records} == {"ptas_pack", "ptas_pierce"}
     assert all(r["value"] == len(r["witness"]) for r in records)
+    for r in records:
+        sep = r["separator"]
+        ids = sorted(sep["inside"] + sep["outside"] + sep["boundary"])
+        assert ids == list(range(len(ids))) and len(ids) >= 2
+        assert len(sep["box"]) == len(sep["base_box"]) == 2 and sep["m_star"] >= 1.0
+        total, inside, outside, boundary = sep["mu"]
+        assert max(inside, outside, boundary) <= total

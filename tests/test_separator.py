@@ -12,6 +12,8 @@ from fatsep.geometry import (
     BoxRegion,
     DimensionMismatchError,
     RegionClass,
+    ShapeArrays,
+    center,
     classify,
     magnify,
     size,
@@ -44,26 +46,26 @@ def test_find_base_box_single_cluster():
     rng = random.Random(2)
     objs = [Ball((rng.uniform(0, 1), rng.uniform(0, 1)), 0.05) for _ in range(9)]
     ctx = IntersectionContext(objs)
-    box = find_base_box(objs, 3, ctx=ctx)
+    box = find_base_box(ctx, 3)
     inside = [o for o in objs if all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))]
     assert greedy_pack(inside).value >= 3
     # independent oracle: exhaustive ascending ladder scan for the first
     # achieving size must match the bisection result
-    from fatsep.separator import _achieving_box, _centers_array
-    import numpy as np
+    from fatsep.separator import _achieving_box
 
-    centers = _centers_array(objs)
+    centers = np.array([center(o) for o in objs])
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt((diffs**2).sum(axis=2))
     pos = dists[dists > 0]
     s = max(float(pos.min()), float(pos.max()) * 1e-9)
-    while _achieving_box(ctx, centers, s, 3) is None:
+    while _achieving_box(ctx, s, 3) is None:
         s *= SIDE_SEARCH_RATIO
     assert box.longest_side == pytest.approx(s)
 
 
-def reference_achieving_box(ctx, centers, s, tau):
+def reference_achieving_box(ctx, s, tau):
     """The per-candidate loop: one numpy comparison per candidate cube."""
+    centers = np.array([center(o) for o in ctx.objs])
     lows = []
     for c in centers:
         lows += [tuple(c - s / 2.0), tuple(c), tuple(c - s)]
@@ -90,7 +92,7 @@ def reference_achieving_box(ctx, centers, s, tau):
 def reference_base_box(monkeypatch, objs, tau):
     with monkeypatch.context() as m:
         m.setattr(separator, "_achieving_box", reference_achieving_box)
-        return find_base_box(objs, tau)
+        return find_base_box(IntersectionContext(objs), tau)
 
 
 def test_find_base_box_matches_per_candidate_loop(monkeypatch):
@@ -105,7 +107,7 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
     for objs in families:
         g = greedy_pack(objs).value
         for tau in sorted({1, max(1, g // 2), g}):
-            got = find_base_box(objs, tau)
+            got = find_base_box(IntersectionContext(objs), tau)
             want = reference_base_box(monkeypatch, objs, tau)
             assert (got.low, got.high) == (want.low, want.high)
 
@@ -114,7 +116,7 @@ def test_find_base_box_bounding_corner_first(monkeypatch):
     # No cube anchored at a centre holds both centres; the one at the
     # bounding-box corner (0, 0) does.
     objs = [Ball((0.0, 1.0), 0.1), Ball((1.0, 0.0), 0.1)]
-    box = find_base_box(objs, 2)
+    box = find_base_box(IntersectionContext(objs), 2)
     assert box.low == (0.0, 0.0)
     assert box.high == (math.sqrt(2.0), math.sqrt(2.0))
     want = reference_base_box(monkeypatch, objs, 2)
@@ -128,9 +130,8 @@ def test_achieving_box_tolerance_at_cube_faces():
     p, q = Ball((0.0, 0.0), 0.1), Ball((1.0 + TOL / 2, 0.0), 0.1)
     for objs in ([p, q], [q, p]):
         ctx = IntersectionContext(objs)
-        centers = separator._centers_array(objs)
-        got = separator._achieving_box(ctx, centers, 1.0, 2)
-        want = reference_achieving_box(ctx, centers, 1.0, 2)
+        got = separator._achieving_box(ctx, 1.0, 2)
+        want = reference_achieving_box(ctx, 1.0, 2)
         assert got is not None and (got.low, got.high) == (want.low, want.high)
 
 
@@ -141,15 +142,15 @@ def test_find_base_box_evaluates_each_rung_once(monkeypatch):
         calls = []
         original = separator._achieving_box
 
-        def counting(ctx, centers, s, tau):
-            box = original(ctx, centers, s, tau)
+        def counting(ctx, s, tau):
+            box = original(ctx, s, tau)
             calls.append((s, box))
             return box
 
         tau = max(1, greedy_pack(objs).value // 2)
         with monkeypatch.context() as m:
             m.setattr(separator, "_achieving_box", counting)
-            got = find_base_box(objs, tau)
+            got = find_base_box(IntersectionContext(objs), tau)
         sides = [s for s, _ in calls]
         assert len(calls) > 2 and len(set(sides)) == len(sides)
         assert sides[0] == max(sides)
@@ -182,12 +183,11 @@ def test_achieving_box_rank_walk_matches_reference():
         ctx = IntersectionContext(objs)
         assert ctx.order != sorted(ctx.order)
         assert len(set(ctx.sizes)) < len(objs)
-        centers = separator._centers_array(objs)
-        g = greedy_pack(objs, ctx=ctx).value
+        g = greedy_pack(objs).value
         for s in (0.5, 1.5, 3.0, 6.0, 12.0):
             for tau in range(1, g + 1):
-                got = separator._achieving_box(ctx, centers, s, tau)
-                want = reference_achieving_box(ctx, centers, s, tau)
+                got = separator._achieving_box(ctx, s, tau)
+                want = reference_achieving_box(ctx, s, tau)
                 assert got == want, (s, tau)
 
 
@@ -211,8 +211,7 @@ CODES = {
 
 
 def assert_classify_matches(objs, boxes):
-    d = boxes[0].dim
-    codes = separator._Shapes(objs, d).classify(boxes)
+    codes = separator._classify(ShapeArrays(objs), boxes)
     assert codes.shape == (len(boxes), len(objs))
     got = [[CODES[c] for c in row] for row in codes.tolist()]
     want = [[classify(o, b) for o in objs] for b in boxes]
@@ -282,36 +281,40 @@ def test_shapes_classify_rounds_like_classify():
 
 def test_shapes_classify_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        separator._Shapes([Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)], 2)
-    with pytest.raises(DimensionMismatchError):
-        shell_sweep([Ball((0.0, 0.0, 0.0), 1.0)], BoxRegion((0.0, 0.0), (1.0, 1.0)), 4)
+        ShapeArrays([Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)])
+    square = BoxRegion((0.0, 0.0), (1.0, 1.0))
+    for objs in ([Ball((0.0, 0.0, 0.0), 1.0)], [AxisBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))]):
+        with pytest.raises(DimensionMismatchError):
+            separator._classify(ShapeArrays(objs), [square])
+        with pytest.raises(DimensionMismatchError):
+            shell_sweep(IntersectionContext(objs), square, 4)
 
 
 def test_find_base_box_total_measure():
     objs = random_objects(4, 20)
     g = greedy_pack(objs).value
-    box = find_base_box(objs, g)
+    box = find_base_box(IntersectionContext(objs), g)
     for o in objs:
         assert all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))
 
 
 def test_find_base_box_picks_one_cluster():
     objs = tight_cluster(0, 0, 5, 1) + tight_cluster(1000, 0, 5, 2)
-    box = find_base_box(objs, 5)
+    box = find_base_box(IntersectionContext(objs), 5)
     assert box.longest_side < 100  # one cluster, not a box spanning both
 
 
 def test_shell_sweep_nothing_on_boundary():
     objs = [Ball((100 + i * 10, 100), 1) for i in range(4)]
     base = BoxRegion((0, 0), (5, 5))
-    m, bm = shell_sweep(objs, base, 4)
+    m, bm = shell_sweep(IntersectionContext(objs), base, 4)
     assert m == 1.0 and bm == 0
 
 
 def test_shell_sweep_g1_single_shell():
     objs = [Ball((0, 0), 1), Ball((0.5, 0), 1)]
     base = BoxRegion((-1, -1), (1, 1))
-    m, _ = shell_sweep(objs, base, 1)
+    m, _ = shell_sweep(IntersectionContext(objs), base, 1)
     assert m == 1.0
     assert shell_count(2, 1) == 1
 
@@ -319,10 +322,11 @@ def test_shell_sweep_g1_single_shell():
 def test_shell_sweep_minimizes_and_counts_shells():
     rng = random.Random(8)
     objs = [Ball((rng.uniform(0, 30), rng.uniform(0, 30)), 0.3) for _ in range(100)]
-    base = find_base_box(objs, 10)
+    ctx = IntersectionContext(objs)
+    base = find_base_box(ctx, 10)
     g = 25
     assert shell_count(2, g) == 3
-    m_star, bm = shell_sweep(objs, base, g)
+    m_star, bm = shell_sweep(ctx, base, g)
     # independent re-evaluation of every shell
     step = 1.0 / math.sqrt(g)
     values = {}
@@ -355,7 +359,7 @@ def check_shell_claim(objs, d=2):
     if g < 2:
         return 0
     tau = max(int(math.ceil(1.25 / 3.0 * g)), 1)
-    base = find_base_box(objs, tau)
+    base = find_base_box(IntersectionContext(objs), tau)
     count = shell_count(d, g)
     if count < 2:
         return 0
@@ -422,6 +426,26 @@ def test_separate_degenerate_coincident_centers():
     sep = separate(objs)
     assert sep.degenerate
     assert sorted(sep.boundary_ids) == [0, 1, 2]
+
+
+def test_separate_lays_out_the_family_once(monkeypatch):
+    # One context per call, and its arrays serve the base box, the shell
+    # sweep and the final classification.
+    from fatsep import geometry
+
+    built = {"contexts": 0, "arrays": 0}
+    for cls, key in ((IntersectionContext, "contexts"), (geometry.ShapeArrays, "arrays")):
+        init = cls.__init__
+
+        def counted(self, objs, init=init, key=key):
+            built[key] += 1
+            init(self, objs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    objs = random_objects(3, 30) + random_objects(3, 10, shape="box")
+    sep = separate(objs)
+    assert not sep.degenerate and sep.m_star > 1.0
+    assert built == {"contexts": 1, "arrays": 1}
 
 
 def test_separate_requires_two_objects():

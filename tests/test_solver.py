@@ -251,6 +251,37 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
 # --- determinism / node cap -------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "solve, shape, d",
+    [(solve_pack, "ball", 2), (solve_pack, "box", 3), (solve_pierce, "box", 2), (solve_pierce, "ball", 2)],
+)
+def test_solve_order_invariance(monkeypatch, solve, shape, d):
+    # The same optimum, with a feasible witness, after the objects are
+    # shuffled: through base cases, separated nodes (base_threshold 1 and 3)
+    # and pivots (a balance cap no split meets).
+    search = _PackSearch if solve is solve_pack else _PierceSearch
+    paths = {name: count_calls(monkeypatch, search, name) for name in ("_separated", "_pivot")}
+    for seed in range(6):
+        objs = list(gen_instance("random", d, shape=shape, n=14, seed=seed).objects)
+        shuffled = list(objs)
+        random.Random(seed).shuffle(shuffled)
+        for base in (1, 3):
+            for balance_cap in (0.8, 1e-9):
+                cfg = SolveConfig(base_threshold=base, balance_cap=balance_cap)
+                values = set()
+                for family in (objs, shuffled):
+                    sol = solve(inst_of(family, d), cfg)
+                    assert sol.optimal and len(sol.witness) == sol.value
+                    if solve is solve_pack:
+                        chosen = [family[i] for i in sol.witness]
+                        assert not any(intersects(a, b) for i, a in enumerate(chosen) for b in chosen[i + 1 :])
+                    else:
+                        assert all(any(contains_point(o, p) for p in sol.witness) for o in family)
+                    values.add(sol.value)
+                assert len(values) == 1, (seed, base, balance_cap)
+    assert all(paths.values()), {name: len(calls) for name, calls in paths.items()}
+
+
 def test_pierce_determinism():
     inst = gen_instance("random", 2, shape="box", n=12, seed=7)
     a = solve_pierce(inst, SolveConfig(base_threshold=3))
