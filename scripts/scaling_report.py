@@ -18,9 +18,10 @@ from fatsep.calibration import NODE_LAW_EXPONENT
 
 
 def main():
-    # Grids from k=4: at base_threshold 3 the smaller ones exceed the
-    # node-law bound (k=2: one split expands 3 subproblems against a bound
-    # of 2; k=3: 7 against 5.2).
+    # Grids from k=3: a grid's objects are pairwise disjoint, so its root is
+    # a component node that closes them in batches of greedy estimate at
+    # most base_threshold 3.  k=3 takes 4 nodes against a bound of 5.2;
+    # k=2 takes 3 (the root and two batches) against a bound of 2.
     suite = [
         {
             "family": "grid",
@@ -31,7 +32,7 @@ def main():
             "solvers": ["pack", "pierce"],
             "config": {"base_threshold": 3},
         }
-        for k in (4, 5, 6, 7)
+        for k in (3, 4, 5, 6, 7)
     ]
     records = run_bench(suite, sys.argv[1] if len(sys.argv) > 1 else None)
     print(to_csv(records), end="")

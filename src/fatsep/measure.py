@@ -66,6 +66,22 @@ class IntersectionContext:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    def components(self, mask: int) -> List[int]:
+        """Masks of the intersection graph's components within `mask`, in
+        order of lowest bit (bitmask BFS over `nbr`)."""
+        parts = []
+        while mask:
+            part = frontier = mask & -mask
+            while frontier:
+                reach = 0
+                for i in _bits(frontier):
+                    reach |= self.nbr[i]
+                frontier = reach & mask & ~part
+                part |= frontier
+            parts.append(part)
+            mask &= ~part
+        return parts
+
     def greedy_pack_mask(self, mask: int):
         """Smallest-first maximal independent set within `mask`.
 

@@ -5,7 +5,8 @@ boundary class is not enumerated.  Packing drops it outright and unions the
 two sides' solutions; piercing covers it with greedy points and recurses on
 what is left.  Once the greedy estimate falls under the stop threshold the
 exact search takes over, so each level loses at most the (small) boundary
-measure and the overall ratio follows.
+measure and the overall ratio follows.  Packing ends with a greedy refill
+of the room the dropped boundaries leave.
 
 Each call builds one `IntersectionContext` and one search object over it
 (piercing: with one `PierceTable`), and recurses on masks.  Estimates,
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .instances import Instance
-from .measure import IntersectionContext
+from .measure import IntersectionContext, mask_to_ids
 from .solver import Solution, SolveConfig, _PackSearch, _PierceSearch
 
 
@@ -54,6 +55,17 @@ def _cover_boundary(search, boundary: int) -> Tuple[int, list, int]:
         if p in picked:
             covered |= c
     return value, points, covered
+
+
+def _refill(ctx: IntersectionContext, witness: list) -> list:
+    """Packing: the objects, smallest first, that join `witness` greedily
+    because they meet none of its objects (the dropped boundaries leave
+    room that the two sides' solutions do not use)."""
+    blocked = 0
+    for i in witness:
+        blocked |= ctx.nbr[i]
+    _, extra = ctx.greedy_pack_mask(ctx.full_mask() & ~blocked)
+    return mask_to_ids(extra)
 
 
 def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_step) -> Solution:
@@ -95,6 +107,9 @@ def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_st
         return len(points) + vin + vout, points + win + wout
 
     value, witness = rec(search.ctx.full_mask(), 0)
+    if problem == "pack":
+        witness += _refill(search.ctx, witness)
+        value = len(witness)
     return Solution(
         problem=problem,
         value=value,
@@ -112,7 +127,7 @@ def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
     """(1 - eps)-approximate packing; witness is always feasible.
 
     `discarded` counts the boundary objects dropped, the realized loss to
-    compare against eps/3.
+    compare against eps/3, before the refill adds back those it can.
     """
     return _ptas(inst, cfg or PtasConfig(), "pack", _PackSearch, _drop_boundary)
 

@@ -3,18 +3,26 @@
 Each solve builds one `IntersectionContext` and searches subproblems as
 bitmasks over it; piercing also builds one `PierceTable` and restricts it
 to each subproblem's mask.  Small subproblems (by greedy estimate) are
-closed exactly; larger ones are split with a box separator, enumerating
-independent sets (packing) or candidate pierce covers (piercing) of the
-boundary class.  Unbalanced or degenerate separators fall back to pivot
-branching, so termination and exactness never depend on separator quality.
+closed exactly.  A larger one that is disconnected in the intersection
+graph is a component node: Pack and Pierce add up over components, and so
+do both greedy estimates, so components whose estimates sum to at most
+`base_threshold` close together as one base case and each larger component
+is searched on its own.  A larger connected one is split with a box
+separator, enumerating independent sets (packing) or candidate pierce
+covers (piercing) of the boundary class.  Unbalanced or degenerate
+separators fall back to pivot branching, so termination and exactness
+never depend on separator quality.
 
 `_Search.run(mask)` is the one runner: the exact solvers run it on the
 full mask, and `ptas` on each leaf of its recursion over the same context.
 A memo per run maps each mask to its answer, so every subproblem is expanded
 once however many boundary configurations or pivots reach it;
-`Solution.nodes` counts these expansions.  The node cap counts every
-subproblem request, memo hits included, and every step of the piercing
-boundary search, so it bounds the enumeration work the memo does not save.
+`Solution.nodes` counts these expansions: base cases, component nodes (and
+each batch or component they solve), separated nodes and pivots.  `depth`
+counts separated and pivot levels only, since a component node separates
+nothing.  The node cap counts every subproblem request, memo hits included,
+and every step of the piercing boundary search, so it bounds the
+enumeration work the memo does not save.
 """
 from __future__ import annotations
 
@@ -86,8 +94,10 @@ class _CapStop(Exception):
 
 class _Search:
     """Memoized search over the masks of one context.  `solve(mask)` returns
-    (value, witness, depth); subclasses expand a mask in `_expand` and give
-    its greedy answer in `greedy`."""
+    (value, witness, depth); subclasses expand a mask in `_expand(mask, g)`
+    (closing it exactly when its greedy estimate `g`, computed there unless
+    given, is at most `base_threshold`) and give its greedy answer in
+    `greedy`."""
 
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         self.ctx = ctx
@@ -108,12 +118,43 @@ class _Search:
             depth, aborted = 0, True
         return value, witness, depth, len(self.memo), aborted
 
-    def solve(self, mask: int) -> tuple:
+    def solve(self, mask: int, estimate: Optional[int] = None) -> tuple:
+        """Memoized answer of `mask`.  A caller that knows the mask's greedy
+        `estimate` passes it on to `_expand`, which then skips computing it."""
         self.budget.tick()
         hit = self.memo.get(mask)
         if hit is None:
-            hit = self.memo[mask] = self._expand(mask)
+            hit = self.memo[mask] = self._expand(mask, estimate)
         return hit
+
+    def _components(self, parts: List[int], estimates: List[int]) -> tuple:
+        """Answer of a disconnected mask from its component `parts` and
+        their greedy `estimates`.
+
+        Both greedy estimates add up over components, so components whose
+        estimates sum to at most `base_threshold` close together as one
+        base case (a batch, formed in order of lowest bit, whose estimate
+        `_expand` is handed, so it cannot come back here); each larger
+        component gets its own search.  The value is the sum over the
+        solved parts, the witness their union and the depth the largest of
+        theirs: this node separates nothing.
+        """
+        cap = self.cfg.base_threshold
+        answers = []
+        batch = load = 0
+        for part, estimate in zip(parts, estimates):
+            if estimate > cap:
+                answers.append(self.solve(part))
+                continue
+            if load + estimate > cap:
+                answers.append(self.solve(batch, load))
+                batch = load = 0
+            batch |= part
+            load += estimate
+        if batch:
+            answers.append(self.solve(batch, load))
+        witness = [x for answer in answers for x in answer[1]]
+        return sum(answer[0] for answer in answers), witness, max(answer[2] for answer in answers)
 
     def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
         """(inside, outside, boundary) masks of the separator of `mask`'s
@@ -131,13 +172,18 @@ class _PackSearch(_Search):
         value, chosen = self.ctx.greedy_pack_mask(mask)
         return value, mask_to_ids(chosen)
 
-    def _expand(self, mask: int) -> Tuple[int, List[int], int]:
+    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[int, List[int], int]:
         if not mask:
             return 0, [], 0
-        g, _ = self.ctx.greedy_pack_mask(mask)
+        if g is None:
+            g, greedy = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
             value, chosen = self.ctx.exact_pack_mask(mask)
             return value, mask_to_ids(chosen), 0
+        comps = self.ctx.components(mask)
+        if len(comps) > 1:
+            value, witness, depth = self._components(comps, [(greedy & c).bit_count() for c in comps])
+            return value, sorted(witness), depth
         parts = self.split(mask)
         if parts is None:
             return self._pivot(mask)
@@ -180,15 +226,21 @@ class _PierceSearch(_Search):
         picked = self.ctx.greedy_pierce_mask(cov, mask)
         return len(picked), [points[k] for k in picked]
 
-    def _expand(self, mask: int) -> Tuple[int, List[Point], int]:
+    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[int, List[Point], int]:
         if not mask:
             return 0, [], 0
         points, cov = self.table.restrict(mask)
-        g = len(self.ctx.greedy_pierce_mask(cov, mask))
+        if g is None:
+            greedy = self.ctx.greedy_pierce_mask(cov, mask)
+            g = len(greedy)
         if g <= self.cfg.base_threshold:
             # The greedy cover is feasible, so the optimum fits under g.
             picked = self.ctx.exact_pierce_mask(cov, mask, g)
             return len(picked), [points[k] for k in picked], 0
+        comps = self.ctx.components(mask)
+        if len(comps) > 1:
+            # A point pierces objects of one component only.
+            return self._components(comps, [sum(1 for k in greedy if cov[k] & c) for c in comps])
         parts = self.split(mask)
         if parts is None:
             return self._pivot(mask, points, cov)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fatsep import candidates, measure, ptas, separator, solver
-from fatsep.geometry import Ball, contains_point, intersects
+from fatsep.geometry import Ball, contains_point, intersects, size
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
@@ -133,13 +133,29 @@ def test_pack_leaf_finishes_under_a_work_cap():
     assert sol.value >= (1 - eps) * greedy_pack(inst.objects).value
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 23])
+def test_pack_refill_reaches_greedy(seed):
+    # Dropped boundaries leave room: the refill adds, smallest first, every
+    # object that meets no chosen one, so the answer is a maximal packing
+    # and at least greedy's (seed 23 gave 212 against 250 without it).
+    inst = gen_instance("random", 2, shape="ball", n=400, seed=seed)
+    sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=2.0))
+    assert sol.discarded > 0
+    assert sol.value >= greedy_pack(inst.objects).value
+    wit = [inst.objects[i] for i in sol.witness]
+    assert len(wit) == sol.value
+    assert not any(intersects(a, b) for i, a in enumerate(wit) for b in wit[i + 1 :])
+    assert all(any(intersects(o, w) for w in wit) for o in inst.objects)
+
+
 # --- one context per call ---------------------------------------------------
 
 
 def reference_ptas_pack(inst, cfg):
     """The object-list recursion `ptas_pack` replaced: each part is copied
     into an instance of its own, estimated with `greedy_pack`, split with
-    `separate` and, at a leaf, closed by `solve_pack`."""
+    `separate` and, at a leaf, closed by `solve_pack`.  Then every object,
+    smallest first, that meets no chosen object joins the answer."""
     stop = cfg.stop_threshold(inst.dim)
     stats = {"nodes": 0, "depth": 0, "discarded": 0, "aborted": False}
 
@@ -163,9 +179,12 @@ def reference_ptas_pack(inst, cfg):
         vout, wout = rec([ids[j] for j in sep.outside_ids], depth + 1)
         return vin + vout, win + wout
 
-    value, witness = rec(list(range(inst.n)), 0)
+    _, witness = rec(list(range(inst.n)), 0)
+    for i in sorted(range(inst.n), key=lambda i: (size(inst.objects[i]), i)):
+        if not any(intersects(inst.objects[i], inst.objects[j]) for j in witness):
+            witness.append(i)
     return (
-        value,
+        len(witness),
         sorted(witness),
         stats["nodes"],
         stats["depth"],

@@ -26,7 +26,7 @@ def test_scaling_report_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("label,n,d,family,solver")
     rows = list(csv.DictReader(proc.stdout.split("\n\n")[0].splitlines()))
-    assert len(rows) == 8
+    assert len(rows) == 10
     assert all(r["node_law_ok"] == "1" for r in rows), rows
 
 

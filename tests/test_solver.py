@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from fatsep import candidates
-from fatsep.geometry import Ball, contains_point, intersects
+from fatsep import candidates, solver
+from fatsep.calibration import node_law_bound
+from fatsep.geometry import AxisBox, Ball, center, contains_point, intersects
 from fatsep.instances import Instance, gen_instance
-from fatsep.measure import IntersectionContext, greedy_pack, greedy_pierce
+from fatsep.measure import IntersectionContext, greedy_pack, greedy_pierce, mask_to_ids
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import (
     SolveConfig,
@@ -71,7 +72,7 @@ def test_pack_matches_oracle(shape, d):
 
 
 def test_pack_cluster_recursion_matches_oracle():
-    # far clusters guarantee the separator path actually fires
+    # far clusters make the root a component node, so recursion fires
     cfg = SolveConfig(base_threshold=3)
     for seed in range(10):
         inst = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=seed)
@@ -95,10 +96,11 @@ def test_pierce_concentric():
 
 @pytest.mark.parametrize("shape,d", [("ball", 2), ("box", 2), ("box", 3)])
 def test_pierce_matches_oracle(shape, d, monkeypatch):
+    # Dense families, so that connected masks reach the separator.
     separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     cfg = SolveConfig(base_threshold=3)
     for seed in range(20):
-        inst = gen_instance("random", d, shape=shape, n=12, seed=seed)
+        inst = gen_instance("random", d, shape=shape, n=12, seed=seed, density=8)
         sol = solve_pierce(inst, cfg)
         assert sol.optimal
         assert sol.value == brute_pierce(inst).value
@@ -109,10 +111,12 @@ def test_pierce_matches_oracle(shape, d, monkeypatch):
 
 
 def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
+    # Far clusters are components; seed 2648 has a connected cluster whose
+    # greedy estimate exceeds the threshold, so the separator fires in it.
     separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     cfg = SolveConfig(base_threshold=2)
-    for seed in range(6):
-        inst = gen_instance("cluster", 2, shape="box", clusters=3, cluster_size=4, seed=seed)
+    for seed in (*range(6), 2648):
+        inst = gen_instance("cluster", 2, shape="box", clusters=2, cluster_size=7, seed=seed)
         sol = solve_pierce(inst, cfg)
         assert sol.value == brute_pierce(inst).value
     assert separated
@@ -121,7 +125,7 @@ def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
 def test_pierce_builds_one_candidate_table(monkeypatch):
     # Separated nodes, pivots and base cases all search masks over the one
     # table built for the solve.
-    inst = gen_instance("random", 2, shape="box", n=14, seed=1)
+    inst = gen_instance("random", 2, shape="box", n=14, seed=0, density=4)
     want = brute_pierce(inst).value
     separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     pivots = count_calls(monkeypatch, _PierceSearch, "_pivot")
@@ -186,20 +190,21 @@ def test_enumerate_matches_powerset_filter():
 def test_forced_fallback_same_value(monkeypatch):
     # balance_cap near zero declares every separator unbalanced, forcing the
     # pivot path throughout; values must still match the oracle and the
-    # unforced solve.
+    # unforced solve.  The families are dense enough to have connected
+    # masks above the threshold.
     pack_pivots = count_calls(monkeypatch, _PackSearch, "_pivot")
     pierce_pivots = count_calls(monkeypatch, _PierceSearch, "_pivot")
     forced = SolveConfig(base_threshold=4, balance_cap=1e-9)
     normal = SolveConfig(base_threshold=4)
     for seed in range(10):
-        inst = inst_of(random_objects(seed, 14))
+        inst = inst_of(random_objects(seed, 14, span=5.0))
         value = solve_pack(inst, forced).value
         assert value == brute_pack(inst).value
         assert value == solve_pack(inst, normal).value
     forced = SolveConfig(base_threshold=3, balance_cap=1e-9)
     normal = SolveConfig(base_threshold=3)
     for seed in range(6):
-        inst = gen_instance("random", 2, shape="box", n=10, seed=seed)
+        inst = gen_instance("random", 2, shape="box", n=10, seed=seed, density=8)
         value = solve_pierce(inst, forced).value
         assert value == brute_pierce(inst).value
         assert value == solve_pierce(inst, normal).value
@@ -217,35 +222,150 @@ def test_forced_fallback_same_value(monkeypatch):
     ],
 )
 def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, base):
-    # Base cases, separated nodes and pivots (forced by balance_cap=1e-9)
-    # each expand a mask at most once per solve; repeats come from the memo.
+    # Base cases, component nodes, separated nodes and pivots (forced by
+    # balance_cap=1e-9) each expand a mask at most once per solve; repeats
+    # come from the memo.  Sparse packing families never reach a separated
+    # node, so packing runs on dense ones.
+    density = 8 if search is _PackSearch else 1
     requests = count_calls(monkeypatch, _Search, "solve")
     expanded = count_calls(monkeypatch, search, "_expand")
+    components = count_calls(monkeypatch, _Search, "_components")
     pivots = count_calls(monkeypatch, search, "_pivot")
     separated = count_calls(monkeypatch, search, "_separated")
-    reached = {"base": 0, "pivot": 0, "separated": 0}
+    reached = {"base": 0, "components": 0, "pivot": 0, "separated": 0}
     hits = 0
     for balance_cap in (0.8, 1e-9):
         cfg = SolveConfig(base_threshold=base, balance_cap=balance_cap)
         for seed in range(8):
-            inst = gen_instance("random", 2, shape=shape, n=n, seed=seed)
-            for calls in (requests, expanded, pivots, separated):
+            inst = gen_instance("random", 2, shape=shape, n=n, seed=seed, density=density)
+            for calls in (requests, expanded, components, pivots, separated):
                 calls.clear()
             sol = solve(inst, cfg)
             assert sol.optimal and sol.value == brute(inst).value
             masks = [args[0] for args in expanded]
             assert len(set(masks)) == len(masks) == sol.nodes
+            component_masks = [sum(args[0]) for args in components]
             pivot_masks = [args[0] for args in pivots]
             separated_masks = [args[0] | args[1] | args[2] for args in separated]
             assert len(set(pivot_masks)) == len(pivot_masks)
             assert len(set(separated_masks)) == len(separated_masks)
-            assert set(pivot_masks + separated_masks) <= set(masks)
+            assert len(set(component_masks)) == len(component_masks)
+            assert set(pivot_masks + separated_masks + component_masks) <= set(masks)
+            reached["components"] += len(component_masks)
             reached["pivot"] += len(pivot_masks)
             reached["separated"] += len(separated_masks)
-            reached["base"] += len(masks) - len(pivot_masks) - len(separated_masks)
+            reached["base"] += len(masks) - len(pivot_masks) - len(separated_masks) - len(component_masks)
             hits += len(requests) - len(masks)
     assert all(reached.values()), reached
     assert hits > 0
+
+
+# --- component nodes ----------------------------------------------------------
+
+
+def shifted(obj, dx):
+    """`obj` moved by `dx` along axis 0."""
+
+    def move(p):
+        return (p[0] + dx,) + tuple(p[1:])
+
+    if isinstance(obj, Ball):
+        return Ball(move(obj.center), obj.radius)
+    return AxisBox(move(obj.low), move(obj.high))
+
+
+@pytest.mark.parametrize(
+    "solve, shape, d, n",
+    [
+        (solve_pack, "ball", 2, 20),
+        (solve_pack, "box", 3, 20),
+        (solve_pierce, "box", 2, 12),
+        (solve_pierce, "ball", 2, 12),
+    ],
+)
+def test_two_far_copies_solve_to_twice_the_value(monkeypatch, solve, shape, d, n):
+    # Two copies of a dense family, far apart, are two components at least:
+    # the joined value is twice one copy's, and the separator only ever
+    # sees objects of one copy.
+    calls = count_calls(monkeypatch, _Search, "_components")
+    families = []
+    original = solver.separate
+
+    def recording_separate(objs, cfg):
+        families.append(objs)
+        return original(objs, cfg)
+
+    monkeypatch.setattr(solver, "separate", recording_separate)
+    cfg = SolveConfig(base_threshold=2)
+    for seed in range(3):
+        one = gen_instance("random", d, shape=shape, n=n, seed=seed, density=8)
+        alone = solve(one, cfg)
+        families.clear()
+        calls.clear()
+        joined = inst_of(one.objects + tuple(shifted(o, 10_000.0) for o in one.objects), d)
+        sol = solve(joined, cfg)
+        assert sol.optimal and sol.value == 2 * alone.value
+        assert calls and families
+        for objs in families:
+            assert len({center(o)[0] > 5_000 for o in objs}) == 1
+        if solve is solve_pack:
+            chosen = [joined.objects[i] for i in sol.witness]
+            assert not any(intersects(a, b) for i, a in enumerate(chosen) for b in chosen[i + 1 :])
+        else:
+            assert all(any(contains_point(o, p) for p in sol.witness) for o in joined.objects)
+
+
+def test_grid_components_stay_within_node_law():
+    # Pairwise disjoint grids are all components; grouping them by greedy
+    # estimate keeps criterion 5's node bound.
+    for k in (2, 3, 4, 5):
+        inst = gen_instance("grid", 2, k=k, seed=k)
+        for solve in (solve_pack, solve_pierce):
+            sol = solve(inst)
+            assert sol.optimal and sol.value == k * k
+            assert sol.nodes <= node_law_bound(inst.n, k * k, 2)
+
+
+@pytest.mark.parametrize("shape, d", [("ball", 2), ("box", 2), ("box", 3)])
+def test_greedy_estimates_add_up_over_components(shape, d):
+    # The component node closes a batch of components as a base case on the
+    # sum of their estimates; both estimates must equal that sum.
+    rng = random.Random(d)
+    for seed in range(10):
+        inst = gen_instance("random", d, shape=shape, n=24, seed=seed, density=2)
+        ctx = IntersectionContext(inst.objects)
+        search = _PierceSearch(ctx, SolveConfig())
+        for _ in range(5):
+            mask = rng.getrandbits(ctx.n)
+            parts = ctx.components(mask)
+            assert sum(parts) == mask
+            assert sorted(parts, key=lambda part: part & -part) == parts
+            # No edge leaves a part.
+            assert all(not (ctx.nbr[i] & mask & ~part) for part in parts for i in mask_to_ids(part))
+            for estimate in (lambda m: ctx.greedy_pack_mask(m)[0], lambda m: search.greedy(m)[0]):
+                assert estimate(mask) == sum(estimate(part) for part in parts)
+
+
+# --- dense differential -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve, brute, search, n",
+    [(solve_pack, brute_pack, _PackSearch, 24), (solve_pierce, brute_pierce, _PierceSearch, 14)],
+)
+def test_dense_families_match_oracle_on_every_path(monkeypatch, solve, brute, search, n):
+    # At density 8 the families are connected, so separated nodes, pivots and
+    # component nodes (sides left disconnected by a boundary choice) all run.
+    names = ("_separated", "_pivot", "_components")
+    paths = {name: count_calls(monkeypatch, search, name) for name in names}
+    for shape, d in (("ball", 2), ("box", 2), ("box", 3)):
+        for seed in range(10):
+            inst = gen_instance("random", d, shape=shape, n=n, seed=seed, density=8)
+            want = brute(inst).value
+            for base in (1, 2, 3):
+                sol = solve(inst, SolveConfig(base_threshold=base))
+                assert sol.optimal and sol.value == want, (inst.label, base)
+    assert all(paths.values()), {name: len(calls) for name, calls in paths.items()}
 
 
 # --- determinism / node cap -------------------------------------------------
@@ -316,7 +436,7 @@ def test_node_cap_pierce_feasible():
         (
             solve_pack,
             lambda inst: greedy_pack(inst.objects),
-            gen_instance("random", 2, shape="ball", n=24, seed=3),
+            gen_instance("random", 2, shape="ball", n=24, seed=3, density=8),
         ),
         (
             solve_pierce,
