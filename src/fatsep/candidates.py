@@ -1,9 +1,14 @@
 """Finite candidate point sets for piercing.
 
 The candidate set is sound: some optimal piercing of the given objects uses
-only returned points.  Boxes (any dimension): the grid of all per-axis low
-coordinates plus object centers — any pierce point can be pushed to the
-componentwise maximum of the lows of the boxes it pierces.  Disks (d=2):
+only returned points.  Boxes (any dimension): the points of the grid of all
+per-axis low coordinates that lie in some box, plus object centers — any
+pierce point can be pushed to the componentwise maximum of the lows of the
+boxes it pierces, which lies in all of them.  The grid is swept axis by
+axis: each coordinate value gets the mask of the boxes whose tolerant
+interval on that axis holds it (sorted bounds and `bisect`, with the
+comparisons of `geometry.contains_point`), and a prefix of axes whose masks
+meet in no box is not extended.  Disks (d=2):
 the lowest point of each disk plus all pairwise circle intersection points —
 the lowest point of any nonempty disk intersection is one of these.
 
@@ -13,8 +18,8 @@ equals that predicate's answer.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
 import numpy as np
@@ -49,20 +54,45 @@ def _circle_intersections(a: Ball, b: Ball) -> List[Point]:
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
+def _axis_masks(objs: Sequence[AxisBox], a: int) -> List[tuple]:
+    """(x, mask) for each distinct low coordinate x on axis `a`, sorted by x:
+    the boxes with `low - TOL <= x <= high + TOL` on that axis."""
+    starts = sorted((o.low[a] - TOL, i) for i, o in enumerate(objs))
+    ends = sorted((o.high[a] + TOL, i) for i, o in enumerate(objs))
+    # opened[k]: the boxes of the k smallest starts; closing[k]: the boxes
+    # of every end from the k-th smallest on.
+    opened = [0]
+    for _, i in starts:
+        opened.append(opened[-1] | 1 << i)
+    closing = [0]
+    for _, i in reversed(ends):
+        closing.append(closing[-1] | 1 << i)
+    closing.reverse()
+    start_keys = [s for s, _ in starts]
+    end_keys = [e for e, _ in ends]
+    return [
+        (x, opened[bisect_right(start_keys, x)] & closing[bisect_left(end_keys, x)])
+        for x in sorted({o.low[a] for o in objs})
+    ]
+
+
 def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
     """Sound finite candidate set for piercing `objs` (sorted, deduplicated)."""
     if not objs:
         return []
     kinds = {type(o) for o in objs}
     d = objs[0].dim
-    pts: set = set()
     if kinds == {AxisBox}:
-        axis_lows = [sorted({o.low[i] for o in objs}) for i in range(d)]
-        for combo in itertools.product(*axis_lows):
-            pts.add(combo)
-        for o in objs:
-            pts.add(tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)))
-    elif kinds == {Ball}:
+        rows = [((), (1 << len(objs)) - 1)]
+        for a in range(d):
+            column = _axis_masks(objs, a)
+            rows = [(p + (x,), k) for p, m in rows for x, c in column if (k := m & c)]
+        grid = [p for p, _ in rows]
+        centres = {tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)) for o in objs}
+        # The grid comes out sorted, so this sort only merges in the centres.
+        return sorted(grid + list(centres.difference(grid)))
+    pts: set = set()
+    if kinds == {Ball}:
         if d != 2:
             raise UnsupportedShapeError(
                 "piercing candidates for balls are only available in d=2"

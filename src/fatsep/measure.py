@@ -196,8 +196,9 @@ class PierceTable:
     their coverage masks over that context.
 
     One table serves every subfamily.  A subfamily's candidates are among the
-    family's (the grid of lows plus the centres for boxes, the lowest points
-    plus the pairwise circle intersections for disks), and `cov(p) ⊆ cov(q)`
+    family's (for boxes the points of the grid of lows that lie in some box,
+    which is then a box of the family too, plus the centres; for disks the
+    lowest points plus the pairwise circle intersections), and `cov(p) ⊆ cov(q)`
     implies `cov(p) & mask ⊆ cov(q) & mask`, so `restrict(mask)` still holds
     a minimum piercing of `mask`.
     """
@@ -312,14 +313,21 @@ def exact_small_pierce(objs: Sequence[FatObject], cap: int):
 def prune_dominated(points: Sequence[Point], cov: Sequence[int]):
     """Drop candidate points whose coverage is contained in another's.
 
-    On equal coverage the lexicographically smallest point is kept, so the
-    result is deterministic.  Points are visited by falling coverage size,
-    so each point's strict supersets, and its equals with smaller points,
-    come before it.
+    Returns (points, coverage masks) sorted by point: each nonzero coverage
+    that no other coverage strictly contains, with the lexicographically
+    smallest point that has it, so the result is deterministic.  Coverages
+    are deduplicated first, and only the distinct ones are tested, by
+    falling size, so each one's strict supersets come before it.
     """
-    keep = []
-    for _, p, c in sorted((-c.bit_count(), p, c) for p, c in zip(points, cov) if c):
-        if all(c & ~kc for _, kc in keep):
-            keep.append((p, c))
-    keep.sort()
-    return [p for p, _ in keep], [c for _, c in keep]
+    first = {}
+    for p, c in zip(points, cov):
+        if c:
+            q = first.get(c)
+            if q is None or p < q:
+                first[c] = p
+    keep: List[int] = []
+    for c in sorted(first, key=int.bit_count, reverse=True):
+        if all(c & ~k for k in keep):
+            keep.append(c)
+    kept = sorted((first[c], c) for c in keep)
+    return [p for p, _ in kept], [c for _, c in kept]

@@ -6,7 +6,8 @@ two sides' solutions; piercing covers it with greedy points and recurses on
 what is left.  Once the greedy estimate falls under the stop threshold the
 exact search takes over, so each level loses at most the (small) boundary
 measure and the overall ratio follows.  Packing ends with a greedy refill
-of the room the dropped boundaries leave.
+of the room the dropped boundaries leave; piercing ends by dropping each
+point whose objects the other points all pierce.
 
 Each call builds one `IntersectionContext` and one search object over it
 (piercing: with one `PierceTable`), and recurses on masks.  Estimates,
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .instances import Instance
-from .measure import IntersectionContext, mask_to_ids
+from .measure import IntersectionContext, PierceTable, mask_to_ids
 from .solver import Solution, SolveConfig, _PackSearch, _PierceSearch
 
 
@@ -68,6 +69,23 @@ def _refill(ctx: IntersectionContext, witness: list) -> list:
     return mask_to_ids(extra)
 
 
+def _drop_redundant(table: PierceTable, witness: list) -> list:
+    """Piercing: `witness` without each point, taken in reverse pick order,
+    whose objects the other points all pierce (by the table's coverage)."""
+    cov_of = dict(zip(table.points, table.cov))
+    covs = [cov_of[p] for p in witness]
+    before = [0]
+    for c in covs:
+        before.append(before[-1] | c)
+    after = 0
+    kept = []
+    for k in reversed(range(len(witness))):
+        if covs[k] & ~(before[k] | after):
+            kept.append(witness[k])
+            after |= covs[k]
+    return kept[::-1]
+
+
 def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_step) -> Solution:
     """Shared recursion of both schemes, over masks of one context.
 
@@ -86,33 +104,32 @@ def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_st
     max_depth = 0
     aborted = False
 
-    def rec(mask: int, depth: int) -> Tuple[int, list]:
+    def rec(mask: int, depth: int) -> list:
         nonlocal discarded, nodes, max_depth, aborted
         nodes += 1
         max_depth = max(max_depth, depth)
         if not mask:
-            return 0, []
+            return []
         # A greedy value above stop >= 1 needs two objects, as `separate` does.
         parts = search.split(mask) if search.greedy(mask)[0] > stop else None
         if parts is None:
-            value, witness, _, leaf_nodes, leaf_aborted = search.run(mask)
+            _, witness, _, leaf_nodes, leaf_aborted = search.run(mask)
             nodes += leaf_nodes
             aborted |= leaf_aborted
-            return value, witness
+            return witness
         inside, outside, boundary = parts
         cost, points, covered = boundary_step(search, boundary)
         discarded += cost
-        vin, win = rec(inside & ~covered, depth + 1)
-        vout, wout = rec(outside & ~covered, depth + 1)
-        return len(points) + vin + vout, points + win + wout
+        return points + rec(inside & ~covered, depth + 1) + rec(outside & ~covered, depth + 1)
 
-    value, witness = rec(search.ctx.full_mask(), 0)
+    witness = rec(search.ctx.full_mask(), 0)
     if problem == "pack":
         witness += _refill(search.ctx, witness)
-        value = len(witness)
+    else:
+        witness = _drop_redundant(search.table, witness)
     return Solution(
         problem=problem,
-        value=value,
+        value=len(witness),
         witness=sorted(witness) if problem == "pack" else witness,
         nodes=nodes,
         depth=max_depth,
@@ -135,6 +152,7 @@ def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
 def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
     """(1 + eps)-approximate piercing; witness always pierces everything.
 
-    `discarded` counts the greedy points spent on boundary classes.
+    `discarded` counts the greedy points spent on boundary classes, before
+    the redundant points of the witness are dropped.
     """
     return _ptas(inst, cfg or PtasConfig(), "pierce", _PierceSearch, _cover_boundary)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from fatsep.candidates import (
 )
 from fatsep.geometry import TOL, AxisBox, Ball, contains_point
 from fatsep.instances import gen_instance
+from fatsep.measure import IntersectionContext, PierceTable, prune_dominated
 
 
 def test_single_disk_lowest_point():
@@ -115,3 +117,50 @@ def test_coverage_masks_matches_contains_point():
     assert coverage_masks([], []) == []
     grid = [(x / 4, y / 4) for x in range(-6, 18) for y in range(-8, 10)]
     check(mixed, grid + boundary_points(mixed))
+
+
+def full_grid_candidates(objs):
+    """Reference box candidates: every point of the grid of per-axis lows,
+    in a box or not, plus the centres (sorted, deduplicated)."""
+    axes = [sorted({o.low[a] for o in objs}) for a in range(objs[0].dim)]
+    pts = set(itertools.product(*axes))
+    pts.update(tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)) for o in objs)
+    return sorted(pts)
+
+
+def face_offset_boxes(d, delta):
+    """A unit cube at the origin and, per axis, three unit cubes with a face
+    `delta` off one of its faces on that axis: a low face off its high face,
+    a high face off its low face, and a low face off its low face (beyond
+    the cube on every other axis), so grid values fall within a few TOL of
+    both ends of the tolerant intervals."""
+    boxes = [AxisBox((0.0,) * d, (1.0,) * d)]
+    for a in range(d):
+        for low, across in ((1.0 + delta, 0.25), (delta - 1.0, -0.25), (delta, 1.5)):
+            lo = tuple(low if b == a else across for b in range(d))
+            boxes.append(AxisBox(lo, tuple(x + 1.0 for x in lo)))
+    return boxes
+
+
+def test_box_candidates_are_the_in_box_grid():
+    families = [
+        list(gen_instance("random", d, shape="box", n=n, seed=seed, density=rho).objects)
+        for d, n in ((2, 12), (2, 30), (3, 12))
+        for seed in range(4)
+        for rho in (1, 8)
+    ]
+    families += [
+        face_offset_boxes(d, delta)
+        for d in (2, 3)
+        for delta in (-2 * TOL, -TOL, -TOL / 2, TOL / 2, TOL, 2 * TOL)
+    ]
+    dropped = 0
+    for objs in families:
+        grid = full_grid_candidates(objs)
+        pts = candidate_pierce_points(objs)
+        assert pts == [p for p in grid if any(contains_point(o, p) for o in objs)]
+        dropped += len(grid) - len(pts)
+        # The grid points left out pierce nothing, so the table is the same.
+        table = PierceTable(IntersectionContext(objs))
+        assert (table.points, table.cov) == prune_dominated(grid, coverage_masks(objs, grid))
+    assert dropped

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fatsep import candidates as cand
+from fatsep import measure
 from fatsep.geometry import (
     TOL,
     AxisBox,
@@ -24,6 +25,7 @@ from fatsep.measure import (
     prune_dominated,
 )
 from fatsep.oracle import brute_pack, brute_pierce
+from fatsep.solver import solve_pierce
 from conftest import random_objects
 
 
@@ -179,7 +181,7 @@ def prune_reference(points, cov):
     return [p for p, _ in kept], [c for _, c in kept]
 
 
-def test_prune_dominated_matches_reference():
+def test_prune_dominated_matches_reference(monkeypatch):
     rng = random.Random(0)
     for _ in range(2000):
         m = rng.randint(0, 30)
@@ -191,6 +193,24 @@ def test_prune_dominated_matches_reference():
     points = cand.candidate_pierce_points(objs)
     cov = cand.coverage_masks(objs, points)
     assert prune_dominated(points, cov) == prune_reference(points, cov)
+    # Every input two exact solves of box d=2 n=45 hand over: each table's
+    # build (at ρ=1, 701 candidates with 64 distinct coverages) and each
+    # `restrict(mask)` (at ρ=4 these repeat masked coverages too).
+    inputs = []
+
+    def recorded(points, cov):
+        inputs.append((points, cov))
+        return prune_dominated(points, cov)
+
+    monkeypatch.setattr(measure, "prune_dominated", recorded)
+    for density in (1, 4):
+        solve_pierce(gen_instance("random", 2, shape="box", n=45, seed=9, density=density))
+    duplicated = 0
+    for points, cov in inputs:
+        assert prune_dominated(points, cov) == prune_reference(points, cov)
+        nonzero = [c for c in cov if c]
+        duplicated += len(set(nonzero)) < len(nonzero)
+    assert len(inputs) > 20 and duplicated > 10
 
 
 @pytest.mark.parametrize("shape,d", [("ball", 2), ("box", 2), ("box", 3)])
