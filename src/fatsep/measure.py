@@ -11,11 +11,12 @@ The context lays its family out once as `geometry.ShapeArrays` (`ctx.arrays`),
 which the separator's kernels read too.  Its neighbourhood masks come from
 one numpy array per pair of shapes over those arrays, with the float
 operations of `geometry.intersects`, so every bit equals that predicate's
-answer.
+answer; the separator reads them in size-rank order (`rank_nbr`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,22 @@ class IntersectionContext:
     @property
     def n(self) -> int:
         return len(self.objs)
+
+    @cached_property
+    def rank_nbr(self) -> List[int]:
+        """Closed neighbourhoods in size-rank space: bit s of `rank_nbr[r]`
+        is set when `order[s]` meets `order[r]`.  Built on first use, so
+        contexts that never separate do not pay for it."""
+        rank_bit = [0] * self.n
+        for r, i in enumerate(self.order):
+            rank_bit[i] = 1 << r
+        out = []
+        for i in self.order:
+            m = 0
+            for j in _bits(self.nbr[i]):
+                m |= rank_bit[j]
+            out.append(m)
+        return out
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -212,6 +229,11 @@ class PierceTable:
         return prune_dominated(self.points, [c & mask for c in self.cov])
 
 
+# A bound below the square root of the largest float: every `limit` under
+# it squares to a finite float.
+_SQUARE_OVERFLOWS = 1e154
+
+
 def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     """Boolean n x n array of `geometry.intersects` (every object meets itself).
 
@@ -219,6 +241,12 @@ def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     `float_power`, the C `pow` that Python's `**` calls.  A ball-box offset
     is `_dist2_point_box`'s `l - x` below the box, `x - h` above it and 0
     within; boxes compare `al <= bh + TOL and bl <= ah + TOL`.
+
+    Ball pairs are squared only where every axis offset is at most
+    `limit * (1 + 1e-6)`, `limit` being the radii plus TOL: an offset past
+    that on one axis squares, rounding included, above `limit` squared, so
+    `intersects` calls the pair a miss too, unless `limit` squared overflows,
+    and those pairs are always kept.
     """
     n = len(shapes.ball)
     hit = np.ones((n, n), dtype=bool)
@@ -229,14 +257,23 @@ def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     lo = shapes.low[boxes]
     hi = shapes.high[boxes]
     if balls.size:
-        d2 = np.zeros((len(balls), len(balls)))
-        term = np.empty_like(d2)
+        slack = np.add(r[:, None], r)
+        slack += TOL
+        slack[slack >= _SQUARE_OVERFLOWS] = np.inf
+        slack *= 1.0 + 1e-6
+        near = np.ones(slack.shape, dtype=bool)
+        term = np.empty_like(slack)
         for a in range(shapes.dim):
             np.subtract(c[:, a, None], c[:, a], out=term)
-            d2 += np.float_power(term, 2.0, out=term)
-        limit = np.add(r[:, None], r, out=term)
+            near &= np.abs(term, out=term) <= slack
+        i, j = np.nonzero(near)
+        d2 = np.zeros(len(i))
+        for a in range(shapes.dim):
+            d2 += np.float_power(c[i, a] - c[j, a], 2.0)
+        limit = r[i] + r[j]
         limit += TOL
-        hit[np.ix_(balls, balls)] = d2 <= np.float_power(limit, 2.0, out=limit)
+        near[i, j] = d2 <= np.float_power(limit, 2.0)
+        hit[np.ix_(balls, balls)] = near
     if boxes.size:
         meet = np.ones((len(boxes), len(boxes)), dtype=bool)
         for a in range(shapes.dim):

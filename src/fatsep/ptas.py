@@ -6,7 +6,8 @@ two sides' solutions; piercing covers it with greedy points and recurses on
 what is left.  Once the greedy estimate falls under the stop threshold the
 exact search takes over, so each level loses at most the (small) boundary
 measure and the overall ratio follows.  Packing ends with a greedy refill
-of the room the dropped boundaries leave; piercing ends by dropping each
+of the room the dropped boundaries leave, and answers the whole family's
+greedy packing instead when that is larger; piercing ends by dropping each
 point whose objects the other points all pierce.
 
 Each call builds one `IntersectionContext` and one search object over it
@@ -125,6 +126,9 @@ def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_st
     witness = rec(search.ctx.full_mask(), 0)
     if problem == "pack":
         witness += _refill(search.ctx, witness)
+        floor, greedy = search.greedy(search.ctx.full_mask())
+        if floor > len(witness):
+            witness = greedy
     else:
         witness = _drop_redundant(search.table, witness)
     return Solution(
@@ -141,7 +145,8 @@ def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_st
 
 
 def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
-    """(1 - eps)-approximate packing; witness is always feasible.
+    """(1 - eps)-approximate packing; witness is always feasible and never
+    smaller than `greedy_pack`'s.
 
     `discarded` counts the boundary objects dropped, the realized loss to
     compare against eps/3, before the refill adds back those it can.

@@ -10,13 +10,15 @@ against `balance_cap` and fall back to pivot branching when it fails.
 and read its `ShapeArrays` (`ctx.arrays`), so a family is laid out as arrays
 once per call.  Both are numpy kernels with the scalar predicates' float
 operations, so their answers equal the scalar ones bit for bit.  The
-base-box search tests all candidate cubes of a ladder rung against every
-center in one comparison per axis, with the centers in size-rank order, so
-each cube's center set is a bitmask over ranks; the greedy measure then
-walks only that mask's set bits, smallest object first, and stops once the
-answer is known.  `_classify` gives every object's region class against a
-stack of boxes: the shell sweep classifies against all its shells in one
-call.
+base-box search tests the candidate cubes of a ladder rung against every
+center in blocks of `CANDIDATE_BLOCK` cubes, one comparison per axis, with
+the centers in size-rank order, so each cube's center set is a bitmask over
+ranks; a block is walked before the next is built, so a rung stops at its
+first achieving cube.  The greedy measure of a mask walks only its
+unblocked ranks, smallest object first, clearing each pick's neighbourhood
+in rank space (`ctx.rank_nbr`), and stops once the answer is known.
+`_classify` gives every object's region class against a stack of boxes: the
+shell sweep classifies against all its shells in one call.
 """
 from __future__ import annotations
 
@@ -42,6 +44,8 @@ from .measure import IntersectionContext, MeasureEstimate, mask_to_ids
 SHELL_SAMPLES_CAP = 64
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
 SIDE_SEARCH_RATIO = 1.05
+# Candidate cubes `_achieving_box` tests against the centers at a time.
+CANDIDATE_BLOCK = 128
 
 
 @dataclass
@@ -85,10 +89,12 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
-    high-anchored at every object center, then the bounding-box corner.  All
-    are tested against every center in one array operation, with column r
-    holding the center of `ctx.order[r]`; a candidate whose center mask was
-    already tried cannot achieve, so it is skipped.
+    high-anchored at every object center, then the bounding-box corner.  They
+    are tested against every center `CANDIDATE_BLOCK` cubes at a time, with
+    column r holding the center of `ctx.order[r]`, and each block is walked
+    before the next is built, so a passing rung builds only the blocks up to
+    its first achiever.  A candidate whose center mask was already tried, in
+    this block or an earlier one, cannot achieve, so it is skipped.
     """
     centers = ctx.arrays.center
     n, d = centers.shape
@@ -99,18 +105,21 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     lows[-1] = centers.min(axis=0)
     highs = lows + s
     ranked = centers[ctx.order]
-    in_box = np.ones((len(lows), n), dtype=bool)
-    for a in range(d):
-        in_box &= ranked[:, a] >= lows[:, a, None] - TOL
-        in_box &= ranked[:, a] <= highs[:, a, None] + TOL
-    rows = np.flatnonzero(in_box.sum(axis=1) >= tau)
     tried = set()
-    for k, ranks in zip(rows, rows_to_masks(in_box[rows])):
-        if ranks in tried:
-            continue
-        tried.add(ranks)
-        if _greedy_reaches(ctx, ranks, tau):
-            return BoxRegion(tuple(lows[k]), tuple(highs[k]))
+    for start in range(0, len(lows), CANDIDATE_BLOCK):
+        lo = lows[start : start + CANDIDATE_BLOCK]
+        hi = highs[start : start + CANDIDATE_BLOCK]
+        in_box = np.ones((len(lo), n), dtype=bool)
+        for a in range(d):
+            in_box &= ranked[:, a] >= lo[:, a, None] - TOL
+            in_box &= ranked[:, a] <= hi[:, a, None] + TOL
+        rows = np.flatnonzero(in_box.sum(axis=1) >= tau)
+        for k, ranks in zip(rows, rows_to_masks(in_box[rows])):
+            if ranks in tried:
+                continue
+            tried.add(ranks)
+            if _greedy_reaches(ctx, ranks, tau):
+                return BoxRegion(tuple(lo[k]), tuple(hi[k]))
     return None
 
 
@@ -119,19 +128,17 @@ def _greedy_reaches(ctx: IntersectionContext, ranks: int, tau: int) -> bool:
     whose bit r is set for object `ctx.order[r]` exactly when bit r of
     `ranks` is.
 
-    Visits only the set bits, lowest rank first, and stops as soon as the
-    value reaches tau or the unvisited bits can no longer lift it there.
+    Keeps the ranks still free to pick: greedy always picks the lowest one,
+    whose closed neighbourhood in rank space (`ctx.rank_nbr`) then leaves
+    them.  Stops as soon as the value reaches tau or the free ranks can no
+    longer lift it there.
     """
-    order, nbr = ctx.order, ctx.nbr
-    value, chosen, left = 0, 0, ranks.bit_count()
-    while value < tau <= value + left:
-        low = ranks & -ranks
-        ranks ^= low
-        left -= 1
-        i = order[low.bit_length() - 1]
-        if not nbr[i] & chosen:
-            chosen |= 1 << i
-            value += 1
+    rank_nbr = ctx.rank_nbr
+    value, avail = 0, ranks
+    while value < tau <= value + avail.bit_count():
+        low = avail & -avail
+        avail &= ~rank_nbr[low.bit_length() - 1]
+        value += 1
     return value >= tau
 
 

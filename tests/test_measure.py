@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fatsep import candidates as cand
@@ -12,6 +13,7 @@ from fatsep.geometry import (
     DimensionMismatchError,
     contains_point,
     intersects,
+    rows_to_masks,
 )
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import (
@@ -281,6 +283,25 @@ def near_touching_pairs(d):
     return pairs
 
 
+def filter_bound_pairs(d):
+    """Ball pairs whose offset on axis 0 lies 0-2 ulps either side of the
+    kernel's filter bound `limit * (1 + 1e-6)`, alone or with half the
+    bound on axis 1 as well: all misses, some squared exactly, some not."""
+    r1, r2 = 0.7, 1.1
+    bound = (r1 + r2 + TOL) * (1.0 + 1e-6)
+    pairs = []
+    for steps in (-2, -1, 0, 1, 2):
+        t = bound
+        for _ in range(abs(steps)):
+            t = math.nextafter(t, math.copysign(math.inf, steps))
+        for rest in (0.0, 0.5 * bound):
+            y = [10.0 * len(pairs)] * (d - 1)
+            a = Ball(tuple([0.0] + y), r1)
+            b = Ball((t, y[0] + rest, *y[1:]), r2)
+            pairs.append((a, b))
+    return pairs
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_intersection_context_matches_intersects(d):
     families = []
@@ -293,10 +314,14 @@ def test_intersection_context_matches_intersects(d):
     # More than 64 objects, so every mask spans several 64-bit words.
     families.append(random_objects(7, 80, d=d) + random_objects(8, 70, d=d, shape="box"))
     pairs = near_touching_pairs(d)
-    families.append([o for pair in pairs for o in pair])
-    for a, b in pairs:
-        families.append([a, b])
-        families.append([b, a])
+    bound_pairs = filter_bound_pairs(d)
+    assert not any(intersects(a, b) for a, b in bound_pairs)
+    assert {b.center[0] <= (0.7 + 1.1 + TOL) * (1.0 + 1e-6) for _, b in bound_pairs} == {True, False}
+    for group in (pairs, bound_pairs):
+        families.append([o for pair in group for o in pair])
+        for a, b in group:
+            families.append([a, b])
+            families.append([b, a])
     for objs in families:
         assert IntersectionContext(objs).nbr == pairwise_nbr(objs)
     # Each kind of near-touching pair lands on both sides of the predicate.
@@ -305,6 +330,33 @@ def test_intersection_context_matches_intersects(d):
         outcomes.setdefault((type(a), type(b)), set()).add(intersects(a, b))
     assert len(outcomes) == 3
     assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def huge_ball_family(x, rng):
+    """Ball pairs near (x, 0), radii about 1e150, whose axis offset is the
+    radii sum plus TOL, or that times 1 + 1e-6, rounded to the ulp of x
+    (about 1.6e144 at 1e160, a few 1e-7 of the sum): so the pairs fall
+    either side of touching and of the kernel's filter bound."""
+    objs = []
+    for k in range(12):
+        r1, r2 = rng.uniform(1e150, 3e150), rng.uniform(1e150, 3e150)
+        limit = r1 + r2 + TOL
+        for t in (limit, limit * (1.0 + 1e-6)):
+            y = 1e152 * len(objs)
+            objs += [Ball((x, y), r1), Ball((x + t, y), r2)]
+    return objs
+
+
+def all_pairs_ball_nbr(objs):
+    """`intersects`' ball formula on every pair with numpy's `float_power`,
+    which squares past the float range to inf where Python's `**` raises."""
+    c = np.array([o.center for o in objs])
+    r = np.array([o.radius for o in objs])
+    d2 = np.zeros((len(objs), len(objs)))
+    with np.errstate(over="ignore"):
+        for a in range(c.shape[1]):
+            d2 += np.float_power(c[:, a, None] - c[:, a], 2.0)
+        return rows_to_masks(d2 <= np.float_power(r[:, None] + r + TOL, 2.0))
 
 
 def test_intersection_context_rounds_like_intersects():
@@ -336,6 +388,28 @@ def test_intersection_context_rounds_like_intersects():
     nbr = IntersectionContext(objs).nbr
     assert nbr == pairwise_nbr(objs)
     assert all(nbr[i] & (1 << (i + 1)) for i in range(0, len(objs), 2))
+    # Near +-1e160 the offsets round in the subtraction; the filter must
+    # take the same offsets as the exact test.
+    far = random.Random(5)
+    for x in (1e160, -1e160):
+        objs = huge_ball_family(x, far)
+        nbr = IntersectionContext(objs).nbr
+        assert nbr == pairwise_nbr(objs)
+        hits = [bool(nbr[i] >> (i + 1) & 1) for i in range(0, len(objs), 2)]
+        assert set(hits) == {True, False}
+    # Across +-1e160 every offset squares past the float range: `intersects`
+    # raises, and the kernel keeps the all-pairs answer, where a pair whose
+    # radii sum (plus TOL) squares to inf as well meets (`inf <= inf`).
+    with pytest.raises(OverflowError):
+        intersects(Ball((1e160, 0.0), 1.0), Ball((-1e160, 0.0), 1.0))
+    root = math.sqrt(np.finfo(float).max)
+    sizes = [1.0, 1e152, root / 2 * (1 - 1e-9), root / 2 * (1 + 1e-9), 1e155]
+    objs = [Ball((x, 3.0 * k), r) for x in (1e160, -1e160) for k, r in enumerate(sizes)]
+    with np.errstate(over="ignore"):
+        nbr = IntersectionContext(objs).nbr
+    assert nbr == all_pairs_ball_nbr(objs)
+    across = {(i, j) for i in range(5) for j in range(5, 10) if nbr[i] >> j & 1}
+    assert (0, 5) not in across and (4, 5) in across and (3, 8) in across and (2, 7) not in across
 
 
 def test_intersection_context_small_and_mixed_dimensions():

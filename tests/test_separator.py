@@ -159,17 +159,17 @@ def test_find_base_box_evaluates_each_rung_once(monkeypatch):
         assert min(passing)[1] == got
 
 
-def rank_walk_families():
+def rank_walk_families(balls=24, boxes=12, per_dim=4, seed=11):
     """Families with tied sizes, ids shuffled so size order differs from id order."""
-    rng = random.Random(11)
+    rng = random.Random(seed)
     families = []
     for d in (2, 3):
-        for _ in range(4):
+        for _ in range(per_dim):
             objs = [
                 Ball(tuple(rng.uniform(0, 8) for _ in range(d)), rng.choice((0.3, 0.5, 0.8)))
-                for _ in range(24)
+                for _ in range(balls)
             ]
-            for _ in range(12):
+            for _ in range(boxes):
                 lo = tuple(rng.uniform(0, 8) for _ in range(d))
                 w = rng.choice((0.6, 1.0))
                 objs.append(AxisBox(lo, tuple(x + w for x in lo)))
@@ -189,6 +189,87 @@ def test_achieving_box_rank_walk_matches_reference():
                 got = separator._achieving_box(ctx, s, tau)
                 want = reference_achieving_box(ctx, s, tau)
                 assert got == want, (s, tau)
+
+
+def candidate_rank_masks(ctx, s):
+    """Rank mask of every candidate cube of side s, in candidate order, from
+    one numpy comparison per candidate (the reference's loop)."""
+    centers = np.array([center(o) for o in ctx.objs])
+    lows = [lo for c in centers for lo in (c - s / 2.0, c, c - s)] + [centers.min(axis=0)]
+    rank_bit = {i: 1 << r for r, i in enumerate(ctx.order)}
+    masks = []
+    for lo in lows:
+        in_box = np.all((centers >= lo - 1e-9) & (centers <= lo + s + 1e-9), axis=1)
+        masks.append(sum(rank_bit[int(i)] for i in np.flatnonzero(in_box)))
+    return masks
+
+
+def late_cluster_family():
+    """60 disjoint disks spread wide, then 10 disjoint disks packed close:
+    small cubes reach tau only at the cluster, whose first candidate is
+    number 180, past the first block."""
+    spread = [Ball((10.0 * (k % 10), 10.0 * (k // 10)), 0.4) for k in range(60)]
+    return spread + tight_cluster(200.0, 200.0, 10, 5)
+
+
+def twin_family():
+    """40 objects, then 40 twins of theirs with the same centres and half
+    the size: twin k repeats object k's candidate cubes 120 candidates
+    later, so most repeated masks straddle the first block's end."""
+    objs = random_objects(12, 40, span=6.0)
+    return objs + [Ball(o.center, o.radius / 2) for o in objs]
+
+
+def test_achieving_box_matches_reference_across_blocks(monkeypatch):
+    block = separator.CANDIDATE_BLOCK
+    families = rank_walk_families(balls=48, boxes=24, per_dim=2, seed=5)
+    families += [late_cluster_family(), twin_family()]
+    late = straddled = 0
+    for objs in families:
+        ctx = IntersectionContext(objs)
+        n = len(objs)
+        assert 3 * n + 1 > block
+        g = greedy_pack(objs).value
+        for s in (0.5, 1.5, 3.0, 12.0):
+            masks = candidate_rank_masks(ctx, s)
+            for tau in sorted({1, 2, 5, g // 2, g}):
+                walked = []
+                original = separator._greedy_reaches
+
+                def recording(ctx, ranks, tau):
+                    walked.append(ranks)
+                    return original(ctx, ranks, tau)
+
+                with monkeypatch.context() as m:
+                    m.setattr(separator, "_greedy_reaches", recording)
+                    got = separator._achieving_box(ctx, s, tau)
+                want = reference_achieving_box(ctx, s, tau)
+                assert got == want, (n, s, tau)
+                # Each distinct centre mask is walked once, across blocks too.
+                assert len(walked) == len(set(walked))
+                counted = [k for k, mask in enumerate(masks) if mask.bit_count() >= tau]
+                if got is not None:
+                    first = next(k for k in counted if masks[k] == walked[-1])
+                    late += first >= block
+                    counted = [k for k in counted if k <= first]
+                first_seen = {}
+                for k in counted:
+                    first_seen.setdefault(masks[k], k)
+                straddled += any(first_seen[masks[k]] < block <= k for k in counted)
+    assert late and straddled
+
+
+def test_rank_nbr_is_nbr_in_rank_order():
+    for objs in rank_walk_families(balls=48, boxes=24, per_dim=1) + [twin_family()]:
+        ctx = IntersectionContext(objs)
+        # Built on first use only.
+        assert "rank_nbr" not in vars(ctx)
+        want = [
+            sum(1 << r for r, j in enumerate(ctx.order) if ctx.nbr[i] >> j & 1)
+            for i in ctx.order
+        ]
+        assert ctx.rank_nbr == want
+        assert all(m >> r & 1 for r, m in enumerate(ctx.rank_nbr))
 
 
 def test_greedy_reaches_equals_greedy_pack_mask():
