@@ -9,7 +9,8 @@ Format (line oriented, diff-able):
     box <low_1> ... <low_d> <high_1> ... <high_d>
 
 Coordinates are written with repr(), i.e. the shortest decimal that
-round-trips, so write -> read -> write is byte stable.
+round-trips, so write -> read -> write is byte stable.  Reading rejects any
+value that is not finite or whose magnitude exceeds `MAX_MAGNITUDE`.
 """
 from __future__ import annotations
 
@@ -18,6 +19,12 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from .geometry import AxisBox, Ball, FatObject
+
+
+# Two values within this bound differ by at most 2e150, so every squared
+# offset or radius sum the intersection tests form is at most about 4e300,
+# and a sum of them over the axes stays finite.
+MAX_MAGNITUDE = 1e150
 
 
 class ParseError(ValueError):
@@ -155,6 +162,16 @@ def read_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
+def _numbers(fields: Sequence[str], line_no: int) -> List[float]:
+    vals = [float(x) for x in fields]
+    for raw, v in zip(fields, vals):
+        if not abs(v) <= MAX_MAGNITUDE:
+            raise ParseError(
+                f"value {raw} is not finite or exceeds {MAX_MAGNITUDE:g} in magnitude", line_no
+            )
+    return vals
+
+
 def parse_instance(text: str) -> Instance:
     lines = text.splitlines()
     if not lines:
@@ -198,12 +215,12 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError(
                         f"ball needs {d} coordinates and a radius", line_no
                     )
-                vals = [float(x) for x in parts[1:]]
+                vals = _numbers(parts[1:], line_no)
                 objs.append(Ball(tuple(vals[:d]), vals[d]))
             elif parts[0] == "box":
                 if len(parts) != 2 * d + 1:
                     raise ParseError(f"box needs {2 * d} coordinates", line_no)
-                vals = [float(x) for x in parts[1:]]
+                vals = _numbers(parts[1:], line_no)
                 objs.append(AxisBox(tuple(vals[:d]), tuple(vals[d:])))
             else:
                 raise ParseError(f"unknown object kind {parts[0]!r}", line_no)

@@ -7,6 +7,9 @@ is always a feasible upper bound on the piercing number.  The exact solver
 searches packing subproblems with `exact_pack_mask` and `independent_sets`,
 and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
 `PierceTable`, all on bitmasks over one `IntersectionContext`.
+`exact_pack_mask` closes each intersection component of its mask with its
+own search and adds the answers up, so the solver's batches of small
+components cost the sum of their searches rather than the product.
 The context lays its family out once as `geometry.ShapeArrays` (`ctx.arrays`),
 which the separator's kernels read too.  Its neighbourhood masks come from
 one numpy array per pair of shapes over those arrays, with the float
@@ -116,14 +119,14 @@ class IntersectionContext:
     def exact_pack_mask(self, mask: int):
         """Exact Pack within `mask`; returns (value, chosen_mask).
 
-        Branches on the closed neighborhood of the smallest remaining object:
-        every maximal independent set contains one of those objects, so depth
-        equals the solution size.
+        Pack adds up over the intersection graph's components, so each
+        component of `mask` is closed on its own (a single object directly)
+        and the values are summed, the chosen masks joined.  Within a
+        component it branches on the closed neighborhood of the smallest
+        remaining object: every maximal independent set contains one of
+        those objects, so depth equals the component's solution size.
         """
         nbr = self.nbr
-        order = [i for i in self.order if mask >> i & 1]
-        best_val = -1
-        best_wit = 0
 
         def rec(mask: int, depth: int, picked: int):
             nonlocal best_val, best_wit
@@ -137,8 +140,18 @@ class IntersectionContext:
             for u in _bits(nbr[v] & mask):
                 rec(mask & ~nbr[u], depth + 1, picked | (1 << u))
 
-        rec(mask, 0, 0)
-        return best_val, best_wit
+        value = chosen = 0
+        for part in self.components(mask):
+            if not part & (part - 1):
+                value += 1
+                chosen |= part
+                continue
+            order = [i for i in self.order if part >> i & 1]
+            best_val, best_wit = -1, 0
+            rec(part, 0, 0)
+            value += best_val
+            chosen |= best_wit
+        return value, chosen
 
     def independent_sets(self, mask: int):
         """Yield every independent subset of `mask` once, as a sorted id list.

@@ -7,11 +7,13 @@ closed exactly.  A larger one that is disconnected in the intersection
 graph is a component node: Pack and Pierce add up over components, and so
 do both greedy estimates, so components whose estimates sum to at most
 `base_threshold` close together as one base case and each larger component
-is searched on its own.  A larger connected one is split with a box
-separator, enumerating independent sets (packing) or candidate pierce
-covers (piercing) of the boundary class.  Unbalanced or degenerate
-separators fall back to pivot branching, so termination and exactness
-never depend on separator quality.
+is searched on its own.  The packing closer then searches each component
+of such a batch alone (`IntersectionContext.exact_pack_mask`); the
+piercing closer searches the batch as one family.  A larger connected one
+is split with a box separator, enumerating independent sets (packing) or
+candidate pierce covers (piercing) of the boundary class.  Unbalanced or
+degenerate separators fall back to pivot branching, so termination and
+exactness never depend on separator quality.
 
 `_Search.run(mask)` is the one runner: the exact solvers run it on the
 full mask, and `ptas` on each leaf of its recursion over the same context.

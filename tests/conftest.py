@@ -24,6 +24,17 @@ def random_objects(seed, n, d=2, shape="ball", span=10.0):
     return objs
 
 
+def shifted(obj, dx):
+    """`obj` moved by `dx` along axis 0."""
+
+    def move(p):
+        return (p[0] + dx,) + tuple(p[1:])
+
+    if isinstance(obj, Ball):
+        return Ball(move(obj.center), obj.radius)
+    return AxisBox(move(obj.low), move(obj.high))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0)

@@ -168,3 +168,27 @@ def test_ptas_exit_code_tracks_node_cap_only(tmp_path, capsys):
     assert rc == EXIT_NODE_CAP
     assert "optimal=false" in out.read_text()
     capsys.readouterr()
+
+
+def test_out_of_range_values_exit_code(tmp_path, capsys):
+    # Disjoint balls at +-1e160 have offsets that square past the float
+    # range: every command refuses the file at parse time, naming the line,
+    # instead of a wrong value, a traceback or a NaN.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("fatsep v1 d=2 n=2\nball 1e160 0 1e155\nball -1e160 0 1e155\n")
+    nan = tmp_path / "nan.txt"
+    nan.write_text("fatsep v1 d=2 n=2\nbox 0 0 1 1\nbox nan 0 1 1\n")
+    for path, line in ((huge, 2), (nan, 3)):
+        for args in (["pack"], ["oracle", "--problem", "pack"], ["separator"]):
+            rc = run_cli([*args, "--in", str(path)])
+            assert rc == EXIT_SPEC_ERROR, (path, args)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1, (args, err)
+    # At the bound the same two balls read, solve and split.
+    edge = tmp_path / "edge.txt"
+    edge.write_text("fatsep v1 d=2 n=2\nball 1e150 0 1e145\nball -1e150 0 1e145\n")
+    for args in (["pack"], ["oracle", "--problem", "pack"]):
+        assert run_cli([*args, "--in", str(edge)]) == EXIT_OK
+        assert "value=2\n" in capsys.readouterr().out
+    assert run_cli(["separator", "--in", str(edge)]) == EXIT_OK
+    assert "mu_total=2\n" in capsys.readouterr().out

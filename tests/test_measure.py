@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fatsep.measure import (
 )
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import solve_pierce
-from conftest import random_objects
+from conftest import random_objects, shifted
 
 
 def disks_on_a_line(xs, r=1.0):
@@ -151,6 +152,46 @@ def test_exact_small_pack_full_cap_equals_oracle():
         for i, a in enumerate(wit):
             for b in wit[i + 1 :]:
                 assert not intersects(a, b)
+
+
+def closer_steps(ctx, mask):
+    """`ctx.exact_pack_mask(mask)` and the number of calls of its inner
+    recursion `rec`, counted with a profile hook."""
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == measure.__file__:
+            steps += 1
+
+    sys.setprofile(count)
+    try:
+        value, chosen = ctx.exact_pack_mask(mask)
+    finally:
+        sys.setprofile(None)
+    return value, chosen, steps
+
+
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_exact_pack_mask_closes_each_component_alone(shape):
+    # k far copies of one connected family are k components.  Closed one by
+    # one, the closer's value is k times one copy's, its witness the union
+    # of the copies' witnesses and its recursion k times one copy's; a joint
+    # search over the copies walks the product of their search trees.
+    one = list(gen_instance("random", 2, shape=shape, n=10, seed=1, density=8).objects)
+    m = len(one)
+    ctx = IntersectionContext(one)
+    assert ctx.components(ctx.full_mask()) == [ctx.full_mask()]
+    value, chosen, steps = closer_steps(ctx, ctx.full_mask())
+    assert value > 1 and steps > value + 1
+    for k in range(1, 5):
+        joined = [shifted(o, 1000 * j) for j in range(k) for o in one]
+        kctx = IntersectionContext(joined)
+        # The shifts leave each copy's intersection graph as it was.
+        assert kctx.nbr == [nbr << (m * j) for j in range(k) for nbr in ctx.nbr]
+        got = closer_steps(kctx, kctx.full_mask())
+        assert got == (k * value, sum(chosen << (m * j) for j in range(k)), k * steps), k
 
 
 def test_exact_small_pierce_empty_and_overflow():

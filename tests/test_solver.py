@@ -17,7 +17,7 @@ from fatsep.solver import (
     solve_pack,
     solve_pierce,
 )
-from conftest import random_objects
+from conftest import random_objects, shifted
 
 
 def inst_of(objs, d=2):
@@ -71,14 +71,19 @@ def test_pack_matches_oracle(shape, d):
                 assert not intersects(a, b)
 
 
-def test_pack_cluster_recursion_matches_oracle():
-    # far clusters make the root a component node, so recursion fires
+def test_pack_cluster_recursion_matches_oracle(monkeypatch):
+    # Far clusters make the root a component node, whose batches and parts
+    # close as base cases: no cluster here is a connected part large enough
+    # to separate (test_dense_families_match_oracle_on_every_path covers
+    # separated nodes).
+    calls = count_calls(monkeypatch, _Search, "_components")
     cfg = SolveConfig(base_threshold=3)
     for seed in range(10):
+        calls.clear()
         inst = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=seed)
         sol = solve_pack(inst, cfg)
         assert sol.value == brute_pack(inst).value
-        assert sol.nodes > 1
+        assert sol.nodes > 1 and calls, seed
 
 
 # --- solve_pierce ---------------------------------------------------------
@@ -261,17 +266,6 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
 
 
 # --- component nodes ----------------------------------------------------------
-
-
-def shifted(obj, dx):
-    """`obj` moved by `dx` along axis 0."""
-
-    def move(p):
-        return (p[0] + dx,) + tuple(p[1:])
-
-    if isinstance(obj, Ball):
-        return Ball(move(obj.center), obj.radius)
-    return AxisBox(move(obj.low), move(obj.high))
 
 
 @pytest.mark.parametrize(

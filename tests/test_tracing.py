@@ -1,9 +1,10 @@
 """The benchmark's tracer rebinds `fatsep` names from outside the package.
 
-Tier-1 never runs the benchmark, so this guard installs the tracer around a
-small solve: a `src/` change that drops or reshapes a name the tracer wraps
-(such as `exact_small_pierce`, `OVERFLOW` or `separate(objs, cfg)`) fails
-here instead of only under `perfbench/run.py --trace 1`.
+Tier-1 never runs the benchmark, so this guard installs the tracer around
+small solves: a `src/` change that drops or reshapes a name the tracer wraps
+(such as `exact_small_pack`, `exact_small_pierce`, `OVERFLOW` or
+`separate(objs, cfg)`) fails here instead of only under
+`perfbench/run.py --trace 1`.
 """
 import importlib.util
 from pathlib import Path
@@ -21,31 +22,44 @@ def load_tracing():
     return module
 
 
-def run(inst):
+def run(pierce_inst, pack_inst):
     # Module attributes, so the call sites the tracer rebinds are the ones run.
-    sol = solver.solve_pierce(inst, solver.SolveConfig(base_threshold=2))
-    objs = list(inst.objects)
+    cfg = solver.SolveConfig(base_threshold=2)
+    pierce = solver.solve_pierce(pierce_inst, cfg)
+    pack = solver.solve_pack(pack_inst, cfg)
+    objs = list(pierce_inst.objects)
+    pack_objs = list(pack_inst.objects)
     return (
-        (sol.value, sol.witness, sol.nodes),
+        (pierce.value, pierce.witness, pierce.nodes),
+        (pack.value, pack.witness, pack.nodes, pack.depth),
         measure.greedy_pierce(objs).value,
         measure.exact_small_pierce(objs, 0),
+        measure.exact_small_pack(pack_objs, 0),
+        measure.exact_small_pack(pack_objs, len(pack_objs)),
     )
 
 
 def test_traced_solve_equals_untraced():
-    inst = gen_instance("random", 2, shape="box", n=14, seed=1)
-    untraced = run(inst)
+    pierce_inst = gen_instance("random", 2, shape="box", n=14, seed=1)
+    # Several components, so the packing closer gets disconnected masks.
+    pack_inst = gen_instance("random", 2, n=20, seed=1)
+    untraced = run(pierce_inst, pack_inst)
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        traced = run(inst)
+        traced = run(pierce_inst, pack_inst)
     finally:
         tracer.uninstall()
     assert traced == untraced
-    assert traced[2] is measure.OVERFLOW
+    assert traced[3] is measure.OVERFLOW and traced[4] is measure.OVERFLOW
+    assert traced[5].value == traced[1][0]
     assert tracer.calls["solver.solve_pierce"] == 1
+    assert tracer.calls["solver.solve_pack"] == 1
     assert tracer.calls["separator.separate"] > 0
     assert tracer.calls["measure.exact_small_pierce"] == 1
+    assert tracer.calls["measure.exact_small_pack"] == 2
     metrics = tracer.metrics()
     assert metrics["measure.exact_small_pierce.overflow_ratio"] == 1.0
-    assert run(inst) == untraced  # uninstall restored the originals
+    assert metrics["measure.exact_small_pack.overflow_ratio"] == 0.5
+    assert metrics["solver.nodes"] == untraced[0][2] + untraced[1][2]
+    assert run(pierce_inst, pack_inst) == untraced  # uninstall restored the originals
