@@ -12,19 +12,21 @@ meet in no box is not extended.  Disks (d=2):
 the lowest point of each disk plus all pairwise circle intersection points —
 the lowest point of any nonempty disk intersection is one of these.
 
-Coverage masks are computed with numpy, one block of points at a time, with
-the same float operations as `geometry.contains_point`, so every mask bit
-equals that predicate's answer.
+Box coverage masks are the sweep's own (centres read the same per-axis
+bounds); disk ones come from numpy, one block of points at a time, with the
+float operations of `geometry.contains_point`, so every bit equals its answer.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import List, Sequence
+from functools import reduce
+from operator import and_
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import AxisBox, Ball, FatObject, Point, ShapeArrays, TOL, rows_to_masks
+from .geometry import AxisBox, Ball, FatObject, Point, ShapeArrays, TOL, center, rows_to_masks
 
 # Points per block of the coverage kernel: bounds its temporaries to
 # _CHUNK x len(objs) arrays instead of one array over every point.
@@ -54,9 +56,9 @@ def _circle_intersections(a: Ball, b: Ball) -> List[Point]:
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
-def _axis_masks(objs: Sequence[AxisBox], a: int) -> List[tuple]:
-    """(x, mask) for each distinct low coordinate x on axis `a`, sorted by x:
-    the boxes with `low - TOL <= x <= high + TOL` on that axis."""
+def _axis_index(objs: Sequence[AxisBox], a: int):
+    """`mask_at(x)`: the mask of the boxes with `low - TOL <= x <= high + TOL`
+    on axis `a`, from sorted bounds and prefix/suffix OR masks."""
     starts = sorted((o.low[a] - TOL, i) for i, o in enumerate(objs))
     ends = sorted((o.high[a] + TOL, i) for i, o in enumerate(objs))
     # opened[k]: the boxes of the k smallest starts; closing[k]: the boxes
@@ -70,10 +72,18 @@ def _axis_masks(objs: Sequence[AxisBox], a: int) -> List[tuple]:
     closing.reverse()
     start_keys = [s for s, _ in starts]
     end_keys = [e for e, _ in ends]
-    return [
-        (x, opened[bisect_right(start_keys, x)] & closing[bisect_left(end_keys, x)])
-        for x in sorted({o.low[a] for o in objs})
-    ]
+    return lambda x: opened[bisect_right(start_keys, x)] & closing[bisect_left(end_keys, x)]
+
+
+def _box_sweep(objs: Sequence[AxisBox]):
+    """The in-box grid points, sorted, as (point, mask) rows (the AND of the
+    point's per-axis masks), and the per-axis `mask_at` functions."""
+    index = [_axis_index(objs, a) for a in range(objs[0].dim)]
+    rows = [((), (1 << len(objs)) - 1)]
+    for a, mask_at in enumerate(index):
+        column = [(x, mask_at(x)) for x in sorted({o.low[a] for o in objs})]
+        rows = [(p + (x,), k) for p, m in rows for x, c in column if (k := m & c)]
+    return rows, index
 
 
 def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
@@ -83,11 +93,7 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
     kinds = {type(o) for o in objs}
     d = objs[0].dim
     if kinds == {AxisBox}:
-        rows = [((), (1 << len(objs)) - 1)]
-        for a in range(d):
-            column = _axis_masks(objs, a)
-            rows = [(p + (x,), k) for p, m in rows for x, c in column if (k := m & c)]
-        grid = [p for p, _ in rows]
+        grid = [p for p, _ in _box_sweep(objs)[0]]
         centres = {tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)) for o in objs}
         # The grid comes out sorted, so this sort only merges in the centres.
         return sorted(grid + list(centres.difference(grid)))
@@ -110,17 +116,34 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
     return sorted(pts)
 
 
-def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[int]:
-    """Bitmask per point of the objects it pierces (bit i = objs[i]).
+def candidate_rows(objs: Sequence[FatObject], shapes: ShapeArrays) -> Tuple[List[Point], List[int]]:
+    """Unpruned (points, coverage masks) of `objs`, laid out as `shapes`:
+    the box sweep's own rows (a centre may repeat a grid point), or the
+    disk candidates with the coverage kernel over `shapes`."""
+    if objs and not shapes.ball.any():
+        rows, index = _box_sweep(objs)
+        for c in map(center, objs):
+            rows.append((c, reduce(and_, (mask_at(x) for mask_at, x in zip(index, c)))))
+        return [p for p, _ in rows], [m for _, m in rows]
+    points = candidate_pierce_points(objs)
+    return points, _coverage(shapes, points)
 
-    Reads the family's `ShapeArrays`.  Boxes test `low - TOL <= x <= high +
-    TOL` per axis.  Balls sum the squared axis offsets in axis order and
-    compare with `(radius + TOL) ** 2`; squares use `float_power`, which
-    calls the C `pow` that Python's `**` calls (numpy's `square` and `power`
-    can round the last bit otherwise).
+
+def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[int]:
+    """Bitmask per point of the objects it pierces (bit i = objs[i])."""
+    return _coverage(ShapeArrays(objs), points)
+
+
+def _coverage(shapes: ShapeArrays, points: Sequence[Point]) -> List[int]:
+    """`coverage_masks` over a family's `ShapeArrays`.
+
+    Boxes test `low - TOL <= x <= high + TOL` per axis.  Balls sum the
+    squared axis offsets in axis order and compare with `(radius + TOL) **
+    2`; squares use `float_power`, which calls the C `pow` that Python's
+    `**` calls (numpy's `square` and `power` can round the last bit
+    otherwise).
     """
-    n = len(objs)
-    shapes = ShapeArrays(objs)
+    n = len(shapes.ball)
     ball_ids = np.flatnonzero(shapes.ball)
     box_ids = np.flatnonzero(~shapes.ball)
     centers = shapes.center[ball_ids]

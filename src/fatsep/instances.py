@@ -10,7 +10,8 @@ Format (line oriented, diff-able):
 
 Coordinates are written with repr(), i.e. the shortest decimal that
 round-trips, so write -> read -> write is byte stable.  Reading rejects any
-value that is not finite or whose magnitude exceeds `MAX_MAGNITUDE`.
+value that is not finite or whose magnitude exceeds `MAX_MAGNITUDE`, naming
+its line; an `Instance` built through the API rejects such values too.
 """
 from __future__ import annotations
 
@@ -47,6 +48,9 @@ class Instance:
         for o in self.objects:
             if o.dim != self.dim:
                 raise ValueError("object dimension differs from instance dimension")
+            values = o.center + (o.radius,) if isinstance(o, Ball) else o.low + o.high
+            if not max(map(abs, values)) <= MAX_MAGNITUDE:
+                raise ValueError(f"object value is not finite or exceeds {MAX_MAGNITUDE:g} in magnitude")
 
     @property
     def n(self) -> int:

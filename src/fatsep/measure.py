@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -82,6 +84,16 @@ class IntersectionContext:
                 m |= rank_bit[j]
             out.append(m)
         return out
+
+    @cached_property
+    def rank_axes(self):
+        """Per axis a, the centres' sorted coordinates (row a) and their prefix
+        masks over size ranks (bit r of `prefixes[a][k]`: `order[r]`'s centre
+        is among the k first).  Built on first use, as `rank_nbr` is."""
+        ranked = self.arrays.center[self.order].T
+        perm = np.argsort(ranked, axis=1, kind="stable")
+        prefixes = [list(accumulate((1 << r for r in p), or_, initial=0)) for p in perm.tolist()]
+        return np.take_along_axis(ranked, perm, axis=1), prefixes
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -230,12 +242,12 @@ class PierceTable:
     which is then a box of the family too, plus the centres; for disks the
     lowest points plus the pairwise circle intersections), and `cov(p) ⊆ cov(q)`
     implies `cov(p) & mask ⊆ cov(q) & mask`, so `restrict(mask)` still holds
-    a minimum piercing of `mask`.
+    a minimum piercing of `mask`.  The rows come in one pass from
+    `candidates.candidate_rows` over the context's own layout.
     """
 
     def __init__(self, ctx: IntersectionContext):
-        points = cand.candidate_pierce_points(ctx.objs)
-        self.points, self.cov = prune_dominated(points, cand.coverage_masks(ctx.objs, points))
+        self.points, self.cov = prune_dominated(*cand.candidate_rows(ctx.objs, ctx.arrays))
 
     def restrict(self, mask: int):
         """(points, coverage masks) of the table within `mask`, pruned again."""

@@ -8,12 +8,11 @@ against `balance_cap` and fall back to pivot branching when it fails.
 
 `separate` builds one `IntersectionContext`; both stages take that context
 and read its `ShapeArrays` (`ctx.arrays`), so a family is laid out as arrays
-once per call.  Both are numpy kernels with the scalar predicates' float
-operations, so their answers equal the scalar ones bit for bit.  The
-base-box search tests the candidate cubes of a ladder rung against every
-center in blocks of `CANDIDATE_BLOCK` cubes, one comparison per axis, with
-the centers in size-rank order, so each cube's center set is a bitmask over
-ranks; a block is walked before the next is built, so a rung stops at its
+once per call.  Both use the scalar predicates' float operations, so their
+answers equal the scalar ones bit for bit.  The base-box search ANDs, over
+the axes, the prefix masks (`ctx.rank_axes`) of the run of sorted center
+coordinates a candidate cube holds, so each cube's center set is a bitmask
+over size ranks without a cube-by-center array, and a rung stops at its
 first achieving cube.  The greedy measure of a mask walks only its
 unblocked ranks, smallest object first, clearing each pick's neighbourhood
 in rank space (`ctx.rank_nbr`), and stops once the answer is known.
@@ -44,8 +43,6 @@ from .measure import IntersectionContext, MeasureEstimate, mask_to_ids
 SHELL_SAMPLES_CAP = 64
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
 SIDE_SEARCH_RATIO = 1.05
-# Candidate cubes `_achieving_box` tests against the centers at a time.
-CANDIDATE_BLOCK = 128
 
 
 @dataclass
@@ -89,12 +86,11 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
-    high-anchored at every object center, then the bounding-box corner.  They
-    are tested against every center `CANDIDATE_BLOCK` cubes at a time, with
-    column r holding the center of `ctx.order[r]`, and each block is walked
-    before the next is built, so a passing rung builds only the blocks up to
-    its first achiever.  A candidate whose center mask was already tried, in
-    this block or an earlier one, cannot achieve, so it is skipped.
+    high-anchored at every object center, then the bounding-box corner.  A
+    cube's center set (in ranks) is the AND over axes of `prefix[j] ^
+    prefix[i]`, `[i, j)` being the run of sorted coordinates (`ctx.rank_axes`)
+    within `[low - TOL, high + TOL]`.  Cubes with a run shorter than tau, or
+    whose center mask was already tried, cannot achieve and are skipped.
     """
     centers = ctx.arrays.center
     n, d = centers.shape
@@ -104,22 +100,20 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     lows[2:-1:3] = centers - s
     lows[-1] = centers.min(axis=0)
     highs = lows + s
-    ranked = centers[ctx.order]
+    coords, prefixes = ctx.rank_axes
+    # Row k: candidate k's run [i, j) on each axis.
+    i = np.stack([np.searchsorted(c, x, "left") for c, x in zip(coords, (lows - TOL).T)], axis=1)
+    j = np.stack([np.searchsorted(c, x, "right") for c, x in zip(coords, (highs + TOL).T)], axis=1)
     tried = set()
-    for start in range(0, len(lows), CANDIDATE_BLOCK):
-        lo = lows[start : start + CANDIDATE_BLOCK]
-        hi = highs[start : start + CANDIDATE_BLOCK]
-        in_box = np.ones((len(lo), n), dtype=bool)
-        for a in range(d):
-            in_box &= ranked[:, a] >= lo[:, a, None] - TOL
-            in_box &= ranked[:, a] <= hi[:, a, None] + TOL
-        rows = np.flatnonzero(in_box.sum(axis=1) >= tau)
-        for k, ranks in zip(rows, rows_to_masks(in_box[rows])):
-            if ranks in tried:
-                continue
-            tried.add(ranks)
-            if _greedy_reaches(ctx, ranks, tau):
-                return BoxRegion(tuple(lo[k]), tuple(hi[k]))
+    for k in np.flatnonzero((j - i).min(axis=1) >= tau).tolist():
+        ranks = -1
+        for prefix, a, b in zip(prefixes, i[k].tolist(), j[k].tolist()):
+            ranks &= prefix[b] ^ prefix[a]
+        if ranks.bit_count() < tau or ranks in tried:
+            continue
+        tried.add(ranks)
+        if _greedy_reaches(ctx, ranks, tau):
+            return BoxRegion(tuple(lows[k]), tuple(highs[k]))
     return None
 
 

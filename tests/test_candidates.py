@@ -7,9 +7,10 @@ from fatsep.candidates import (
     _CHUNK,
     UnsupportedShapeError,
     candidate_pierce_points,
+    candidate_rows,
     coverage_masks,
 )
-from fatsep.geometry import TOL, AxisBox, Ball, contains_point
+from fatsep.geometry import TOL, AxisBox, Ball, ShapeArrays, contains_point
 from fatsep.instances import gen_instance
 from fatsep.measure import IntersectionContext, PierceTable, prune_dominated
 
@@ -142,20 +143,40 @@ def face_offset_boxes(d, delta):
     return boxes
 
 
-def test_box_candidates_are_the_in_box_grid():
+def box_families():
+    """Random box families at densities 1 and 8, and the face-offset ones."""
     families = [
         list(gen_instance("random", d, shape="box", n=n, seed=seed, density=rho).objects)
         for d, n in ((2, 12), (2, 30), (3, 12))
         for seed in range(4)
         for rho in (1, 8)
     ]
-    families += [
+    return families + [
         face_offset_boxes(d, delta)
         for d in (2, 3)
         for delta in (-2 * TOL, -TOL, -TOL / 2, TOL / 2, TOL, 2 * TOL)
     ]
+
+
+def centre_face_boxes(d):
+    """A half-unit cube at the origin (centre 0.25 on every axis) and, per
+    axis, two half-unit cubes whose tolerant interval on that axis starts or
+    ends exactly at that centre and holds it on every other axis, so the
+    centre's mask depends on which side of a tied bound it is read from."""
+    boxes = [AxisBox((0.0,) * d, (0.5,) * d)]
+    for a in range(d):
+        for low, high in ((0.25 + TOL, 0.75 + TOL), (-0.25 - TOL, 0.25 - TOL)):
+            boxes.append(AxisBox(
+                tuple(low if b == a else 0.0 for b in range(d)),
+                tuple(high if b == a else 0.5 for b in range(d)),
+            ))
+        assert boxes[-2].low[a] - TOL == 0.25 == boxes[-1].high[a] + TOL
+    return boxes
+
+
+def test_box_candidates_are_the_in_box_grid():
     dropped = 0
-    for objs in families:
+    for objs in box_families():
         grid = full_grid_candidates(objs)
         pts = candidate_pierce_points(objs)
         assert pts == [p for p in grid if any(contains_point(o, p) for o in objs)]
@@ -164,3 +185,33 @@ def test_box_candidates_are_the_in_box_grid():
         table = PierceTable(IntersectionContext(objs))
         assert (table.points, table.cov) == prune_dominated(grid, coverage_masks(objs, grid))
     assert dropped
+
+
+def test_candidate_rows_are_the_coverage_masks(monkeypatch):
+    # Boxes: every unpruned row of the sweep, grid points and centres alike,
+    # holds the mask `coverage_masks` gives its point.
+    for objs in box_families() + [centre_face_boxes(d) for d in (2, 3)]:
+        points, masks = candidate_rows(objs, ShapeArrays(objs))
+        assert masks == coverage_masks(objs, points)
+        centres = [tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)) for o in objs]
+        assert points[-len(objs) :] == centres
+        assert sorted(set(points)) == candidate_pierce_points(objs)
+    # Disks: the table reads the context's own layout, laying out no second
+    # one, and equals the pruned coverage of the public candidate set.
+    layouts = []
+    init = ShapeArrays.__init__
+
+    def counted(self, objs):
+        layouts.append(len(objs))
+        init(self, objs)
+
+    for seed in range(4):
+        for n, rho in ((12, 1), (30, 1), (30, 8)):
+            objs = list(gen_instance("random", 2, n=n, seed=seed, density=rho).objects)
+            points = candidate_pierce_points(objs)
+            ctx = IntersectionContext(objs)
+            with monkeypatch.context() as m:
+                m.setattr(ShapeArrays, "__init__", counted)
+                table = PierceTable(ctx)
+            assert (table.points, table.cov) == prune_dominated(points, coverage_masks(objs, points))
+    assert not layouts

@@ -11,6 +11,7 @@ from fatsep.instances import (
     write_instance,
 )
 from fatsep.oracle import brute_pack
+from fatsep.solver import solve_pack
 
 
 def test_grid_pack_by_construction():
@@ -101,3 +102,15 @@ def test_parse_comments_and_provenance():
 def test_dimension_validation():
     with pytest.raises(ValueError):
         Instance(dim=2, objects=(Ball((0, 0, 0), 1),))
+
+
+def test_api_instances_are_range_checked():
+    # Disjoint balls at +-1e160 square their offsets past the float range;
+    # an `Instance` refuses them as the parser does, instead of a wrong value.
+    with pytest.raises(ValueError, match="exceeds 1e"):
+        Instance(2, (Ball((1e160, 0), 1e155), Ball((-1e160, 0), 1e155)))
+    with pytest.raises(ValueError, match="exceeds 1e"):
+        Instance(2, (AxisBox((0, 0), (1, 1)), AxisBox((-2e150, 0), (-2e150 + 1e150, 1e150))))
+    # At the bound the same two balls solve.
+    edge = Instance(2, (Ball((1e150, 0), 1e145), Ball((-1e150, 0), 1e145)))
+    assert solve_pack(edge).value == brute_pack(edge).value == 2

@@ -278,6 +278,7 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
         init(self, objs)
 
     monkeypatch.setattr(IntersectionContext, "__init__", counted_init)
+    sweeps = count_everywhere(monkeypatch, candidates, "_box_sweep")
     points = count_everywhere(monkeypatch, candidates, "candidate_pierce_points")
     masks = count_everywhere(monkeypatch, candidates, "coverage_masks")
     splits = count_everywhere(monkeypatch, separator, "separate")
@@ -293,7 +294,9 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
     ]
     sol = ptas_pierce(inst, PtasConfig(epsilon=0.5, c_stop=1.0))
     assert sol.discarded > 0 and splits
-    assert len(points) == 1 and len(masks) == 1
+    # One table sweep; the box family never gets a coverage pass.
+    assert len(sweeps) == 1
+    assert not points and not masks
     assert not any(solves)
     # `separate` still builds a context of its own for each call.
     assert len(contexts) == 1 + len(splits)

@@ -36,15 +36,21 @@ def test_scaling_report_runs_outside_the_repository(tmp_path):
     assert proc.stdout.startswith("label,n,d,family,solver")
 
 
-def test_answers_repeat_byte_for_byte(tmp_path):
+def answers_twice(cwd, workload):
+    """Records of `scripts/answers.py` at seed 1, after checking that two runs
+    print the same bytes."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, str(ROOT / "scripts" / "answers.py"),
-           "--workload", "ptas-large", "--seed", "1", "--seconds", "1"]
-    runs = [subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+           "--workload", workload, "--seed", "1", "--seconds", "1"]
+    runs = [subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
             for _ in range(2)]
     assert all(r.returncode == 0 for r in runs), runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
-    records = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    return [json.loads(line) for line in runs[0].stdout.splitlines()]
+
+
+def test_answers_repeat_byte_for_byte(tmp_path):
+    records = answers_twice(tmp_path, "ptas-large")
     assert {r["problem"] for r in records} == {"ptas_pack", "ptas_pierce"}
     assert all(r["value"] == len(r["witness"]) for r in records)
     for r in records:
@@ -54,3 +60,10 @@ def test_answers_repeat_byte_for_byte(tmp_path):
         assert len(sep["box"]) == len(sep["base_box"]) == 2 and sep["m_star"] >= 1.0
         total, inside, outside, boundary = sep["mu"]
         assert max(inside, outside, boundary) <= total
+
+
+def test_pierce_answers_repeat_byte_for_byte(tmp_path):
+    # The exact piercing solves build their tables from the candidate sweep.
+    records = answers_twice(tmp_path, "pierce-exact")
+    assert records and {r["problem"] for r in records} == {"solve_pierce"}
+    assert all(r["value"] == len(r["witness"]) for r in records)

@@ -207,7 +207,7 @@ def candidate_rank_masks(ctx, s):
 def late_cluster_family():
     """60 disjoint disks spread wide, then 10 disjoint disks packed close:
     small cubes reach tau only at the cluster, whose first candidate is
-    number 180, past the first block."""
+    number 180, past the former 128-cube block."""
     spread = [Ball((10.0 * (k % 10), 10.0 * (k // 10)), 0.4) for k in range(60)]
     return spread + tight_cluster(200.0, 200.0, 10, 5)
 
@@ -215,13 +215,16 @@ def late_cluster_family():
 def twin_family():
     """40 objects, then 40 twins of theirs with the same centres and half
     the size: twin k repeats object k's candidate cubes 120 candidates
-    later, so most repeated masks straddle the first block's end."""
+    later, so most repeated masks straddle candidate 128, where the former
+    first block ended."""
     objs = random_objects(12, 40, span=6.0)
     return objs + [Ball(o.center, o.radius / 2) for o in objs]
 
 
 def test_achieving_box_matches_reference_across_blocks(monkeypatch):
-    block = separator.CANDIDATE_BLOCK
+    # The former candidate block size: cubes that achieve past it, and
+    # repeated masks that straddle it, still run.
+    block = 128
     families = rank_walk_families(balls=48, boxes=24, per_dim=2, seed=5)
     families += [late_cluster_family(), twin_family()]
     late = straddled = 0
@@ -245,7 +248,8 @@ def test_achieving_box_matches_reference_across_blocks(monkeypatch):
                     got = separator._achieving_box(ctx, s, tau)
                 want = reference_achieving_box(ctx, s, tau)
                 assert got == want, (n, s, tau)
-                # Each distinct centre mask is walked once, across blocks too.
+                # Each distinct centre mask is walked once, across the former
+                # blocks too.
                 assert len(walked) == len(set(walked))
                 counted = [k for k, mask in enumerate(masks) if mask.bit_count() >= tau]
                 if got is not None:
@@ -257,6 +261,29 @@ def test_achieving_box_matches_reference_across_blocks(monkeypatch):
                     first_seen.setdefault(masks[k], k)
                 straddled += any(first_seen[masks[k]] < block <= k for k in counted)
     assert late and straddled
+
+
+def test_achieving_box_counts_centres_on_tolerant_faces():
+    # On axis 0 the second centre sits exactly at the low-anchored unit
+    # cube's `low - TOL` and the third at its `high + TOL`: both count, as
+    # in `center_in`, so that cube is the first to reach 3.
+    objs = [Ball((0.0, 0.0), 0.3), Ball((0.0 - TOL, 0.9), 0.3), Ball((1.0 + TOL, 0.45), 0.3)]
+    ctx = IntersectionContext(objs)
+    box = separator._achieving_box(ctx, 1.0, 3)
+    assert box == BoxRegion((0.0, 0.0), (1.0, 1.0)) == reference_achieving_box(ctx, 1.0, 3)
+
+
+def test_rank_axes_are_sorted_prefix_masks():
+    for objs in rank_walk_families(balls=12, boxes=6, per_dim=1):
+        ctx = IntersectionContext(objs)
+        # Built on first use only.
+        assert "rank_axes" not in vars(ctx)
+        coords, prefixes = ctx.rank_axes
+        for a, prefix in enumerate(prefixes):
+            ranked = [center(ctx.objs[i])[a] for i in ctx.order]
+            by_coord = sorted(range(len(ranked)), key=ranked.__getitem__)
+            assert list(coords[a]) == [ranked[r] for r in by_coord]
+            assert prefix == [sum(1 << r for r in by_coord[:k]) for k in range(len(ranked) + 1)]
 
 
 def test_rank_nbr_is_nbr_in_rank_order():

@@ -134,12 +134,16 @@ def test_pierce_builds_one_candidate_table(monkeypatch):
     want = brute_pierce(inst).value
     separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     pivots = count_calls(monkeypatch, _PierceSearch, "_pivot")
+    sweeps = count_calls(monkeypatch, candidates, "_box_sweep")
     points = count_calls(monkeypatch, candidates, "candidate_pierce_points")
     masks = count_calls(monkeypatch, candidates, "coverage_masks")
     sol = solve_pierce(inst, SolveConfig(base_threshold=2))
     assert sol.value == want
     assert separated and pivots
-    assert len(points) == 1 and len(masks) == 1
+    # One sweep gives the box table its points and masks; neither public
+    # entry point runs, and a box family never gets a coverage pass.
+    assert len(sweeps) == 1
+    assert not points and not masks
 
 
 def test_pierce_at_least_pack():
