@@ -1,0 +1,155 @@
+"""Plant known faults in a copy of the package, one at a time, and check that
+the tests catch each of them.
+
+Each entry of MUTANTS names a file under `src/fatsep/`, a text that must
+occur in it exactly once, the text that replaces it, and the pytest
+selection that must fail on the result.  For each entry the script copies
+`src/` into a temporary directory, patches the copy, runs
+`python -m pytest -x -q` on the selection with the copy first on
+PYTHONPATH, and prints `killed` (some test failed), `SURVIVED` (all
+passed), `ERROR` (pytest could not run the selection, say a renamed test)
+or `STALE` (the old text does not occur exactly once, so a refactor that
+moves the code must update the list).  It exits 1 unless every mutant is
+killed.
+
+Usage (from any directory):
+
+    python scripts/mutants.py                # every mutant
+    python scripts/mutants.py --only NAME    # the named ones (repeatable)
+    python scripts/mutants.py --list         # names and selections only
+"""
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# A mutant whose selection runs this long is taken as killed (it hangs).
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/fatsep/
+    old: str
+    new: str
+    selection: str  # pytest arguments, relative to the repository root
+
+
+MUTANTS = [
+    Mutant(
+        "sweep-strict-start",
+        "candidates.py",
+        "column = to_words((lows[:, a] <= xs[:, None])",
+        "column = to_words((lows[:, a] < xs[:, None])",
+        "tests/test_candidates.py::test_box_candidates_are_the_in_box_grid",
+    ),
+    Mutant(
+        "centre-strict-end",
+        "candidates.py",
+        "inside &= (lows[:, a] <= x[:, None]) & (x[:, None] <= highs[:, a])",
+        "inside &= (lows[:, a] <= x[:, None]) & (x[:, None] < highs[:, a])",
+        "tests/test_candidates.py::test_candidate_rows_are_the_coverage_masks",
+    ),
+    Mutant(
+        "sweep-last-point-per-coverage",
+        "candidates.py",
+        "first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)",
+        "first[:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)",
+        "tests/test_candidates.py::test_candidate_rows_are_the_coverage_masks",
+    ),
+    Mutant(
+        "dedupe-word-0-only",
+        "candidates.py",
+        "first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)",
+        "first[1:] = ranked[1:, 0] != ranked[:-1, 0]",
+        "tests/test_candidates.py::test_box_candidates_are_the_in_box_grid",
+    ),
+    Mutant(
+        "restrict-dominance-any-word",
+        "measure.py",
+        "within = np.ones((len(rows), len(rows)), dtype=bool)\n"
+        "        for word in rows.T:\n"
+        "            within &= ",
+        "within = np.zeros((len(rows), len(rows)), dtype=bool)\n"
+        "        for word in rows.T:\n"
+        "            within |= ",
+        "tests/test_measure.py::test_pierce_table_restricts_to_every_submask",
+    ),
+    Mutant(
+        "restrict-last-of-equal-rows",
+        "measure.py",
+        "(order[:, None] > order)",
+        "(order[:, None] < order)",
+        "tests/test_measure.py::test_prune_dominated_matches_reference",
+    ),
+    Mutant(
+        "base-box-run-start-side",
+        "separator.py",
+        'np.searchsorted(c, x, "left") for c, x in zip(coords, (lows - TOL).T)',
+        'np.searchsorted(c, x, "right") for c, x in zip(coords, (lows - TOL).T)',
+        "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
+    ),
+    Mutant(
+        "base-box-run-end-side",
+        "separator.py",
+        'np.searchsorted(c, x, "right") for c, x in zip(coords, (highs + TOL).T)',
+        'np.searchsorted(c, x, "left") for c, x in zip(coords, (highs + TOL).T)',
+        "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
+    ),
+]
+
+
+def run(mutant: Mutant) -> str:
+    """The mutant's verdict: 'killed', 'SURVIVED', 'ERROR' or 'STALE'."""
+    source = (ROOT / "src" / "fatsep" / mutant.file).read_text()
+    if source.count(mutant.old) != 1:
+        return "STALE"
+    with tempfile.TemporaryDirectory(prefix="fatsep-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        (src / "fatsep" / mutant.file).write_text(source.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        # Hypothesis' pytest plugin costs about a second of start-up per run;
+        # `@given` tests run without it.
+        plugins = ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", *plugins, *mutant.selection.split()]
+        try:
+            proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
+    # pytest exits 1 when a test failed, 0 when all passed, and otherwise on
+    # collection or usage errors.
+    return {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--only", action="append", metavar="NAME", help="run only this mutant (repeatable)")
+    p.add_argument("--list", action="store_true", help="print the mutants and exit")
+    args = p.parse_args(argv)
+    names = [m.name for m in MUTANTS]
+    unknown = set(args.only or ()) - set(names)
+    if unknown:
+        p.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}\t{m.file}\t{m.selection}")
+        return 0
+    bad = 0
+    for m in chosen:
+        start = time.perf_counter()
+        verdict = run(m)
+        bad += verdict != "killed"
+        print(f"{verdict:8} {m.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

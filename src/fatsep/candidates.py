@@ -5,28 +5,39 @@ only returned points.  Boxes (any dimension): the points of the grid of all
 per-axis low coordinates that lie in some box, plus object centers — any
 pierce point can be pushed to the componentwise maximum of the lows of the
 boxes it pierces, which lies in all of them.  The grid is swept axis by
-axis: each coordinate value gets the mask of the boxes whose tolerant
-interval on that axis holds it (sorted bounds and `bisect`, with the
-comparisons of `geometry.contains_point`), and a prefix of axes whose masks
-meet in no box is not extended.  Disks (d=2):
-the lowest point of each disk plus all pairwise circle intersection points —
-the lowest point of any nonempty disk intersection is one of these.
+axis in numpy: each coordinate value gets the uint64 word row of the boxes
+whose tolerant interval on that axis holds it (the comparisons of
+`geometry.contains_point`), and a prefix of axes whose rows meet in no box
+is not extended.  The piercing table needs only the first grid point of
+each distinct coverage, so its sweep keeps one prefix per row at every
+axis.  Disks (d=2): the lowest point of each disk plus all pairwise circle
+intersection points — the lowest point of any nonempty disk intersection is
+one of these.
 
-Box coverage masks are the sweep's own (centres read the same per-axis
-bounds); disk ones come from numpy, one block of points at a time, with the
-float operations of `geometry.contains_point`, so every bit equals its answer.
+Box grid coverage masks are the sweep's own, and the centres' come from the
+same comparisons; disk ones come from numpy, one block of points at a time.
+All use the float operations of `geometry.contains_point`, so every bit
+equals its answer.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from functools import reduce
-from operator import and_
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import AxisBox, Ball, FatObject, Point, ShapeArrays, TOL, center, rows_to_masks
+from .geometry import (
+    AxisBox,
+    Ball,
+    FatObject,
+    Point,
+    ShapeArrays,
+    TOL,
+    center,
+    rows_to_masks,
+    to_words,
+    words_to_masks,
+)
 
 # Points per block of the coverage kernel: bounds its temporaries to
 # _CHUNK x len(objs) arrays instead of one array over every point.
@@ -56,34 +67,44 @@ def _circle_intersections(a: Ball, b: Ball) -> List[Point]:
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
-def _axis_index(objs: Sequence[AxisBox], a: int):
-    """`mask_at(x)`: the mask of the boxes with `low - TOL <= x <= high + TOL`
-    on axis `a`, from sorted bounds and prefix/suffix OR masks."""
-    starts = sorted((o.low[a] - TOL, i) for i, o in enumerate(objs))
-    ends = sorted((o.high[a] + TOL, i) for i, o in enumerate(objs))
-    # opened[k]: the boxes of the k smallest starts; closing[k]: the boxes
-    # of every end from the k-th smallest on.
-    opened = [0]
-    for _, i in starts:
-        opened.append(opened[-1] | 1 << i)
-    closing = [0]
-    for _, i in reversed(ends):
-        closing.append(closing[-1] | 1 << i)
-    closing.reverse()
-    start_keys = [s for s, _ in starts]
-    end_keys = [e for e, _ in ends]
-    return lambda x: opened[bisect_right(start_keys, x)] & closing[bisect_left(end_keys, x)]
+def _first_distinct(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row of each distinct word row: a
+    stable sort brings equal rows together in index order, and a row is
+    kept when it differs from its sorted predecessor."""
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    kept = np.zeros(len(order), dtype=bool)
+    kept[order[first]] = True
+    return np.flatnonzero(kept)
 
 
-def _box_sweep(objs: Sequence[AxisBox]):
-    """The in-box grid points, sorted, as (point, mask) rows (the AND of the
-    point's per-axis masks), and the per-axis `mask_at` functions."""
-    index = [_axis_index(objs, a) for a in range(objs[0].dim)]
-    rows = [((), (1 << len(objs)) - 1)]
-    for a, mask_at in enumerate(index):
-        column = [(x, mask_at(x)) for x in sorted({o.low[a] for o in objs})]
-        rows = [(p + (x,), k) for p, m in rows for x, c in column if (k := m & c)]
-    return rows, index
+def _box_sweep(shapes: ShapeArrays, first: bool):
+    """The points of the grid of per-axis lows that lie in some box of
+    `shapes`, in lexicographic order, and each one's word row of the boxes
+    holding it; with `first`, only the first point of each distinct row.
+
+    Each axis' sorted distinct lows get the word row of the boxes with
+    `low - TOL <= x <= high + TOL`, and every prefix row is ANDed with each
+    of them, dropping the empty results.  Two prefixes with equal rows
+    extend to equal rows, the earlier one to the smaller points, so `first`
+    can keep only the first prefix of each row at every axis.
+    """
+    lows, highs = shapes.low - TOL, shapes.high + TOL
+    rows = to_words(np.ones((1, len(lows)), dtype=bool))
+    coords: List[np.ndarray] = []
+    for a in range(shapes.dim):
+        xs = np.array(sorted(set(shapes.low[:, a].tolist())))
+        column = to_words((lows[:, a] <= xs[:, None]) & (xs[:, None] <= highs[:, a]))
+        grown = rows[:, None, :] & column
+        prefix, x = np.nonzero(grown.any(axis=2))
+        rows = grown[prefix, x]
+        coords = [c[prefix] for c in coords] + [xs[x]]
+        if first:
+            keep = _first_distinct(rows)
+            rows, coords = rows[keep], [c[keep] for c in coords]
+    return list(zip(*(c.tolist() for c in coords))), rows
 
 
 def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
@@ -93,8 +114,8 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
     kinds = {type(o) for o in objs}
     d = objs[0].dim
     if kinds == {AxisBox}:
-        grid = [p for p, _ in _box_sweep(objs)[0]]
-        centres = {tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)) for o in objs}
+        grid = _box_sweep(ShapeArrays(objs), first=False)[0]
+        centres = set(map(center, objs))
         # The grid comes out sorted, so this sort only merges in the centres.
         return sorted(grid + list(centres.difference(grid)))
     pts: set = set()
@@ -118,13 +139,18 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
 
 def candidate_rows(objs: Sequence[FatObject], shapes: ShapeArrays) -> Tuple[List[Point], List[int]]:
     """Unpruned (points, coverage masks) of `objs`, laid out as `shapes`:
-    the box sweep's own rows (a centre may repeat a grid point), or the
-    disk candidates with the coverage kernel over `shapes`."""
+    for boxes the first grid point of each distinct coverage and then every
+    centre (which may repeat a grid point or its coverage), with the
+    sweep's comparisons; or the disk candidates, with masks from the
+    coverage kernel over `shapes`."""
     if objs and not shapes.ball.any():
-        rows, index = _box_sweep(objs)
-        for c in map(center, objs):
-            rows.append((c, reduce(and_, (mask_at(x) for mask_at, x in zip(index, c)))))
-        return [p for p, _ in rows], [m for _, m in rows]
+        grid, rows = _box_sweep(shapes, first=True)
+        lows, highs = shapes.low - TOL, shapes.high + TOL
+        inside = np.ones((len(objs), len(objs)), dtype=bool)
+        for a, x in enumerate(shapes.center.T):
+            inside &= (lows[:, a] <= x[:, None]) & (x[:, None] <= highs[:, a])
+        centres = list(map(tuple, shapes.center.tolist()))
+        return grid + centres, words_to_masks(rows) + rows_to_masks(inside)
     points = candidate_pierce_points(objs)
     return points, _coverage(shapes, points)
 

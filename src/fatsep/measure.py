@@ -6,7 +6,9 @@ always a lower bound on the true packing number; the greedy piercing value
 is always a feasible upper bound on the piercing number.  The exact solver
 searches packing subproblems with `exact_pack_mask` and `independent_sets`,
 and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
-`PierceTable`, all on bitmasks over one `IntersectionContext`.
+`PierceTable`, all on bitmasks over one `IntersectionContext`.  The table
+keeps its coverage masks as uint64 word rows too, and restricts them to a
+subproblem's mask with numpy.
 `exact_pack_mask` closes each intersection component of its mask with its
 own search and adds the answers up, so the solver's batches of small
 components cost the sum of their searches rather than the product.
@@ -27,7 +29,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import candidates as cand
-from .geometry import TOL, FatObject, Point, ShapeArrays, rows_to_masks, size
+from .geometry import TOL, FatObject, Point, ShapeArrays, masks_to_words, rows_to_masks, size
 
 
 class _Overflow:
@@ -235,7 +237,8 @@ class IntersectionContext:
 
 class PierceTable:
     """Undominated candidate pierce points of a context's family (sorted) and
-    their coverage masks over that context.
+    their coverage masks over that context, as Python ints (`cov`) and as
+    uint64 word rows (`words`).
 
     One table serves every subfamily.  A subfamily's candidates are among the
     family's (for boxes the points of the grid of lows that lie in some box,
@@ -243,15 +246,31 @@ class PierceTable:
     lowest points plus the pairwise circle intersections), and `cov(p) ⊆ cov(q)`
     implies `cov(p) & mask ⊆ cov(q) & mask`, so `restrict(mask)` still holds
     a minimum piercing of `mask`.  The rows come in one pass from
-    `candidates.candidate_rows` over the context's own layout.
+    `candidates.candidate_rows` over the context's own layout (for boxes one
+    row per distinct coverage, plus the centres), pruned by `prune_dominated`.
     """
 
     def __init__(self, ctx: IntersectionContext):
+        self.n = ctx.n
         self.points, self.cov = prune_dominated(*cand.candidate_rows(ctx.objs, ctx.arrays))
+        self.words = masks_to_words(self.cov, self.n)
 
     def restrict(self, mask: int):
-        """(points, coverage masks) of the table within `mask`, pruned again."""
-        return prune_dominated(self.points, [c & mask for c in self.cov])
+        """(points, coverage masks) of the table within `mask`, pruned again
+        as `prune_dominated` would, on the word rows: a nonzero masked row
+        is dropped when another row holds all of it and either differs from
+        it or comes before it (the rows are sorted by point)."""
+        words = self.words & masks_to_words([mask], self.n)
+        live = np.flatnonzero(words.any(axis=1))
+        rows = words[live]
+        # within[i, j]: row i's coverage lies in row j's, on every word.
+        within = np.ones((len(rows), len(rows)), dtype=bool)
+        for word in rows.T:
+            within &= (word[:, None] & ~word) == 0
+        order = np.arange(len(rows))
+        dropped = within & (~within.T | (order[:, None] > order))
+        kept = live[~dropped.any(axis=1)].tolist()
+        return [self.points[k] for k in kept], [self.cov[k] & mask for k in kept]
 
 
 # A bound below the square root of the largest float: every `limit` under
@@ -379,7 +398,8 @@ def prune_dominated(points: Sequence[Point], cov: Sequence[int]):
     that no other coverage strictly contains, with the lexicographically
     smallest point that has it, so the result is deterministic.  Coverages
     are deduplicated first, and only the distinct ones are tested, by
-    falling size, so each one's strict supersets come before it.
+    falling size, so each one's strict supersets come before it.  It builds
+    `PierceTable`s; `PierceTable.restrict` prunes the same way on words.
     """
     first = {}
     for p, c in zip(points, cov):

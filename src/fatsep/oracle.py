@@ -1,20 +1,22 @@
 """Brute-force ground truth for packing and piercing values.
 
 Deliberately independent of the solver machinery: these searches only share
-the geometry predicates and the pierce candidate construction (whose
-soundness is itself cross-checked against a fine grid here).  Coverage masks
-come from a scalar `contains_point` loop here, not from the solver's numpy
-kernel.
+the geometry predicates and the disk candidate construction (whose
+soundness is itself cross-checked against a fine grid here).  Box
+candidates come from a scalar sweep of this module's own (sorted bounds and
+`bisect`), and coverage masks from a scalar `contains_point` loop, not from
+the solver's numpy kernels.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import candidates as cand
-from .geometry import AxisBox, Ball, FatObject, Point, contains_point, intersects
+from .geometry import TOL, AxisBox, Ball, FatObject, Point, center, contains_point, intersects
 from .instances import Instance
 
 PACK_GUARD = 24
@@ -128,6 +130,44 @@ def _coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[
     return masks
 
 
+def _axis_index(objs: Sequence[AxisBox], a: int):
+    """`mask_at(x)`: the mask of the boxes with `low - TOL <= x <= high + TOL`
+    on axis `a`, from sorted bounds and prefix/suffix OR masks."""
+    starts = sorted((o.low[a] - TOL, i) for i, o in enumerate(objs))
+    ends = sorted((o.high[a] + TOL, i) for i, o in enumerate(objs))
+    # opened[k]: the boxes of the k smallest starts; closing[k]: the boxes
+    # of every end from the k-th smallest on.
+    opened = [0]
+    for _, i in starts:
+        opened.append(opened[-1] | 1 << i)
+    closing = [0]
+    for _, i in reversed(ends):
+        closing.append(closing[-1] | 1 << i)
+    closing.reverse()
+    start_keys = [s for s, _ in starts]
+    end_keys = [e for e, _ in ends]
+    return lambda x: opened[bisect_right(start_keys, x)] & closing[bisect_left(end_keys, x)]
+
+
+def _box_sweep(objs: Sequence[AxisBox]) -> List[Point]:
+    """The points of the grid of per-axis lows that lie in some box, sorted:
+    axis by axis, a prefix whose per-axis masks meet in no box is dropped."""
+    rows = [((), (1 << len(objs)) - 1)]
+    for a in range(objs[0].dim):
+        mask_at = _axis_index(objs, a)
+        column = [(x, mask_at(x)) for x in sorted({o.low[a] for o in objs})]
+        rows = [(p + (x,), k) for p, m in rows for x, c in column if (k := m & c)]
+    return [p for p, _ in rows]
+
+
+def _pierce_candidates(objs: Sequence[FatObject]) -> List[Point]:
+    """`candidates.candidate_pierce_points`, with boxes swept here."""
+    if not all(isinstance(o, AxisBox) for o in objs):
+        return cand.candidate_pierce_points(objs)
+    grid = _box_sweep(objs)
+    return sorted(grid + list(set(map(center, objs)).difference(grid)))
+
+
 def brute_pierce(inst: Instance) -> OracleResult:
     """Exhaustive minimum piercing over the sound candidate point set."""
     objs = inst.objects
@@ -136,7 +176,7 @@ def brute_pierce(inst: Instance) -> OracleResult:
         raise OracleSizeError(f"brute_pierce guard: n={n} > {PIERCE_GUARD}")
     if n == 0:
         return OracleResult(value=0, witness=[], method=SET_COVER_EXHAUSTIVE)
-    points = cand.candidate_pierce_points(objs)
+    points = _pierce_candidates(objs)
     cov = _coverage_masks(objs, points)
     by_mask = {}
     for m, p in zip(cov, points):

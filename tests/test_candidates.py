@@ -129,6 +129,17 @@ def full_grid_candidates(objs):
     return sorted(pts)
 
 
+def first_point_per_coverage(objs):
+    """(point, mask) of the lexicographically first point of the grid of
+    per-axis lows for each distinct nonzero coverage, sorted by point."""
+    grid = list(itertools.product(*(sorted({o.low[a] for o in objs}) for a in range(objs[0].dim))))
+    first = {}
+    for p, m in zip(grid, coverage_masks(objs, grid)):
+        if m:
+            first.setdefault(m, p)
+    return sorted((p, m) for m, p in first.items())
+
+
 def face_offset_boxes(d, delta):
     """A unit cube at the origin and, per axis, three unit cubes with a face
     `delta` off one of its faces on that axis: a low face off its high face,
@@ -144,12 +155,18 @@ def face_offset_boxes(d, delta):
 
 
 def box_families():
-    """Random box families at densities 1 and 8, and the face-offset ones."""
+    """Random box families at densities 1 and 8, wider ones whose masks take
+    two words (d=2 n=90 at ρ=1, n=70 at ρ=8), and the face-offset ones."""
     families = [
         list(gen_instance("random", d, shape="box", n=n, seed=seed, density=rho).objects)
         for d, n in ((2, 12), (2, 30), (3, 12))
         for seed in range(4)
         for rho in (1, 8)
+    ]
+    families += [
+        list(gen_instance("random", 2, shape="box", n=n, seed=seed, density=rho).objects)
+        for n, rho in ((90, 1), (70, 8))
+        for seed in range(2)
     ]
     return families + [
         face_offset_boxes(d, delta)
@@ -178,24 +195,30 @@ def test_box_candidates_are_the_in_box_grid():
     dropped = 0
     for objs in box_families():
         grid = full_grid_candidates(objs)
+        # `coverage_masks` is `contains_point` bit for bit (tested above).
+        cov = coverage_masks(objs, grid)
         pts = candidate_pierce_points(objs)
-        assert pts == [p for p in grid if any(contains_point(o, p) for o in objs)]
+        assert pts == [p for p, c in zip(grid, cov) if c]
         dropped += len(grid) - len(pts)
         # The grid points left out pierce nothing, so the table is the same.
         table = PierceTable(IntersectionContext(objs))
-        assert (table.points, table.cov) == prune_dominated(grid, coverage_masks(objs, grid))
+        assert (table.points, table.cov) == prune_dominated(grid, cov)
     assert dropped
 
 
 def test_candidate_rows_are_the_coverage_masks(monkeypatch):
-    # Boxes: every unpruned row of the sweep, grid points and centres alike,
-    # holds the mask `coverage_masks` gives its point.
+    # Boxes: every unpruned row, grid points and centres alike, holds the
+    # mask `contains_point` gives its point.
     for objs in box_families() + [centre_face_boxes(d) for d in (2, 3)]:
         points, masks = candidate_rows(objs, ShapeArrays(objs))
-        assert masks == coverage_masks(objs, points)
+        assert masks == scalar_masks(objs, points)
         centres = [tuple((l + h) / 2.0 for l, h in zip(o.low, o.high)) for o in objs]
         assert points[-len(objs) :] == centres
-        assert sorted(set(points)) == candidate_pierce_points(objs)
+        # The grid rows hold pairwise distinct masks, each with the first
+        # (smallest) point of the grid of lows that has it.
+        grid_masks = masks[: -len(objs)]
+        assert len(set(grid_masks)) == len(grid_masks)
+        assert list(zip(points, grid_masks)) == first_point_per_coverage(objs)
     # Disks: the table reads the context's own layout, laying out no second
     # one, and equals the pruned coverage of the public candidate set.
     layouts = []

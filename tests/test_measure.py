@@ -226,34 +226,50 @@ def prune_reference(points, cov):
 
 def test_prune_dominated_matches_reference(monkeypatch):
     rng = random.Random(0)
-    for _ in range(2000):
+    for k in range(2000):
         m = rng.randint(0, 30)
         points = rng.sample([(x, y) for x in range(8) for y in range(8)], m)
-        bits = rng.randint(1, 8)
+        # Narrow masks repeat and nest often; 65-200 bits span several words.
+        bits = rng.randint(1, 8) if k % 4 else rng.randint(65, 200)
         cov = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(m)]
         assert prune_dominated(points, cov) == prune_reference(points, cov)
     objs = list(gen_instance("random", 2, shape="box", n=30, seed=1).objects)
     points = cand.candidate_pierce_points(objs)
     cov = cand.coverage_masks(objs, points)
     assert prune_dominated(points, cov) == prune_reference(points, cov)
-    # Every input two exact solves of box d=2 n=45 hand over: each table's
-    # build (at ρ=1, 701 candidates with 64 distinct coverages) and each
-    # `restrict(mask)` (at ρ=4 these repeat masked coverages too).
+    # Every `restrict(mask)` three exact solves of box d=2 n=45 make (at
+    # ρ=4 and ρ=8 these repeat masked coverages too) prunes as the
+    # reference does.
     inputs = []
+    restrict = PierceTable.restrict
 
-    def recorded(points, cov):
-        inputs.append((points, cov))
-        return prune_dominated(points, cov)
+    def recorded(table, mask):
+        inputs.append((table, mask))
+        return restrict(table, mask)
 
-    monkeypatch.setattr(measure, "prune_dominated", recorded)
-    for density in (1, 4):
+    monkeypatch.setattr(PierceTable, "restrict", recorded)
+    for density in (1, 4, 8):
         solve_pierce(gen_instance("random", 2, shape="box", n=45, seed=9, density=density))
     duplicated = 0
-    for points, cov in inputs:
-        assert prune_dominated(points, cov) == prune_reference(points, cov)
+    for table, mask in inputs:
+        cov = [c & mask for c in table.cov]
+        assert restrict(table, mask) == prune_reference(table.points, cov)
         nonzero = [c for c in cov if c]
         duplicated += len(set(nonzero)) < len(nonzero)
     assert len(inputs) > 20 and duplicated > 10
+
+
+def check_restrict(ctx, table, mask):
+    """`table.restrict(mask)` prunes the masked table as the reference does,
+    and its greedy cover of `mask` is feasible; returns the restriction."""
+    points, cov = table.restrict(mask)
+    assert (points, cov) == prune_reference(table.points, [c & mask for c in table.cov])
+    assert all(c and c & ~mask == 0 for c in cov)
+    pierced = 0
+    for k in ctx.greedy_pierce_mask(cov, mask):
+        pierced |= cov[k]
+    assert pierced == mask
+    return points, cov
 
 
 @pytest.mark.parametrize("shape,d", [("ball", 2), ("box", 2), ("box", 3)])
@@ -268,8 +284,7 @@ def test_pierce_table_restricts_to_every_submask(shape, d):
         table = PierceTable(ctx)
         for mask in [ctx.full_mask()] + [rng.randrange(1, 1 << ctx.n) for _ in range(5)]:
             ids = [i for i in range(ctx.n) if mask >> i & 1]
-            points, cov = table.restrict(mask)
-            assert all(c and c & ~mask == 0 for c in cov)
+            points, cov = check_restrict(ctx, table, mask)
             exact = ctx.exact_pierce_mask(cov, mask, len(ids))
             sub = Instance(dim=d, objects=tuple(objs[i] for i in ids))
             assert len(exact) == brute_pierce(sub).value
@@ -278,6 +293,35 @@ def test_pierce_table_restricts_to_every_submask(shape, d):
             for picked in (exact, greedy):
                 for i in ids:
                     assert any(contains_point(objs[i], points[k]) for k in picked)
+    # Families of 65-200 objects (disks up to 120), whose masks span two to
+    # four words, sparse and dense, restricted to random masks and to each
+    # single word.
+    for seed, density in ((0, 1), (1, 8)):
+        n = rng.randint(65, 200 if shape == "box" else 120)
+        inst = gen_instance("random", d, shape=shape, n=n, seed=seed, density=density)
+        ctx = IntersectionContext(inst.objects)
+        table = PierceTable(ctx)
+        words = [((1 << 64) - 1) << 64 * w & ctx.full_mask() for w in range(-(-n // 64))]
+        masks = [ctx.full_mask()] + words + [rng.getrandbits(n) | 1 for _ in range(10)]
+        for mask in masks:
+            check_restrict(ctx, table, mask)
+
+
+def test_pierce_table_on_zero_and_one_objects():
+    one = [AxisBox((0.0, 0.0), (1.0, 2.0))]
+    for objs in ([], one, disks_on_a_line([3.0])):
+        ctx = IntersectionContext(objs)
+        table = PierceTable(ctx)
+        assert len(table.points) == len(table.cov) == ctx.n
+        assert table.restrict(0) == ([], [])
+        assert table.restrict(ctx.full_mask()) == (table.points, table.cov)
+        for cap in (0, 1):
+            got = exact_small_pierce(objs, cap)
+            if cap < ctx.n:
+                assert got is OVERFLOW
+            else:
+                assert got.value == ctx.n and all(contains_point(o, got.witness[0]) for o in objs)
+    assert PierceTable(IntersectionContext(one)).points == [(0.0, 0.0)]
 
 
 def pairwise_nbr(objs):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fatsep.geometry import Ball, contains_point
+from fatsep import candidates
+from fatsep.geometry import AxisBox, Ball, contains_point
 from fatsep.instances import Instance, gen_instance
 from fatsep.oracle import (
     OracleSizeError,
@@ -84,6 +85,26 @@ def test_brute_pierce_witness_feasible():
         assert len(res.witness) == res.value
         for o in inst.objects:
             assert any(contains_point(o, p) for p in res.witness)
+
+
+def test_brute_pierce_sweeps_boxes_itself(monkeypatch):
+    # The oracle takes box candidates from its own scalar sweep, so a fault
+    # in the table's numpy sweep cannot hide behind a reference that runs it.
+    families = [
+        gen_instance("random", d, shape="box", n=n, seed=seed, density=rho)
+        for d, n in ((2, 10), (3, 8))
+        for seed in range(3)
+        for rho in (1, 8)
+    ]
+    families += [inst_of([]), inst_of([AxisBox((0.0, 1.0), (2.0, 2.0))])]
+    want = [brute_pierce(inst) for inst in families]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle ran the table's box sweep")
+
+    monkeypatch.setattr(candidates, "_box_sweep", broken)
+    assert [brute_pierce(inst) for inst in families] == want
+    assert [r.value for r in want[-2:]] == [0, 1]
 
 
 @pytest.mark.parametrize("shape", ["ball", "box"])

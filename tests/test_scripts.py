@@ -67,3 +67,14 @@ def test_pierce_answers_repeat_byte_for_byte(tmp_path):
     records = answers_twice(tmp_path, "pierce-exact")
     assert records and {r["problem"] for r in records} == {"solve_pierce"}
     assert all(r["value"] == len(r["witness"]) for r in records)
+
+
+def test_mutants_script_kills_two_planted_faults():
+    # Two of the listed faults, each in its own temporary copy of `src/`.
+    names = ["centre-strict-end", "base-box-run-end-side"]
+    argv = [sys.executable, str(ROOT / "scripts" / "mutants.py")]
+    for name in names:
+        argv += ["--only", name]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["killed", n] for n in names]

@@ -30,9 +30,9 @@ def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
 
-    def wrapper(self, *args):
+    def wrapper(self, *args, **kwargs):
         calls.append(args)
-        return original(self, *args)
+        return original(self, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
