@@ -102,6 +102,71 @@ MUTANTS = [
         'np.searchsorted(c, x, "left") for c, x in zip(coords, (highs + TOL).T)',
         "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
     ),
+    # The context numbers objects by size rank; ids leave the package as
+    # given positions.
+    Mutant(
+        "solve-pack-witness-unmapped",
+        "solver.py",
+        "witness = sorted(ctx.ids[i] for i in witness)",
+        "witness = sorted(witness)",
+        "tests/test_solver.py::test_solve_order_invariance",
+    ),
+    Mutant(
+        "ptas-pack-witness-unmapped",
+        "ptas.py",
+        "sorted(search.ctx.ids[i] for i in witness)",
+        "sorted(witness)",
+        "tests/test_ptas.py::test_witness_feasible_even_when_lossy",
+    ),
+    Mutant(
+        "separate-ids-unmapped",
+        "separator.py",
+        "inside_ids=ctx.input_ids(inside),\n"
+        "        outside_ids=ctx.input_ids(outside),\n"
+        "        boundary_ids=ctx.input_ids(boundary),",
+        "inside_ids=[i for i in range(ctx.n) if inside >> i & 1],\n"
+        "        outside_ids=[i for i in range(ctx.n) if outside >> i & 1],\n"
+        "        boundary_ids=[i for i in range(ctx.n) if boundary >> i & 1],",
+        "tests/test_separator.py::test_separate_partition_consistent",
+    ),
+    Mutant(
+        "greedy-pack-witness-unmapped",
+        "measure.py",
+        "value, chosen = ctx.greedy_pack_mask(ctx.full_mask())\n"
+        "    return MeasureEstimate(value=value, witness=ctx.input_ids(chosen))",
+        "value, chosen = ctx.greedy_pack_mask(ctx.full_mask())\n"
+        "    return MeasureEstimate(value=value, witness=mask_to_ids(chosen))",
+        "tests/test_measure.py::test_greedy_pack_witness_independent_and_maximal",
+    ),
+    Mutant(
+        "exact-small-pack-witness-unmapped",
+        "measure.py",
+        "return OVERFLOW\n    return MeasureEstimate(value=value, witness=ctx.input_ids(chosen))",
+        "return OVERFLOW\n    return MeasureEstimate(value=value, witness=mask_to_ids(chosen))",
+        "tests/test_measure.py::test_exact_small_pack_full_cap_equals_oracle",
+    ),
+    Mutant(
+        "greedy-pack-highest-bit",
+        "measure.py",
+        "low = mask & -mask\n            chosen |= low",
+        "low = 1 << mask.bit_length() - 1\n            chosen |= low",
+        "tests/test_measure.py::test_greedy_pack_concentric",
+    ),
+    # Base cubes are tried, and parts separated, in the family's given order.
+    Mutant(
+        "base-box-rank-order",
+        "separator.py",
+        "centers = ctx.arrays.center[np.argsort(ctx.ids)]",
+        "centers = ctx.arrays.center",
+        "tests/test_separator.py::test_achieving_box_rank_walk_matches_reference",
+    ),
+    Mutant(
+        "split-rank-order",
+        "solver.py",
+        "ids = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)",
+        "ids = mask_to_ids(mask)",
+        "tests/test_ptas.py::test_pack_matches_object_list_recursion",
+    ),
 ]
 
 

@@ -1,9 +1,9 @@
 """Packing/piercing measure estimates.
 
-Polynomial-time greedy bounds (smallest-first, id tie-break, fully
-deterministic) and exact branch and bound.  The greedy packing value is
-always a lower bound on the true packing number; the greedy piercing value
-is always a feasible upper bound on the piercing number.  The exact solver
+Polynomial-time greedy bounds (smallest-first, fully deterministic) and
+exact branch and bound.  The greedy packing value is always a lower bound
+on the true packing number; the greedy piercing value is always a feasible
+upper bound on the piercing number.  The exact solver
 searches packing subproblems with `exact_pack_mask` and `independent_sets`,
 and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
 `PierceTable`, all on bitmasks over one `IntersectionContext`.  The table
@@ -12,11 +12,11 @@ subproblem's mask with numpy.
 `exact_pack_mask` closes each intersection component of its mask with its
 own search and adds the answers up, so the solver's batches of small
 components cost the sum of their searches rather than the product.
-The context lays its family out once as `geometry.ShapeArrays` (`ctx.arrays`),
-which the separator's kernels read too.  Its neighbourhood masks come from
-one numpy array per pair of shapes over those arrays, with the float
-operations of `geometry.intersects`, so every bit equals that predicate's
-answer; the separator reads them in size-rank order (`rank_nbr`).
+The context numbers its objects by size rank, so every smallest-first walk
+and branch takes a mask's lowest bit.  It lays its family out once as
+`geometry.ShapeArrays` (`ctx.arrays`), which the separator reads too, and
+builds its neighbourhood masks from one numpy array per pair of shapes, with
+the float operations of `geometry.intersects`, bit for bit.
 """
 from __future__ import annotations
 
@@ -56,14 +56,17 @@ class MeasureEstimate:
 
 
 class IntersectionContext:
-    """Precomputed sizes, ordering, closed-neighborhood bitmasks, and the
-    family's `ShapeArrays`, which every numpy kernel of the solve reads."""
+    """A family sorted by (size, given position), its closed-neighbourhood
+    bitmasks and its `ShapeArrays`: bit i of every mask, row i of `arrays`,
+    `nbr[i]` and bit i of every `PierceTable` coverage mean `objs[i]`, the
+    i-th smallest object, whose given position is `ids[i]`.  Ids leave the
+    package as given positions only (`input_ids`)."""
 
     def __init__(self, objs: Sequence[FatObject]):
-        self.objs = list(objs)
-        n = len(self.objs)
-        self.sizes = [size(o) for o in self.objs]
-        self.order = sorted(range(n), key=lambda i: (self.sizes[i], i))
+        given = list(objs)
+        sizes = [size(o) for o in given]
+        self.ids = sorted(range(len(given)), key=sizes.__getitem__)
+        self.objs = [given[i] for i in self.ids]
         self.arrays = ShapeArrays(self.objs)
         self.nbr = rows_to_masks(_intersection_matrix(self.arrays))
 
@@ -71,31 +74,20 @@ class IntersectionContext:
     def n(self) -> int:
         return len(self.objs)
 
-    @cached_property
-    def rank_nbr(self) -> List[int]:
-        """Closed neighbourhoods in size-rank space: bit s of `rank_nbr[r]`
-        is set when `order[s]` meets `order[r]`.  Built on first use, so
-        contexts that never separate do not pay for it."""
-        rank_bit = [0] * self.n
-        for r, i in enumerate(self.order):
-            rank_bit[i] = 1 << r
-        out = []
-        for i in self.order:
-            m = 0
-            for j in _bits(self.nbr[i]):
-                m |= rank_bit[j]
-            out.append(m)
-        return out
+    def input_ids(self, mask: int) -> List[int]:
+        """The given positions of `mask`'s objects, sorted."""
+        return sorted(self.ids[i] for i in _bits(mask))
 
     @cached_property
     def rank_axes(self):
         """Per axis a, the centres' sorted coordinates (row a) and their prefix
-        masks over size ranks (bit r of `prefixes[a][k]`: `order[r]`'s centre
-        is among the k first).  Built on first use, as `rank_nbr` is."""
-        ranked = self.arrays.center[self.order].T
-        perm = np.argsort(ranked, axis=1, kind="stable")
-        prefixes = [list(accumulate((1 << r for r in p), or_, initial=0)) for p in perm.tolist()]
-        return np.take_along_axis(ranked, perm, axis=1), prefixes
+        masks (bit i of `prefixes[a][k]`: object i's centre is among the k
+        first).  Built on first use, so contexts that never separate do not
+        pay for it."""
+        coords = self.arrays.center.T
+        perm = np.argsort(coords, axis=1, kind="stable")
+        prefixes = [list(accumulate((1 << i for i in p), or_, initial=0)) for p in perm.tolist()]
+        return np.take_along_axis(coords, perm, axis=1), prefixes
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -117,18 +109,17 @@ class IntersectionContext:
         return parts
 
     def greedy_pack_mask(self, mask: int):
-        """Smallest-first maximal independent set within `mask`.
+        """Smallest-first maximal independent set within `mask`: pick the
+        lowest free bit, then clear its closed neighbourhood.
 
         Returns (value, chosen_mask).
         """
         chosen = 0
-        value = 0
-        for i in self.order:
-            bit = 1 << i
-            if mask & bit and not (self.nbr[i] & chosen):
-                chosen |= bit
-                value += 1
-        return value, chosen
+        while mask:
+            low = mask & -mask
+            chosen |= low
+            mask &= ~self.nbr[low.bit_length() - 1]
+        return chosen.bit_count(), chosen
 
     def exact_pack_mask(self, mask: int):
         """Exact Pack within `mask`; returns (value, chosen_mask).
@@ -150,7 +141,7 @@ class IntersectionContext:
                 return
             if depth + mask.bit_count() <= best_val:
                 return
-            v = next(i for i in order if mask & (1 << i))
+            v = (mask & -mask).bit_length() - 1
             for u in _bits(nbr[v] & mask):
                 rec(mask & ~nbr[u], depth + 1, picked | (1 << u))
 
@@ -160,7 +151,6 @@ class IntersectionContext:
                 value += 1
                 chosen |= part
                 continue
-            order = [i for i in self.order if part >> i & 1]
             best_val, best_wit = -1, 0
             rec(part, 0, 0)
             value += best_val
@@ -194,7 +184,7 @@ class IntersectionContext:
         picked: List[int] = []
         unpierced = mask
         while unpierced:
-            o = next(i for i in self.order if unpierced & (1 << i))
+            o = (unpierced & -unpierced).bit_length() - 1
             todo = self.nbr[o] & unpierced
             while todo:
                 gains = [(c & todo).bit_count() for c in cov]
@@ -212,7 +202,6 @@ class IntersectionContext:
         Set-cover branch over the points inside the smallest unpierced
         object, so depth equals the cover size.
         """
-        order = [i for i in self.order if mask >> i & 1]
         best_val = cap + 1
         best: List[int] = []
 
@@ -224,7 +213,7 @@ class IntersectionContext:
                 return
             if len(picked) + 1 >= best_val:
                 return
-            obit = 1 << next(i for i in order if uncovered & (1 << i))
+            obit = uncovered & -uncovered
             for k, c in enumerate(cov):
                 if c & obit:
                     picked.append(k)
@@ -351,7 +340,7 @@ def greedy_pack(objs: Sequence[FatObject]) -> MeasureEstimate:
     """Maximal independent set, smallest object first; a lower bound on Pack."""
     ctx = IntersectionContext(objs)
     value, chosen = ctx.greedy_pack_mask(ctx.full_mask())
-    return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
+    return MeasureEstimate(value=value, witness=ctx.input_ids(chosen))
 
 
 def greedy_pierce(objs: Sequence[FatObject]) -> MeasureEstimate:
@@ -373,7 +362,7 @@ def exact_small_pack(objs: Sequence[FatObject], cap: int):
     value, chosen = ctx.exact_pack_mask(ctx.full_mask())
     if value > cap:
         return OVERFLOW
-    return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
+    return MeasureEstimate(value=value, witness=ctx.input_ids(chosen))
 
 
 def exact_small_pierce(objs: Sequence[FatObject], cap: int):

@@ -60,9 +60,9 @@ def _cover_boundary(search, boundary: int) -> Tuple[int, list, int]:
 
 
 def _refill(ctx: IntersectionContext, witness: list) -> list:
-    """Packing: the objects, smallest first, that join `witness` greedily
-    because they meet none of its objects (the dropped boundaries leave
-    room that the two sides' solutions do not use)."""
+    """Packing: the objects, smallest first, that join `witness` (context
+    ids) greedily because they meet none of its objects (the dropped
+    boundaries leave room that the two sides' solutions do not use)."""
     blocked = 0
     for i in witness:
         blocked |= ctx.nbr[i]
@@ -129,12 +129,13 @@ def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_st
         floor, greedy = search.greedy(search.ctx.full_mask())
         if floor > len(witness):
             witness = greedy
+        witness = sorted(search.ctx.ids[i] for i in witness)
     else:
         witness = _drop_redundant(search.table, witness)
     return Solution(
         problem=problem,
         value=len(witness),
-        witness=sorted(witness) if problem == "pack" else witness,
+        witness=witness,
         nodes=nodes,
         depth=max_depth,
         wall_time=time.perf_counter() - start,

@@ -12,12 +12,13 @@ once per call.  Both use the scalar predicates' float operations, so their
 answers equal the scalar ones bit for bit.  The base-box search ANDs, over
 the axes, the prefix masks (`ctx.rank_axes`) of the run of sorted center
 coordinates a candidate cube holds, so each cube's center set is a bitmask
-over size ranks without a cube-by-center array, and a rung stops at its
-first achieving cube.  The greedy measure of a mask walks only its
-unblocked ranks, smallest object first, clearing each pick's neighbourhood
-in rank space (`ctx.rank_nbr`), and stops once the answer is known.
+over the context without a cube-by-center array, and a rung stops at its
+first achieving cube.  The greedy measure of a mask walks its lowest
+unblocked bits (the context numbers objects by size rank), clearing each
+pick's neighbourhood (`ctx.nbr`), and stops once the answer is known.
 `_classify` gives every object's region class against a stack of boxes: the
-shell sweep classifies against all its shells in one call.
+shell sweep classifies against all its shells in one call.  A
+`SeparatorResult`'s ids are given positions (`ctx.input_ids`).
 """
 from __future__ import annotations
 
@@ -36,13 +37,15 @@ from .geometry import (
     magnify,
     rows_to_masks,
 )
-from .measure import IntersectionContext, MeasureEstimate, mask_to_ids
+from .measure import IntersectionContext, MeasureEstimate
 
 
 # Most magnification shells `shell_sweep` tries.
 SHELL_SAMPLES_CAP = 64
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
 SIDE_SEARCH_RATIO = 1.05
+# Centres per block of `find_base_box`'s distance scan (_DIST_ROWS x n arrays).
+_DIST_ROWS = 64
 
 
 @dataclass
@@ -86,13 +89,14 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
-    high-anchored at every object center, then the bounding-box corner.  A
-    cube's center set (in ranks) is the AND over axes of `prefix[j] ^
-    prefix[i]`, `[i, j)` being the run of sorted coordinates (`ctx.rank_axes`)
-    within `[low - TOL, high + TOL]`.  Cubes with a run shorter than tau, or
-    whose center mask was already tried, cannot achieve and are skipped.
+    high-anchored at every object center, the objects taken in the family's
+    given order, then the bounding-box corner.  A cube's center mask is the
+    AND over axes of `prefix[j] ^ prefix[i]`, `[i, j)` being the run of
+    sorted coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]`.
+    Cubes with a run shorter than tau, or whose center mask was already
+    tried, cannot achieve and are skipped.
     """
-    centers = ctx.arrays.center
+    centers = ctx.arrays.center[np.argsort(ctx.ids)]
     n, d = centers.shape
     lows = np.empty((3 * n + 1, d))
     lows[0:-1:3] = centers - s / 2.0
@@ -106,32 +110,26 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     j = np.stack([np.searchsorted(c, x, "right") for c, x in zip(coords, (highs + TOL).T)], axis=1)
     tried = set()
     for k in np.flatnonzero((j - i).min(axis=1) >= tau).tolist():
-        ranks = -1
+        mask = -1
         for prefix, a, b in zip(prefixes, i[k].tolist(), j[k].tolist()):
-            ranks &= prefix[b] ^ prefix[a]
-        if ranks.bit_count() < tau or ranks in tried:
+            mask &= prefix[b] ^ prefix[a]
+        if mask.bit_count() < tau or mask in tried:
             continue
-        tried.add(ranks)
-        if _greedy_reaches(ctx, ranks, tau):
+        tried.add(mask)
+        if _greedy_reaches(ctx, mask, tau):
             return BoxRegion(tuple(lows[k]), tuple(highs[k]))
     return None
 
 
-def _greedy_reaches(ctx: IntersectionContext, ranks: int, tau: int) -> bool:
-    """`ctx.greedy_pack_mask(mask)[0] >= tau`, for the mask
-    whose bit r is set for object `ctx.order[r]` exactly when bit r of
-    `ranks` is.
-
-    Keeps the ranks still free to pick: greedy always picks the lowest one,
-    whose closed neighbourhood in rank space (`ctx.rank_nbr`) then leaves
-    them.  Stops as soon as the value reaches tau or the free ranks can no
-    longer lift it there.
-    """
-    rank_nbr = ctx.rank_nbr
-    value, avail = 0, ranks
-    while value < tau <= value + avail.bit_count():
-        low = avail & -avail
-        avail &= ~rank_nbr[low.bit_length() - 1]
+def _greedy_reaches(ctx: IntersectionContext, mask: int, tau: int) -> bool:
+    """`ctx.greedy_pack_mask(mask)[0] >= tau`, by the same lowest-bit walk,
+    stopped as soon as the value reaches tau or the free bits can no longer
+    lift it there."""
+    nbr = ctx.nbr
+    value = 0
+    while value < tau <= value + mask.bit_count():
+        low = mask & -mask
+        mask &= ~nbr[low.bit_length() - 1]
         value += 1
     return value >= tau
 
@@ -157,15 +155,18 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
         return BoxRegion(tuple(c - TOL), tuple(c + TOL))
 
     # Pairwise center distances bound the ladder.  Squared distances are
-    # summed axis by axis into one n x n array; sqrt is monotone, so only the
-    # extreme positive entries need it.
-    d2 = np.zeros((n, n))
-    term = np.empty_like(d2)
-    for a in range(centers.shape[1]):
-        np.subtract(centers[:, a, None], centers[:, a], out=term)
-        d2 += np.multiply(term, term, out=term)
-    d_min = math.sqrt(float(d2.min(where=d2 > 0, initial=math.inf)))
-    d_max = math.sqrt(float(d2.max()))
+    # summed axis by axis, a block of rows at a time; sqrt is monotone, so
+    # only the extreme positive entries need it.
+    d2_min, d2_max = math.inf, 0.0
+    for start in range(0, n, _DIST_ROWS):
+        block = centers[start : start + _DIST_ROWS]
+        d2 = np.zeros((len(block), n))
+        for a in range(centers.shape[1]):
+            term = block[:, a, None] - centers[:, a]
+            d2 += term * term
+        d2_min = min(d2_min, float(d2.min(where=d2 > 0, initial=math.inf)))
+        d2_max = max(d2_max, float(d2.max()))
+    d_min, d_max = math.sqrt(d2_min), math.sqrt(d2_max)
     s_lo = max(d_min, d_max * 1e-9)
 
     ratio = SIDE_SEARCH_RATIO
@@ -266,7 +267,7 @@ def separate(
 
     def part_measure(mask: int) -> MeasureEstimate:
         value, chosen = ctx.greedy_pack_mask(mask)
-        return MeasureEstimate(value=value, witness=mask_to_ids(chosen))
+        return MeasureEstimate(value=value, witness=ctx.input_ids(chosen))
 
     total = part_measure(ctx.full_mask())
     g = max(total.value, 1)
@@ -291,9 +292,9 @@ def separate(
         box=box,
         base_box=base,
         m_star=m_star,
-        inside_ids=mask_to_ids(inside),
-        outside_ids=mask_to_ids(outside),
-        boundary_ids=mask_to_ids(boundary),
+        inside_ids=ctx.input_ids(inside),
+        outside_ids=ctx.input_ids(outside),
+        boundary_ids=ctx.input_ids(boundary),
         mu_total=total,
         mu_inside=part_measure(inside),
         mu_outside=part_measure(outside),

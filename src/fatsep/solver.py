@@ -2,14 +2,15 @@
 
 Each solve builds one `IntersectionContext` and searches subproblems as
 bitmasks over it; piercing also builds one `PierceTable` and restricts it
-to each subproblem's mask.  Small subproblems (by greedy estimate) are
-closed exactly.  A larger one that is disconnected in the intersection
-graph is a component node: Pack and Pierce add up over components, and so
-do both greedy estimates, so components whose estimates sum to at most
-`base_threshold` close together as one base case and each larger component
-is searched on its own.  The packing closer then searches each component
-of such a batch alone (`IntersectionContext.exact_pack_mask`); the
-piercing closer searches the batch as one family.  A larger connected one
+to each subproblem's mask.  Packing witnesses are context ids (size ranks)
+until the solve maps them to given positions.  Small subproblems (by greedy
+estimate) are closed exactly.  A larger one that is disconnected in the
+intersection graph is a component node: Pack and Pierce add up over
+components, and so do both greedy estimates, so components whose estimates
+sum to at most `base_threshold` close together as one base case and each
+larger component is searched on its own.  The packing closer then searches
+each component of such a batch alone (`IntersectionContext.exact_pack_mask`);
+the piercing closer searches the batch as one family.  A larger connected one
 is split with a box separator, enumerating independent sets (packing) or
 candidate pierce covers (piercing) of the boundary class.  Unbalanced or
 degenerate separators fall back to pivot branching, so termination and
@@ -59,11 +60,11 @@ class SolveConfig:
 class Solution:
     """Result of every solver, exact or approximate.
 
-    `problem` is "pack" (witness: sorted object ids) or "pierce" (witness:
-    points).  `nodes` counts the subproblems expanded (distinct masks of an
-    exact search; the PTAS adds its parts).  `optimal` means the value is
-    proven optimal; `aborted` means some exact search hit the node cap and
-    fell back to a greedy answer.
+    `problem` is "pack" (witness: the chosen objects' positions in the
+    family as given, sorted) or "pierce" (witness: points).  `nodes` counts
+    the subproblems expanded (distinct masks of an exact search; the PTAS
+    adds its parts).  `optimal` means the value is proven optimal; `aborted`
+    means some exact search hit the node cap and fell back to a greedy answer.
     `discarded` is the PTAS's boundary cost: objects dropped (packing) or
     greedy points spent (piercing).
     """
@@ -160,8 +161,10 @@ class _Search:
 
     def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
         """(inside, outside, boundary) masks of the separator of `mask`'s
-        objects, or None when that split is unbalanced."""
-        ids = mask_to_ids(mask)
+        objects, or None when that split is unbalanced.  The objects go to
+        `separate` in the family's given order, whose first achieving base
+        cube depends on it."""
+        ids = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)
         sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
             return None
@@ -184,8 +187,7 @@ class _PackSearch(_Search):
             return value, mask_to_ids(chosen), 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
-            value, witness, depth = self._components(comps, [(greedy & c).bit_count() for c in comps])
-            return value, sorted(witness), depth
+            return self._components(comps, [(greedy & c).bit_count() for c in comps])
         parts = self.split(mask)
         if parts is None:
             return self._pivot(mask)
@@ -198,7 +200,7 @@ class _PackSearch(_Search):
         take = self.solve(mask & ~self.ctx.nbr[o])
         depth = 1 + max(skip[2], take[2])
         if 1 + take[0] >= skip[0]:
-            return 1 + take[0], sorted(take[1] + [o]), depth
+            return 1 + take[0], take[1] + [o], depth
         return skip[0], skip[1], depth
 
     def _separated(self, inside: int, outside: int, boundary: int):
@@ -213,7 +215,7 @@ class _PackSearch(_Search):
             depth = max(depth, 1 + max(rin[2], rout[2]))
             value = len(chosen) + rin[0] + rout[0]
             if best is None or value > best[0]:
-                best = (value, sorted(chosen + rin[1] + rout[1]))
+                best = (value, chosen + rin[1] + rout[1])
         assert best is not None
         return best[0], best[1], depth
 
@@ -250,7 +252,7 @@ class _PierceSearch(_Search):
 
     def _pivot(self, mask, points, cov):
         # Branch over the points that pierce the smallest object.
-        obit = 1 << next(i for i in self.ctx.order if mask & (1 << i))
+        obit = mask & -mask
         best = None
         depth = 0
         for p, c in zip(points, cov):
@@ -280,7 +282,7 @@ class _PierceSearch(_Search):
                 if best is None or value < best[0]:
                     best = (value, picked + rin[1] + rout[1])
                 return
-            obit = 1 << next(i for i in self.ctx.order if unb & (1 << i))
+            obit = unb & -unb
             for p, c in zip(points, cov):
                 if c & obit:
                     dfs(unb & ~c, removed | c, picked + [p])
@@ -296,6 +298,8 @@ def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig])
     start = time.perf_counter()
     ctx = IntersectionContext(inst.objects)
     value, witness, depth, nodes, aborted = search_cls(ctx, cfg).run(ctx.full_mask())
+    if problem == "pack":
+        witness = sorted(ctx.ids[i] for i in witness)
     return Solution(
         problem=problem,
         value=value,

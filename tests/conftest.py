@@ -24,6 +24,20 @@ def random_objects(seed, n, d=2, shape="ball", span=10.0):
     return objs
 
 
+def given_mask(ctx, mask):
+    """`mask`, whose bit i is the context's `objs[i]`, over the family's
+    given positions instead."""
+    return sum(1 << ctx.ids[i] for i in range(ctx.n) if mask >> i & 1)
+
+
+def given_nbr(ctx):
+    """`ctx.nbr` indexed and masked by the family's given positions."""
+    nbr = [0] * ctx.n
+    for i, mask in enumerate(ctx.nbr):
+        nbr[ctx.ids[i]] = given_mask(ctx, mask)
+    return nbr
+
+
 def shifted(obj, dx):
     """`obj` moved by `dx` along axis 0."""
 

@@ -200,9 +200,11 @@ def test_box_candidates_are_the_in_box_grid():
         pts = candidate_pierce_points(objs)
         assert pts == [p for p, c in zip(grid, cov) if c]
         dropped += len(grid) - len(pts)
-        # The grid points left out pierce nothing, so the table is the same.
-        table = PierceTable(IntersectionContext(objs))
-        assert (table.points, table.cov) == prune_dominated(grid, cov)
+        # The grid points left out pierce nothing, so the table is the same
+        # (its masks are over the context's numbering).
+        ctx = IntersectionContext(objs)
+        table = PierceTable(ctx)
+        assert (table.points, table.cov) == prune_dominated(grid, coverage_masks(ctx.objs, grid))
     assert dropped
 
 
@@ -230,11 +232,10 @@ def test_candidate_rows_are_the_coverage_masks(monkeypatch):
 
     for seed in range(4):
         for n, rho in ((12, 1), (30, 1), (30, 8)):
-            objs = list(gen_instance("random", 2, n=n, seed=seed, density=rho).objects)
-            points = candidate_pierce_points(objs)
-            ctx = IntersectionContext(objs)
+            ctx = IntersectionContext(gen_instance("random", 2, n=n, seed=seed, density=rho).objects)
+            points = candidate_pierce_points(ctx.objs)
             with monkeypatch.context() as m:
                 m.setattr(ShapeArrays, "__init__", counted)
                 table = PierceTable(ctx)
-            assert (table.points, table.cov) == prune_dominated(points, coverage_masks(objs, points))
+            assert (table.points, table.cov) == prune_dominated(points, coverage_masks(ctx.objs, points))
     assert not layouts

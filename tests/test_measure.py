@@ -15,6 +15,7 @@ from fatsep.geometry import (
     contains_point,
     intersects,
     rows_to_masks,
+    size,
 )
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import (
@@ -29,7 +30,7 @@ from fatsep.measure import (
 )
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import solve_pierce
-from conftest import random_objects, shifted
+from conftest import given_mask, given_nbr, random_objects, shifted
 
 
 def disks_on_a_line(xs, r=1.0):
@@ -140,15 +141,20 @@ def test_exact_small_pack_full_cap_equals_oracle():
     for seed in range(20):
         objs = random_objects(seed + 100, 14)
         inst = Instance(dim=2, objects=tuple(objs))
-        assert exact_small_pack(objs, 14).value == brute_pack(inst).value
+        got = exact_small_pack(objs, 14)
+        assert got.value == brute_pack(inst).value == len(got.witness)
+        # The witness holds given positions.
+        wit = [objs[i] for i in got.witness]
+        assert not any(intersects(a, b) for i, a in enumerate(wit) for b in wit[i + 1 :])
         # A random proper sub-mask, closed on the full instance's context.
         mask = rng.randrange(1, (1 << 14) - 1)
         ids = [i for i in range(14) if mask >> i & 1]
-        value, chosen = IntersectionContext(objs).exact_pack_mask(mask)
-        sub = Instance(dim=2, objects=tuple(objs[i] for i in ids))
+        ctx = IntersectionContext(objs)
+        value, chosen = ctx.exact_pack_mask(mask)
+        sub = Instance(dim=2, objects=tuple(ctx.objs[i] for i in ids))
         assert value == brute_pack(sub).value
         assert chosen & ~mask == 0 and chosen.bit_count() == value
-        wit = [objs[i] for i in range(14) if chosen >> i & 1]
+        wit = [ctx.objs[i] for i in range(14) if chosen >> i & 1]
         for i, a in enumerate(wit):
             for b in wit[i + 1 :]:
                 assert not intersects(a, b)
@@ -188,10 +194,12 @@ def test_exact_pack_mask_closes_each_component_alone(shape):
     for k in range(1, 5):
         joined = [shifted(o, 1000 * j) for j in range(k) for o in one]
         kctx = IntersectionContext(joined)
-        # The shifts leave each copy's intersection graph as it was.
-        assert kctx.nbr == [nbr << (m * j) for j in range(k) for nbr in ctx.nbr]
-        got = closer_steps(kctx, kctx.full_mask())
-        assert got == (k * value, sum(chosen << (m * j) for j in range(k)), k * steps), k
+        # The shifts leave each copy's intersection graph as it was (read
+        # at the given positions: copy j holds positions m*j to m*j + m - 1).
+        assert given_nbr(kctx) == [nbr << (m * j) for j in range(k) for nbr in given_nbr(ctx)]
+        kvalue, kchosen, ksteps = closer_steps(kctx, kctx.full_mask())
+        want = sum(given_mask(ctx, chosen) << (m * j) for j in range(k))
+        assert (kvalue, given_mask(kctx, kchosen), ksteps) == (k * value, want, k * steps), k
 
 
 def test_exact_small_pierce_empty_and_overflow():
@@ -279,8 +287,8 @@ def test_pierce_table_restricts_to_every_submask(shape, d):
     rng = random.Random(d)
     for seed in range(8):
         inst = gen_instance("random", d, shape=shape, n=rng.randint(6, 12), seed=seed)
-        objs = list(inst.objects)
-        ctx = IntersectionContext(objs)
+        ctx = IntersectionContext(inst.objects)
+        objs = ctx.objs
         table = PierceTable(ctx)
         for mask in [ctx.full_mask()] + [rng.randrange(1, 1 << ctx.n) for _ in range(5)]:
             ids = [i for i in range(ctx.n) if mask >> i & 1]
@@ -408,7 +416,7 @@ def test_intersection_context_matches_intersects(d):
             families.append([a, b])
             families.append([b, a])
     for objs in families:
-        assert IntersectionContext(objs).nbr == pairwise_nbr(objs)
+        assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
     # Each kind of near-touching pair lands on both sides of the predicate.
     outcomes = {}
     for a, b in pairs:
@@ -470,7 +478,7 @@ def test_intersection_context_rounds_like_intersects():
         objs.append(Ball((r + TOL, y + 0.5), r))
         objs.append(AxisBox((0.0, y + 2.0), (1.0, y + 3.0)))
         objs.append(Ball((-(r + TOL), y + 2.5), r))
-    nbr = IntersectionContext(objs).nbr
+    nbr = given_nbr(IntersectionContext(objs))
     assert nbr == pairwise_nbr(objs)
     assert all(nbr[i] & (1 << (i + 1)) for i in range(0, len(objs), 2))
     # Near +-1e160 the offsets round in the subtraction; the filter must
@@ -478,7 +486,7 @@ def test_intersection_context_rounds_like_intersects():
     far = random.Random(5)
     for x in (1e160, -1e160):
         objs = huge_ball_family(x, far)
-        nbr = IntersectionContext(objs).nbr
+        nbr = given_nbr(IntersectionContext(objs))
         assert nbr == pairwise_nbr(objs)
         hits = [bool(nbr[i] >> (i + 1) & 1) for i in range(0, len(objs), 2)]
         assert set(hits) == {True, False}
@@ -491,10 +499,24 @@ def test_intersection_context_rounds_like_intersects():
     sizes = [1.0, 1e152, root / 2 * (1 - 1e-9), root / 2 * (1 + 1e-9), 1e155]
     objs = [Ball((x, 3.0 * k), r) for x in (1e160, -1e160) for k, r in enumerate(sizes)]
     with np.errstate(over="ignore"):
-        nbr = IntersectionContext(objs).nbr
+        nbr = given_nbr(IntersectionContext(objs))
     assert nbr == all_pairs_ball_nbr(objs)
     across = {(i, j) for i in range(5) for j in range(5, 10) if nbr[i] >> j & 1}
     assert (0, 5) not in across and (4, 5) in across and (3, 8) in across and (2, 7) not in across
+
+
+def test_intersection_context_numbers_objects_by_size():
+    # Bit i is the i-th smallest object, ties in given order; `ids` and
+    # `input_ids` lead back to the given positions.
+    objs = random_objects(2, 30) + random_objects(2, 10, shape="box")
+    objs += [Ball(o.center, o.radius) for o in objs[:5]]
+    random.Random(2).shuffle(objs)
+    ctx = IntersectionContext(objs)
+    assert ctx.objs == [objs[i] for i in ctx.ids]
+    assert [(size(o), i) for o, i in zip(ctx.objs, ctx.ids)] == sorted((size(o), i) for i, o in enumerate(objs))
+    rng = random.Random(3)
+    for mask in [0, ctx.full_mask()] + [rng.getrandbits(ctx.n) for _ in range(5)]:
+        assert ctx.input_ids(mask) == sorted(ctx.ids[i] for i in range(ctx.n) if mask >> i & 1)
 
 
 def test_intersection_context_small_and_mixed_dimensions():

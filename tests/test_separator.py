@@ -63,11 +63,17 @@ def test_find_base_box_single_cluster():
     assert box.longest_side == pytest.approx(s)
 
 
+def given_order(ctx):
+    """The context's object numbers, in the family's given order."""
+    return sorted(range(ctx.n), key=ctx.ids.__getitem__)
+
+
 def reference_achieving_box(ctx, s, tau):
-    """The per-candidate loop: one numpy comparison per candidate cube."""
+    """The per-candidate loop: one numpy comparison per candidate cube, the
+    objects' cubes taken in the family's given order."""
     centers = np.array([center(o) for o in ctx.objs])
     lows = []
-    for c in centers:
+    for c in centers[given_order(ctx)]:
         lows += [tuple(c - s / 2.0), tuple(c), tuple(c - s)]
     lows.append(tuple(centers.min(axis=0)))
     seen = set()
@@ -181,8 +187,8 @@ def rank_walk_families(balls=24, boxes=12, per_dim=4, seed=11):
 def test_achieving_box_rank_walk_matches_reference():
     for objs in rank_walk_families():
         ctx = IntersectionContext(objs)
-        assert ctx.order != sorted(ctx.order)
-        assert len(set(ctx.sizes)) < len(objs)
+        assert ctx.ids != sorted(ctx.ids)
+        assert len({size(o) for o in ctx.objs}) < len(objs)
         g = greedy_pack(objs).value
         for s in (0.5, 1.5, 3.0, 6.0, 12.0):
             for tau in range(1, g + 1):
@@ -191,16 +197,15 @@ def test_achieving_box_rank_walk_matches_reference():
                 assert got == want, (s, tau)
 
 
-def candidate_rank_masks(ctx, s):
-    """Rank mask of every candidate cube of side s, in candidate order, from
+def candidate_masks(ctx, s):
+    """Centre mask of every candidate cube of side s, in candidate order, from
     one numpy comparison per candidate (the reference's loop)."""
     centers = np.array([center(o) for o in ctx.objs])
-    lows = [lo for c in centers for lo in (c - s / 2.0, c, c - s)] + [centers.min(axis=0)]
-    rank_bit = {i: 1 << r for r, i in enumerate(ctx.order)}
+    lows = [lo for c in centers[given_order(ctx)] for lo in (c - s / 2.0, c, c - s)]
     masks = []
-    for lo in lows:
+    for lo in lows + [centers.min(axis=0)]:
         in_box = np.all((centers >= lo - 1e-9) & (centers <= lo + s + 1e-9), axis=1)
-        masks.append(sum(rank_bit[int(i)] for i in np.flatnonzero(in_box)))
+        masks.append(sum(1 << int(i) for i in np.flatnonzero(in_box)))
     return masks
 
 
@@ -234,14 +239,14 @@ def test_achieving_box_matches_reference_across_blocks(monkeypatch):
         assert 3 * n + 1 > block
         g = greedy_pack(objs).value
         for s in (0.5, 1.5, 3.0, 12.0):
-            masks = candidate_rank_masks(ctx, s)
+            masks = candidate_masks(ctx, s)
             for tau in sorted({1, 2, 5, g // 2, g}):
                 walked = []
                 original = separator._greedy_reaches
 
-                def recording(ctx, ranks, tau):
-                    walked.append(ranks)
-                    return original(ctx, ranks, tau)
+                def recording(ctx, mask, tau):
+                    walked.append(mask)
+                    return original(ctx, mask, tau)
 
                 with monkeypatch.context() as m:
                     m.setattr(separator, "_greedy_reaches", recording)
@@ -280,35 +285,21 @@ def test_rank_axes_are_sorted_prefix_masks():
         assert "rank_axes" not in vars(ctx)
         coords, prefixes = ctx.rank_axes
         for a, prefix in enumerate(prefixes):
-            ranked = [center(ctx.objs[i])[a] for i in ctx.order]
+            ranked = [center(o)[a] for o in ctx.objs]
             by_coord = sorted(range(len(ranked)), key=ranked.__getitem__)
             assert list(coords[a]) == [ranked[r] for r in by_coord]
             assert prefix == [sum(1 << r for r in by_coord[:k]) for k in range(len(ranked) + 1)]
 
 
-def test_rank_nbr_is_nbr_in_rank_order():
-    for objs in rank_walk_families(balls=48, boxes=24, per_dim=1) + [twin_family()]:
-        ctx = IntersectionContext(objs)
-        # Built on first use only.
-        assert "rank_nbr" not in vars(ctx)
-        want = [
-            sum(1 << r for r, j in enumerate(ctx.order) if ctx.nbr[i] >> j & 1)
-            for i in ctx.order
-        ]
-        assert ctx.rank_nbr == want
-        assert all(m >> r & 1 for r, m in enumerate(ctx.rank_nbr))
-
-
 def test_greedy_reaches_equals_greedy_pack_mask():
-    # Every rank mask of a few small families, at every tau up to its size.
+    # Every mask of a few small families, at every tau up to its size.
     for objs in rank_walk_families()[:2]:
         objs = objs[:9]
         ctx = IntersectionContext(objs)
-        for ranks in range(1 << len(objs)):
-            mask = sum(1 << i for r, i in enumerate(ctx.order) if ranks >> r & 1)
-            for tau in range(ranks.bit_count() + 2):
+        for mask in range(1 << len(objs)):
+            for tau in range(mask.bit_count() + 2):
                 want = ctx.greedy_pack_mask(mask)[0] >= tau
-                assert separator._greedy_reaches(ctx, ranks, tau) == want
+                assert separator._greedy_reaches(ctx, mask, tau) == want
 
 
 CODES = {

@@ -173,10 +173,11 @@ def test_enumerate_two_intersecting():
 def test_enumerate_matches_powerset_filter():
     rng = random.Random(0)
     for seed in range(10):
-        objs = random_objects(seed, 6)
+        ctx = IntersectionContext(random_objects(seed, 6))
+        objs = ctx.objs
         # The full mask, then a random proper sub-mask of it.
         for mask in (63, rng.randrange(1, 63)):
-            got = independent_sets(objs, mask)
+            got = list(ctx.independent_sets(mask))
             want = []
             for m in range(64):
                 if m & ~mask:
