@@ -95,6 +95,36 @@ MUTANTS = [
         'np.searchsorted(c, x, "right") for c, x in zip(coords, (lows - TOL).T)',
         "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
     ),
+    # The slot bound: a cube whose nonzero slots reach tau is walked; each
+    # slot is part of a clique and holds at most 8 objects, one bit each.
+    Mutant(
+        "base-box-bound-strict",
+        "separator.py",
+        "reach = np.count_nonzero(held, axis=1) >= tau",
+        "reach = np.count_nonzero(held, axis=1) > tau",
+        "tests/test_separator.py::test_achieving_box_bound_reaches_tau_exactly",
+    ),
+    Mutant(
+        "base-box-bound-axis-0",
+        "separator.py",
+        "for a in range(1, d):\n        held &=",
+        "for a in range(1, 1):\n        held &=",
+        "tests/test_separator.py::test_find_base_box_walks_few_cubes",
+    ),
+    Mutant(
+        "clique-growth-unchecked",
+        "measure.py",
+        "grow &= self.nbr[low.bit_length() - 1] & ~low",
+        "grow &= ~low",
+        "tests/test_separator.py::test_slots_hold_at_most_eight_pairwise_intersecting_objects",
+    ),
+    Mutant(
+        "slot-size-nine",
+        "measure.py",
+        "SLOT_SIZE = 8",
+        "SLOT_SIZE = 9",
+        "tests/test_separator.py::test_slots_hold_at_most_eight_pairwise_intersecting_objects",
+    ),
     Mutant(
         "base-box-run-end-side",
         "separator.py",
@@ -155,9 +185,9 @@ MUTANTS = [
     # Base cubes are tried, and parts separated, in the family's given order.
     Mutant(
         "base-box-rank-order",
-        "separator.py",
-        "centers = ctx.arrays.center[np.argsort(ctx.ids)]",
-        "centers = ctx.arrays.center",
+        "measure.py",
+        "self.arrays.center[np.argsort(self.ids)]",
+        "self.arrays.center",
         "tests/test_separator.py::test_achieving_box_rank_walk_matches_reference",
     ),
     Mutant(

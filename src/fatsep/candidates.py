@@ -12,7 +12,8 @@ is not extended.  The piercing table needs only the first grid point of
 each distinct coverage, so its sweep keeps one prefix per row at every
 axis.  Disks (d=2): the lowest point of each disk plus all pairwise circle
 intersection points — the lowest point of any nonempty disk intersection is
-one of these.
+one of these.  Each pair is intersected in (centre, radius) order, so the
+points do not depend on the family's order, bit for bit.
 
 Box grid coverage masks are the sweep's own, and the centres' come from the
 same comparisons; disk ones come from numpy, one block of points at a time.
@@ -126,10 +127,10 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
             )
         for o in objs:
             pts.add((o.center[0], o.center[1] - o.radius))
-        for i, a in enumerate(objs):
-            for b in objs[i + 1 :]:
-                for p in _circle_intersections(a, b):
-                    pts.add(p)
+        disks = sorted(objs, key=lambda o: (o.center, o.radius))
+        for i, a in enumerate(disks):
+            for b in disks[i + 1 :]:
+                pts.update(_circle_intersections(a, b))
     else:
         raise UnsupportedShapeError(
             "piercing candidates require a pure ball or pure box family"

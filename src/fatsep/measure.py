@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,12 +55,37 @@ class MeasureEstimate:
     witness: list = field(default_factory=list)
 
 
+# Most objects of one clique in one byte slot of `RankAxes.slots`.
+SLOT_SIZE = 8
+
+
+class RankAxes(NamedTuple):
+    """A context's centres ranked on each axis, for the base-box search.
+
+    `coords[a]`: the sorted coordinates on axis a.  `prefixes[a][k]`: the
+    mask of the objects whose centres are among the k first there.
+    `slots[a][k]`: the same objects as byte slots, one uint8 column per
+    slot, bit b of slot s set when the b-th member of slot s is among them;
+    every object sits in one slot, and a slot holds at most SLOT_SIZE
+    members of one clique (`IntersectionContext.cliques`), so a packing of
+    any subfamily holds at most one object per nonzero slot.  `centres`:
+    the centres in the family's given order.
+    """
+
+    coords: np.ndarray
+    prefixes: List[List[int]]
+    slots: np.ndarray
+    centres: np.ndarray
+
+
 class IntersectionContext:
     """A family sorted by (size, given position), its closed-neighbourhood
     bitmasks and its `ShapeArrays`: bit i of every mask, row i of `arrays`,
     `nbr[i]` and bit i of every `PierceTable` coverage mean `objs[i]`, the
     i-th smallest object, whose given position is `ids[i]`.  Ids leave the
-    package as given positions only (`input_ids`)."""
+    package as given positions only (`input_ids`).  A greedy clique
+    partition (`cliques`) and the separator's ranked centres (`rank_axes`)
+    are built on first use."""
 
     def __init__(self, objs: Sequence[FatObject]):
         given = list(objs)
@@ -79,15 +104,51 @@ class IntersectionContext:
         return sorted(self.ids[i] for i in _bits(mask))
 
     @cached_property
-    def rank_axes(self):
-        """Per axis a, the centres' sorted coordinates (row a) and their prefix
-        masks (bit i of `prefixes[a][k]`: object i's centre is among the k
-        first).  Built on first use, so contexts that never separate do not
-        pay for it."""
+    def cliques(self) -> List[int]:
+        """A partition of the family into cliques of the intersection graph,
+        as masks in order of lowest bit.  Each starts at the smallest object
+        not yet placed and grows by the smallest unplaced object that meets
+        all its members, so a packing holds at most one object of each."""
+        cliques = []
+        free = self.full_mask()
+        while free:
+            clique = low = free & -free
+            grow = free
+            while grow:
+                grow &= self.nbr[low.bit_length() - 1] & ~low
+                low = grow & -grow
+                clique |= low
+            cliques.append(clique)
+            free &= ~clique
+        return cliques
+
+    @cached_property
+    def rank_axes(self) -> RankAxes:
+        """The separator's tables (see `RankAxes`), built on first use, so
+        contexts that never separate do not pay for them."""
         coords = self.arrays.center.T
         perm = np.argsort(coords, axis=1, kind="stable")
         prefixes = [list(accumulate((1 << i for i in p), or_, initial=0)) for p in perm.tolist()]
-        return np.take_along_axis(coords, perm, axis=1), prefixes
+        # Object i's slot and its bit there: each clique fills slots of
+        # SLOT_SIZE objects, in order of rank.
+        slot = np.empty(self.n, dtype=np.intp)
+        bit = np.empty(self.n, dtype=np.uint8)
+        used = 0
+        for clique in self.cliques:
+            for k, i in enumerate(_bits(clique)):
+                slot[i] = used + k // SLOT_SIZE
+                bit[i] = 1 << k % SLOT_SIZE
+            used += -(-clique.bit_count() // SLOT_SIZE)
+        slots = np.zeros((len(perm), self.n + 1, used), dtype=np.uint8)
+        for table, p in zip(slots, perm):
+            table[np.arange(1, self.n + 1), slot[p]] = bit[p]
+            np.bitwise_or.accumulate(table, axis=0, out=table)
+        return RankAxes(
+            np.take_along_axis(coords, perm, axis=1),
+            prefixes,
+            slots,
+            self.arrays.center[np.argsort(self.ids)],
+        )
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -13,9 +13,14 @@ answers equal the scalar ones bit for bit.  The base-box search ANDs, over
 the axes, the prefix masks (`ctx.rank_axes`) of the run of sorted center
 coordinates a candidate cube holds, so each cube's center set is a bitmask
 over the context without a cube-by-center array, and a rung stops at its
-first achieving cube.  The greedy measure of a mask walks its lowest
-unblocked bits (the context numbers objects by size rank), clearing each
-pick's neighbourhood (`ctx.nbr`), and stops once the answer is known.
+first achieving cube.  The same runs AND the prefix tables of the context's
+byte slots (each slot at most 8 objects of one clique of a greedy clique
+partition), all of a rung's cubes in one numpy gather: a cube's nonzero
+slots bound its greedy measure from above, so only cubes whose bound
+reaches the target get a mask and a walk.  The greedy measure of a mask
+walks its lowest unblocked bits (the context numbers objects by size rank),
+clearing each pick's neighbourhood (`ctx.nbr`), and stops once the answer
+is known.
 `_classify` gives every object's region class against a stack of boxes: the
 shell sweep classifies against all its shells in one call.  A
 `SeparatorResult`'s ids are given positions (`ctx.input_ids`).
@@ -90,13 +95,16 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
 
     Candidates, in order: the cubes centered on, low-anchored at and
     high-anchored at every object center, the objects taken in the family's
-    given order, then the bounding-box corner.  A cube's center mask is the
-    AND over axes of `prefix[j] ^ prefix[i]`, `[i, j)` being the run of
-    sorted coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]`.
-    Cubes with a run shorter than tau, or whose center mask was already
-    tried, cannot achieve and are skipped.
+    given order, then the bounding-box corner.  A cube holds the run `[i, j)`
+    of sorted coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]`
+    on each axis, so its centre set is the AND over axes of
+    `prefixes[j] ^ prefixes[i]`, and its slot bytes the AND of
+    `slots[j] ^ slots[i]`.  A packing holds one object per nonzero slot at
+    most, so cubes with fewer than tau nonzero slots (all counted in one
+    numpy gather), or whose center mask was already tried, cannot achieve
+    and are skipped.
     """
-    centers = ctx.arrays.center[np.argsort(ctx.ids)]
+    coords, prefixes, slots, centers = ctx.rank_axes
     n, d = centers.shape
     lows = np.empty((3 * n + 1, d))
     lows[0:-1:3] = centers - s / 2.0
@@ -104,16 +112,23 @@ def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[Box
     lows[2:-1:3] = centers - s
     lows[-1] = centers.min(axis=0)
     highs = lows + s
-    coords, prefixes = ctx.rank_axes
     # Row k: candidate k's run [i, j) on each axis.
     i = np.stack([np.searchsorted(c, x, "left") for c, x in zip(coords, (lows - TOL).T)], axis=1)
     j = np.stack([np.searchsorted(c, x, "right") for c, x in zip(coords, (highs + TOL).T)], axis=1)
+    # A run shorter than tau holds fewer than tau slots too; dropping those
+    # cubes first keeps the gather small on the short rungs.
+    ks = np.flatnonzero((j - i).min(axis=1) >= tau)
+    i, j = i[ks], j[ks]
+    held = slots[0][j[:, 0]] ^ slots[0][i[:, 0]]
+    for a in range(1, d):
+        held &= slots[a][j[:, a]] ^ slots[a][i[:, a]]
+    reach = np.count_nonzero(held, axis=1) >= tau
     tried = set()
-    for k in np.flatnonzero((j - i).min(axis=1) >= tau).tolist():
+    for k, runs_i, runs_j in zip(ks[reach].tolist(), i[reach].tolist(), j[reach].tolist()):
         mask = -1
-        for prefix, a, b in zip(prefixes, i[k].tolist(), j[k].tolist()):
+        for prefix, a, b in zip(prefixes, runs_i, runs_j):
             mask &= prefix[b] ^ prefix[a]
-        if mask.bit_count() < tau or mask in tried:
+        if mask in tried:
             continue
         tried.add(mask)
         if _greedy_reaches(ctx, mask, tau):

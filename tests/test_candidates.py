@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -43,6 +44,20 @@ def test_candidates_sorted_unique():
     objs = [Ball((i, 0), 1.0) for i in range(4)]
     pts = candidate_pierce_points(objs)
     assert pts == sorted(set(pts))
+
+
+def test_disk_candidates_ignore_family_order():
+    # Each pair's circle intersections are computed in one order, so a
+    # reordered family gives the same points bit for bit; in list order,
+    # swapping the two disks of a pair moves some points in the last bits.
+    rng = random.Random(3)
+    for seed in range(3):
+        objs = list(gen_instance("random", 2, shape="ball", n=30, seed=seed).objects)
+        want = candidate_pierce_points(objs)
+        for _ in range(3):
+            shuffled = rng.sample(objs, len(objs))
+            assert candidate_pierce_points(shuffled) == want
+            assert candidate_pierce_points(shuffled[::-1]) == want
 
 
 def test_balls_d3_unsupported():

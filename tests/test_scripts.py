@@ -70,9 +70,14 @@ def test_pierce_answers_repeat_byte_for_byte(tmp_path):
 
 
 def test_mutants_script_kills_two_planted_faults():
-    # Two of the listed faults, each in its own temporary copy of `src/`,
+    # Three of the listed faults, each in its own temporary copy of `src/`,
     # and one at the boundary where context ids become given positions.
-    names = ["centre-strict-end", "base-box-run-end-side", "greedy-pack-witness-unmapped"]
+    names = [
+        "centre-strict-end",
+        "base-box-bound-strict",
+        "base-box-run-end-side",
+        "greedy-pack-witness-unmapped",
+    ]
     argv = [sys.executable, str(ROOT / "scripts" / "mutants.py")]
     for name in names:
         argv += ["--only", name]

@@ -15,11 +15,12 @@ from fatsep.geometry import (
     ShapeArrays,
     center,
     classify,
+    intersects,
     magnify,
     size,
 )
 from fatsep.instances import gen_instance
-from fatsep.measure import IntersectionContext, greedy_pack
+from fatsep.measure import SLOT_SIZE, IntersectionContext, greedy_pack
 from fatsep.separator import (
     SIDE_SEARCH_RATIO,
     SeparatorConfig,
@@ -110,6 +111,12 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
     # Repeated centres give repeated candidates, which are skipped.
     twins = random_objects(9, 12)
     families.append(twins + [Ball(o.center, o.radius / 2) for o in twins])
+    # Dense families with cliques of more than SLOT_SIZE objects, which
+    # fill more than one slot.
+    for shape, n, seed in (("ball", 40, 1), ("box", 60, 0)):
+        objs = list(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=8).objects)
+        assert max(c.bit_count() for c in IntersectionContext(objs).cliques) > SLOT_SIZE
+        families.append(objs)
     for objs in families:
         g = greedy_pack(objs).value
         for tau in sorted({1, max(1, g // 2), g}):
@@ -283,12 +290,105 @@ def test_rank_axes_are_sorted_prefix_masks():
         ctx = IntersectionContext(objs)
         # Built on first use only.
         assert "rank_axes" not in vars(ctx)
-        coords, prefixes = ctx.rank_axes
+        coords, prefixes, slots, centres = ctx.rank_axes
         for a, prefix in enumerate(prefixes):
             ranked = [center(o)[a] for o in ctx.objs]
             by_coord = sorted(range(len(ranked)), key=ranked.__getitem__)
             assert list(coords[a]) == [ranked[r] for r in by_coord]
             assert prefix == [sum(1 << r for r in by_coord[:k]) for k in range(len(ranked) + 1)]
+        assert slots.shape[:2] == (len(prefixes), ctx.n + 1)
+        assert centres.tolist() == [list(center(o)) for o in objs]
+
+
+def slot_layout(ctx):
+    """Each object's (slot, bit) in `ctx.rank_axes.slots`, read off the one
+    byte that changes between consecutive rows, the same on every axis."""
+    _, prefixes, slots, _ = ctx.rank_axes
+    layout = None
+    for prefix, table in zip(prefixes, slots):
+        assert not table[0].any()
+        place = {}
+        for k in range(ctx.n):
+            (i,) = [i for i in range(ctx.n) if (prefix[k + 1] ^ prefix[k]) >> i & 1]
+            (slot,) = np.flatnonzero(table[k + 1] != table[k]).tolist()
+            bit = int(table[k + 1, slot] ^ table[k, slot])
+            assert bit.bit_count() == 1 and not table[k, slot] & bit
+            place[i] = (slot, bit)
+        assert layout in (None, place)
+        layout = place
+    return layout
+
+
+def test_slots_hold_at_most_eight_pairwise_intersecting_objects():
+    families = [objs[:20] for objs in rank_walk_families(per_dim=1)]
+    for shape, n, seed in (("ball", 40, 1), ("box", 60, 0), ("ball", 30, 2)):
+        families.append(list(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=8).objects))
+    wide = 0
+    for objs in families:
+        ctx = IntersectionContext(objs)
+        cliques = ctx.cliques
+        assert sum(cliques) == ctx.full_mask() and sum(c.bit_count() for c in cliques) == ctx.n
+        layout = slot_layout(ctx)
+        # Every object sits in exactly one (slot, bit).
+        assert sorted(layout) == list(range(ctx.n))
+        assert len(set(layout.values())) == ctx.n
+        members = {}
+        for i, (slot, _) in sorted(layout.items()):
+            members.setdefault(slot, []).append(i)
+        assert len(members) == ctx.rank_axes.slots.shape[2]
+        for slot, ids in members.items():
+            assert len(ids) <= 8
+            assert all(intersects(ctx.objs[a], ctx.objs[b]) for a in ids for b in ids)
+        wide += any(c.bit_count() > SLOT_SIZE for c in cliques)
+    assert wide
+
+
+def test_achieving_box_bound_reaches_tau_exactly(monkeypatch):
+    # Three disjoint pairs of overlapping disks: the cube around all six
+    # centres holds six objects in three cliques, so its bound is exactly
+    # tau = 3, the greedy value, and a strict bound would skip it.
+    objs = []
+    for x in (0.0, 1.0, 2.0):
+        objs += [Ball((x, 0.0), 0.2), Ball((x, 0.1), 0.1)]
+    ctx = IntersectionContext(objs)
+    assert len(ctx.cliques) == 3
+    box = separator._achieving_box(ctx, 2.0, 3)
+    assert box is not None and box == reference_achieving_box(ctx, 2.0, 3)
+    assert find_base_box(ctx, 3) == reference_base_box(monkeypatch, objs, 3)
+
+
+def test_find_base_box_walks_few_cubes(monkeypatch):
+    # The bound leaves at least 10x fewer walks than the distinct centre
+    # masks of tau or more objects that the per-candidate loop walks.
+    objs = list(gen_instance("random", 2, shape="ball", n=400, seed=1).objects)
+    tau = math.ceil(1.25 / 3.0 * greedy_pack(objs).value)
+    walks = []
+    original = separator._greedy_reaches
+
+    def recording(ctx, mask, tau):
+        walks.append(mask)
+        return original(ctx, mask, tau)
+
+    with monkeypatch.context() as m:
+        m.setattr(separator, "_greedy_reaches", recording)
+        got = find_base_box(IntersectionContext(objs), tau)
+    distinct = 0
+
+    def counting(ctx, s, tau):
+        nonlocal distinct
+        walked = set()
+        ctx.greedy_pack_mask = lambda mask: walked.add(mask) or type(ctx).greedy_pack_mask(ctx, mask)
+        try:
+            return reference_achieving_box(ctx, s, tau)
+        finally:
+            del ctx.greedy_pack_mask
+            distinct += len(walked)
+
+    with monkeypatch.context() as m:
+        m.setattr(separator, "_achieving_box", counting)
+        want = find_base_box(IntersectionContext(objs), tau)
+    assert got == want
+    assert walks and 10 * len(walks) <= distinct
 
 
 def test_greedy_reaches_equals_greedy_pack_mask():
