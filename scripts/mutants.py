@@ -91,46 +91,62 @@ MUTANTS = [
     Mutant(
         "base-box-run-start-side",
         "separator.py",
-        'np.searchsorted(c, x, "left") for c, x in zip(coords, (lows - TOL).T)',
-        'np.searchsorted(c, x, "right") for c, x in zip(coords, (lows - TOL).T)',
+        "bisect_left(coord, x - TOL)",
+        "bisect_right(coord, x - TOL)",
         "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
     ),
-    # The slot bound: a cube whose nonzero slots reach tau is walked; each
-    # slot is part of a clique and holds at most 8 objects, one bit each.
     Mutant(
-        "base-box-bound-strict",
+        "base-box-run-end-side",
         "separator.py",
-        "reach = np.count_nonzero(held, axis=1) >= tau",
-        "reach = np.count_nonzero(held, axis=1) > tau",
+        "bisect_right(coord, x + s + TOL)",
+        "bisect_left(coord, x + s + TOL)",
+        "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
+    ),
+    # The thresholds: a rung tries the cubes whose threshold is at most its
+    # side; a threshold bounds, with slack for rounding, the side at which a
+    # cube holds centres of tau cliques, each clique taken as its centres'
+    # bounding box.
+    Mutant(
+        "base-box-filter-strict",
+        "separator.py",
+        "np.flatnonzero(min_side <= s)",
+        "np.flatnonzero(min_side < s)",
         "tests/test_separator.py::test_achieving_box_bound_reaches_tau_exactly",
     ),
     Mutant(
-        "base-box-bound-axis-0",
+        "base-box-slack-dropped",
         "separator.py",
-        "for a in range(1, d):\n        held &=",
-        "for a in range(1, 1):\n        held &=",
-        "tests/test_separator.py::test_find_base_box_walks_few_cubes",
+        "slack = 2.0**-40 *",
+        "slack = 0.0 *",
+        "tests/test_separator.py::test_min_sides_hold_under_rounding",
+    ),
+    Mutant(
+        "base-box-centred-factor",
+        "separator.py",
+        "sides[:, 0] *= 2.0",
+        "sides[:, 0] *= 1.0",
+        "tests/test_separator.py::test_min_sides_are_tight_on_disjoint_families",
+    ),
+    Mutant(
+        "base-box-anchored-sides-swapped",
+        "separator.py",
+        "np.subtract(up, past, out=t)",
+        "np.subtract(down, past, out=t)",
+        "tests/test_separator.py::test_min_sides_hold_under_rounding",
+    ),
+    Mutant(
+        "base-box-threshold-axis-0",
+        "separator.py",
+        "for a in range(1, d):\n            np.maximum(up,",
+        "for a in range(1, 1):\n            np.maximum(up,",
+        "tests/test_separator.py::test_min_sides_are_tight_on_disjoint_families",
     ),
     Mutant(
         "clique-growth-unchecked",
         "measure.py",
         "grow &= self.nbr[low.bit_length() - 1] & ~low",
         "grow &= ~low",
-        "tests/test_separator.py::test_slots_hold_at_most_eight_pairwise_intersecting_objects",
-    ),
-    Mutant(
-        "slot-size-nine",
-        "measure.py",
-        "SLOT_SIZE = 8",
-        "SLOT_SIZE = 9",
-        "tests/test_separator.py::test_slots_hold_at_most_eight_pairwise_intersecting_objects",
-    ),
-    Mutant(
-        "base-box-run-end-side",
-        "separator.py",
-        'np.searchsorted(c, x, "right") for c, x in zip(coords, (highs + TOL).T)',
-        'np.searchsorted(c, x, "left") for c, x in zip(coords, (highs + TOL).T)',
-        "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
+        "tests/test_separator.py::test_cliques_are_a_greedy_partition_into_pairwise_intersecting_sets",
     ),
     # The context numbers objects by size rank; ids leave the package as
     # given positions.
@@ -186,8 +202,8 @@ MUTANTS = [
     Mutant(
         "base-box-rank-order",
         "measure.py",
-        "self.arrays.center[np.argsort(self.ids)]",
-        "self.arrays.center",
+        "given = centres[np.argsort(self.ids)]",
+        "given = centres",
         "tests/test_separator.py::test_achieving_box_rank_walk_matches_reference",
     ),
     Mutant(

@@ -55,27 +55,22 @@ class MeasureEstimate:
     witness: list = field(default_factory=list)
 
 
-# Most objects of one clique in one byte slot of `RankAxes.slots`.
-SLOT_SIZE = 8
-
-
 class RankAxes(NamedTuple):
     """A context's centres ranked on each axis, for the base-box search.
 
-    `coords[a]`: the sorted coordinates on axis a.  `prefixes[a][k]`: the
-    mask of the objects whose centres are among the k first there.
-    `slots[a][k]`: the same objects as byte slots, one uint8 column per
-    slot, bit b of slot s set when the b-th member of slot s is among them;
-    every object sits in one slot, and a slot holds at most SLOT_SIZE
-    members of one clique (`IntersectionContext.cliques`), so a packing of
-    any subfamily holds at most one object per nonzero slot.  `centres`:
-    the centres in the family's given order.
+    `coords[a]`: the sorted coordinates on axis a, as Python floats.
+    `prefixes[a][k]`: the mask of the objects whose centres are among the k
+    first there.  `anchors`: the centres in the family's given order, then
+    the bounding-box corner (the per-axis minimum).  `clique_low[q]` and
+    `clique_high[q]`: the corners of the bounding box of the centres of
+    clique q of `IntersectionContext.cliques`.
     """
 
-    coords: np.ndarray
+    coords: List[List[float]]
     prefixes: List[List[int]]
-    slots: np.ndarray
-    centres: np.ndarray
+    anchors: np.ndarray
+    clique_low: np.ndarray
+    clique_high: np.ndarray
 
 
 class IntersectionContext:
@@ -126,28 +121,19 @@ class IntersectionContext:
     def rank_axes(self) -> RankAxes:
         """The separator's tables (see `RankAxes`), built on first use, so
         contexts that never separate do not pay for them."""
-        coords = self.arrays.center.T
-        perm = np.argsort(coords, axis=1, kind="stable")
+        centres = self.arrays.center
+        perm = np.argsort(centres.T, axis=1, kind="stable")
         prefixes = [list(accumulate((1 << i for i in p), or_, initial=0)) for p in perm.tolist()]
-        # Object i's slot and its bit there: each clique fills slots of
-        # SLOT_SIZE objects, in order of rank.
-        slot = np.empty(self.n, dtype=np.intp)
-        bit = np.empty(self.n, dtype=np.uint8)
-        used = 0
-        for clique in self.cliques:
-            for k, i in enumerate(_bits(clique)):
-                slot[i] = used + k // SLOT_SIZE
-                bit[i] = 1 << k % SLOT_SIZE
-            used += -(-clique.bit_count() // SLOT_SIZE)
-        slots = np.zeros((len(perm), self.n + 1, used), dtype=np.uint8)
-        for table, p in zip(slots, perm):
-            table[np.arange(1, self.n + 1), slot[p]] = bit[p]
-            np.bitwise_or.accumulate(table, axis=0, out=table)
+        members = [i for clique in self.cliques for i in _bits(clique)]
+        starts = list(accumulate((c.bit_count() for c in self.cliques[:-1]), initial=0))
+        grouped = centres[members]
+        given = centres[np.argsort(self.ids)]
         return RankAxes(
-            np.take_along_axis(coords, perm, axis=1),
+            np.take_along_axis(centres.T, perm, axis=1).tolist(),
             prefixes,
-            slots,
-            self.arrays.center[np.argsort(self.ids)],
+            np.vstack([given, centres.min(axis=0)]),
+            np.minimum.reduceat(grouped, starts),
+            np.maximum.reduceat(grouped, starts),
         )
 
     def full_mask(self) -> int:
@@ -329,7 +315,8 @@ _SQUARE_OVERFLOWS = 1e154
 
 
 def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
-    """Boolean n x n array of `geometry.intersects` (every object meets itself).
+    """Boolean n x n array of `geometry.intersects` (every object meets itself);
+    a family of one shape gets its one block, without the scatter.
 
     Squared offsets are summed axis by axis in axis order and taken with
     `float_power`, the C `pow` that Python's `**` calls.  A ball-box offset
@@ -343,7 +330,6 @@ def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     and those pairs are always kept.
     """
     n = len(shapes.ball)
-    hit = np.ones((n, n), dtype=bool)
     balls = np.flatnonzero(shapes.ball)
     boxes = np.flatnonzero(~shapes.ball)
     c = shapes.center[balls]
@@ -367,22 +353,25 @@ def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
         limit = r[i] + r[j]
         limit += TOL
         near[i, j] = d2 <= np.float_power(limit, 2.0)
-        hit[np.ix_(balls, balls)] = near
-    if boxes.size:
-        meet = np.ones((len(boxes), len(boxes)), dtype=bool)
-        for a in range(shapes.dim):
-            meet &= lo[:, a, None] <= hi[:, a] + TOL
-            meet &= lo[:, a] <= hi[:, a, None] + TOL
-        hit[np.ix_(boxes, boxes)] = meet
-    if balls.size and boxes.size:
-        d2 = np.zeros((len(balls), len(boxes)))
-        for a in range(shapes.dim):
-            x = c[:, a, None]
-            offset = np.maximum(np.maximum(lo[:, a] - x, x - hi[:, a]), 0.0)
-            d2 += np.float_power(offset, 2.0)
-        meet = d2 <= np.float_power(r + TOL, 2.0)[:, None]
-        hit[np.ix_(balls, boxes)] = meet
-        hit[np.ix_(boxes, balls)] = meet.T
+        if not boxes.size:
+            return near
+    meet = np.ones((len(boxes), len(boxes)), dtype=bool)
+    for a in range(shapes.dim):
+        meet &= lo[:, a, None] <= hi[:, a] + TOL
+        meet &= lo[:, a] <= hi[:, a, None] + TOL
+    if not balls.size:
+        return meet
+    hit = np.ones((n, n), dtype=bool)
+    hit[np.ix_(balls, balls)] = near
+    hit[np.ix_(boxes, boxes)] = meet
+    d2 = np.zeros((len(balls), len(boxes)))
+    for a in range(shapes.dim):
+        x = c[:, a, None]
+        offset = np.maximum(np.maximum(lo[:, a] - x, x - hi[:, a]), 0.0)
+        d2 += np.float_power(offset, 2.0)
+    meet = d2 <= np.float_power(r + TOL, 2.0)[:, None]
+    hit[np.ix_(balls, boxes)] = meet
+    hit[np.ix_(boxes, balls)] = meet.T
     return hit
 
 

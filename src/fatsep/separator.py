@@ -13,14 +13,14 @@ answers equal the scalar ones bit for bit.  The base-box search ANDs, over
 the axes, the prefix masks (`ctx.rank_axes`) of the run of sorted center
 coordinates a candidate cube holds, so each cube's center set is a bitmask
 over the context without a cube-by-center array, and a rung stops at its
-first achieving cube.  The same runs AND the prefix tables of the context's
-byte slots (each slot at most 8 objects of one clique of a greedy clique
-partition), all of a rung's cubes in one numpy gather: a cube's nonzero
-slots bound its greedy measure from above, so only cubes whose bound
-reaches the target get a mask and a walk.  The greedy measure of a mask
-walks its lowest unblocked bits (the context numbers objects by size rank),
-clearing each pick's neighbourhood (`ctx.nbr`), and stops once the answer
-is known.
+first achieving cube.  A packing holds at most one object of each clique of
+a greedy clique partition, so once per search every cube gets the side
+below which it holds centres of fewer cliques than the target, from the
+distances between its anchor and the cliques' centre boxes; a rung builds
+masks for, and walks, only the cubes at or above theirs.  The greedy
+measure of a mask walks its lowest unblocked bits (the context numbers
+objects by size rank), clearing each pick's neighbourhood (`ctx.nbr`), and
+stops once the answer is known.
 `_classify` gives every object's region class against a stack of boxes: the
 shell sweep classifies against all its shells in one call.  A
 `SeparatorResult`'s ids are given positions (`ctx.input_ids`).
@@ -28,6 +28,7 @@ shell sweep classifies against all its shells in one call.  A
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,7 +50,8 @@ from .measure import IntersectionContext, MeasureEstimate
 SHELL_SAMPLES_CAP = 64
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
 SIDE_SEARCH_RATIO = 1.05
-# Centres per block of `find_base_box`'s distance scan (_DIST_ROWS x n arrays).
+# Rows per block of `find_base_box`'s distance scan and of `_min_sides`
+# (_DIST_ROWS x n arrays).
 _DIST_ROWS = 64
 
 
@@ -90,49 +92,92 @@ class SeparatorResult:
         )
 
 
-def _achieving_box(ctx: IntersectionContext, s: float, tau: int) -> Optional[BoxRegion]:
+def _min_sides(ctx: IntersectionContext, tau: int) -> np.ndarray:
+    """Lower bound on the side at which each candidate cube of `_achieving_box`
+    holds centres of tau cliques of `ctx.cliques`, in candidate order.
+
+    Entry 3i + kind bounds the cube centred on (kind 0), low-anchored at
+    (kind 1) or high-anchored at (kind 2) anchor i; the last anchor is the
+    bounding-box corner, whose cube is low-anchored (entries 3n and 3n + 2
+    are inf).  A cube of side s holds a centre of clique q only if the
+    anchor's distance to the box of q's centres is at most s/2 + TOL
+    (Chebyshev, centred) or s + TOL (one-sided, anchored, inf when q lies
+    past TOL beyond the cube's fixed face); the tau-th smallest of
+    these distances gives the bound.  `slack` covers the rounding of
+    `c - s/2`, `(c - s) + s`, `± TOL` and the differences here: each errs by
+    at most 2^-53 times a magnitude below (4d + 1) times the largest centre
+    coordinate (the ladder's sides stay below 2.1 sqrt(d) times it), and
+    2^-40 leaves room for thousands of them.  Distances are taken
+    `_DIST_ROWS` anchors at a time, in place.
+    """
+    _, _, anchors, clique_low, clique_high = ctx.rank_axes
+    m, d = clique_low.shape
+    sides = np.full((len(anchors), 3), np.inf)
+    if tau > m:
+        return sides.ravel()
+    big = float(np.abs(anchors).max())
+    slack = 2.0**-40 * (4 * d + 1) * (big + TOL)
+    past = TOL + slack
+    k = tau - 1
+    buffers = np.empty((3, min(len(anchors), _DIST_ROWS), m))
+    for start in range(0, len(anchors), _DIST_ROWS):
+        block = anchors[start : start + _DIST_ROWS]
+        rows = sides[start : start + len(block)]
+        # How far each clique's box lies above (up) and below (down) the
+        # anchor on its farthest axis.
+        up, down, t = buffers[:, : len(block)]
+        np.subtract(clique_low[:, 0], block[:, 0, None], out=up)
+        np.subtract(block[:, 0, None], clique_high[:, 0], out=down)
+        for a in range(1, d):
+            np.maximum(up, np.subtract(clique_low[:, a], block[:, a, None], out=t), out=up)
+            np.maximum(down, np.subtract(block[:, a, None], clique_high[:, a], out=t), out=down)
+        np.maximum(up, down, out=t)
+        t.partition(k, axis=1)
+        rows[:, 0] = t[:, k]
+        # A clique `past` or more beyond an anchored cube's fixed face gets
+        # inf: `copysign` gives +inf or -inf, without a masked store.
+        np.maximum(down, np.copysign(np.inf, np.subtract(up, past, out=t), out=t), out=t)
+        t.partition(k, axis=1)
+        rows[:, 2] = t[:, k]
+        np.maximum(up, np.copysign(np.inf, np.subtract(down, past, out=t), out=t), out=up)
+        up.partition(k, axis=1)
+        rows[:, 1] = up[:, k]
+    sides -= TOL
+    sides[:, 0] *= 2.0
+    sides -= slack
+    sides[-1, [0, 2]] = np.inf
+    return sides.ravel()
+
+
+def _achieving_box(
+    ctx: IntersectionContext, s: float, tau: int, min_side: np.ndarray
+) -> Optional[BoxRegion]:
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
     high-anchored at every object center, the objects taken in the family's
-    given order, then the bounding-box corner.  A cube holds the run `[i, j)`
-    of sorted coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]`
-    on each axis, so its centre set is the AND over axes of
-    `prefixes[j] ^ prefixes[i]`, and its slot bytes the AND of
-    `slots[j] ^ slots[i]`.  A packing holds one object per nonzero slot at
-    most, so cubes with fewer than tau nonzero slots (all counted in one
-    numpy gather), or whose center mask was already tried, cannot achieve
-    and are skipped.
+    given order, then the cube low-anchored at the bounding-box corner
+    (`RankAxes.anchors`).  Only cubes whose `min_side` (`_min_sides`) is at
+    most s can hold centres of tau cliques, so only those are tried.  A cube
+    holds the run `[i, j)` of sorted coordinates (`ctx.rank_axes`) within
+    `[low - TOL, high + TOL]` on each axis (`bisect_left`, `bisect_right`),
+    so its centre set is the AND over axes of `prefixes[j] ^ prefixes[i]`;
+    a centre set already tried is skipped.
     """
-    coords, prefixes, slots, centers = ctx.rank_axes
-    n, d = centers.shape
-    lows = np.empty((3 * n + 1, d))
-    lows[0:-1:3] = centers - s / 2.0
-    lows[1:-1:3] = centers
-    lows[2:-1:3] = centers - s
-    lows[-1] = centers.min(axis=0)
-    highs = lows + s
-    # Row k: candidate k's run [i, j) on each axis.
-    i = np.stack([np.searchsorted(c, x, "left") for c, x in zip(coords, (lows - TOL).T)], axis=1)
-    j = np.stack([np.searchsorted(c, x, "right") for c, x in zip(coords, (highs + TOL).T)], axis=1)
-    # A run shorter than tau holds fewer than tau slots too; dropping those
-    # cubes first keeps the gather small on the short rungs.
-    ks = np.flatnonzero((j - i).min(axis=1) >= tau)
-    i, j = i[ks], j[ks]
-    held = slots[0][j[:, 0]] ^ slots[0][i[:, 0]]
-    for a in range(1, d):
-        held &= slots[a][j[:, a]] ^ slots[a][i[:, a]]
-    reach = np.count_nonzero(held, axis=1) >= tau
+    coords, prefixes, anchors, _, _ = ctx.rank_axes
+    shifts = (s / 2.0, 0.0, s)
     tried = set()
-    for k, runs_i, runs_j in zip(ks[reach].tolist(), i[reach].tolist(), j[reach].tolist()):
+    for k in np.flatnonzero(min_side <= s).tolist():
+        i, kind = divmod(k, 3)
+        low = [x - shifts[kind] for x in anchors[i].tolist()]
         mask = -1
-        for prefix, a, b in zip(prefixes, runs_i, runs_j):
-            mask &= prefix[b] ^ prefix[a]
+        for coord, prefix, x in zip(coords, prefixes, low):
+            mask &= prefix[bisect_right(coord, x + s + TOL)] ^ prefix[bisect_left(coord, x - TOL)]
         if mask in tried:
             continue
         tried.add(mask)
         if _greedy_reaches(ctx, mask, tau):
-            return BoxRegion(tuple(lows[k]), tuple(highs[k]))
+            return BoxRegion(tuple(low), tuple(x + s for x in low))
     return None
 
 
@@ -156,7 +201,8 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     pairwise center distances, anchored at object centers.  The smallest
     achieving ladder size is located by bisection (achievability is monotone
     in the side length), so no family member with at most half the volume
-    can reach tau.
+    can reach tau.  Every candidate cube's threshold side (`_min_sides`) is
+    computed once per call, so a rung tries only the cubes at or above it.
     """
     centers = ctx.arrays.center
     n = ctx.n
@@ -190,7 +236,8 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     if ladder[-1] < d_max:
         ladder.append(d_max)
 
-    best = _achieving_box(ctx, ladder[-1], tau)
+    min_side = _min_sides(ctx, tau)
+    best = _achieving_box(ctx, ladder[-1], tau, min_side)
     if best is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
 
@@ -198,7 +245,7 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     lo, hi = 0, len(ladder) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        box = _achieving_box(ctx, ladder[mid], tau)
+        box = _achieving_box(ctx, ladder[mid], tau, min_side)
         if box is not None:
             hi, best = mid, box
         else:

@@ -74,8 +74,8 @@ def test_mutants_script_kills_two_planted_faults():
     # and one at the boundary where context ids become given positions.
     names = [
         "centre-strict-end",
-        "base-box-bound-strict",
         "base-box-run-end-side",
+        "base-box-slack-dropped",
         "greedy-pack-witness-unmapped",
     ]
     argv = [sys.executable, str(ROOT / "scripts" / "mutants.py")]

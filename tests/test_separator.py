@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fatsep.geometry import (
     size,
 )
 from fatsep.instances import gen_instance
-from fatsep.measure import SLOT_SIZE, IntersectionContext, greedy_pack
+from fatsep.measure import IntersectionContext, greedy_pack
 from fatsep.separator import (
     SIDE_SEARCH_RATIO,
     SeparatorConfig,
@@ -52,16 +53,19 @@ def test_find_base_box_single_cluster():
     assert greedy_pack(inside).value >= 3
     # independent oracle: exhaustive ascending ladder scan for the first
     # achieving size must match the bisection result
-    from fatsep.separator import _achieving_box
-
     centers = np.array([center(o) for o in objs])
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt((diffs**2).sum(axis=2))
     pos = dists[dists > 0]
     s = max(float(pos.min()), float(pos.max()) * 1e-9)
-    while _achieving_box(ctx, s, 3) is None:
+    while achieving_box(ctx, s, 3) is None:
         s *= SIDE_SEARCH_RATIO
     assert box.longest_side == pytest.approx(s)
+
+
+def achieving_box(ctx, s, tau):
+    """`separator._achieving_box` on the thresholds `find_base_box` gives it."""
+    return separator._achieving_box(ctx, s, tau, separator._min_sides(ctx, tau))
 
 
 def given_order(ctx):
@@ -96,9 +100,15 @@ def reference_achieving_box(ctx, s, tau):
     return None
 
 
+def reference_on_thresholds(ctx, s, tau, min_side):
+    """`reference_achieving_box` in `_achieving_box`'s place; it ignores the
+    thresholds."""
+    return reference_achieving_box(ctx, s, tau)
+
+
 def reference_base_box(monkeypatch, objs, tau):
     with monkeypatch.context() as m:
-        m.setattr(separator, "_achieving_box", reference_achieving_box)
+        m.setattr(separator, "_achieving_box", reference_on_thresholds)
         return find_base_box(IntersectionContext(objs), tau)
 
 
@@ -111,11 +121,11 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
     # Repeated centres give repeated candidates, which are skipped.
     twins = random_objects(9, 12)
     families.append(twins + [Ball(o.center, o.radius / 2) for o in twins])
-    # Dense families with cliques of more than SLOT_SIZE objects, which
-    # fill more than one slot.
+    # Dense families, whose cliques of more than 8 objects spread their
+    # centres over wide boxes.
     for shape, n, seed in (("ball", 40, 1), ("box", 60, 0)):
         objs = list(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=8).objects)
-        assert max(c.bit_count() for c in IntersectionContext(objs).cliques) > SLOT_SIZE
+        assert max(c.bit_count() for c in IntersectionContext(objs).cliques) > 8
         families.append(objs)
     for objs in families:
         g = greedy_pack(objs).value
@@ -143,7 +153,7 @@ def test_achieving_box_tolerance_at_cube_faces():
     p, q = Ball((0.0, 0.0), 0.1), Ball((1.0 + TOL / 2, 0.0), 0.1)
     for objs in ([p, q], [q, p]):
         ctx = IntersectionContext(objs)
-        got = separator._achieving_box(ctx, 1.0, 2)
+        got = achieving_box(ctx, 1.0, 2)
         want = reference_achieving_box(ctx, 1.0, 2)
         assert got is not None and (got.low, got.high) == (want.low, want.high)
 
@@ -155,8 +165,8 @@ def test_find_base_box_evaluates_each_rung_once(monkeypatch):
         calls = []
         original = separator._achieving_box
 
-        def counting(ctx, s, tau):
-            box = original(ctx, s, tau)
+        def counting(ctx, s, tau, min_side):
+            box = original(ctx, s, tau, min_side)
             calls.append((s, box))
             return box
 
@@ -199,7 +209,7 @@ def test_achieving_box_rank_walk_matches_reference():
         g = greedy_pack(objs).value
         for s in (0.5, 1.5, 3.0, 6.0, 12.0):
             for tau in range(1, g + 1):
-                got = separator._achieving_box(ctx, s, tau)
+                got = achieving_box(ctx, s, tau)
                 want = reference_achieving_box(ctx, s, tau)
                 assert got == want, (s, tau)
 
@@ -257,7 +267,7 @@ def test_achieving_box_matches_reference_across_blocks(monkeypatch):
 
                 with monkeypatch.context() as m:
                     m.setattr(separator, "_greedy_reaches", recording)
-                    got = separator._achieving_box(ctx, s, tau)
+                    got = achieving_box(ctx, s, tau)
                 want = reference_achieving_box(ctx, s, tau)
                 assert got == want, (n, s, tau)
                 # Each distinct centre mask is walked once, across the former
@@ -281,7 +291,7 @@ def test_achieving_box_counts_centres_on_tolerant_faces():
     # in `center_in`, so that cube is the first to reach 3.
     objs = [Ball((0.0, 0.0), 0.3), Ball((0.0 - TOL, 0.9), 0.3), Ball((1.0 + TOL, 0.45), 0.3)]
     ctx = IntersectionContext(objs)
-    box = separator._achieving_box(ctx, 1.0, 3)
+    box = achieving_box(ctx, 1.0, 3)
     assert box == BoxRegion((0.0, 0.0), (1.0, 1.0)) == reference_achieving_box(ctx, 1.0, 3)
 
 
@@ -290,71 +300,198 @@ def test_rank_axes_are_sorted_prefix_masks():
         ctx = IntersectionContext(objs)
         # Built on first use only.
         assert "rank_axes" not in vars(ctx)
-        coords, prefixes, slots, centres = ctx.rank_axes
+        coords, prefixes, anchors, clique_low, clique_high = ctx.rank_axes
         for a, prefix in enumerate(prefixes):
             ranked = [center(o)[a] for o in ctx.objs]
             by_coord = sorted(range(len(ranked)), key=ranked.__getitem__)
-            assert list(coords[a]) == [ranked[r] for r in by_coord]
+            assert coords[a] == [ranked[r] for r in by_coord]
             assert prefix == [sum(1 << r for r in by_coord[:k]) for k in range(len(ranked) + 1)]
-        assert slots.shape[:2] == (len(prefixes), ctx.n + 1)
-        assert centres.tolist() == [list(center(o)) for o in objs]
+        given = [list(center(o)) for o in objs]
+        assert anchors.tolist() == given + [[min(c[a] for c in given) for a in range(len(coords))]]
+        for q, clique in enumerate(ctx.cliques):
+            members = [center(ctx.objs[i]) for i in range(ctx.n) if clique >> i & 1]
+            assert clique_low[q].tolist() == [min(c) for c in zip(*members)]
+            assert clique_high[q].tolist() == [max(c) for c in zip(*members)]
+        assert len(clique_low) == len(clique_high) == len(ctx.cliques)
 
 
-def slot_layout(ctx):
-    """Each object's (slot, bit) in `ctx.rank_axes.slots`, read off the one
-    byte that changes between consecutive rows, the same on every axis."""
-    _, prefixes, slots, _ = ctx.rank_axes
-    layout = None
-    for prefix, table in zip(prefixes, slots):
-        assert not table[0].any()
-        place = {}
-        for k in range(ctx.n):
-            (i,) = [i for i in range(ctx.n) if (prefix[k + 1] ^ prefix[k]) >> i & 1]
-            (slot,) = np.flatnonzero(table[k + 1] != table[k]).tolist()
-            bit = int(table[k + 1, slot] ^ table[k, slot])
-            assert bit.bit_count() == 1 and not table[k, slot] & bit
-            place[i] = (slot, bit)
-        assert layout in (None, place)
-        layout = place
-    return layout
-
-
-def test_slots_hold_at_most_eight_pairwise_intersecting_objects():
+def test_cliques_are_a_greedy_partition_into_pairwise_intersecting_sets():
     families = [objs[:20] for objs in rank_walk_families(per_dim=1)]
     for shape, n, seed in (("ball", 40, 1), ("box", 60, 0), ("ball", 30, 2)):
         families.append(list(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=8).objects))
-    wide = 0
+    widest = 0
     for objs in families:
         ctx = IntersectionContext(objs)
         cliques = ctx.cliques
         assert sum(cliques) == ctx.full_mask() and sum(c.bit_count() for c in cliques) == ctx.n
-        layout = slot_layout(ctx)
-        # Every object sits in exactly one (slot, bit).
-        assert sorted(layout) == list(range(ctx.n))
-        assert len(set(layout.values())) == ctx.n
-        members = {}
-        for i, (slot, _) in sorted(layout.items()):
-            members.setdefault(slot, []).append(i)
-        assert len(members) == ctx.rank_axes.slots.shape[2]
-        for slot, ids in members.items():
-            assert len(ids) <= 8
+        widest = max(widest, *(c.bit_count() for c in cliques))
+        placed = 0
+        for clique in cliques:
+            ids = [i for i in range(ctx.n) if clique >> i & 1]
             assert all(intersects(ctx.objs[a], ctx.objs[b]) for a in ids for b in ids)
-        wide += any(c.bit_count() > SLOT_SIZE for c in cliques)
-    assert wide
+            # It starts at the smallest object not yet placed, and no object
+            # still unplaced afterwards meets all its members.
+            free = [i for i in range(ctx.n) if not (placed | clique) >> i & 1]
+            assert ids[0] == min(i for i in range(ctx.n) if not placed >> i & 1)
+            assert not any(all(intersects(ctx.objs[i], ctx.objs[a]) for a in ids) for i in free)
+            placed |= clique
+    assert widest > 8
+
+
+def candidate_cubes(ctx, s):
+    """Every candidate cube's centre set at side s, as a candidates x objects
+    boolean array, with `reference_achieving_box`'s float operations."""
+    centers = np.array([center(o) for o in ctx.objs])
+    given = centers[given_order(ctx)]
+    cubes = np.stack([given - s / 2.0, given, given - s], axis=1).reshape(-1, ctx.arrays.dim)
+    lows = np.concatenate([cubes, centers.min(axis=0)[None]])
+    highs = lows + s
+    return np.all((centers >= lows[:, None] - 1e-9) & (centers <= highs[:, None] + 1e-9), axis=2)
+
+
+def cliques_met(ctx, s):
+    """How many cliques of `ctx.cliques` each candidate cube of side s holds
+    a centre of."""
+    member = np.array([[clique >> i & 1 for clique in ctx.cliques] for i in range(ctx.n)])
+    return ((candidate_cubes(ctx, s).astype(int) @ member) > 0).sum(axis=1)
+
+
+def candidate_sides(ctx, tau):
+    """`_min_sides` in candidate order, without the corner row's unused
+    entries."""
+    sides = separator._min_sides(ctx, tau)
+    assert np.isinf(sides[[3 * ctx.n, 3 * ctx.n + 2]]).all()
+    return np.delete(sides, [3 * ctx.n, 3 * ctx.n + 2])
+
+
+def ladder(objs):
+    """The sides of `find_base_box`'s ladder for `objs`, up to rounding."""
+    centers = np.array([center(o) for o in objs])
+    dists = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
+    d_max = float(dists.max())
+    s_lo = max(float(dists[dists > 0].min()), d_max * 1e-9)
+    steps = math.ceil(math.log(d_max / s_lo) / math.log(SIDE_SEARCH_RATIO))
+    return [s_lo * SIDE_SEARCH_RATIO**j for j in range(steps + 1)] + [d_max]
+
+
+def moved(objs, shift=0.0, scale=1.0):
+    """`objs` scaled by `scale` about the origin, then translated by `shift`
+    on every axis."""
+
+    def move(p):
+        return tuple(x * scale + shift for x in p)
+
+    return [
+        Ball(move(o.center), o.radius * scale) if isinstance(o, Ball) else AxisBox(move(o.low), move(o.high))
+        for o in objs
+    ]
+
+
+def face_family(c, s):
+    """A ball centred at c, and balls centred exactly on the tolerant faces
+    (`low - TOL`, `high + TOL`), on each axis, of the three cubes of side s
+    anchored at c, as `_achieving_box` computes those faces."""
+    objs = [Ball(c, s / 8)]
+    for a in range(len(c)):
+        for low in (c[a] - s / 2.0, c[a], c[a] - s):
+            for x in (low - TOL, low + s + TOL):
+                objs.append(Ball(c[:a] + (x,) + c[a + 1 :], s / 8))
+    return objs
+
+
+def assert_thresholds_hold(ctx, s, tau):
+    """No candidate cube holding centres of tau cliques at side s has a
+    threshold above s, and the rung finds the reference's cube."""
+    sides = candidate_sides(ctx, tau)
+    met = cliques_met(ctx, s)
+    assert not np.any((met >= tau) & (sides > s)), (s, tau)
+    got = separator._achieving_box(ctx, s, tau, separator._min_sides(ctx, tau))
+    assert got == reference_achieving_box(ctx, s, tau), (s, tau)
+
+
+def test_min_sides_hold_under_rounding():
+    # Far from the origin TOL falls below an ulp, and scaled families meet
+    # it at other magnitudes; the thresholds must stay below every side at
+    # which a cube reaches tau cliques, on every ladder rung.
+    bases = [random_objects(3, 14), random_objects(4, 12, shape="box"), random_objects(5, 10, d=3)]
+    for shift, scale in ((1e6, 1.0), (1e9, 1.0), (0.0, 1e-3), (0.0, 1e3), (1e9, 1e3)):
+        for objs in bases:
+            objs = moved(objs, shift, scale)
+            ctx = IntersectionContext(objs)
+            g = greedy_pack(objs).value
+            for tau in sorted({1, 2, max(1, g // 2), g}):
+                for s in ladder(objs):
+                    assert_thresholds_hold(ctx, s, tau)
+        # Centres exactly on the faces of a cube of side s: each counts.
+        for s in (0.7, 1.0, 3.0):
+            objs = face_family((shift, shift), s * scale)
+            ctx = IntersectionContext(objs)
+            for tau in range(1, len(ctx.cliques) + 1):
+                assert_thresholds_hold(ctx, s * scale, tau)
+
+
+def disjoint_balls(seed, n, d):
+    """n pairwise-disjoint balls in [0, 10]^d."""
+    rng = random.Random(seed)
+    objs = []
+    while len(objs) < n:
+        b = Ball(tuple(rng.uniform(0, 10) for _ in range(d)), rng.uniform(0.1, 0.4))
+        if not any(intersects(b, o) for o in objs):
+            objs.append(b)
+    return objs
+
+
+def test_min_sides_are_tight_on_disjoint_families():
+    # Every clique is one object, so a cube reaches tau cliques as soon as
+    # it holds tau centres: three TOL above its threshold it does, and a
+    # cube whose threshold is inf never does.
+    unreachable = 0
+    for objs in (disjoint_balls(1, 25, 2), disjoint_balls(2, 20, 3), tight_cluster(0.0, 0.0, 12, 3)):
+        ctx = IntersectionContext(objs)
+        assert len(ctx.cliques) == ctx.n
+        huge = 1e3 * max(max(c) - min(c) for c in zip(*(center(o) for o in objs)))
+        for tau in (1, 2, 5, ctx.n // 2, ctx.n):
+            sides = candidate_sides(ctx, tau)
+            finite = np.isfinite(sides)
+            for k in np.flatnonzero(finite).tolist():
+                assert cliques_met(ctx, max(sides[k] + 3 * TOL, 1e-12))[k] >= tau, (tau, k)
+            assert (cliques_met(ctx, huge)[~finite] < tau).all()
+            unreachable += (~finite).sum()
+        assert np.isinf(separator._min_sides(ctx, ctx.n + 1)).all()
+    assert unreachable
 
 
 def test_achieving_box_bound_reaches_tau_exactly(monkeypatch):
     # Three disjoint pairs of overlapping disks: the cube around all six
-    # centres holds six objects in three cliques, so its bound is exactly
-    # tau = 3, the greedy value, and a strict bound would skip it.
+    # centres holds six objects in three cliques, exactly tau = 3, the
+    # greedy value.
     objs = []
     for x in (0.0, 1.0, 2.0):
         objs += [Ball((x, 0.0), 0.2), Ball((x, 0.1), 0.1)]
     ctx = IntersectionContext(objs)
     assert len(ctx.cliques) == 3
-    box = separator._achieving_box(ctx, 2.0, 3)
+    box = achieving_box(ctx, 2.0, 3)
     assert box is not None and box == reference_achieving_box(ctx, 2.0, 3)
     assert find_base_box(ctx, 3) == reference_base_box(monkeypatch, objs, 3)
+    # A rung tries exactly the cubes whose threshold is at most its side.
+    at = np.full(3 * ctx.n + 3, 2.0)
+    assert separator._achieving_box(ctx, 2.0, 3, at) == box
+    assert separator._achieving_box(ctx, 2.0, 3, np.nextafter(at, math.inf)) is None
+
+
+def test_find_base_box_peak_memory():
+    # The threshold and distance scans work in blocks of rows, in place.
+    objs = list(gen_instance("random", 2, shape="ball", n=400, seed=1).objects)
+    ctx = IntersectionContext(objs)
+    tau = math.ceil(1.25 / 3.0 * greedy_pack(objs).value)
+    ctx.rank_axes
+    tracemalloc.start()
+    try:
+        find_base_box(ctx, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_find_base_box_walks_few_cubes(monkeypatch):
@@ -374,7 +511,7 @@ def test_find_base_box_walks_few_cubes(monkeypatch):
         got = find_base_box(IntersectionContext(objs), tau)
     distinct = 0
 
-    def counting(ctx, s, tau):
+    def counting(ctx, s, tau, _):
         nonlocal distinct
         walked = set()
         ctx.greedy_pack_mask = lambda mask: walked.add(mask) or type(ctx).greedy_pack_mask(ctx, mask)
