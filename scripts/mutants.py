@@ -206,12 +206,44 @@ MUTANTS = [
         "given = centres",
         "tests/test_separator.py::test_achieving_box_rank_walk_matches_reference",
     ),
+    # A split separates the restriction of the solve's context to its mask,
+    # whose given order is the family's, and maps the separator's given
+    # positions back to the context's bits.
     Mutant(
         "split-rank-order",
-        "solver.py",
-        "ids = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)",
-        "ids = mask_to_ids(mask)",
+        "measure.py",
+        "ranks[np.argsort(given)] = np.arange(len(keep))",
+        "ranks[:] = np.arange(len(keep))",
         "tests/test_ptas.py::test_pack_matches_object_list_recursion",
+    ),
+    Mutant(
+        "restrict-keeps-parent-positions",
+        "measure.py",
+        "sub.ids = ranks.tolist()",
+        "sub.ids = given.tolist()",
+        "tests/test_measure.py::test_restrict_is_the_context_of_the_masks_objects",
+    ),
+    Mutant(
+        "restrict-leading-columns",
+        "measure.py",
+        "sub.nbr = rows_to_masks(rows[:, keep])",
+        "sub.nbr = rows_to_masks(rows[:, : len(keep)])",
+        "tests/test_measure.py::test_restrict_is_the_context_of_the_masks_objects",
+    ),
+    Mutant(
+        "split-maps-through-sub-bits",
+        "solver.py",
+        "given = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)",
+        "given = mask_to_ids(mask)",
+        "tests/test_ptas.py::test_pack_matches_object_list_recursion",
+    ),
+    # The shell sweep's row is the final classification.
+    Mutant(
+        "sweep-returns-other-shell",
+        "separator.py",
+        "codes[best_j]",
+        "codes[best_j - 1]",
+        "tests/test_separator.py::test_shell_sweep_returns_the_chosen_shells_classification",
     ),
 ]
 

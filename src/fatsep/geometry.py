@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -221,6 +222,14 @@ class ShapeArrays:
     def dim(self) -> int:
         return self.low.shape[1]
 
+    def take(self, rows: np.ndarray) -> "ShapeArrays":
+        """The layout of the objects of `rows`, in that order: the same rows
+        a fresh layout of those objects holds, bit for bit."""
+        sub = object.__new__(ShapeArrays)
+        for name, value in vars(self).items():
+            setattr(sub, name, value[rows])
+        return sub
+
 
 _WORD = (1 << 64) - 1
 
@@ -252,15 +261,17 @@ def words_to_masks(words: np.ndarray) -> List[int]:
 
 
 def rows_to_masks(rows: np.ndarray) -> List[int]:
-    """Bitmask per row of a 2-d boolean array (bit j = column j)."""
-    nbytes = (rows.shape[1] + 7) // 8
+    """Bitmask per row of a 2-d boolean or 0/1 array (bit j = column j).
+
+    The rows are packed from a C-ordered copy (numpy packs strided rows,
+    such as a column selection's, several times slower) and read as one
+    bytes object per row."""
+    m, n = rows.shape
+    nbytes = -(-n // 8)
     if not nbytes:
-        return [0] * rows.shape[0]
-    raw = np.packbits(rows, axis=1, bitorder="little").tobytes()
-    return [
-        int.from_bytes(raw[k : k + nbytes], "little")
-        for k in range(0, len(raw), nbytes)
-    ]
+        return [0] * m
+    packed = np.packbits(np.ascontiguousarray(rows), axis=1, bitorder="little")
+    return list(map(int.from_bytes, packed.view(f"V{nbytes}").ravel().tolist(), repeat("little")))
 
 
 def classify(obj: FatObject, box: BoxRegion) -> RegionClass:

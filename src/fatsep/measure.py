@@ -16,7 +16,10 @@ The context numbers its objects by size rank, so every smallest-first walk
 and branch takes a mask's lowest bit.  It lays its family out once as
 `geometry.ShapeArrays` (`ctx.arrays`), which the separator reads too, and
 builds its neighbourhood masks from one numpy array per pair of shapes, with
-the float operations of `geometry.intersects`, bit for bit.
+the float operations of `geometry.intersects`, bit for bit.  `restrict(mask)`
+gives the context of a mask's objects in given order, equal bit for bit to a
+fresh build, by gathering rows of the arrays and neighbourhood masks instead
+of testing pairs again; iterating a context yields its objects in given order.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +83,9 @@ class IntersectionContext:
     i-th smallest object, whose given position is `ids[i]`.  Ids leave the
     package as given positions only (`input_ids`).  A greedy clique
     partition (`cliques`) and the separator's ranked centres (`rank_axes`)
-    are built on first use."""
+    are built on first use.  Iterating yields the objects in given order, so
+    `IntersectionContext(list(ctx))` rebuilds `ctx`; `restrict(mask)` gives
+    the context of `mask`'s objects without testing pairs again."""
 
     def __init__(self, objs: Sequence[FatObject]):
         given = list(objs)
@@ -93,6 +98,44 @@ class IntersectionContext:
     @property
     def n(self) -> int:
         return len(self.objs)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return (self.objs[i] for i in sorted(range(self.n), key=self.ids.__getitem__))
+
+    def restrict(self, mask: int) -> "IntersectionContext":
+        """The context that `IntersectionContext` builds from `mask`'s objects
+        in given order, bit for bit, gathered from this one (the full mask
+        gives this one).  Those objects keep their relative order, by size
+        and then given position, so bit r of the restriction is the r-th
+        lowest bit of `mask`: its given position is the rank of that bit's
+        given position among the mask's, and its rows of `arrays` and `nbr`
+        are that bit's, cut to `mask`'s columns."""
+        if mask == self.full_mask():
+            return self
+        n = self.n
+        keep = np.flatnonzero(
+            np.unpackbits(masks_to_words([mask], n).view(np.uint8), count=n, bitorder="little")
+        )
+        ids, nbr_bytes = self._gather_tables
+        given = ids[keep]
+        ranks = np.empty_like(given)
+        ranks[np.argsort(given)] = np.arange(len(keep))
+        rows = np.unpackbits(nbr_bytes[keep], axis=1, count=n, bitorder="little")
+        sub = object.__new__(IntersectionContext)
+        sub.ids = ranks.tolist()
+        sub.objs = [self.objs[i] for i in keep.tolist()]
+        sub.arrays = self.arrays.take(keep)
+        sub.nbr = rows_to_masks(rows[:, keep])
+        return sub
+
+    @cached_property
+    def _gather_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`ids` as an array and `nbr` as rows of bytes (bit j of row i is
+        `nbr[i]`'s bit j), built on the first `restrict`."""
+        return np.array(self.ids), masks_to_words(self.nbr, self.n).view(np.uint8)
 
     def input_ids(self, mask: int) -> List[int]:
         """The given positions of `mask`'s objects, sorted."""

@@ -6,10 +6,12 @@ one crossed by the least measure, then classify every object against that
 shell box.  No hard balance guarantee is promised; callers verify balance
 against `balance_cap` and fall back to pivot branching when it fails.
 
-`separate` builds one `IntersectionContext`; both stages take that context
-and read its `ShapeArrays` (`ctx.arrays`), so a family is laid out as arrays
-once per call.  Both use the scalar predicates' float operations, so their
-answers equal the scalar ones bit for bit.  The base-box search ANDs, over
+`separate` works on one `IntersectionContext`: the one it is given (the
+solvers pass `IntersectionContext.restrict` of their own context, so a split
+builds none) or, for an object list, the one it builds.  Both stages take
+that context and read its `ShapeArrays` (`ctx.arrays`), so a family is laid
+out as arrays at most once per call.  Both use the scalar predicates' float
+operations, so their answers equal the scalar ones bit for bit.  The base-box search ANDs, over
 the axes, the prefix masks (`ctx.rank_axes`) of the run of sorted center
 coordinates a candidate cube holds, so each cube's center set is a bitmask
 over the context without a cube-by-center array, and a rung stops at its
@@ -22,15 +24,16 @@ measure of a mask walks its lowest unblocked bits (the context numbers
 objects by size rank), clearing each pick's neighbourhood (`ctx.nbr`), and
 stops once the answer is known.
 `_classify` gives every object's region class against a stack of boxes: the
-shell sweep classifies against all its shells in one call.  A
-`SeparatorResult`'s ids are given positions (`ctx.input_ids`).
+shell sweep classifies against all its shells in one call and returns the
+chosen shell's row, the final classification.  A `SeparatorResult`'s ids are
+given positions (`ctx.input_ids`), and its measures are values only.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -296,8 +299,11 @@ def shell_count(d: int, g: int) -> int:
     return int(math.floor((2.0 ** (1.0 / d) - 1.0) * g ** (1.0 / d))) + 1
 
 
-def shell_sweep(ctx: IntersectionContext, base: BoxRegion, g: int) -> Tuple[float, int]:
-    """Pick the magnification shell crossed by the least greedy measure.
+def shell_sweep(
+    ctx: IntersectionContext, base: BoxRegion, g: int
+) -> Tuple[float, int, np.ndarray]:
+    """Pick the magnification shell crossed by the least greedy measure:
+    (m_star, its boundary's greedy measure, its `_classify` row).
 
     Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d)),
     capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.
@@ -308,28 +314,33 @@ def shell_sweep(ctx: IntersectionContext, base: BoxRegion, g: int) -> Tuple[floa
     count = min(shell_count(d, g), SHELL_SAMPLES_CAP)
     step = 1.0 / g ** (1.0 / d)
     shells = [magnify(base, 1.0 + j * step) for j in range(count)]
-    boundary = rows_to_masks(_classify(ctx.arrays, shells) == _BOUNDARY)
+    codes = _classify(ctx.arrays, shells)
+    boundary = rows_to_masks(codes == _BOUNDARY)
     best_j = 0
     best_val = None
     for j, mask in enumerate(boundary):
         value, _ = ctx.greedy_pack_mask(mask)
         if best_val is None or value < best_val:
             best_j, best_val = j, value
-    return 1.0 + best_j * step, int(best_val)
+    return 1.0 + best_j * step, int(best_val), codes[best_j]
 
 
 def separate(
-    objs: Sequence[FatObject], cfg: Optional[SeparatorConfig] = None
+    family: Union[IntersectionContext, Sequence[FatObject]],
+    cfg: Optional[SeparatorConfig] = None,
 ) -> SeparatorResult:
-    """Full separator: base box, shell sweep, classification, measures."""
+    """Full separator: base box, shell sweep, classification, measures.
+
+    `family` is a list of objects or a context over them (say, a
+    `IntersectionContext.restrict` of a solve's own context); the ids of the
+    result are given positions in either case."""
     cfg = cfg or SeparatorConfig()
-    if len(objs) < 2:
+    if len(family) < 2:
         raise ValueError("separate needs at least 2 objects")
-    ctx = IntersectionContext(objs)
+    ctx = family if isinstance(family, IntersectionContext) else IntersectionContext(family)
 
     def part_measure(mask: int) -> MeasureEstimate:
-        value, chosen = ctx.greedy_pack_mask(mask)
-        return MeasureEstimate(value=value, witness=ctx.input_ids(chosen))
+        return MeasureEstimate(value=ctx.greedy_pack_mask(mask)[0])
 
     total = part_measure(ctx.full_mask())
     g = max(total.value, 1)
@@ -341,11 +352,11 @@ def separate(
 
     base = find_base_box(ctx, tau)
     if degenerate:
-        m_star = 1.0
+        m_star, box = 1.0, magnify(base, 1.0)
+        codes = _classify(ctx.arrays, [box])[0]
     else:
-        m_star, _ = shell_sweep(ctx, base, g)
-    box = magnify(base, m_star)
-    codes = _classify(ctx.arrays, [box])[0]
+        m_star, _, codes = shell_sweep(ctx, base, g)
+        box = magnify(base, m_star)
     inside, outside, boundary = rows_to_masks(
         np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
     )

@@ -12,8 +12,11 @@ larger component is searched on its own.  The packing closer then searches
 each component of such a batch alone (`IntersectionContext.exact_pack_mask`);
 the piercing closer searches the batch as one family.  A larger connected one
 is split with a box separator, enumerating independent sets (packing) or
-candidate pierce covers (piercing) of the boundary class.  Unbalanced or
-degenerate separators fall back to pivot branching, so termination and
+candidate pierce covers (piercing) of the boundary class.  `split` passes
+`separate` the context's restriction to the mask
+(`IntersectionContext.restrict`), the context of the mask's objects in the
+family's given order, so a split builds no context of its own.  Unbalanced
+or degenerate separators fall back to pivot branching, so termination and
 exactness never depend on separator quality.
 
 `_Search.run(mask)` is the one runner: the exact solvers run it on the
@@ -161,15 +164,17 @@ class _Search:
 
     def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
         """(inside, outside, boundary) masks of the separator of `mask`'s
-        objects, or None when that split is unbalanced.  The objects go to
-        `separate` in the family's given order, whose first achieving base
-        cube depends on it."""
-        ids = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)
-        sep = separate([self.ctx.objs[i] for i in ids], self.sepcfg)
+        objects, or None when that split is unbalanced.  `separate` runs on
+        the context's restriction to `mask`, which is the context of the
+        mask's objects in the family's given order (the first achieving base
+        cube depends on that order), so the separator's given position k is
+        the k-th of those objects."""
+        sep = separate(self.ctx.restrict(mask), self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
             return None
+        given = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)
         parts = (sep.inside_ids, sep.outside_ids, sep.boundary_ids)
-        return tuple(sum(1 << ids[j] for j in part) for part in parts)
+        return tuple(sum(1 << given[k] for k in part) for part in parts)
 
 
 class _PackSearch(_Search):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from fatsep.geometry import AxisBox, Ball
+from fatsep.geometry import AxisBox, Ball, center, size
+from fatsep.instances import gen_instance
 
 
 def random_objects(seed, n, d=2, shape="ball", span=10.0):
@@ -47,6 +49,31 @@ def shifted(obj, dx):
     if isinstance(obj, Ball):
         return Ball(move(obj.center), obj.radius)
     return AxisBox(move(obj.low), move(obj.high))
+
+
+@st.composite
+def families_and_masks(draw, max_n=60):
+    """(objects, mask): a random family of balls or boxes in d = 2 or 3, at
+    density 1 or 8, and a mask of at least two of its objects (bit i: the
+    i-th smallest).  Half the families get their sizes rounded to a few
+    values (boxes become cubes), so sizes tie."""
+    shape = draw(st.sampled_from(["ball", "box"]))
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, max_n))
+    density = draw(st.sampled_from([1.0, 8.0]))
+    seed = draw(st.integers(0, 2**16))
+    objs = list(gen_instance("random", d, shape=shape, n=n, seed=seed, density=density).objects)
+    if draw(st.booleans()):
+        sides = [max(round(size(o), 1), 0.1) for o in objs]
+        if shape == "ball":
+            objs = [Ball(o.center, s / 2) for o, s in zip(objs, sides)]
+        else:
+            objs = [
+                AxisBox(tuple(c - s / 2 for c in center(o)), tuple(c + s / 2 for c in center(o)))
+                for o, s in zip(objs, sides)
+            ]
+    bits = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    return objs, sum(1 << i for i in bits)
 
 
 @pytest.fixture

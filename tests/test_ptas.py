@@ -268,8 +268,9 @@ def count_everywhere(monkeypatch, module, name, within=(candidates, measure, pta
     return calls
 
 
-def test_pierce_builds_one_context_and_one_table(monkeypatch):
-    inst = gen_instance("random", 2, shape="box", n=60, seed=1)
+def count_contexts(monkeypatch):
+    """Record the size of every `IntersectionContext` built from a list of
+    objects; a `restrict` builds none."""
     contexts = []
     init = IntersectionContext.__init__
 
@@ -278,6 +279,12 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
         init(self, objs)
 
     monkeypatch.setattr(IntersectionContext, "__init__", counted_init)
+    return contexts
+
+
+def test_pierce_builds_one_context_and_one_table(monkeypatch):
+    inst = gen_instance("random", 2, shape="box", n=60, seed=1)
+    contexts = count_contexts(monkeypatch)
     sweeps = count_everywhere(monkeypatch, candidates, "_box_sweep")
     points = count_everywhere(monkeypatch, candidates, "candidate_pierce_points")
     masks = count_everywhere(monkeypatch, candidates, "coverage_masks")
@@ -298,10 +305,34 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
     assert len(sweeps) == 1
     assert not points and not masks
     assert not any(solves)
-    # `separate` still builds a context of its own for each call.
-    assert len(contexts) == 1 + len(splits)
+    # `separate` runs on restrictions of the solve's one context.
+    assert len(contexts) == 1
     for o in inst.objects:
         assert any(contains_point(o, p) for p in sol.witness)
+
+
+def test_pack_solves_build_one_context(monkeypatch):
+    # An exact packing that reaches separated nodes, and the packing PTAS,
+    # each separate on restrictions of the one context they build.
+    contexts = count_contexts(monkeypatch)
+    splits = count_everywhere(monkeypatch, separator, "separate")
+    separated = []
+    original = solver._PackSearch._separated
+
+    def counted(self, *args):
+        separated.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(solver._PackSearch, "_separated", counted)
+    inst = gen_instance("random", 2, n=24, seed=0, density=8)
+    sol = solve_pack(inst, SolveConfig(base_threshold=1))
+    assert sol.optimal and separated and splits
+    assert contexts == [inst.n]
+    del contexts[:], splits[:]
+    inst = gen_instance("random", 2, n=120, seed=1, density=8)
+    sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=1.0))
+    assert sol.discarded > 0 and splits
+    assert contexts == [inst.n]
 
 
 def test_pierce_leaf_abort_falls_back_to_greedy():

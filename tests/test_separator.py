@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fatsep import separator
 from fatsep.geometry import (
@@ -21,16 +22,17 @@ from fatsep.geometry import (
     size,
 )
 from fatsep.instances import gen_instance
-from fatsep.measure import IntersectionContext, greedy_pack
+from fatsep.measure import IntersectionContext, greedy_pack, mask_to_ids
 from fatsep.separator import (
     SIDE_SEARCH_RATIO,
     SeparatorConfig,
     find_base_box,
     separate,
+    _classify,
     shell_count,
     shell_sweep,
 )
-from conftest import random_objects
+from conftest import families_and_masks, random_objects
 
 
 def tight_cluster(cx, cy, n, seed, r=0.1, spread=1.0):
@@ -643,14 +645,14 @@ def test_find_base_box_picks_one_cluster():
 def test_shell_sweep_nothing_on_boundary():
     objs = [Ball((100 + i * 10, 100), 1) for i in range(4)]
     base = BoxRegion((0, 0), (5, 5))
-    m, bm = shell_sweep(IntersectionContext(objs), base, 4)
+    m, bm, _ = shell_sweep(IntersectionContext(objs), base, 4)
     assert m == 1.0 and bm == 0
 
 
 def test_shell_sweep_g1_single_shell():
     objs = [Ball((0, 0), 1), Ball((0.5, 0), 1)]
     base = BoxRegion((-1, -1), (1, 1))
-    m, _ = shell_sweep(IntersectionContext(objs), base, 1)
+    m, _, _ = shell_sweep(IntersectionContext(objs), base, 1)
     assert m == 1.0
     assert shell_count(2, 1) == 1
 
@@ -662,7 +664,7 @@ def test_shell_sweep_minimizes_and_counts_shells():
     base = find_base_box(ctx, 10)
     g = 25
     assert shell_count(2, g) == 3
-    m_star, bm = shell_sweep(ctx, base, g)
+    m_star, bm, _ = shell_sweep(ctx, base, g)
     # independent re-evaluation of every shell
     step = 1.0 / math.sqrt(g)
     values = {}
@@ -675,6 +677,66 @@ def test_shell_sweep_minimizes_and_counts_shells():
     assert m_star == min(m for m, v in values.items() if v == bm)
     # pigeonhole: the reported minimum never exceeds the shell average
     assert bm <= sum(values.values()) / len(values)
+
+
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_shell_sweep_returns_the_chosen_shells_classification(shape):
+    # The row is the final classification: `separate` does not classify the
+    # chosen shell again.
+    chosen = set()
+    for seed in range(6):
+        objs = list(gen_instance("random", 2, shape=shape, n=60, seed=seed).objects)
+        ctx = IntersectionContext(objs)
+        g = greedy_pack(objs).value
+        base = find_base_box(ctx, math.ceil(1.25 / 3 * g))
+        m_star, _, row = shell_sweep(ctx, base, g)
+        want = _classify(ctx.arrays, [magnify(base, m_star)])[0]
+        assert row.dtype == want.dtype and row.tolist() == want.tolist()
+        chosen.add(m_star > 1.0)
+    # Both the first shell and a later one were chosen.
+    assert chosen == {False, True}
+
+
+def test_separate_classifies_once(monkeypatch):
+    # Once in the shell sweep, or, when the centres coincide and there is
+    # no sweep, once in `separate` itself.
+    calls = []
+    original = separator._classify
+
+    def counted(shapes, boxes):
+        calls.append(len(boxes))
+        return original(shapes, boxes)
+
+    monkeypatch.setattr(separator, "_classify", counted)
+    sep = separate([Ball((5, 5), float(r)) for r in (1, 2, 3)])
+    assert sep.degenerate and sep.m_star == 1.0 and calls == [1]
+    del calls[:]
+    sep = separate(random_objects(3, 30))
+    assert not sep.degenerate and len(calls) == 1 and calls[0] > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(families_and_masks())
+def test_separate_on_a_restriction_equals_separate_on_its_objects(case):
+    objs, mask = case
+    ctx = IntersectionContext(objs)
+    given = [ctx.objs[i] for i in sorted(mask_to_ids(mask), key=ctx.ids.__getitem__)]
+    got, want = separate(ctx.restrict(mask)), separate(given)
+
+    def fields(sep):
+        measures = (sep.mu_total, sep.mu_inside, sep.mu_outside, sep.mu_boundary)
+        return (
+            sep.box,
+            sep.base_box,
+            sep.m_star,
+            sep.inside_ids,
+            sep.outside_ids,
+            sep.boundary_ids,
+            [m.value for m in measures],
+            sep.degenerate,
+        )
+
+    assert fields(got) == fields(want)
 
 
 def _sweep_claim_case(seed):

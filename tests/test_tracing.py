@@ -3,13 +3,14 @@
 Tier-1 never runs the benchmark, so this guard installs the tracer around
 small solves: a `src/` change that drops or reshapes a name the tracer wraps
 (such as `exact_small_pack`, `exact_small_pierce`, `OVERFLOW` or
-`separate(objs, cfg)`) fails here instead of only under
+`separate(objs, cfg)`, which the solvers call with a restricted
+`IntersectionContext` in place of `objs`) fails here instead of only under
 `perfbench/run.py --trace 1`.
 """
 import importlib.util
 from pathlib import Path
 
-from fatsep import measure, solver
+from fatsep import measure, ptas, solver
 from fatsep.instances import gen_instance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -63,3 +64,27 @@ def test_traced_solve_equals_untraced():
     assert metrics["measure.exact_small_pack.overflow_ratio"] == 0.5
     assert metrics["solver.nodes"] == untraced[0][2] + untraced[1][2]
     assert run(pierce_inst, pack_inst) == untraced  # uninstall restored the originals
+
+
+def test_traced_ptas_separates_on_restrictions():
+    # The PTAS splits on restrictions of its one context: the tracer's
+    # `separate` hook reads them as object sequences, and the only context
+    # build it sees is the solve's own.
+    inst = gen_instance("random", 2, n=120, seed=1, density=8)
+    cfg = ptas.PtasConfig(epsilon=0.5, c_stop=1.0)
+
+    def run_ptas():
+        sol = ptas.ptas_pack(inst, cfg)
+        return sol.value, sol.witness, sol.nodes, sol.discarded
+
+    untraced = run_ptas()
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traced = run_ptas()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced and untraced[3] > 0
+    assert tracer.calls["separator.separate"] > 0
+    assert tracer.calls["measure.IntersectionContext"] == 1
+    assert tracer.metrics()["separator.separate.boundary_frac"] > 0
