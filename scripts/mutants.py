@@ -10,13 +10,15 @@ PYTHONPATH, and prints `killed` (some test failed), `SURVIVED` (all
 passed), `ERROR` (pytest could not run the selection, say a renamed test)
 or `STALE` (the old text does not occur exactly once, so a refactor that
 moves the code must update the list).  It exits 1 unless every mutant is
-killed.
+killed.  EQUIVALENT lists faults that change no answer, with the reason, so
+no test can kill them; they are not run.
 
 Usage (from any directory):
 
     python scripts/mutants.py                # every mutant
     python scripts/mutants.py --only NAME    # the named ones (repeatable)
-    python scripts/mutants.py --list         # names and selections only
+    python scripts/mutants.py --list         # names, selections and reasons,
+                                             # STALE marked (then exits 1)
 """
 import argparse
 import os
@@ -167,12 +169,8 @@ MUTANTS = [
     Mutant(
         "separate-ids-unmapped",
         "separator.py",
-        "inside_ids=ctx.input_ids(inside),\n"
-        "        outside_ids=ctx.input_ids(outside),\n"
-        "        boundary_ids=ctx.input_ids(boundary),",
-        "inside_ids=[i for i in range(ctx.n) if inside >> i & 1],\n"
-        "        outside_ids=[i for i in range(ctx.n) if outside >> i & 1],\n"
-        "        boundary_ids=[i for i in range(ctx.n) if boundary >> i & 1],",
+        "enumerate(self.family.given.tolist())",
+        "enumerate(np.flatnonzero(self.family.member).tolist())",
         "tests/test_separator.py::test_separate_partition_consistent",
     ),
     Mutant(
@@ -202,40 +200,32 @@ MUTANTS = [
     Mutant(
         "base-box-rank-order",
         "measure.py",
-        "given = centres[np.argsort(self.ids)]",
-        "given = centres",
+        "return np.argsort(self.ids)",
+        "return np.arange(self.n)",
         "tests/test_separator.py::test_achieving_box_rank_walk_matches_reference",
     ),
-    # A split separates the restriction of the solve's context to its mask,
-    # whose given order is the family's, and maps the separator's given
-    # positions back to the context's bits.
+    # A split reads the solve's context through its mask: every cube, anchor
+    # and the corner are the subfamily's.
     Mutant(
-        "split-rank-order",
-        "measure.py",
-        "ranks[np.argsort(given)] = np.arange(len(keep))",
-        "ranks[:] = np.arange(len(keep))",
-        "tests/test_ptas.py::test_pack_matches_object_list_recursion",
+        "base-box-cube-not-masked",
+        "separator.py",
+        "mask = sub.mask\n",
+        "mask = -1\n",
+        "tests/test_separator.py::test_subfamilies_separate_as_their_object_lists",
     ),
     Mutant(
-        "restrict-keeps-parent-positions",
-        "measure.py",
-        "sub.ids = ranks.tolist()",
-        "sub.ids = given.tolist()",
-        "tests/test_measure.py::test_restrict_is_the_context_of_the_masks_objects",
+        "base-box-anchors-over-context",
+        "separator.py",
+        "np.vstack([centers, centers.min(axis=0)])",
+        "np.vstack([sub.ctx.arrays.center[np.argsort(sub.ctx.ids)], centers.min(axis=0)])",
+        "tests/test_separator.py::test_subfamilies_separate_as_their_object_lists",
     ),
     Mutant(
-        "restrict-leading-columns",
-        "measure.py",
-        "sub.nbr = rows_to_masks(rows[:, keep])",
-        "sub.nbr = rows_to_masks(rows[:, : len(keep)])",
-        "tests/test_measure.py::test_restrict_is_the_context_of_the_masks_objects",
-    ),
-    Mutant(
-        "split-maps-through-sub-bits",
-        "solver.py",
-        "given = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)",
-        "given = mask_to_ids(mask)",
-        "tests/test_ptas.py::test_pack_matches_object_list_recursion",
+        "base-box-corner-over-context",
+        "separator.py",
+        "np.vstack([centers, centers.min(axis=0)])",
+        "np.vstack([centers, sub.ctx.arrays.center.min(axis=0)])",
+        "tests/test_separator.py::test_find_base_box_on_a_subfamily_anchors_at_its_own_corner",
     ),
     # The shell sweep's row is the final classification.
     Mutant(
@@ -245,14 +235,69 @@ MUTANTS = [
         "codes[best_j - 1]",
         "tests/test_separator.py::test_shell_sweep_returns_the_chosen_shells_classification",
     ),
+    # Tolerances: objects within TOL of touching meet, and an object is
+    # inside a box only TOL clear of its faces.
+    Mutant(
+        "box-meet-strict",
+        "measure.py",
+        "meet &= lo[:, a, None] <= hi[:, a] + TOL",
+        "meet &= lo[:, a, None] < hi[:, a] + TOL",
+        "tests/test_measure.py::test_intersection_context_matches_intersects",
+    ),
+    Mutant(
+        "classify-inside-without-tol",
+        "separator.py",
+        "inside &= shapes.low[:, a] >= l + TOL",
+        "inside &= shapes.low[:, a] >= l",
+        "tests/test_separator.py::test_shapes_classify_matches_classify",
+    ),
 ]
+
+
+class Equivalent(NamedTuple):
+    name: str
+    file: str  # under src/fatsep/
+    old: str
+    new: str
+    reason: str
+
+
+EQUIVALENT = [
+    Equivalent(
+        "ball-slack-factor-one",
+        "measure.py",
+        "slack *= 1.0 + 1e-6",
+        "slack *= 1.0",
+        "for floats t > limit, t^2 - limit^2 >= 2 limit ulp(limit), more than a rounding step "
+        "of limit^2, so an offset past the unscaled limit already squares past its square; "
+        "the 1e-6 is margin for a `pow` that is not correctly rounded",
+    ),
+    Equivalent(
+        "clique-source-fresh-partition",
+        "separator.py",
+        "_, _, members, labels = sub.ctx.rank_axes\n",
+        "from types import SimpleNamespace\n"
+        "    from .measure import mask_to_ids\n"
+        "    fresh = IntersectionContext.cliques.func(SimpleNamespace(full_mask=lambda: sub.mask, nbr=sub.ctx.nbr))\n"
+        "    members = np.array([i for c in fresh for i in mask_to_ids(c)], dtype=np.intp)\n"
+        "    labels = np.repeat(np.arange(len(fresh)), [c.bit_count() for c in fresh])\n",
+        "a fresh greedy clique partition of the mask and `ctx.cliques` cut to the mask are both "
+        "clique partitions of it, so both bound every cube soundly: only the cubes walked change, "
+        "never the first achieving one",
+    ),
+]
+
+
+def stale(mutant) -> bool:
+    """True when the mutant's old text does not occur exactly once."""
+    return (ROOT / "src" / "fatsep" / mutant.file).read_text().count(mutant.old) != 1
 
 
 def run(mutant: Mutant) -> str:
     """The mutant's verdict: 'killed', 'SURVIVED', 'ERROR' or 'STALE'."""
-    source = (ROOT / "src" / "fatsep" / mutant.file).read_text()
-    if source.count(mutant.old) != 1:
+    if stale(mutant):
         return "STALE"
+    source = (ROOT / "src" / "fatsep" / mutant.file).read_text()
     with tempfile.TemporaryDirectory(prefix="fatsep-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -283,8 +328,10 @@ def main(argv=None) -> int:
     chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
     if args.list:
         for m in chosen:
-            print(f"{m.name}\t{m.file}\t{m.selection}")
-        return 0
+            print(f"{'STALE ' if stale(m) else ''}{m.name}\t{m.file}\t{m.selection}")
+        for e in EQUIVALENT:
+            print(f"{'STALE ' if stale(e) else ''}equivalent {e.name}\t{e.file}\t{e.reason}")
+        return 1 if any(map(stale, chosen + EQUIVALENT)) else 0
     bad = 0
     for m in chosen:
         start = time.perf_counter()

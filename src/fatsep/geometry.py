@@ -223,8 +223,8 @@ class ShapeArrays:
         return self.low.shape[1]
 
     def take(self, rows: np.ndarray) -> "ShapeArrays":
-        """The layout of the objects of `rows`, in that order: the same rows
-        a fresh layout of those objects holds, bit for bit."""
+        """The layout of the objects `rows` selects (indices, in that order,
+        or a boolean mask): the rows a fresh layout of them holds, bit for bit."""
         sub = object.__new__(ShapeArrays)
         for name, value in vars(self).items():
             setattr(sub, name, value[rows])

@@ -16,10 +16,8 @@ The context numbers its objects by size rank, so every smallest-first walk
 and branch takes a mask's lowest bit.  It lays its family out once as
 `geometry.ShapeArrays` (`ctx.arrays`), which the separator reads too, and
 builds its neighbourhood masks from one numpy array per pair of shapes, with
-the float operations of `geometry.intersects`, bit for bit.  `restrict(mask)`
-gives the context of a mask's objects in given order, equal bit for bit to a
-fresh build, by gathering rows of the arrays and neighbourhood masks instead
-of testing pairs again; iterating a context yields its objects in given order.
+the float operations of `geometry.intersects`, bit for bit.  A split reads
+it through a mask (`Subfamily`), so a solve's splits share its one context.
 """
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,21 +57,18 @@ class MeasureEstimate:
 
 
 class RankAxes(NamedTuple):
-    """A context's centres ranked on each axis, for the base-box search.
+    """A context's tables for the base-box search, built once per context.
 
-    `coords[a]`: the sorted coordinates on axis a, as Python floats.
+    `coords[a]`: the sorted centre coordinates on axis a, as Python floats.
     `prefixes[a][k]`: the mask of the objects whose centres are among the k
-    first there.  `anchors`: the centres in the family's given order, then
-    the bounding-box corner (the per-axis minimum).  `clique_low[q]` and
-    `clique_high[q]`: the corners of the bounding box of the centres of
-    clique q of `IntersectionContext.cliques`.
+    first there.  `members`: the objects of each clique of `cliques` in
+    turn, and `labels`: the clique of each.
     """
 
     coords: List[List[float]]
     prefixes: List[List[int]]
-    anchors: np.ndarray
-    clique_low: np.ndarray
-    clique_high: np.ndarray
+    members: np.ndarray
+    labels: np.ndarray
 
 
 class IntersectionContext:
@@ -83,9 +78,7 @@ class IntersectionContext:
     i-th smallest object, whose given position is `ids[i]`.  Ids leave the
     package as given positions only (`input_ids`).  A greedy clique
     partition (`cliques`) and the separator's ranked centres (`rank_axes`)
-    are built on first use.  Iterating yields the objects in given order, so
-    `IntersectionContext(list(ctx))` rebuilds `ctx`; `restrict(mask)` gives
-    the context of `mask`'s objects without testing pairs again."""
+    are built on first use."""
 
     def __init__(self, objs: Sequence[FatObject]):
         given = list(objs)
@@ -99,43 +92,10 @@ class IntersectionContext:
     def n(self) -> int:
         return len(self.objs)
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return (self.objs[i] for i in sorted(range(self.n), key=self.ids.__getitem__))
-
-    def restrict(self, mask: int) -> "IntersectionContext":
-        """The context that `IntersectionContext` builds from `mask`'s objects
-        in given order, bit for bit, gathered from this one (the full mask
-        gives this one).  Those objects keep their relative order, by size
-        and then given position, so bit r of the restriction is the r-th
-        lowest bit of `mask`: its given position is the rank of that bit's
-        given position among the mask's, and its rows of `arrays` and `nbr`
-        are that bit's, cut to `mask`'s columns."""
-        if mask == self.full_mask():
-            return self
-        n = self.n
-        keep = np.flatnonzero(
-            np.unpackbits(masks_to_words([mask], n).view(np.uint8), count=n, bitorder="little")
-        )
-        ids, nbr_bytes = self._gather_tables
-        given = ids[keep]
-        ranks = np.empty_like(given)
-        ranks[np.argsort(given)] = np.arange(len(keep))
-        rows = np.unpackbits(nbr_bytes[keep], axis=1, count=n, bitorder="little")
-        sub = object.__new__(IntersectionContext)
-        sub.ids = ranks.tolist()
-        sub.objs = [self.objs[i] for i in keep.tolist()]
-        sub.arrays = self.arrays.take(keep)
-        sub.nbr = rows_to_masks(rows[:, keep])
-        return sub
-
     @cached_property
-    def _gather_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """`ids` as an array and `nbr` as rows of bytes (bit j of row i is
-        `nbr[i]`'s bit j), built on the first `restrict`."""
-        return np.array(self.ids), masks_to_words(self.nbr, self.n).view(np.uint8)
+    def by_given(self) -> np.ndarray:
+        """The object numbers in given order (the inverse of `ids`)."""
+        return np.argsort(self.ids)
 
     def input_ids(self, mask: int) -> List[int]:
         """The given positions of `mask`'s objects, sorted."""
@@ -164,19 +124,13 @@ class IntersectionContext:
     def rank_axes(self) -> RankAxes:
         """The separator's tables (see `RankAxes`), built on first use, so
         contexts that never separate do not pay for them."""
-        centres = self.arrays.center
-        perm = np.argsort(centres.T, axis=1, kind="stable")
+        perm = np.argsort(self.arrays.center.T, axis=1, kind="stable")
         prefixes = [list(accumulate((1 << i for i in p), or_, initial=0)) for p in perm.tolist()]
-        members = [i for clique in self.cliques for i in _bits(clique)]
-        starts = list(accumulate((c.bit_count() for c in self.cliques[:-1]), initial=0))
-        grouped = centres[members]
-        given = centres[np.argsort(self.ids)]
         return RankAxes(
-            np.take_along_axis(centres.T, perm, axis=1).tolist(),
+            np.take_along_axis(self.arrays.center.T, perm, axis=1).tolist(),
             prefixes,
-            np.vstack([given, centres.min(axis=0)]),
-            np.minimum.reduceat(grouped, starts),
-            np.maximum.reduceat(grouped, starts),
+            np.array([i for clique in self.cliques for i in _bits(clique)], dtype=np.intp),
+            np.repeat(np.arange(len(self.cliques)), [c.bit_count() for c in self.cliques]),
         )
 
     def full_mask(self) -> int:
@@ -312,6 +266,42 @@ class IntersectionContext:
 
         rec(mask, [])
         return best if best_val <= cap else None
+
+
+class Subfamily:
+    """The objects of `mask` in `ctx`, which a split hands `separate`.  It
+    has the mask's popcount as length and yields its objects in given order,
+    as a list of them would.  `member` flags the mask's bits and `given`
+    lists them in given order; `arrays` holds their rows, in rank order."""
+
+    def __init__(self, ctx: IntersectionContext, mask: Optional[int] = None):
+        self.ctx = ctx
+        self.mask = ctx.full_mask() if mask is None else mask
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __iter__(self):
+        return (self.ctx.objs[i] for i in self.given.tolist())
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        packed = np.frombuffer(self.mask.to_bytes(-(-self.ctx.n // 8), "little"), np.uint8)
+        return np.unpackbits(packed, count=self.ctx.n, bitorder="little").view(bool)
+
+    @cached_property
+    def given(self) -> np.ndarray:
+        return self.ctx.by_given[self.member[self.ctx.by_given]]
+
+    @cached_property
+    def arrays(self) -> ShapeArrays:
+        return self.ctx.arrays.take(np.flatnonzero(self.member))
+
+    def masks(self, rows: np.ndarray) -> List[int]:
+        """Bitmask over the context of each row of a boolean array over its objects."""
+        full = np.zeros((len(rows), self.ctx.n), dtype=bool)
+        full[:, self.member] = rows
+        return rows_to_masks(full)
 
 
 class PierceTable:

@@ -6,27 +6,22 @@ one crossed by the least measure, then classify every object against that
 shell box.  No hard balance guarantee is promised; callers verify balance
 against `balance_cap` and fall back to pivot branching when it fails.
 
-`separate` works on one `IntersectionContext`: the one it is given (the
-solvers pass `IntersectionContext.restrict` of their own context, so a split
-builds none) or, for an object list, the one it builds.  Both stages take
-that context and read its `ShapeArrays` (`ctx.arrays`), so a family is laid
-out as arrays at most once per call.  Both use the scalar predicates' float
-operations, so their answers equal the scalar ones bit for bit.  The base-box search ANDs, over
-the axes, the prefix masks (`ctx.rank_axes`) of the run of sorted center
-coordinates a candidate cube holds, so each cube's center set is a bitmask
-over the context without a cube-by-center array, and a rung stops at its
-first achieving cube.  A packing holds at most one object of each clique of
-a greedy clique partition, so once per search every cube gets the side
-below which it holds centres of fewer cliques than the target, from the
-distances between its anchor and the cliques' centre boxes; a rung builds
-masks for, and walks, only the cubes at or above theirs.  The greedy
-measure of a mask walks its lowest unblocked bits (the context numbers
-objects by size rank), clearing each pick's neighbourhood (`ctx.nbr`), and
-stops once the answer is known.
-`_classify` gives every object's region class against a stack of boxes: the
-shell sweep classifies against all its shells in one call and returns the
-chosen shell's row, the final classification.  A `SeparatorResult`'s ids are
-given positions (`ctx.input_ids`), and its measures are values only.
+`separate` splits a `Subfamily`, a context read through a mask: the solvers
+pass their own context and a subproblem's mask, so a split builds no
+context and no tables; an object list gets a context of its own.  Both
+stages use the scalar predicates' float operations, bit for bit.  The
+base-box search ANDs the mask with the context's prefix masks
+(`ctx.rank_axes`) of the runs of sorted centre coordinates a cube holds, so
+a cube's centre set is a bitmask without a cube-by-centre array, and a rung
+stops at its first achieving cube.  A packing holds at most one object of
+each clique of `ctx.cliques` cut to the mask, so once per search every cube
+gets the side below which it holds centres of fewer cliques than the
+target; a rung walks only the cubes at or above theirs, each walk taking
+the lowest unblocked bits (size rank) and stopping once the answer is known.
+`shell_sweep` classifies against all its shells in one `_classify` call and
+returns the chosen shell's row.  A `SeparatorResult` holds its regions as
+masks over the context, their ids (given positions) derived from them, and
+measure values only.
 """
 from __future__ import annotations
 
@@ -44,9 +39,8 @@ from .geometry import (
     FatObject,
     ShapeArrays,
     magnify,
-    rows_to_masks,
 )
-from .measure import IntersectionContext, MeasureEstimate
+from .measure import IntersectionContext, MeasureEstimate, Subfamily
 
 
 # Most magnification shells `shell_sweep` tries.
@@ -70,34 +64,60 @@ class SeparatorConfig:
 
 @dataclass
 class SeparatorResult:
+    """A split of `family`, its regions as masks over the family's context."""
+
     box: BoxRegion
     base_box: BoxRegion
     m_star: float
-    inside_ids: List[int]
-    outside_ids: List[int]
-    boundary_ids: List[int]
+    family: Subfamily
+    inside: int
+    outside: int
+    boundary: int
     mu_total: MeasureEstimate
     mu_inside: MeasureEstimate
     mu_outside: MeasureEstimate
     mu_boundary: MeasureEstimate
     degenerate: bool = False
 
+    def _ids(self, mask: int) -> List[int]:
+        """The given positions in `family` of `mask`'s objects, sorted."""
+        return [k for k, i in enumerate(self.family.given.tolist()) if mask >> i & 1]
+
+    inside_ids = property(lambda self: self._ids(self.inside))
+    outside_ids = property(lambda self: self._ids(self.outside))
+    boundary_ids = property(lambda self: self._ids(self.boundary))
+
     def unbalanced(self, balance_cap: float) -> bool:
         """True when recursing on this split does not pay: the centers
         coincide, every object is on the boundary, or one side holds more
         than `balance_cap` of the total measure."""
-        n = len(self.inside_ids) + len(self.outside_ids) + len(self.boundary_ids)
         return (
             self.degenerate
-            or len(self.boundary_ids) == n
+            or self.boundary == self.family.mask
             or max(self.mu_inside.value, self.mu_outside.value)
             > balance_cap * self.mu_total.value
         )
 
 
-def _min_sides(ctx: IntersectionContext, tau: int) -> np.ndarray:
+def _anchors(sub: Subfamily) -> np.ndarray:
+    """The cubes' anchors: the centres in given order, then their corner."""
+    centers = sub.ctx.arrays.center[sub.given]
+    return np.vstack([centers, centers.min(axis=0)])
+
+
+def _clique_boxes(sub: Subfamily) -> Tuple[np.ndarray, np.ndarray]:
+    """Low and high corners of the centre boxes of `ctx.cliques` cut to the
+    mask, the empty cuts dropped: a subset of a clique is a clique."""
+    _, _, members, labels = sub.ctx.rank_axes
+    kept = sub.member[members]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(labels[kept]) != 0]))
+    grouped = sub.ctx.arrays.center[members[kept]]
+    return np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
+
+
+def _min_sides(sub: Subfamily, anchors: np.ndarray, tau: int) -> np.ndarray:
     """Lower bound on the side at which each candidate cube of `_achieving_box`
-    holds centres of tau cliques of `ctx.cliques`, in candidate order.
+    holds centres of tau cliques of `_clique_boxes`, in candidate order.
 
     Entry 3i + kind bounds the cube centred on (kind 0), low-anchored at
     (kind 1) or high-anchored at (kind 2) anchor i; the last anchor is the
@@ -113,7 +133,7 @@ def _min_sides(ctx: IntersectionContext, tau: int) -> np.ndarray:
     2^-40 leaves room for thousands of them.  Distances are taken
     `_DIST_ROWS` anchors at a time, in place.
     """
-    _, _, anchors, clique_low, clique_high = ctx.rank_axes
+    clique_low, clique_high = _clique_boxes(sub)
     m, d = clique_low.shape
     sides = np.full((len(anchors), 3), np.inf)
     if tau > m:
@@ -153,33 +173,33 @@ def _min_sides(ctx: IntersectionContext, tau: int) -> np.ndarray:
 
 
 def _achieving_box(
-    ctx: IntersectionContext, s: float, tau: int, min_side: np.ndarray
+    sub: Subfamily, anchors: np.ndarray, s: float, tau: int, min_side: np.ndarray
 ) -> Optional[BoxRegion]:
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
-    high-anchored at every object center, the objects taken in the family's
-    given order, then the cube low-anchored at the bounding-box corner
-    (`RankAxes.anchors`).  Only cubes whose `min_side` (`_min_sides`) is at
-    most s can hold centres of tau cliques, so only those are tried.  A cube
-    holds the run `[i, j)` of sorted coordinates (`ctx.rank_axes`) within
-    `[low - TOL, high + TOL]` on each axis (`bisect_left`, `bisect_right`),
-    so its centre set is the AND over axes of `prefixes[j] ^ prefixes[i]`;
-    a centre set already tried is skipped.
+    high-anchored at every object center, in given order, then the cube
+    low-anchored at the bounding-box corner (`_anchors`).  Only cubes whose
+    `min_side` (`_min_sides`) is at most s can hold centres of tau cliques,
+    so only those are tried.  A cube holds the run `[i, j)` of sorted
+    coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]` on each
+    axis (`bisect_left`, `bisect_right`), so its centre set is the mask ANDed
+    over axes with `prefixes[j] ^ prefixes[i]`; a centre set already tried
+    is skipped.
     """
-    coords, prefixes, anchors, _, _ = ctx.rank_axes
+    coords, prefixes, _, _ = sub.ctx.rank_axes
     shifts = (s / 2.0, 0.0, s)
     tried = set()
     for k in np.flatnonzero(min_side <= s).tolist():
         i, kind = divmod(k, 3)
         low = [x - shifts[kind] for x in anchors[i].tolist()]
-        mask = -1
+        mask = sub.mask
         for coord, prefix, x in zip(coords, prefixes, low):
             mask &= prefix[bisect_right(coord, x + s + TOL)] ^ prefix[bisect_left(coord, x - TOL)]
         if mask in tried:
             continue
         tried.add(mask)
-        if _greedy_reaches(ctx, mask, tau):
+        if _greedy_reaches(sub.ctx, mask, tau):
             return BoxRegion(tuple(low), tuple(x + s for x in low))
     return None
 
@@ -197,7 +217,7 @@ def _greedy_reaches(ctx: IntersectionContext, mask: int, tau: int) -> bool:
     return value >= tau
 
 
-def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
+def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     """Approximately minimum-volume cube whose center measure reaches tau.
 
     Searches cubes with sides on a geometric ladder between the extreme
@@ -207,8 +227,8 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     can reach tau.  Every candidate cube's threshold side (`_min_sides`) is
     computed once per call, so a rung tries only the cubes at or above it.
     """
-    centers = ctx.arrays.center
-    n = ctx.n
+    centers = sub.arrays.center
+    n = len(centers)
     if n == 0:
         raise ValueError("no objects")
 
@@ -239,8 +259,9 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     if ladder[-1] < d_max:
         ladder.append(d_max)
 
-    min_side = _min_sides(ctx, tau)
-    best = _achieving_box(ctx, ladder[-1], tau, min_side)
+    anchors = _anchors(sub)
+    min_side = _min_sides(sub, anchors, tau)
+    best = _achieving_box(sub, anchors, ladder[-1], tau, min_side)
     if best is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
 
@@ -248,7 +269,7 @@ def find_base_box(ctx: IntersectionContext, tau: int) -> BoxRegion:
     lo, hi = 0, len(ladder) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        box = _achieving_box(ctx, ladder[mid], tau, min_side)
+        box = _achieving_box(sub, anchors, ladder[mid], tau, min_side)
         if box is not None:
             hi, best = mid, box
         else:
@@ -299,9 +320,7 @@ def shell_count(d: int, g: int) -> int:
     return int(math.floor((2.0 ** (1.0 / d) - 1.0) * g ** (1.0 / d))) + 1
 
 
-def shell_sweep(
-    ctx: IntersectionContext, base: BoxRegion, g: int
-) -> Tuple[float, int, np.ndarray]:
+def shell_sweep(sub: Subfamily, base: BoxRegion, g: int) -> Tuple[float, int, np.ndarray]:
     """Pick the magnification shell crossed by the least greedy measure:
     (m_star, its boundary's greedy measure, its `_classify` row).
 
@@ -314,50 +333,46 @@ def shell_sweep(
     count = min(shell_count(d, g), SHELL_SAMPLES_CAP)
     step = 1.0 / g ** (1.0 / d)
     shells = [magnify(base, 1.0 + j * step) for j in range(count)]
-    codes = _classify(ctx.arrays, shells)
-    boundary = rows_to_masks(codes == _BOUNDARY)
+    codes = _classify(sub.arrays, shells)
     best_j = 0
     best_val = None
-    for j, mask in enumerate(boundary):
-        value, _ = ctx.greedy_pack_mask(mask)
+    for j, mask in enumerate(sub.masks(codes == _BOUNDARY)):
+        value, _ = sub.ctx.greedy_pack_mask(mask)
         if best_val is None or value < best_val:
             best_j, best_val = j, value
     return 1.0 + best_j * step, int(best_val), codes[best_j]
 
 
 def separate(
-    family: Union[IntersectionContext, Sequence[FatObject]],
+    family: Union[Subfamily, Sequence[FatObject]],
     cfg: Optional[SeparatorConfig] = None,
 ) -> SeparatorResult:
-    """Full separator: base box, shell sweep, classification, measures.
-
-    `family` is a list of objects or a context over them (say, a
-    `IntersectionContext.restrict` of a solve's own context); the ids of the
-    result are given positions in either case."""
+    """Full separator: base box, shell sweep, classification, measures, of a
+    list of objects or a `Subfamily` (say, of a solve's own context)."""
     cfg = cfg or SeparatorConfig()
     if len(family) < 2:
         raise ValueError("separate needs at least 2 objects")
-    ctx = family if isinstance(family, IntersectionContext) else IntersectionContext(family)
+    sub = family if isinstance(family, Subfamily) else Subfamily(IntersectionContext(family))
 
     def part_measure(mask: int) -> MeasureEstimate:
-        return MeasureEstimate(value=ctx.greedy_pack_mask(mask)[0])
+        return MeasureEstimate(value=sub.ctx.greedy_pack_mask(mask)[0])
 
-    total = part_measure(ctx.full_mask())
+    total = part_measure(sub.mask)
     g = max(total.value, 1)
     tau = int(math.ceil((1.0 + cfg.epsilon) / 3.0 * g))
     tau = max(tau, 1)
 
-    centers = ctx.arrays.center
+    centers = sub.arrays.center
     degenerate = float((centers.max(axis=0) - centers.min(axis=0)).max()) <= 0.0
 
-    base = find_base_box(ctx, tau)
+    base = find_base_box(sub, tau)
     if degenerate:
         m_star, box = 1.0, magnify(base, 1.0)
-        codes = _classify(ctx.arrays, [box])[0]
+        codes = _classify(sub.arrays, [box])[0]
     else:
-        m_star, _, codes = shell_sweep(ctx, base, g)
+        m_star, _, codes = shell_sweep(sub, base, g)
         box = magnify(base, m_star)
-    inside, outside, boundary = rows_to_masks(
+    inside, outside, boundary = sub.masks(
         np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
     )
 
@@ -365,9 +380,10 @@ def separate(
         box=box,
         base_box=base,
         m_star=m_star,
-        inside_ids=ctx.input_ids(inside),
-        outside_ids=ctx.input_ids(outside),
-        boundary_ids=ctx.input_ids(boundary),
+        family=sub,
+        inside=inside,
+        outside=outside,
+        boundary=boundary,
         mu_total=total,
         mu_inside=part_measure(inside),
         mu_outside=part_measure(outside),

@@ -13,9 +13,9 @@ each component of such a batch alone (`IntersectionContext.exact_pack_mask`);
 the piercing closer searches the batch as one family.  A larger connected one
 is split with a box separator, enumerating independent sets (packing) or
 candidate pierce covers (piercing) of the boundary class.  `split` passes
-`separate` the context's restriction to the mask
-(`IntersectionContext.restrict`), the context of the mask's objects in the
-family's given order, so a split builds no context of its own.  Unbalanced
+`separate` the context read through the mask (`Subfamily`), so every split
+of a solve shares its one context and separator tables, and takes the
+separator's regions as masks over the context.  Unbalanced
 or degenerate separators fall back to pivot branching, so termination and
 exactness never depend on separator quality.
 
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .geometry import Point
 from .instances import Instance
-from .measure import IntersectionContext, PierceTable, mask_to_ids
+from .measure import IntersectionContext, PierceTable, Subfamily, mask_to_ids
 from .separator import SeparatorConfig, separate
 
 
@@ -164,17 +164,11 @@ class _Search:
 
     def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
         """(inside, outside, boundary) masks of the separator of `mask`'s
-        objects, or None when that split is unbalanced.  `separate` runs on
-        the context's restriction to `mask`, which is the context of the
-        mask's objects in the family's given order (the first achieving base
-        cube depends on that order), so the separator's given position k is
-        the k-th of those objects."""
-        sep = separate(self.ctx.restrict(mask), self.sepcfg)
+        objects, or None when that split is unbalanced."""
+        sep = separate(Subfamily(self.ctx, mask), self.sepcfg)
         if sep.unbalanced(self.cfg.balance_cap):
             return None
-        given = sorted(mask_to_ids(mask), key=self.ctx.ids.__getitem__)
-        parts = (sep.inside_ids, sep.outside_ids, sep.boundary_ids)
-        return tuple(sum(1 << given[k] for k in part) for part in parts)
+        return sep.inside, sep.outside, sep.boundary
 
 
 class _PackSearch(_Search):

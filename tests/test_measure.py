@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from fatsep import candidates as cand
 from fatsep import measure
@@ -27,12 +26,11 @@ from fatsep.measure import (
     exact_small_pierce,
     greedy_pack,
     greedy_pierce,
-    mask_to_ids,
     prune_dominated,
 )
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import solve_pierce
-from conftest import families_and_masks, given_mask, given_nbr, random_objects, shifted
+from conftest import given_mask, given_nbr, random_objects, shifted
 
 
 def disks_on_a_line(xs, r=1.0):
@@ -530,37 +528,3 @@ def test_intersection_context_small_and_mixed_dimensions():
         IntersectionContext(
             [AxisBox((0.0, 0.0), (1.0, 1.0)), Ball((5.0, 5.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)]
         )
-
-
-def assert_same_context(got, want):
-    """`got` equals `want` bit for bit: numbering, neighbourhoods, every
-    `arrays` field (NaN radii included), cliques and `rank_axes`."""
-    assert got.ids == want.ids and got.objs == want.objs and got.nbr == want.nbr
-    assert vars(got.arrays).keys() == vars(want.arrays).keys()
-    for name, value in vars(want.arrays).items():
-        other = getattr(got.arrays, name)
-        assert (other.dtype, other.shape, other.tobytes()) == (value.dtype, value.shape, value.tobytes()), name
-    assert got.cliques == want.cliques
-    assert got.rank_axes.coords == want.rank_axes.coords
-    assert got.rank_axes.prefixes == want.rank_axes.prefixes
-    for other, value in zip(got.rank_axes[2:], want.rank_axes[2:]):
-        assert (other.shape, other.tobytes()) == (value.shape, value.tobytes())
-
-
-@settings(max_examples=100, deadline=None)
-@given(families_and_masks())
-def test_restrict_is_the_context_of_the_masks_objects(case):
-    objs, mask = case
-    ctx = IntersectionContext(objs)
-    given = [ctx.objs[i] for i in sorted(mask_to_ids(mask), key=ctx.ids.__getitem__)]
-    sub = ctx.restrict(mask)
-    assert_same_context(sub, IntersectionContext(given))
-    assert list(sub) == given and len(sub) == len(given)
-    # A restriction restricts again, as its own objects' context would.
-    low = mask_to_ids(sub.full_mask())[::2]
-    inner = [sub.objs[i] for i in sorted(low, key=sub.ids.__getitem__)]
-    if len(low) >= 2:
-        assert_same_context(sub.restrict(sum(1 << i for i in low)), IntersectionContext(inner))
-    assert ctx.restrict(ctx.full_mask()) is ctx
-    assert list(ctx) == objs
-    assert_same_context(IntersectionContext(list(ctx)), ctx)

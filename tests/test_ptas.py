@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import pytest
 
@@ -270,7 +271,7 @@ def count_everywhere(monkeypatch, module, name, within=(candidates, measure, pta
 
 def count_contexts(monkeypatch):
     """Record the size of every `IntersectionContext` built from a list of
-    objects; a `restrict` builds none."""
+    objects."""
     contexts = []
     init = IntersectionContext.__init__
 
@@ -305,7 +306,7 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
     assert len(sweeps) == 1
     assert not points and not masks
     assert not any(solves)
-    # `separate` runs on restrictions of the solve's one context.
+    # `separate` runs on subfamilies of the solve's one context.
     assert len(contexts) == 1
     for o in inst.objects:
         assert any(contains_point(o, p) for p in sol.witness)
@@ -313,7 +314,7 @@ def test_pierce_builds_one_context_and_one_table(monkeypatch):
 
 def test_pack_solves_build_one_context(monkeypatch):
     # An exact packing that reaches separated nodes, and the packing PTAS,
-    # each separate on restrictions of the one context they build.
+    # each separate on subfamilies of the one context they build.
     contexts = count_contexts(monkeypatch)
     splits = count_everywhere(monkeypatch, separator, "separate")
     separated = []
@@ -333,6 +334,48 @@ def test_pack_solves_build_one_context(monkeypatch):
     sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=1.0))
     assert sol.discarded > 0 and splits
     assert contexts == [inst.n]
+
+
+def count_table_builds(monkeypatch):
+    """Count the builds of the separator's tables (`rank_axes`) and of the
+    clique partition (`cliques`) of every context."""
+    builds = {"rank_axes": 0, "cliques": 0}
+    for name in builds:
+        build = vars(IntersectionContext)[name].func
+
+        def counted(self, build=build, name=name):
+            builds[name] += 1
+            return build(self)
+
+        table = cached_property(counted)
+        table.__set_name__(IntersectionContext, name)
+        monkeypatch.setattr(IntersectionContext, name, table)
+    return builds
+
+
+def test_solves_build_one_set_of_separator_tables(monkeypatch):
+    # Every split of a solve reads the solve's own tables through its mask:
+    # the packing PTAS at the benchmark's size and an exact packing that
+    # reaches separated nodes each build them once.
+    builds = count_table_builds(monkeypatch)
+    splits = count_everywhere(monkeypatch, separator, "separate")
+    inst = gen_instance("random", 2, shape="ball", n=400, seed=1, density=1.0)
+    sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=2.0))
+    assert sol.discarded > 0 and len(splits) > 1
+    assert builds == {"rank_axes": 1, "cliques": 1}
+    separated = []
+    original = solver._PackSearch._separated
+
+    def counted(self, *args):
+        separated.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(solver._PackSearch, "_separated", counted)
+    builds.update(rank_axes=0, cliques=0)
+    del splits[:]
+    sol = solve_pack(gen_instance("random", 2, n=24, seed=0, density=8), SolveConfig(base_threshold=1))
+    assert sol.optimal and separated and len(splits) > 1
+    assert builds == {"rank_axes": 1, "cliques": 1}
 
 
 def test_pierce_leaf_abort_falls_back_to_greedy():

@@ -71,12 +71,13 @@ def test_pierce_answers_repeat_byte_for_byte(tmp_path):
 
 def test_mutants_script_kills_two_planted_faults():
     # Three of the listed faults, each in its own temporary copy of `src/`,
-    # and one at the boundary where context ids become given positions.
+    # one at the boundary where context ids become given positions and one
+    # in the subfamily a split reads, in the list's order.
     names = [
         "centre-strict-end",
-        "base-box-run-end-side",
         "base-box-slack-dropped",
         "greedy-pack-witness-unmapped",
+        "base-box-corner-over-context",
     ]
     argv = [sys.executable, str(ROOT / "scripts" / "mutants.py")]
     for name in names:

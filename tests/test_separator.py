@@ -22,7 +22,7 @@ from fatsep.geometry import (
     size,
 )
 from fatsep.instances import gen_instance
-from fatsep.measure import IntersectionContext, greedy_pack, mask_to_ids
+from fatsep.measure import IntersectionContext, Subfamily, greedy_pack, mask_to_ids
 from fatsep.separator import (
     SIDE_SEARCH_RATIO,
     SeparatorConfig,
@@ -32,6 +32,7 @@ from fatsep.separator import (
     shell_count,
     shell_sweep,
 )
+from fatsep.solver import SolveConfig, _PackSearch
 from conftest import families_and_masks, random_objects
 
 
@@ -50,7 +51,7 @@ def test_find_base_box_single_cluster():
     rng = random.Random(2)
     objs = [Ball((rng.uniform(0, 1), rng.uniform(0, 1)), 0.05) for _ in range(9)]
     ctx = IntersectionContext(objs)
-    box = find_base_box(ctx, 3)
+    box = find_base_box(Subfamily(ctx), 3)
     inside = [o for o in objs if all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))]
     assert greedy_pack(inside).value >= 3
     # independent oracle: exhaustive ascending ladder scan for the first
@@ -66,8 +67,17 @@ def test_find_base_box_single_cluster():
 
 
 def achieving_box(ctx, s, tau):
-    """`separator._achieving_box` on the thresholds `find_base_box` gives it."""
-    return separator._achieving_box(ctx, s, tau, separator._min_sides(ctx, tau))
+    """`separator._achieving_box` on the whole of `ctx`, on the anchors and
+    thresholds `find_base_box` gives it."""
+    sub = Subfamily(ctx)
+    anchors = separator._anchors(sub)
+    return separator._achieving_box(sub, anchors, s, tau, separator._min_sides(sub, anchors, tau))
+
+
+def min_sides(ctx, tau):
+    """`separator._min_sides` on the whole of `ctx`."""
+    sub = Subfamily(ctx)
+    return separator._min_sides(sub, separator._anchors(sub), tau)
 
 
 def given_order(ctx):
@@ -102,16 +112,16 @@ def reference_achieving_box(ctx, s, tau):
     return None
 
 
-def reference_on_thresholds(ctx, s, tau, min_side):
+def reference_on_thresholds(sub, anchors, s, tau, min_side):
     """`reference_achieving_box` in `_achieving_box`'s place; it ignores the
-    thresholds."""
-    return reference_achieving_box(ctx, s, tau)
+    anchors and thresholds."""
+    return reference_achieving_box(sub.ctx, s, tau)
 
 
 def reference_base_box(monkeypatch, objs, tau):
     with monkeypatch.context() as m:
         m.setattr(separator, "_achieving_box", reference_on_thresholds)
-        return find_base_box(IntersectionContext(objs), tau)
+        return find_base_box(Subfamily(IntersectionContext(objs)), tau)
 
 
 def test_find_base_box_matches_per_candidate_loop(monkeypatch):
@@ -132,7 +142,7 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
     for objs in families:
         g = greedy_pack(objs).value
         for tau in sorted({1, max(1, g // 2), g}):
-            got = find_base_box(IntersectionContext(objs), tau)
+            got = find_base_box(Subfamily(IntersectionContext(objs)), tau)
             want = reference_base_box(monkeypatch, objs, tau)
             assert (got.low, got.high) == (want.low, want.high)
 
@@ -141,7 +151,7 @@ def test_find_base_box_bounding_corner_first(monkeypatch):
     # No cube anchored at a centre holds both centres; the one at the
     # bounding-box corner (0, 0) does.
     objs = [Ball((0.0, 1.0), 0.1), Ball((1.0, 0.0), 0.1)]
-    box = find_base_box(IntersectionContext(objs), 2)
+    box = find_base_box(Subfamily(IntersectionContext(objs)), 2)
     assert box.low == (0.0, 0.0)
     assert box.high == (math.sqrt(2.0), math.sqrt(2.0))
     want = reference_base_box(monkeypatch, objs, 2)
@@ -167,15 +177,15 @@ def test_find_base_box_evaluates_each_rung_once(monkeypatch):
         calls = []
         original = separator._achieving_box
 
-        def counting(ctx, s, tau, min_side):
-            box = original(ctx, s, tau, min_side)
+        def counting(sub, anchors, s, tau, min_side):
+            box = original(sub, anchors, s, tau, min_side)
             calls.append((s, box))
             return box
 
         tau = max(1, greedy_pack(objs).value // 2)
         with monkeypatch.context() as m:
             m.setattr(separator, "_achieving_box", counting)
-            got = find_base_box(IntersectionContext(objs), tau)
+            got = find_base_box(Subfamily(IntersectionContext(objs)), tau)
         sides = [s for s, _ in calls]
         assert len(calls) > 2 and len(set(sides)) == len(sides)
         assert sides[0] == max(sides)
@@ -298,23 +308,35 @@ def test_achieving_box_counts_centres_on_tolerant_faces():
 
 
 def test_rank_axes_are_sorted_prefix_masks():
+    rng = random.Random(3)
     for objs in rank_walk_families(balls=12, boxes=6, per_dim=1):
         ctx = IntersectionContext(objs)
         # Built on first use only.
         assert "rank_axes" not in vars(ctx)
-        coords, prefixes, anchors, clique_low, clique_high = ctx.rank_axes
+        coords, prefixes, members, labels = ctx.rank_axes
         for a, prefix in enumerate(prefixes):
             ranked = [center(o)[a] for o in ctx.objs]
             by_coord = sorted(range(len(ranked)), key=ranked.__getitem__)
             assert coords[a] == [ranked[r] for r in by_coord]
             assert prefix == [sum(1 << r for r in by_coord[:k]) for k in range(len(ranked) + 1)]
-        given = [list(center(o)) for o in objs]
-        assert anchors.tolist() == given + [[min(c[a] for c in given) for a in range(len(coords))]]
-        for q, clique in enumerate(ctx.cliques):
-            members = [center(ctx.objs[i]) for i in range(ctx.n) if clique >> i & 1]
-            assert clique_low[q].tolist() == [min(c) for c in zip(*members)]
-            assert clique_high[q].tolist() == [max(c) for c in zip(*members)]
-        assert len(clique_low) == len(clique_high) == len(ctx.cliques)
+        assert members.tolist() == [i for clique in ctx.cliques for i in mask_to_ids(clique)]
+        assert labels.tolist() == [q for q, clique in enumerate(ctx.cliques) for _ in mask_to_ids(clique)]
+        # Per call, a subfamily's anchors are its centres in given order,
+        # then its own corner, and its clique boxes those of the cliques cut
+        # to its mask.
+        assert list(Subfamily(ctx)) == objs
+        for mask in (ctx.full_mask(), rng.getrandbits(ctx.n) | 1):
+            sub = Subfamily(ctx, mask)
+            given = [list(center(o)) for o in sub]
+            anchors = separator._anchors(sub)
+            assert anchors.tolist() == given + [[min(c[a] for c in given) for a in range(len(coords))]]
+            cut = [clique & mask for clique in ctx.cliques if clique & mask]
+            clique_low, clique_high = separator._clique_boxes(sub)
+            for q, clique in enumerate(cut):
+                centres = [center(ctx.objs[i]) for i in range(ctx.n) if clique >> i & 1]
+                assert clique_low[q].tolist() == [min(c) for c in zip(*centres)]
+                assert clique_high[q].tolist() == [max(c) for c in zip(*centres)]
+            assert len(clique_low) == len(clique_high) == len(cut)
 
 
 def test_cliques_are_a_greedy_partition_into_pairwise_intersecting_sets():
@@ -361,7 +383,7 @@ def cliques_met(ctx, s):
 def candidate_sides(ctx, tau):
     """`_min_sides` in candidate order, without the corner row's unused
     entries."""
-    sides = separator._min_sides(ctx, tau)
+    sides = min_sides(ctx, tau)
     assert np.isinf(sides[[3 * ctx.n, 3 * ctx.n + 2]]).all()
     return np.delete(sides, [3 * ctx.n, 3 * ctx.n + 2])
 
@@ -407,7 +429,7 @@ def assert_thresholds_hold(ctx, s, tau):
     sides = candidate_sides(ctx, tau)
     met = cliques_met(ctx, s)
     assert not np.any((met >= tau) & (sides > s)), (s, tau)
-    got = separator._achieving_box(ctx, s, tau, separator._min_sides(ctx, tau))
+    got = achieving_box(ctx, s, tau)
     assert got == reference_achieving_box(ctx, s, tau), (s, tau)
 
 
@@ -459,7 +481,7 @@ def test_min_sides_are_tight_on_disjoint_families():
                 assert cliques_met(ctx, max(sides[k] + 3 * TOL, 1e-12))[k] >= tau, (tau, k)
             assert (cliques_met(ctx, huge)[~finite] < tau).all()
             unreachable += (~finite).sum()
-        assert np.isinf(separator._min_sides(ctx, ctx.n + 1)).all()
+        assert np.isinf(min_sides(ctx, ctx.n + 1)).all()
     assert unreachable
 
 
@@ -474,11 +496,13 @@ def test_achieving_box_bound_reaches_tau_exactly(monkeypatch):
     assert len(ctx.cliques) == 3
     box = achieving_box(ctx, 2.0, 3)
     assert box is not None and box == reference_achieving_box(ctx, 2.0, 3)
-    assert find_base_box(ctx, 3) == reference_base_box(monkeypatch, objs, 3)
+    sub = Subfamily(ctx)
+    assert find_base_box(sub, 3) == reference_base_box(monkeypatch, objs, 3)
     # A rung tries exactly the cubes whose threshold is at most its side.
     at = np.full(3 * ctx.n + 3, 2.0)
-    assert separator._achieving_box(ctx, 2.0, 3, at) == box
-    assert separator._achieving_box(ctx, 2.0, 3, np.nextafter(at, math.inf)) is None
+    anchors = separator._anchors(sub)
+    assert separator._achieving_box(sub, anchors, 2.0, 3, at) == box
+    assert separator._achieving_box(sub, anchors, 2.0, 3, np.nextafter(at, math.inf)) is None
 
 
 def test_find_base_box_peak_memory():
@@ -489,7 +513,7 @@ def test_find_base_box_peak_memory():
     ctx.rank_axes
     tracemalloc.start()
     try:
-        find_base_box(ctx, tau)
+        find_base_box(Subfamily(ctx), tau)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,11 +534,12 @@ def test_find_base_box_walks_few_cubes(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(separator, "_greedy_reaches", recording)
-        got = find_base_box(IntersectionContext(objs), tau)
+        got = find_base_box(Subfamily(IntersectionContext(objs)), tau)
     distinct = 0
 
-    def counting(ctx, s, tau, _):
+    def counting(sub, anchors, s, tau, _):
         nonlocal distinct
+        ctx = sub.ctx
         walked = set()
         ctx.greedy_pack_mask = lambda mask: walked.add(mask) or type(ctx).greedy_pack_mask(ctx, mask)
         try:
@@ -525,7 +550,7 @@ def test_find_base_box_walks_few_cubes(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(separator, "_achieving_box", counting)
-        want = find_base_box(IntersectionContext(objs), tau)
+        want = find_base_box(Subfamily(IntersectionContext(objs)), tau)
     assert got == want
     assert walks and 10 * len(walks) <= distinct
 
@@ -625,34 +650,34 @@ def test_shapes_classify_dimension_mismatch():
         with pytest.raises(DimensionMismatchError):
             separator._classify(ShapeArrays(objs), [square])
         with pytest.raises(DimensionMismatchError):
-            shell_sweep(IntersectionContext(objs), square, 4)
+            shell_sweep(Subfamily(IntersectionContext(objs)), square, 4)
 
 
 def test_find_base_box_total_measure():
     objs = random_objects(4, 20)
     g = greedy_pack(objs).value
-    box = find_base_box(IntersectionContext(objs), g)
+    box = find_base_box(Subfamily(IntersectionContext(objs)), g)
     for o in objs:
         assert all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))
 
 
 def test_find_base_box_picks_one_cluster():
     objs = tight_cluster(0, 0, 5, 1) + tight_cluster(1000, 0, 5, 2)
-    box = find_base_box(IntersectionContext(objs), 5)
+    box = find_base_box(Subfamily(IntersectionContext(objs)), 5)
     assert box.longest_side < 100  # one cluster, not a box spanning both
 
 
 def test_shell_sweep_nothing_on_boundary():
     objs = [Ball((100 + i * 10, 100), 1) for i in range(4)]
     base = BoxRegion((0, 0), (5, 5))
-    m, bm, _ = shell_sweep(IntersectionContext(objs), base, 4)
+    m, bm, _ = shell_sweep(Subfamily(IntersectionContext(objs)), base, 4)
     assert m == 1.0 and bm == 0
 
 
 def test_shell_sweep_g1_single_shell():
     objs = [Ball((0, 0), 1), Ball((0.5, 0), 1)]
     base = BoxRegion((-1, -1), (1, 1))
-    m, _, _ = shell_sweep(IntersectionContext(objs), base, 1)
+    m, _, _ = shell_sweep(Subfamily(IntersectionContext(objs)), base, 1)
     assert m == 1.0
     assert shell_count(2, 1) == 1
 
@@ -660,11 +685,11 @@ def test_shell_sweep_g1_single_shell():
 def test_shell_sweep_minimizes_and_counts_shells():
     rng = random.Random(8)
     objs = [Ball((rng.uniform(0, 30), rng.uniform(0, 30)), 0.3) for _ in range(100)]
-    ctx = IntersectionContext(objs)
-    base = find_base_box(ctx, 10)
+    sub = Subfamily(IntersectionContext(objs))
+    base = find_base_box(sub, 10)
     g = 25
     assert shell_count(2, g) == 3
-    m_star, bm, _ = shell_sweep(ctx, base, g)
+    m_star, bm, _ = shell_sweep(sub, base, g)
     # independent re-evaluation of every shell
     step = 1.0 / math.sqrt(g)
     values = {}
@@ -688,8 +713,8 @@ def test_shell_sweep_returns_the_chosen_shells_classification(shape):
         objs = list(gen_instance("random", 2, shape=shape, n=60, seed=seed).objects)
         ctx = IntersectionContext(objs)
         g = greedy_pack(objs).value
-        base = find_base_box(ctx, math.ceil(1.25 / 3 * g))
-        m_star, _, row = shell_sweep(ctx, base, g)
+        base = find_base_box(Subfamily(ctx), math.ceil(1.25 / 3 * g))
+        m_star, _, row = shell_sweep(Subfamily(ctx), base, g)
         want = _classify(ctx.arrays, [magnify(base, m_star)])[0]
         assert row.dtype == want.dtype and row.tolist() == want.tolist()
         chosen.add(m_star > 1.0)
@@ -715,28 +740,74 @@ def test_separate_classifies_once(monkeypatch):
     assert not sep.degenerate and len(calls) == 1 and calls[0] > 1
 
 
+def separator_fields(sep):
+    """What a `SeparatorResult` says about its family, given positions
+    included."""
+    measures = (sep.mu_total, sep.mu_inside, sep.mu_outside, sep.mu_boundary)
+    return (
+        sep.box,
+        sep.base_box,
+        sep.m_star,
+        sep.inside_ids,
+        sep.outside_ids,
+        sep.boundary_ids,
+        [m.value for m in measures],
+        sep.degenerate,
+    )
+
+
+def check_subfamily_separates_as_its_objects(ctx, mask):
+    """`separate` of the subfamily of `mask` equals `separate` of a list of
+    its objects in given order, its masks are that list's ids mapped back
+    to bits, and `_Search.split(mask)` returns those masks unless the split
+    is unbalanced."""
+    bits = sorted(mask_to_ids(mask), key=ctx.ids.__getitem__)
+    given = [ctx.objs[i] for i in bits]
+    sub = Subfamily(ctx, mask)
+    assert list(sub) == given and len(sub) == len(given)
+    got, want = separate(sub), separate(given)
+    assert separator_fields(got) == separator_fields(want)
+    parts = (want.inside_ids, want.outside_ids, want.boundary_ids)
+    regions = tuple(sum(1 << bits[k] for k in ids) for ids in parts)
+    assert (got.inside, got.outside, got.boundary) == regions
+    split = _PackSearch(ctx, SolveConfig(balance_cap=1.0)).split(mask)
+    assert split == (None if want.unbalanced(1.0) else regions)
+    return split is not None
+
+
 @settings(max_examples=40, deadline=None)
 @given(families_and_masks())
 def test_separate_on_a_restriction_equals_separate_on_its_objects(case):
     objs, mask = case
+    check_subfamily_separates_as_its_objects(IntersectionContext(objs), mask)
+
+
+def test_subfamilies_separate_as_their_object_lists():
+    # Fixed families and masks of every shape, dimension and density, half
+    # of each family and a random part of it.
+    rng = random.Random(5)
+    splits = 0
+    for shape in ("ball", "box"):
+        for d in (2, 3):
+            for density in (1.0, 8.0):
+                inst = gen_instance("random", d, shape=shape, n=40, seed=d, density=density)
+                ctx = IntersectionContext(inst.objects)
+                for mask in (ctx.full_mask(), sum(1 << i for i in range(0, ctx.n, 2)), rng.getrandbits(ctx.n)):
+                    splits += check_subfamily_separates_as_its_objects(ctx, mask)
+    assert splits
+
+
+def test_find_base_box_on_a_subfamily_anchors_at_its_own_corner(monkeypatch):
+    # As `test_find_base_box_bounding_corner_first`, with a third object
+    # left out of the mask: the corner is the subfamily's, not the context's.
+    objs = [Ball((0.0, 1.0), 0.1), Ball((1.0, 0.0), 0.1), Ball((-3.0, -3.0), 0.1)]
     ctx = IntersectionContext(objs)
-    given = [ctx.objs[i] for i in sorted(mask_to_ids(mask), key=ctx.ids.__getitem__)]
-    got, want = separate(ctx.restrict(mask)), separate(given)
-
-    def fields(sep):
-        measures = (sep.mu_total, sep.mu_inside, sep.mu_outside, sep.mu_boundary)
-        return (
-            sep.box,
-            sep.base_box,
-            sep.m_star,
-            sep.inside_ids,
-            sep.outside_ids,
-            sep.boundary_ids,
-            [m.value for m in measures],
-            sep.degenerate,
-        )
-
-    assert fields(got) == fields(want)
+    sub = Subfamily(ctx, ctx.full_mask() & ~(1 << ctx.ids.index(2)))
+    box = find_base_box(sub, 2)
+    assert box.low == (0.0, 0.0)
+    assert box.high == (math.sqrt(2.0), math.sqrt(2.0))
+    want = reference_base_box(monkeypatch, objs[:2], 2)
+    assert (box.low, box.high) == (want.low, want.high)
 
 
 def _sweep_claim_case(seed):
@@ -757,7 +828,7 @@ def check_shell_claim(objs, d=2):
     if g < 2:
         return 0
     tau = max(int(math.ceil(1.25 / 3.0 * g)), 1)
-    base = find_base_box(IntersectionContext(objs), tau)
+    base = find_base_box(Subfamily(IntersectionContext(objs)), tau)
     count = shell_count(d, g)
     if count < 2:
         return 0

@@ -3,7 +3,7 @@
 Tier-1 never runs the benchmark, so this guard installs the tracer around
 small solves: a `src/` change that drops or reshapes a name the tracer wraps
 (such as `exact_small_pack`, `exact_small_pierce`, `OVERFLOW` or
-`separate(objs, cfg)`, which the solvers call with a restricted
+`separate(objs, cfg)`, which the solvers call with a `Subfamily` of their
 `IntersectionContext` in place of `objs`) fails here instead of only under
 `perfbench/run.py --trace 1`.
 """
@@ -67,7 +67,7 @@ def test_traced_solve_equals_untraced():
 
 
 def test_traced_ptas_separates_on_restrictions():
-    # The PTAS splits on restrictions of its one context: the tracer's
+    # The PTAS splits on subfamilies of its one context: the tracer's
     # `separate` hook reads them as object sequences, and the only context
     # build it sees is the solve's own.
     inst = gen_instance("random", 2, n=120, seed=1, density=8)
