@@ -153,18 +153,27 @@ MUTANTS = [
     # The context numbers objects by size rank; ids leave the package as
     # given positions.
     Mutant(
-        "solve-pack-witness-unmapped",
+        "pack-output-unmapped",
         "solver.py",
-        "witness = sorted(ctx.ids[i] for i in witness)",
-        "witness = sorted(witness)",
-        "tests/test_solver.py::test_solve_order_invariance",
+        "sorted(self.ctx.ids[i] for i in witness)",
+        "sorted(witness)",
+        "tests/test_solver.py::test_solve_order_invariance "
+        "tests/test_ptas.py::test_witness_feasible_even_when_lossy",
+    ),
+    # Piercing searches carry rows of the solve's one table.
+    Mutant(
+        "restrict-rows-within-live",
+        "measure.py",
+        "return kept, [self.cov[k] & mask for k in kept]",
+        "return np.searchsorted(live, kept).tolist(), [self.cov[k] & mask for k in kept]",
+        "tests/test_solver.py::test_pierce_matches_oracle",
     ),
     Mutant(
-        "ptas-pack-witness-unmapped",
+        "cover-boundary-first-row-only",
         "ptas.py",
-        "sorted(search.ctx.ids[i] for i in witness)",
-        "sorted(witness)",
-        "tests/test_ptas.py::test_witness_feasible_even_when_lossy",
+        "for r in rows:\n        covered |= search.table.cov[r]",
+        "for r in rows[:1]:\n        covered |= search.table.cov[r]",
+        "tests/test_ptas.py::test_cover_boundary_covers_what_its_points_pierce",
     ),
     Mutant(
         "separate-ids-unmapped",

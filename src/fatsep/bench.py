@@ -10,29 +10,13 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence
 
 from .calibration import NODE_LAW_EXPONENT, node_law_bound
 from .instances import Instance, gen_instance
 from .ptas import PtasConfig, ptas_pack, ptas_pierce
 from .solver import Solution, SolveConfig, solve_pack, solve_pierce
-
-CSV_COLUMNS = [
-    "label",
-    "n",
-    "d",
-    "family",
-    "solver",
-    "value",
-    "nodes",
-    "depth",
-    "wall_time",
-    "node_law_bound",
-    "node_law_ok",
-    "aborted",
-    "config_digest",
-]
 
 
 @dataclass
@@ -50,6 +34,11 @@ class BenchRecord:
     node_law_ok: bool
     aborted: bool
     config_digest: str
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+# How `to_csv` writes a column's cells; the other columns' are written as they are.
+_CELL = {"wall_time": "{:.6f}".format, "node_law_bound": "{:.6g}".format, "node_law_ok": int, "aborted": int}
 
 
 def config_digest(cfg: SolveConfig) -> str:
@@ -129,21 +118,5 @@ def to_csv(records: Sequence[BenchRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.label,
-                r.n,
-                r.d,
-                r.family,
-                r.solver,
-                r.value,
-                r.nodes,
-                r.depth,
-                f"{r.wall_time:.6f}",
-                f"{r.node_law_bound:.6g}",
-                int(r.node_law_ok),
-                int(r.aborted),
-                r.config_digest,
-            ]
-        )
+        writer.writerow(_CELL.get(c, str)(getattr(r, c)) for c in CSV_COLUMNS)
     return buf.getvalue()

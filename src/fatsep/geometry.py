@@ -115,10 +115,6 @@ class BoxRegion:
     def center(self) -> Point:
         return tuple((l + h) / 2.0 for l, h in zip(self.low, self.high))
 
-    @property
-    def volume(self) -> float:
-        return math.prod(self.sides)
-
 
 class RegionClass(Enum):
     INSIDE = "inside"

@@ -8,7 +8,7 @@ searches packing subproblems with `exact_pack_mask` and `independent_sets`,
 and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
 `PierceTable`, all on bitmasks over one `IntersectionContext`.  The table
 keeps its coverage masks as uint64 word rows too, and restricts them to a
-subproblem's mask with numpy.
+subproblem's mask with numpy, naming the rows it keeps by their indices.
 `exact_pack_mask` closes each intersection component of its mask with its
 own search and adds the answers up, so the solver's batches of small
 components cost the sum of their searches rather than the product.
@@ -325,10 +325,11 @@ class PierceTable:
         self.words = masks_to_words(self.cov, self.n)
 
     def restrict(self, mask: int):
-        """(points, coverage masks) of the table within `mask`, pruned again
-        as `prune_dominated` would, on the word rows: a nonzero masked row
-        is dropped when another row holds all of it and either differs from
-        it or comes before it (the rows are sorted by point)."""
+        """(rows, coverage masks) of the table within `mask`: the indices of
+        the rows kept and their coverages masked, pruned again as
+        `prune_dominated` would, on the word rows: a nonzero masked row is
+        dropped when another row holds all of it and either differs from it
+        or comes before it (the rows are sorted by point)."""
         words = self.words & masks_to_words([mask], self.n)
         live = np.flatnonzero(words.any(axis=1))
         rows = words[live]
@@ -339,7 +340,7 @@ class PierceTable:
         order = np.arange(len(rows))
         dropped = within & (~within.T | (order[:, None] > order))
         kept = live[~dropped.any(axis=1)].tolist()
-        return [self.points[k] for k in kept], [self.cov[k] & mask for k in kept]
+        return kept, [self.cov[k] & mask for k in kept]
 
 
 # A bound below the square root of the largest float: every `limit` under

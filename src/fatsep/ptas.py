@@ -13,7 +13,10 @@ point whose objects the other points all pierce.
 Each call builds one `IntersectionContext` and one search object over it
 (piercing: with one `PierceTable`), and recurses on masks.  Estimates,
 splits, boundary covers and exact leaves all go through that search, whose
-`run` gives each leaf its own memo and node budget.
+`run` gives each leaf its own memo and node budget.  The witness stays in
+the search's ids (context ids, table rows) through the finish step, which
+each scheme passes in as it passes its boundary step, and leaves through
+the search's `output`.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .instances import Instance
-from .measure import IntersectionContext, PierceTable, mask_to_ids
+from .measure import IntersectionContext
 from .solver import Solution, SolveConfig, _PackSearch, _PierceSearch
 
 
@@ -49,32 +52,31 @@ def _drop_boundary(search, boundary: int) -> Tuple[int, list, int]:
 
 def _cover_boundary(search, boundary: int) -> Tuple[int, list, int]:
     """Piercing: pierce the boundary class greedily; every object those
-    points pierce, on either side, is done."""
-    value, points = search.greedy(boundary)
-    picked = set(points)
+    rows pierce, on either side, is done."""
+    rows = search.greedy(boundary)
     covered = 0
-    for p, c in zip(search.table.points, search.table.cov):
-        if p in picked:
-            covered |= c
-    return value, points, covered
+    for r in rows:
+        covered |= search.table.cov[r]
+    return len(rows), rows, covered
 
 
-def _refill(ctx: IntersectionContext, witness: list) -> list:
-    """Packing: the objects, smallest first, that join `witness` (context
-    ids) greedily because they meet none of its objects (the dropped
-    boundaries leave room that the two sides' solutions do not use)."""
+def _refill(search, witness: list) -> list:
+    """Packing: `witness` (context ids) and then the objects, smallest
+    first, that join it greedily because they meet none of its objects (the
+    dropped boundaries leave room that the two sides' solutions do not use),
+    or the whole family's greedy packing when that is larger."""
     blocked = 0
     for i in witness:
-        blocked |= ctx.nbr[i]
-    _, extra = ctx.greedy_pack_mask(ctx.full_mask() & ~blocked)
-    return mask_to_ids(extra)
+        blocked |= search.ctx.nbr[i]
+    witness = witness + search.greedy(search.ctx.full_mask() & ~blocked)
+    floor = search.greedy(search.ctx.full_mask())
+    return floor if len(floor) > len(witness) else witness
 
 
-def _drop_redundant(table: PierceTable, witness: list) -> list:
-    """Piercing: `witness` without each point, taken in reverse pick order,
-    whose objects the other points all pierce (by the table's coverage)."""
-    cov_of = dict(zip(table.points, table.cov))
-    covs = [cov_of[p] for p in witness]
+def _drop_redundant(search, witness: list) -> list:
+    """Piercing: `witness` (table rows) without each row, taken in reverse
+    pick order, whose objects the other rows all pierce."""
+    covs = [search.table.cov[r] for r in witness]
     before = [0]
     for c in covs:
         before.append(before[-1] | c)
@@ -87,15 +89,15 @@ def _drop_redundant(table: PierceTable, witness: list) -> list:
     return kept[::-1]
 
 
-def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_step) -> Solution:
+def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) -> Solution:
     """Shared recursion of both schemes, over masks of one context.
 
     A part whose greedy estimate is under the stop threshold, or whose
     separator is unbalanced, is closed by the exact search's `run`.
     Otherwise `boundary_step(search, boundary)` pays for the boundary class
-    and returns (cost, points, covered): `cost` adds to `discarded`,
-    `points` join the witness, and the `covered` objects leave both sides
-    before the recursion.
+    and returns (cost, witness, covered): `cost` adds to `discarded`,
+    `witness` joins the witness, and the `covered` objects leave both sides
+    before the recursion.  `finish(search, witness)` ends the whole witness.
     """
     start = time.perf_counter()
     stop = cfg.stop_threshold(inst.dim)
@@ -112,30 +114,22 @@ def _ptas(inst: Instance, cfg: PtasConfig, problem: str, search_cls, boundary_st
         if not mask:
             return []
         # A greedy value above stop >= 1 needs two objects, as `separate` does.
-        parts = search.split(mask) if search.greedy(mask)[0] > stop else None
+        parts = search.split(mask) if len(search.greedy(mask)) > stop else None
         if parts is None:
-            _, witness, _, leaf_nodes, leaf_aborted = search.run(mask)
+            witness, _, leaf_nodes, leaf_aborted = search.run(mask)
             nodes += leaf_nodes
             aborted |= leaf_aborted
             return witness
         inside, outside, boundary = parts
-        cost, points, covered = boundary_step(search, boundary)
+        cost, witness, covered = boundary_step(search, boundary)
         discarded += cost
-        return points + rec(inside & ~covered, depth + 1) + rec(outside & ~covered, depth + 1)
+        return witness + rec(inside & ~covered, depth + 1) + rec(outside & ~covered, depth + 1)
 
-    witness = rec(search.ctx.full_mask(), 0)
-    if problem == "pack":
-        witness += _refill(search.ctx, witness)
-        floor, greedy = search.greedy(search.ctx.full_mask())
-        if floor > len(witness):
-            witness = greedy
-        witness = sorted(search.ctx.ids[i] for i in witness)
-    else:
-        witness = _drop_redundant(search.table, witness)
+    witness = finish(search, rec(search.ctx.full_mask(), 0))
     return Solution(
-        problem=problem,
+        problem=search.problem,
         value=len(witness),
-        witness=witness,
+        witness=search.output(witness),
         nodes=nodes,
         depth=max_depth,
         wall_time=time.perf_counter() - start,
@@ -152,7 +146,7 @@ def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
     `discarded` counts the boundary objects dropped, the realized loss to
     compare against eps/3, before the refill adds back those it can.
     """
-    return _ptas(inst, cfg or PtasConfig(), "pack", _PackSearch, _drop_boundary)
+    return _ptas(inst, cfg or PtasConfig(), _PackSearch, _drop_boundary, _refill)
 
 
 def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
@@ -161,4 +155,4 @@ def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
     `discarded` counts the greedy points spent on boundary classes, before
     the redundant points of the witness are dropped.
     """
-    return _ptas(inst, cfg or PtasConfig(), "pierce", _PierceSearch, _cover_boundary)
+    return _ptas(inst, cfg or PtasConfig(), _PierceSearch, _cover_boundary, _drop_redundant)

@@ -43,8 +43,6 @@ from .geometry import (
 from .measure import IntersectionContext, MeasureEstimate, Subfamily
 
 
-# Most magnification shells `shell_sweep` tries.
-SHELL_SAMPLES_CAP = 64
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
 SIDE_SEARCH_RATIO = 1.05
 # Rows per block of `find_base_box`'s distance scan and of `_min_sides`
@@ -324,15 +322,14 @@ def shell_sweep(sub: Subfamily, base: BoxRegion, g: int) -> Tuple[float, int, np
     """Pick the magnification shell crossed by the least greedy measure:
     (m_star, its boundary's greedy measure, its `_classify` row).
 
-    Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d)),
-    capped at SHELL_SAMPLES_CAP; ties resolve to the smallest j.
+    Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d));
+    ties resolve to the smallest j.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     d = base.dim
-    count = min(shell_count(d, g), SHELL_SAMPLES_CAP)
     step = 1.0 / g ** (1.0 / d)
-    shells = [magnify(base, 1.0 + j * step) for j in range(count)]
+    shells = [magnify(base, 1.0 + j * step) for j in range(shell_count(d, g))]
     codes = _classify(sub.arrays, shells)
     best_j = 0
     best_val = None
@@ -370,7 +367,7 @@ def separate(
         m_star, box = 1.0, magnify(base, 1.0)
         codes = _classify(sub.arrays, [box])[0]
     else:
-        m_star, _, codes = shell_sweep(sub, base, g)
+        m_star, swept, codes = shell_sweep(sub, base, g)
         box = magnify(base, m_star)
     inside, outside, boundary = sub.masks(
         np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
@@ -387,6 +384,7 @@ def separate(
         mu_total=total,
         mu_inside=part_measure(inside),
         mu_outside=part_measure(outside),
-        mu_boundary=part_measure(boundary),
+        # The sweep measured its chosen shell's boundary already.
+        mu_boundary=part_measure(boundary) if degenerate else MeasureEstimate(value=swept),
         degenerate=degenerate,
     )

@@ -2,10 +2,12 @@
 
 Each solve builds one `IntersectionContext` and searches subproblems as
 bitmasks over it; piercing also builds one `PierceTable` and restricts it
-to each subproblem's mask.  Packing witnesses are context ids (size ranks)
-until the solve maps them to given positions.  Small subproblems (by greedy
-estimate) are closed exactly.  A larger one that is disconnected in the
-intersection graph is a component node: Pack and Pierce add up over
+to each subproblem's mask.  An answer is its witness (with a depth), its
+value the witness's length: context ids (size ranks) for packing, table
+rows for piercing, until the search's `output` maps them to given positions
+or points once per solve.  Small subproblems (by greedy estimate) are
+closed exactly.  A larger one that is disconnected in the intersection
+graph is a component node: Pack and Pierce add up over
 components, and so do both greedy estimates, so components whose estimates
 sum to at most `base_threshold` close together as one base case and each
 larger component is searched on its own.  The packing closer then searches
@@ -99,11 +101,13 @@ class _CapStop(Exception):
 
 
 class _Search:
-    """Memoized search over the masks of one context.  `solve(mask)` returns
-    (value, witness, depth); subclasses expand a mask in `_expand(mask, g)`
-    (closing it exactly when its greedy estimate `g`, computed there unless
-    given, is at most `base_threshold`) and give its greedy answer in
-    `greedy`."""
+    """Memoized search over the masks of one context.  An answer is
+    (witness, depth), its value the witness's length; a witness lists
+    context ids (packing) or `PierceTable` rows (piercing).  `solve(mask)`
+    returns one; subclasses expand a mask in `_expand(mask, g)` (closing it
+    exactly when its greedy estimate `g`, computed there unless given, is at
+    most `base_threshold`), give its greedy witness in `greedy` and map a
+    witness out of the search, for `problem`, in `output`."""
 
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         self.ctx = ctx
@@ -112,17 +116,16 @@ class _Search:
 
     def run(self, mask: int) -> tuple:
         """Exact search of `mask` with a fresh memo and node budget:
-        (value, witness, depth, nodes, aborted).  On a node-cap abort the
-        answer is `greedy(mask)`."""
+        (witness, depth, nodes, aborted).  On a node-cap abort the witness
+        is `greedy(mask)`."""
         self.memo: Dict[int, tuple] = {}
         self.budget = _Budget(self.cfg.node_cap)
         try:
-            value, witness, depth = self.solve(mask)
+            witness, depth = self.solve(mask)
             aborted = False
         except _CapStop:
-            value, witness = self.greedy(mask)
-            depth, aborted = 0, True
-        return value, witness, depth, len(self.memo), aborted
+            witness, depth, aborted = self.greedy(mask), 0, True
+        return witness, depth, len(self.memo), aborted
 
     def solve(self, mask: int, estimate: Optional[int] = None) -> tuple:
         """Memoized answer of `mask`.  A caller that knows the mask's greedy
@@ -141,9 +144,9 @@ class _Search:
         estimates sum to at most `base_threshold` close together as one
         base case (a batch, formed in order of lowest bit, whose estimate
         `_expand` is handed, so it cannot come back here); each larger
-        component gets its own search.  The value is the sum over the
-        solved parts, the witness their union and the depth the largest of
-        theirs: this node separates nothing.
+        component gets its own search.  The witness is the union of the
+        solved parts' and the depth the largest of theirs: this node
+        separates nothing.
         """
         cap = self.cfg.base_threshold
         answers = []
@@ -159,8 +162,7 @@ class _Search:
             load += estimate
         if batch:
             answers.append(self.solve(batch, load))
-        witness = [x for answer in answers for x in answer[1]]
-        return sum(answer[0] for answer in answers), witness, max(answer[2] for answer in answers)
+        return [x for witness, _ in answers for x in witness], max(depth for _, depth in answers)
 
     def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
         """(inside, outside, boundary) masks of the separator of `mask`'s
@@ -172,18 +174,21 @@ class _Search:
 
 
 class _PackSearch(_Search):
-    def greedy(self, mask: int) -> Tuple[int, List[int]]:
-        value, chosen = self.ctx.greedy_pack_mask(mask)
-        return value, mask_to_ids(chosen)
+    problem = "pack"
 
-    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[int, List[int], int]:
+    def greedy(self, mask: int) -> List[int]:
+        return mask_to_ids(self.ctx.greedy_pack_mask(mask)[1])
+
+    def output(self, witness: List[int]) -> List[int]:
+        return sorted(self.ctx.ids[i] for i in witness)
+
+    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
         if not mask:
-            return 0, [], 0
+            return [], 0
         if g is None:
             g, greedy = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
-            value, chosen = self.ctx.exact_pack_mask(mask)
-            return value, mask_to_ids(chosen), 0
+            return mask_to_ids(self.ctx.exact_pack_mask(mask)[1]), 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
             return self._components(comps, [(greedy & c).bit_count() for c in comps])
@@ -195,12 +200,12 @@ class _PackSearch(_Search):
     def _pivot(self, mask):
         # Max-degree pivot: Pack = max(Pack(C - o), 1 + Pack(C - N[o])).
         o = max(mask_to_ids(mask), key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
-        skip = self.solve(mask & ~(1 << o))
-        take = self.solve(mask & ~self.ctx.nbr[o])
-        depth = 1 + max(skip[2], take[2])
-        if 1 + take[0] >= skip[0]:
-            return 1 + take[0], take[1] + [o], depth
-        return skip[0], skip[1], depth
+        skip, skip_depth = self.solve(mask & ~(1 << o))
+        take, take_depth = self.solve(mask & ~self.ctx.nbr[o])
+        depth = 1 + max(skip_depth, take_depth)
+        if 1 + len(take) >= len(skip):
+            return take + [o], depth
+        return skip, depth
 
     def _separated(self, inside: int, outside: int, boundary: int):
         best = None
@@ -209,100 +214,100 @@ class _PackSearch(_Search):
             nmask = 0
             for i in chosen:
                 nmask |= self.ctx.nbr[i]
-            rin = self.solve(inside & ~nmask)
-            rout = self.solve(outside & ~nmask)
-            depth = max(depth, 1 + max(rin[2], rout[2]))
-            value = len(chosen) + rin[0] + rout[0]
-            if best is None or value > best[0]:
-                best = (value, chosen + rin[1] + rout[1])
+            rin, din = self.solve(inside & ~nmask)
+            rout, dout = self.solve(outside & ~nmask)
+            depth = max(depth, 1 + max(din, dout))
+            if best is None or len(chosen) + len(rin) + len(rout) > len(best):
+                best = chosen + rin + rout
         assert best is not None
-        return best[0], best[1], depth
+        return best, depth
 
 
 class _PierceSearch(_Search):
+    problem = "pierce"
+
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         super().__init__(ctx, cfg)
         self.table = PierceTable(ctx)
 
-    def greedy(self, mask: int) -> Tuple[int, List[Point]]:
-        points, cov = self.table.restrict(mask)
-        picked = self.ctx.greedy_pierce_mask(cov, mask)
-        return len(picked), [points[k] for k in picked]
+    def greedy(self, mask: int) -> List[int]:
+        rows, cov = self.table.restrict(mask)
+        return [rows[k] for k in self.ctx.greedy_pierce_mask(cov, mask)]
 
-    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[int, List[Point], int]:
+    def output(self, witness: List[int]) -> List[Point]:
+        return [self.table.points[r] for r in witness]
+
+    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
         if not mask:
-            return 0, [], 0
-        points, cov = self.table.restrict(mask)
+            return [], 0
+        rows, cov = self.table.restrict(mask)
         if g is None:
             greedy = self.ctx.greedy_pierce_mask(cov, mask)
             g = len(greedy)
         if g <= self.cfg.base_threshold:
             # The greedy cover is feasible, so the optimum fits under g.
-            picked = self.ctx.exact_pierce_mask(cov, mask, g)
-            return len(picked), [points[k] for k in picked], 0
+            return [rows[k] for k in self.ctx.exact_pierce_mask(cov, mask, g)], 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
             # A point pierces objects of one component only.
             return self._components(comps, [sum(1 for k in greedy if cov[k] & c) for c in comps])
         parts = self.split(mask)
         if parts is None:
-            return self._pivot(mask, points, cov)
-        return self._separated(*parts, points, cov)
+            return self._pivot(mask, rows, cov)
+        return self._separated(*parts, rows, cov)
 
-    def _pivot(self, mask, points, cov):
+    def _pivot(self, mask, rows, cov):
         # Branch over the points that pierce the smallest object.
         obit = mask & -mask
         best = None
         depth = 0
-        for p, c in zip(points, cov):
+        for r, c in zip(rows, cov):
             if not c & obit:
                 continue
-            r = self.solve(mask & ~c)
-            depth = max(depth, 1 + r[2])
-            if best is None or 1 + r[0] < best[0]:
-                best = (1 + r[0], [p] + r[1])
+            rest, rest_depth = self.solve(mask & ~c)
+            depth = max(depth, 1 + rest_depth)
+            if best is None or 1 + len(rest) < len(best):
+                best = [r] + rest
         assert best is not None, "candidate set must pierce the pivot object"
-        return best[0], best[1], depth
+        return best, depth
 
-    def _separated(self, inside: int, outside: int, boundary: int, points, cov):
+    def _separated(self, inside: int, outside: int, boundary: int, rows, cov):
         best = None
         depth = 0
 
-        def dfs(unb: int, removed: int, picked: List[Point]):
+        def dfs(unb: int, removed: int, picked: List[int]):
             nonlocal best, depth
             self.budget.tick()
-            if best is not None and len(picked) >= best[0]:
+            if best is not None and len(picked) >= len(best):
                 return
             if not unb:
-                rin = self.solve(inside & ~removed)
-                rout = self.solve(outside & ~removed)
-                depth = max(depth, 1 + max(rin[2], rout[2]))
-                value = len(picked) + rin[0] + rout[0]
-                if best is None or value < best[0]:
-                    best = (value, picked + rin[1] + rout[1])
+                rin, din = self.solve(inside & ~removed)
+                rout, dout = self.solve(outside & ~removed)
+                depth = max(depth, 1 + max(din, dout))
+                if best is None or len(picked) + len(rin) + len(rout) < len(best):
+                    best = picked + rin + rout
                 return
             obit = unb & -unb
-            for p, c in zip(points, cov):
+            for r, c in zip(rows, cov):
                 if c & obit:
-                    dfs(unb & ~c, removed | c, picked + [p])
+                    dfs(unb & ~c, removed | c, picked + [r])
 
         dfs(boundary, 0, [])
         assert best is not None
-        return best[0], best[1], depth
+        return best, depth
 
 
-def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
+def _solve(search_cls, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
     """Run one exact search over the whole instance."""
     cfg = cfg or SolveConfig()
     start = time.perf_counter()
     ctx = IntersectionContext(inst.objects)
-    value, witness, depth, nodes, aborted = search_cls(ctx, cfg).run(ctx.full_mask())
-    if problem == "pack":
-        witness = sorted(ctx.ids[i] for i in witness)
+    search = search_cls(ctx, cfg)
+    witness, depth, nodes, aborted = search.run(ctx.full_mask())
     return Solution(
-        problem=problem,
-        value=value,
-        witness=witness,
+        problem=search.problem,
+        value=len(witness),
+        witness=search.output(witness),
         nodes=nodes,
         depth=depth,
         wall_time=time.perf_counter() - start,
@@ -312,8 +317,8 @@ def _solve(problem: str, search_cls, inst: Instance, cfg: Optional[SolveConfig])
 
 
 def solve_pack(inst: Instance, cfg: Optional[SolveConfig] = None) -> Solution:
-    return _solve("pack", _PackSearch, inst, cfg)
+    return _solve(_PackSearch, inst, cfg)
 
 
 def solve_pierce(inst: Instance, cfg: Optional[SolveConfig] = None) -> Solution:
-    return _solve("pierce", _PierceSearch, inst, cfg)
+    return _solve(_PierceSearch, inst, cfg)

@@ -261,7 +261,8 @@ def test_prune_dominated_matches_reference(monkeypatch):
     duplicated = 0
     for table, mask in inputs:
         cov = [c & mask for c in table.cov]
-        assert restrict(table, mask) == prune_reference(table.points, cov)
+        rows, kept = restrict(table, mask)
+        assert ([table.points[r] for r in rows], kept) == prune_reference(table.points, cov)
         nonzero = [c for c in cov if c]
         duplicated += len(set(nonzero)) < len(nonzero)
     assert len(inputs) > 20 and duplicated > 10
@@ -269,8 +270,10 @@ def test_prune_dominated_matches_reference(monkeypatch):
 
 def check_restrict(ctx, table, mask):
     """`table.restrict(mask)` prunes the masked table as the reference does,
-    and its greedy cover of `mask` is feasible; returns the restriction."""
-    points, cov = table.restrict(mask)
+    and its greedy cover of `mask` is feasible; returns the restriction's
+    points and coverages."""
+    rows, cov = table.restrict(mask)
+    points = [table.points[r] for r in rows]
     assert (points, cov) == prune_reference(table.points, [c & mask for c in table.cov])
     assert all(c and c & ~mask == 0 for c in cov)
     pierced = 0
@@ -322,7 +325,8 @@ def test_pierce_table_on_zero_and_one_objects():
         table = PierceTable(ctx)
         assert len(table.points) == len(table.cov) == ctx.n
         assert table.restrict(0) == ([], [])
-        assert table.restrict(ctx.full_mask()) == (table.points, table.cov)
+        rows, cov = table.restrict(ctx.full_mask())
+        assert ([table.points[r] for r in rows], cov) == (table.points, table.cov)
         for cap in (0, 1):
             got = exact_small_pierce(objs, cap)
             if cap < ctx.n:

@@ -174,6 +174,23 @@ def test_pierce_drops_redundant_points(seed, density):
     assert set().union(*pierced) == set(range(inst.n))
 
 
+@pytest.mark.parametrize("shape", ["box", "ball"])
+def test_cover_boundary_covers_what_its_points_pierce(shape):
+    # The covered mask joins every returned row's coverage over the whole
+    # family, on both sides of the split, not only the boundary's.
+    for seed in range(2):
+        for density in (1, 8):
+            inst = gen_instance("random", 2, shape=shape, n=60, seed=seed, density=density)
+            search = solver._PierceSearch(IntersectionContext(inst.objects), SolveConfig(epsilon=0.5))
+            boundary = search.split(search.ctx.full_mask())[2]
+            cost, rows, covered = ptas._cover_boundary(search, boundary)
+            assert cost == len(rows) >= 2
+            points = [search.table.points[r] for r in rows]
+            want = sum(1 << i for i, o in enumerate(search.ctx.objs) if any(contains_point(o, p) for p in points))
+            assert covered == want
+            assert covered & boundary == boundary
+
+
 # --- one context per call ---------------------------------------------------
 
 
