@@ -205,13 +205,36 @@ MUTANTS = [
         "low = 1 << mask.bit_length() - 1\n            chosen |= low",
         "tests/test_measure.py::test_greedy_pack_concentric",
     ),
-    # Base cubes are tried, and parts separated, in the family's given order.
+    # A subfamily's objects leave it in the family's given order; its base
+    # cubes are anchored, and tried, in size-rank order, on a ladder from the
+    # centres' extent.
     Mutant(
-        "base-box-rank-order",
+        "subfamily-given-order",
         "measure.py",
         "return np.argsort(self.ids)",
         "return np.arange(self.n)",
-        "tests/test_separator.py::test_achieving_box_rank_walk_matches_reference",
+        "tests/test_separator.py::test_rank_axes_are_sorted_prefix_masks",
+    ),
+    Mutant(
+        "base-box-given-order-anchors",
+        "separator.py",
+        "centers = sub.arrays.center\n    return np.vstack",
+        "centers = sub.ctx.arrays.center[sub.given]\n    return np.vstack",
+        "tests/test_solver.py::test_answers_do_not_depend_on_object_order",
+    ),
+    Mutant(
+        "base-box-ladder-top-below-extent",
+        "separator.py",
+        "for j in range(steps, -1, -1)]",
+        "for j in range(steps + 1, 0, -1)]",
+        "tests/test_separator.py::test_find_base_box_bounding_corner_first",
+    ),
+    Mutant(
+        "base-box-ladder-floor-below-grid",
+        "separator.py",
+        "2.0**-50 * float(np.abs(centers).max())",
+        "0.0 * float(np.abs(centers).max())",
+        "tests/test_separator.py::test_find_base_box_keeps_positive_sides_far_from_the_origin",
     ),
     # A split reads the solve's context through its mask: every cube, anchor
     # and the corner are the subfamily's.
@@ -226,7 +249,7 @@ MUTANTS = [
         "base-box-anchors-over-context",
         "separator.py",
         "np.vstack([centers, centers.min(axis=0)])",
-        "np.vstack([sub.ctx.arrays.center[np.argsort(sub.ctx.ids)], centers.min(axis=0)])",
+        "np.vstack([sub.ctx.arrays.center, centers.min(axis=0)])",
         "tests/test_separator.py::test_subfamilies_separate_as_their_object_lists",
     ),
     Mutant(

@@ -128,12 +128,10 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
     witness = finish(search, rec(search.ctx.full_mask(), 0))
     return Solution(
         problem=search.problem,
-        value=len(witness),
         witness=search.output(witness),
         nodes=nodes,
         depth=max_depth,
         wall_time=time.perf_counter() - start,
-        optimal=discarded == 0 and not aborted,
         aborted=aborted,
         discarded=discarded,
     )

@@ -10,18 +10,20 @@ against `balance_cap` and fall back to pivot branching when it fails.
 pass their own context and a subproblem's mask, so a split builds no
 context and no tables; an object list gets a context of its own.  Both
 stages use the scalar predicates' float operations, bit for bit.  The
-base-box search ANDs the mask with the context's prefix masks
-(`ctx.rank_axes`) of the runs of sorted centre coordinates a cube holds, so
-a cube's centre set is a bitmask without a cube-by-centre array, and a rung
-stops at its first achieving cube.  A packing holds at most one object of
-each clique of `ctx.cliques` cut to the mask, so once per search every cube
-gets the side below which it holds centres of fewer cliques than the
-target; a rung walks only the cubes at or above theirs, each walk taking
-the lowest unblocked bits (size rank) and stopping once the answer is known.
-`shell_sweep` classifies against all its shells in one `_classify` call and
-returns the chosen shell's row.  A `SeparatorResult` holds its regions as
-masks over the context, their ids (given positions) derived from them, and
-measure values only.
+base-box search reads the mask's objects in size-rank order only, on a
+ladder of sides from their centres' extent down, so its cubes do not depend
+on the order the objects were given in.  It ANDs the mask with the
+context's prefix masks (`ctx.rank_axes`) of the runs of sorted centre
+coordinates a cube holds, so a cube's centre set is a bitmask without a
+cube-by-centre array, and a rung stops at its first achieving cube.  A
+packing holds at most one object of each clique of `ctx.cliques` cut to the
+mask, so once per search every cube gets the side below which it holds
+centres of fewer cliques than the target; a rung walks only the cubes at or
+above theirs, each walk taking the lowest unblocked bits (size rank) and
+stopping once the answer is known.  `shell_sweep` classifies against all
+its shells in one `_classify` call and returns the chosen shell's row.  A
+`SeparatorResult` holds its regions as masks over the context, their ids
+(given positions) derived from them, and measure values only.
 """
 from __future__ import annotations
 
@@ -45,8 +47,7 @@ from .measure import IntersectionContext, MeasureEstimate, Subfamily
 
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
 SIDE_SEARCH_RATIO = 1.05
-# Rows per block of `find_base_box`'s distance scan and of `_min_sides`
-# (_DIST_ROWS x n arrays).
+# Anchors per block of `_min_sides` (_DIST_ROWS x cliques arrays).
 _DIST_ROWS = 64
 
 
@@ -98,8 +99,9 @@ class SeparatorResult:
 
 
 def _anchors(sub: Subfamily) -> np.ndarray:
-    """The cubes' anchors: the centres in given order, then their corner."""
-    centers = sub.ctx.arrays.center[sub.given]
+    """The cubes' anchors: the mask's centres in size-rank order, then their
+    corner."""
+    centers = sub.arrays.center
     return np.vstack([centers, centers.min(axis=0)])
 
 
@@ -127,7 +129,7 @@ def _min_sides(sub: Subfamily, anchors: np.ndarray, tau: int) -> np.ndarray:
     these distances gives the bound.  `slack` covers the rounding of
     `c - s/2`, `(c - s) + s`, `± TOL` and the differences here: each errs by
     at most 2^-53 times a magnitude below (4d + 1) times the largest centre
-    coordinate (the ladder's sides stay below 2.1 sqrt(d) times it), and
+    coordinate (the ladder's sides stay at most the centres' extent), and
     2^-40 leaves room for thousands of them.  Distances are taken
     `_DIST_ROWS` anchors at a time, in place.
     """
@@ -176,7 +178,7 @@ def _achieving_box(
     """First candidate cube of side s whose center-measure reaches tau.
 
     Candidates, in order: the cubes centered on, low-anchored at and
-    high-anchored at every object center, in given order, then the cube
+    high-anchored at every object center, in size-rank order, then the cube
     low-anchored at the bounding-box corner (`_anchors`).  Only cubes whose
     `min_side` (`_min_sides`) is at most s can hold centres of tau cliques,
     so only those are tried.  A cube holds the run `[i, j)` of sorted
@@ -218,16 +220,17 @@ def _greedy_reaches(ctx: IntersectionContext, mask: int, tau: int) -> bool:
 def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     """Approximately minimum-volume cube whose center measure reaches tau.
 
-    Searches cubes with sides on a geometric ladder between the extreme
-    pairwise center distances, anchored at object centers.  The smallest
-    achieving ladder size is located by bisection (achievability is monotone
-    in the side length), so no family member with at most half the volume
-    can reach tau.  Every candidate cube's threshold side (`_min_sides`) is
-    computed once per call, so a rung tries only the cubes at or above it.
+    Searches cubes anchored at object centers, with sides on a geometric
+    ladder from the centers' extent (the longest side of their bounding box)
+    down by `SIDE_SEARCH_RATIO` to no less than `extent * 1e-9`.  The top
+    rung's corner cube holds every center.  The smallest achieving ladder
+    size is located by bisection (achievability is monotone in the side
+    length), so no family member with at most half the volume can reach
+    tau.  Every candidate cube's threshold side (`_min_sides`) is computed
+    once per call, so a rung tries only the cubes at or above it.
     """
     centers = sub.arrays.center
-    n = len(centers)
-    if n == 0:
+    if len(centers) == 0:
         raise ValueError("no objects")
 
     extent = float((centers.max(axis=0) - centers.min(axis=0)).max())
@@ -236,26 +239,11 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
         c = centers[0]
         return BoxRegion(tuple(c - TOL), tuple(c + TOL))
 
-    # Pairwise center distances bound the ladder.  Squared distances are
-    # summed axis by axis, a block of rows at a time; sqrt is monotone, so
-    # only the extreme positive entries need it.
-    d2_min, d2_max = math.inf, 0.0
-    for start in range(0, n, _DIST_ROWS):
-        block = centers[start : start + _DIST_ROWS]
-        d2 = np.zeros((len(block), n))
-        for a in range(centers.shape[1]):
-            term = block[:, a, None] - centers[:, a]
-            d2 += term * term
-        d2_min = min(d2_min, float(d2.min(where=d2 > 0, initial=math.inf)))
-        d2_max = max(d2_max, float(d2.max()))
-    d_min, d_max = math.sqrt(d2_min), math.sqrt(d2_max)
-    s_lo = max(d_min, d_max * 1e-9)
-
-    ratio = SIDE_SEARCH_RATIO
-    steps = max(int(math.ceil(math.log(d_max / s_lo) / math.log(ratio))), 0)
-    ladder = [s_lo * ratio**j for j in range(steps + 1)]
-    if ladder[-1] < d_max:
-        ladder.append(d_max)
+    # The floor rises where the coordinates' float grid is coarser, so that
+    # every cube keeps sides of positive length.
+    floor = max(extent * 1e-9, 2.0**-50 * float(np.abs(centers).max()))
+    steps = max(int(math.log(extent / floor) / math.log(SIDE_SEARCH_RATIO)), 0)
+    ladder = [extent / SIDE_SEARCH_RATIO**j for j in range(steps, -1, -1)]
 
     anchors = _anchors(sub)
     min_side = _min_sides(sub, anchors, tau)

@@ -66,23 +66,30 @@ class Solution:
     """Result of every solver, exact or approximate.
 
     `problem` is "pack" (witness: the chosen objects' positions in the
-    family as given, sorted) or "pierce" (witness: points).  `nodes` counts
-    the subproblems expanded (distinct masks of an exact search; the PTAS
-    adds its parts).  `optimal` means the value is proven optimal; `aborted`
-    means some exact search hit the node cap and fell back to a greedy answer.
+    family as given, sorted) or "pierce" (witness: points), and `value` the
+    witness's length.  `nodes` counts the subproblems expanded (distinct
+    masks of an exact search; the PTAS adds its parts).  `aborted` means
+    some exact search hit the node cap and fell back to a greedy answer.
     `discarded` is the PTAS's boundary cost: objects dropped (packing) or
-    greedy points spent (piercing).
+    greedy points spent (piercing).  `optimal` means neither happened, so
+    the value is proven optimal.
     """
 
     problem: str
-    value: int
     witness: list
     nodes: int
     depth: int
     wall_time: float
-    optimal: bool = True
     aborted: bool = False
     discarded: int = 0
+
+    @property
+    def value(self) -> int:
+        return len(self.witness)
+
+    @property
+    def optimal(self) -> bool:
+        return self.discarded == 0 and not self.aborted
 
 
 class _Budget:
@@ -306,12 +313,10 @@ def _solve(search_cls, inst: Instance, cfg: Optional[SolveConfig]) -> Solution:
     witness, depth, nodes, aborted = search.run(ctx.full_mask())
     return Solution(
         problem=search.problem,
-        value=len(witness),
         witness=search.output(witness),
         nodes=nodes,
         depth=depth,
         wall_time=time.perf_counter() - start,
-        optimal=not aborted,
         aborted=aborted,
     )
 

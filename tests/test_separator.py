@@ -56,13 +56,7 @@ def test_find_base_box_single_cluster():
     assert greedy_pack(inside).value >= 3
     # independent oracle: exhaustive ascending ladder scan for the first
     # achieving size must match the bisection result
-    centers = np.array([center(o) for o in objs])
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=2))
-    pos = dists[dists > 0]
-    s = max(float(pos.min()), float(pos.max()) * 1e-9)
-    while achieving_box(ctx, s, 3) is None:
-        s *= SIDE_SEARCH_RATIO
+    s = next(s for s in ladder(objs) if achieving_box(ctx, s, 3) is not None)
     assert box.longest_side == pytest.approx(s)
 
 
@@ -80,35 +74,34 @@ def min_sides(ctx, tau):
     return separator._min_sides(sub, separator._anchors(sub), tau)
 
 
-def given_order(ctx):
-    """The context's object numbers, in the family's given order."""
-    return sorted(range(ctx.n), key=ctx.ids.__getitem__)
+def candidate_cubes(ctx, s):
+    """Every candidate cube of side s, in candidate order, as its low corners
+    and its centre set (a candidates x objects boolean array): the cubes
+    centred on, low-anchored at and high-anchored at each centre, in
+    size-rank order (`ctx.objs`), then the one low-anchored at their
+    bounding-box corner."""
+    centers = np.array([center(o) for o in ctx.objs])
+    cubes = np.stack([centers - s / 2.0, centers, centers - s], axis=1).reshape(-1, centers.shape[1])
+    lows = np.concatenate([cubes, centers.min(axis=0)[None]])
+    highs = lows + s
+    return lows, np.all((centers >= lows[:, None] - 1e-9) & (centers <= highs[:, None] + 1e-9), axis=2)
 
 
 def reference_achieving_box(ctx, s, tau):
-    """The per-candidate loop: one numpy comparison per candidate cube, the
-    objects' cubes taken in the family's given order."""
-    centers = np.array([center(o) for o in ctx.objs])
-    lows = []
-    for c in centers[given_order(ctx)]:
-        lows += [tuple(c - s / 2.0), tuple(c), tuple(c - s)]
-    lows.append(tuple(centers.min(axis=0)))
+    """The per-candidate loop: each candidate cube's centre set by a plain
+    numpy comparison (`candidate_cubes`), the cubes taken in candidate order
+    and a low corner already tried skipped."""
+    lows, cubes = candidate_cubes(ctx, s)
     seen = set()
-    for lo in lows:
+    for k in np.flatnonzero(cubes.sum(axis=1) >= tau).tolist():
+        lo = tuple(lows[k].tolist())
         if lo in seen:
             continue
         seen.add(lo)
-        lo_arr = np.array(lo)
-        hi_arr = lo_arr + s
-        in_box = np.all((centers >= lo_arr - 1e-9) & (centers <= hi_arr + 1e-9), axis=1)
-        if int(in_box.sum()) < tau:
-            continue
-        mask = 0
-        for i in np.flatnonzero(in_box):
-            mask |= 1 << int(i)
+        mask = sum(1 << i for i in np.flatnonzero(cubes[k]).tolist())
         value, _ = ctx.greedy_pack_mask(mask)
         if value >= tau:
-            return BoxRegion(lo, tuple(hi_arr))
+            return BoxRegion(lo, tuple(x + s for x in lo))
     return None
 
 
@@ -149,11 +142,11 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
 
 def test_find_base_box_bounding_corner_first(monkeypatch):
     # No cube anchored at a centre holds both centres; the one at the
-    # bounding-box corner (0, 0) does.
+    # bounding-box corner (0, 0) does, at the top rung, the centres' extent.
     objs = [Ball((0.0, 1.0), 0.1), Ball((1.0, 0.0), 0.1)]
     box = find_base_box(Subfamily(IntersectionContext(objs)), 2)
     assert box.low == (0.0, 0.0)
-    assert box.high == (math.sqrt(2.0), math.sqrt(2.0))
+    assert box.high == (1.0, 1.0)
     want = reference_base_box(monkeypatch, objs, 2)
     assert (box.low, box.high) == (want.low, want.high)
 
@@ -227,22 +220,16 @@ def test_achieving_box_rank_walk_matches_reference():
 
 
 def candidate_masks(ctx, s):
-    """Centre mask of every candidate cube of side s, in candidate order, from
-    one numpy comparison per candidate (the reference's loop)."""
-    centers = np.array([center(o) for o in ctx.objs])
-    lows = [lo for c in centers[given_order(ctx)] for lo in (c - s / 2.0, c, c - s)]
-    masks = []
-    for lo in lows + [centers.min(axis=0)]:
-        in_box = np.all((centers >= lo - 1e-9) & (centers <= lo + s + 1e-9), axis=1)
-        masks.append(sum(1 << int(i) for i in np.flatnonzero(in_box)))
-    return masks
+    """Centre mask of every candidate cube of side s, in candidate order, by
+    the reference's comparison (`candidate_cubes`)."""
+    return [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in candidate_cubes(ctx, s)[1]]
 
 
 def late_cluster_family():
-    """60 disjoint disks spread wide, then 10 disjoint disks packed close:
-    small cubes reach tau only at the cluster, whose first candidate is
-    number 180, past the former 128-cube block."""
-    spread = [Ball((10.0 * (k % 10), 10.0 * (k // 10)), 0.4) for k in range(60)]
+    """60 small disjoint disks spread wide, then 10 larger disjoint disks
+    packed close: small cubes reach tau only at the cluster, whose first
+    candidate in size order is number 180, past the former 128-cube block."""
+    spread = [Ball((10.0 * (k % 10), 10.0 * (k // 10)), 0.05) for k in range(60)]
     return spread + tight_cluster(200.0, 200.0, 10, 5)
 
 
@@ -321,15 +308,15 @@ def test_rank_axes_are_sorted_prefix_masks():
             assert prefix == [sum(1 << r for r in by_coord[:k]) for k in range(len(ranked) + 1)]
         assert members.tolist() == [i for clique in ctx.cliques for i in mask_to_ids(clique)]
         assert labels.tolist() == [q for q, clique in enumerate(ctx.cliques) for _ in mask_to_ids(clique)]
-        # Per call, a subfamily's anchors are its centres in given order,
-        # then its own corner, and its clique boxes those of the cliques cut
-        # to its mask.
+        # Per call, a subfamily's anchors are its centres in size-rank
+        # order, then its own corner, and its clique boxes those of the
+        # cliques cut to its mask.  Its objects still leave in given order.
         assert list(Subfamily(ctx)) == objs
         for mask in (ctx.full_mask(), rng.getrandbits(ctx.n) | 1):
             sub = Subfamily(ctx, mask)
-            given = [list(center(o)) for o in sub]
+            ranked = [list(center(ctx.objs[i])) for i in mask_to_ids(mask)]
             anchors = separator._anchors(sub)
-            assert anchors.tolist() == given + [[min(c[a] for c in given) for a in range(len(coords))]]
+            assert anchors.tolist() == ranked + [[min(c[a] for c in ranked) for a in range(len(coords))]]
             cut = [clique & mask for clique in ctx.cliques if clique & mask]
             clique_low, clique_high = separator._clique_boxes(sub)
             for q, clique in enumerate(cut):
@@ -362,22 +349,11 @@ def test_cliques_are_a_greedy_partition_into_pairwise_intersecting_sets():
     assert widest > 8
 
 
-def candidate_cubes(ctx, s):
-    """Every candidate cube's centre set at side s, as a candidates x objects
-    boolean array, with `reference_achieving_box`'s float operations."""
-    centers = np.array([center(o) for o in ctx.objs])
-    given = centers[given_order(ctx)]
-    cubes = np.stack([given - s / 2.0, given, given - s], axis=1).reshape(-1, ctx.arrays.dim)
-    lows = np.concatenate([cubes, centers.min(axis=0)[None]])
-    highs = lows + s
-    return np.all((centers >= lows[:, None] - 1e-9) & (centers <= highs[:, None] + 1e-9), axis=2)
-
-
 def cliques_met(ctx, s):
     """How many cliques of `ctx.cliques` each candidate cube of side s holds
     a centre of."""
     member = np.array([[clique >> i & 1 for clique in ctx.cliques] for i in range(ctx.n)])
-    return ((candidate_cubes(ctx, s).astype(int) @ member) > 0).sum(axis=1)
+    return ((candidate_cubes(ctx, s)[1].astype(int) @ member) > 0).sum(axis=1)
 
 
 def candidate_sides(ctx, tau):
@@ -389,13 +365,16 @@ def candidate_sides(ctx, tau):
 
 
 def ladder(objs):
-    """The sides of `find_base_box`'s ladder for `objs`, up to rounding."""
-    centers = np.array([center(o) for o in objs])
-    dists = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-    d_max = float(dists.max())
-    s_lo = max(float(dists[dists > 0].min()), d_max * 1e-9)
-    steps = math.ceil(math.log(d_max / s_lo) / math.log(SIDE_SEARCH_RATIO))
-    return [s_lo * SIDE_SEARCH_RATIO**j for j in range(steps + 1)] + [d_max]
+    """The sides of `find_base_box`'s ladder for `objs`, ascending, up to
+    rounding: from the centres' extent down by the ratio, no lower than
+    1e-9 of it or 2^-50 of the largest centre coordinate."""
+    coords = list(zip(*(center(o) for o in objs)))
+    extent = max(max(c) - min(c) for c in coords)
+    floor = max(extent * 1e-9, 2.0**-50 * max(abs(x) for c in coords for x in c))
+    sides = [extent]
+    while sides[-1] / SIDE_SEARCH_RATIO >= floor:
+        sides.append(sides[-1] / SIDE_SEARCH_RATIO)
+    return sides[::-1]
 
 
 def moved(objs, shift=0.0, scale=1.0):
@@ -423,14 +402,19 @@ def face_family(c, s):
     return objs
 
 
-def assert_thresholds_hold(ctx, s, tau):
-    """No candidate cube holding centres of tau cliques at side s has a
-    threshold above s, and the rung finds the reference's cube."""
+def assert_thresholds_hold(ctx, rungs, tau):
+    """No candidate cube holding centres of tau cliques at a side s of
+    `rungs` has a threshold above s, and each rung finds the reference's
+    cube."""
     sides = candidate_sides(ctx, tau)
-    met = cliques_met(ctx, s)
-    assert not np.any((met >= tau) & (sides > s)), (s, tau)
-    got = achieving_box(ctx, s, tau)
-    assert got == reference_achieving_box(ctx, s, tau), (s, tau)
+    sub = Subfamily(ctx)
+    anchors = separator._anchors(sub)
+    min_side = separator._min_sides(sub, anchors, tau)
+    for s in rungs:
+        met = cliques_met(ctx, s)
+        assert not np.any((met >= tau) & (sides > s)), (s, tau)
+        got = separator._achieving_box(sub, anchors, s, tau, min_side)
+        assert got == reference_achieving_box(ctx, s, tau), (s, tau)
 
 
 def test_min_sides_hold_under_rounding():
@@ -444,14 +428,13 @@ def test_min_sides_hold_under_rounding():
             ctx = IntersectionContext(objs)
             g = greedy_pack(objs).value
             for tau in sorted({1, 2, max(1, g // 2), g}):
-                for s in ladder(objs):
-                    assert_thresholds_hold(ctx, s, tau)
+                assert_thresholds_hold(ctx, ladder(objs), tau)
         # Centres exactly on the faces of a cube of side s: each counts.
         for s in (0.7, 1.0, 3.0):
             objs = face_family((shift, shift), s * scale)
             ctx = IntersectionContext(objs)
             for tau in range(1, len(ctx.cliques) + 1):
-                assert_thresholds_hold(ctx, s * scale, tau)
+                assert_thresholds_hold(ctx, [s * scale], tau)
 
 
 def disjoint_balls(seed, n, d):
@@ -506,7 +489,8 @@ def test_achieving_box_bound_reaches_tau_exactly(monkeypatch):
 
 
 def test_find_base_box_peak_memory():
-    # The threshold and distance scans work in blocks of rows, in place.
+    # The threshold scan works in blocks of rows, in place, and no pairwise
+    # centre distance is taken.
     objs = list(gen_instance("random", 2, shape="ball", n=400, seed=1).objects)
     ctx = IntersectionContext(objs)
     tau = math.ceil(1.25 / 3.0 * greedy_pack(objs).value)
@@ -517,7 +501,7 @@ def test_find_base_box_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1_000_000
+    assert peak <= 700_000
 
 
 def test_find_base_box_walks_few_cubes(monkeypatch):
@@ -661,6 +645,16 @@ def test_find_base_box_total_measure():
         assert all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))
 
 
+def test_find_base_box_keeps_positive_sides_far_from_the_origin():
+    # At 1e9 the relative floor, 1e-9 of the centres' extent, lies below the
+    # coordinates' float grid; the ladder stops above it, so a tau reached by
+    # any one centre still gets a cube of positive sides.
+    objs = moved(random_objects(3, 14), 1e9)
+    sub = Subfamily(IntersectionContext(objs))
+    assert find_base_box(sub, 1).shortest_side > 0
+    assert separate(objs).box.shortest_side > 0
+
+
 def test_find_base_box_picks_one_cluster():
     objs = tight_cluster(0, 0, 5, 1) + tight_cluster(1000, 0, 5, 2)
     box = find_base_box(Subfamily(IntersectionContext(objs)), 5)
@@ -709,7 +703,8 @@ def test_shell_sweep_returns_the_chosen_shells_classification(shape):
     # The row is the final classification: `separate` does not classify the
     # chosen shell again.
     chosen = set()
-    for seed in range(6):
+    # Seed 10 is the first box family whose sweep keeps the first shell.
+    for seed in (*range(6), 10):
         objs = list(gen_instance("random", 2, shape=shape, n=60, seed=seed).objects)
         ctx = IntersectionContext(objs)
         g = greedy_pack(objs).value
@@ -805,7 +800,7 @@ def test_find_base_box_on_a_subfamily_anchors_at_its_own_corner(monkeypatch):
     sub = Subfamily(ctx, ctx.full_mask() & ~(1 << ctx.ids.index(2)))
     box = find_base_box(sub, 2)
     assert box.low == (0.0, 0.0)
-    assert box.high == (math.sqrt(2.0), math.sqrt(2.0))
+    assert box.high == (1.0, 1.0)
     want = reference_base_box(monkeypatch, objs[:2], 2)
     assert (box.low, box.high) == (want.low, want.high)
 

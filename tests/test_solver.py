@@ -4,10 +4,12 @@ import pytest
 
 from fatsep import candidates, solver
 from fatsep.calibration import node_law_bound
-from fatsep.geometry import AxisBox, Ball, center, contains_point, intersects
+from fatsep.geometry import AxisBox, Ball, center, contains_point, intersects, size
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack, greedy_pierce, mask_to_ids
 from fatsep.oracle import brute_pack, brute_pierce
+from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
+from fatsep.separator import separate
 from fatsep.solver import (
     SolveConfig,
     _Budget,
@@ -116,11 +118,13 @@ def test_pierce_matches_oracle(shape, d, monkeypatch):
 
 
 def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
-    # Far clusters are components; seed 2648 has a connected cluster whose
-    # greedy estimate exceeds the threshold, so the separator fires in it.
+    # Far clusters are components.  Seed 2648 has a connected cluster whose
+    # greedy estimate exceeds the threshold; its base box is the ladder's
+    # floor rung (tau = 1), so the split pivots.  Seed 5528's cluster reaches
+    # a separated node.
     separated = count_calls(monkeypatch, _PierceSearch, "_separated")
     cfg = SolveConfig(base_threshold=2)
-    for seed in (*range(6), 2648):
+    for seed in (*range(6), 2648, 5528):
         inst = gen_instance("cluster", 2, shape="box", clusters=2, cluster_size=7, seed=seed)
         sol = solve_pierce(inst, cfg)
         assert sol.value == brute_pierce(inst).value
@@ -399,6 +403,55 @@ def test_solve_order_invariance(monkeypatch, solve, shape, d):
                     values.add(sol.value)
                 assert len(values) == 1, (seed, base, balance_cap)
     assert all(paths.values()), {name: len(calls) for name, calls in paths.items()}
+
+
+def permuted(objs, seed):
+    """(perm, family): `objs` shuffled, position k of the family holding
+    `objs[perm[k]]`."""
+    perm = list(range(len(objs)))
+    random.Random(seed).shuffle(perm)
+    return perm, [objs[k] for k in perm]
+
+
+def answer(sol, perm=None):
+    """What a solution says, its packing witness mapped through `perm` back
+    to the positions of the unshuffled family."""
+    witness = sol.witness
+    if sol.problem == "pack" and perm is not None:
+        witness = sorted(perm[k] for k in witness)
+    return sol.value, sol.nodes, sol.depth, sol.discarded, witness
+
+
+def test_answers_do_not_depend_on_object_order(monkeypatch):
+    # Objects of distinct sizes have one size-rank numbering however they
+    # are given, and the base-box search, the shell sweep and every walk of
+    # the solve read that numbering alone, so a shuffle changes no answer:
+    # the PTAS's, a dense exact solve's through its separated nodes, or a
+    # separator's.  (Objects of equal size still rank by given position.)
+    separated = {
+        search: count_calls(monkeypatch, search, "_separated") for search in (_PackSearch, _PierceSearch)
+    }
+    ptas_cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
+    cases = [
+        (lambda inst: ptas_pack(inst, ptas_cfg), "ball", 200, 1.0, (1, 2)),
+        (lambda inst: ptas_pierce(inst, ptas_cfg), "box", 90, 1.0, (1, 2)),
+        (solve_pack, "box", 60, 8.0, (1,)),
+        (solve_pierce, "box", 50, 8.0, (0, 6)),
+    ]
+    for solve, shape, n, density, seeds in cases:
+        for seed in seeds:
+            objs = list(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=density).objects)
+            assert len({size(o) for o in objs}) == n
+            perm, family = permuted(objs, seed)
+            want = answer(solve(inst_of(objs)))
+            assert answer(solve(inst_of(family)), perm) == want, (shape, n, seed)
+    assert all(separated.values())
+    for shape, n, density, seed in (("box", 60, 8.0, 0), ("ball", 200, 1.0, 1), ("box", 90, 1.0, 1)):
+        objs = list(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=density).objects)
+        perm, family = permuted(objs, seed)
+        want, got = separate(objs), separate(family)
+        assert (got.base_box, got.box) == (want.base_box, want.box)
+        assert sorted(perm[k] for k in got.boundary_ids) == want.boundary_ids
 
 
 def test_pierce_determinism():
