@@ -267,6 +267,45 @@ MUTANTS = [
         "codes[best_j - 1]",
         "tests/test_separator.py::test_shell_sweep_returns_the_chosen_shells_classification",
     ),
+    # A pivot is a split whose boundary is one object; a boundary
+    # configuration removes its objects' closed neighbourhoods from both
+    # sides.
+    Mutant(
+        "pack-pivot-empty-boundary",
+        "solver.py",
+        "return mask & ~o, 0, o",
+        "return mask & ~o, 0, 0",
+        "tests/test_solver.py::test_dense_families_above_the_oracle_guards_match_milp",
+    ),
+    Mutant(
+        "pierce-pivot-empty-boundary",
+        "solver.py",
+        "return mask & ~obit, 0, obit",
+        "return mask & ~obit, 0, 0",
+        "tests/test_solver.py::test_forced_fallback_same_value",
+    ),
+    Mutant(
+        "boundary-removes-only-chosen",
+        "solver.py",
+        "nmask |= self.ctx.nbr[i]",
+        "nmask |= 1 << i",
+        "tests/test_solver.py::test_dense_families_match_oracle_on_every_path",
+    ),
+    # Every branch of a closer ticks the solve's budget.
+    Mutant(
+        "pack-closer-skips-tick",
+        "measure.py",
+        "nonlocal best_val, best_wit\n            tick()\n",
+        "nonlocal best_val, best_wit\n",
+        "tests/test_solver.py::test_node_cap_bounds_closer_branches",
+    ),
+    Mutant(
+        "pierce-closer-skips-tick",
+        "measure.py",
+        "nonlocal best_val, best\n            tick()\n",
+        "nonlocal best_val, best\n",
+        "tests/test_solver.py::test_node_cap_bounds_closer_branches",
+    ),
     # Tolerances: objects within TOL of touching meet, and an object is
     # inside a box only TOL clear of its faces.
     Mutant(

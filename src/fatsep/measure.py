@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class IntersectionContext:
             mask &= ~self.nbr[low.bit_length() - 1]
         return chosen.bit_count(), chosen
 
-    def exact_pack_mask(self, mask: int):
+    def exact_pack_mask(self, mask: int, tick: Callable[[], None] = lambda: None):
         """Exact Pack within `mask`; returns (value, chosen_mask).
 
         Pack adds up over the intersection graph's components, so each
@@ -174,11 +174,13 @@ class IntersectionContext:
         component it branches on the closed neighborhood of the smallest
         remaining object: every maximal independent set contains one of
         those objects, so depth equals the component's solution size.
+        Each branch calls `tick` (a solve's budget, which may abort it).
         """
         nbr = self.nbr
 
         def rec(mask: int, depth: int, picked: int):
             nonlocal best_val, best_wit
+            tick()
             if not mask:
                 if depth > best_val:
                     best_val, best_wit = depth, picked
@@ -239,18 +241,22 @@ class IntersectionContext:
                 todo &= ~cov[k]
         return picked
 
-    def exact_pierce_mask(self, cov: Sequence[int], mask: int, cap: int) -> Optional[List[int]]:
+    def exact_pierce_mask(
+        self, cov: Sequence[int], mask: int, cap: int, tick: Callable[[], None] = lambda: None
+    ) -> Optional[List[int]]:
         """Minimum piercing of `mask` by the points whose coverage is `cov`,
         as indices into `cov`; None if it needs more than `cap` points.
 
         Set-cover branch over the points inside the smallest unpierced
-        object, so depth equals the cover size.
+        object, so depth equals the cover size.  Each branch calls `tick`
+        (a solve's budget, which may abort it).
         """
         best_val = cap + 1
         best: List[int] = []
 
         def rec(uncovered: int, picked: List[int]):
             nonlocal best_val, best
+            tick()
             if not uncovered:
                 if len(picked) < best_val:
                     best_val, best = len(picked), list(picked)

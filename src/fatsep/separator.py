@@ -4,7 +4,8 @@ Pipeline: find an (approximately) minimum-volume box whose center measure
 reaches a third of the total, sweep concentric magnified shells to find the
 one crossed by the least measure, then classify every object against that
 shell box.  No hard balance guarantee is promised; callers verify balance
-against `balance_cap` and fall back to pivot branching when it fails.
+against `balance_cap` and, when it fails, pivot: split off one object as
+the boundary.
 
 `separate` splits a `Subfamily`, a context read through a mask: the solvers
 pass their own context and a subproblem's mask, so a split builds no

@@ -17,20 +17,22 @@ is split with a box separator, enumerating independent sets (packing) or
 candidate pierce covers (piercing) of the boundary class.  `split` passes
 `separate` the context read through the mask (`Subfamily`), so every split
 of a solve shares its one context and separator tables, and takes the
-separator's regions as masks over the context.  Unbalanced
-or degenerate separators fall back to pivot branching, so termination and
-exactness never depend on separator quality.
+separator's regions as masks over the context.  An unbalanced or
+degenerate separator makes the node pivot: a split whose boundary is one
+object (packing: the one with the most neighbours, piercing: the smallest)
+and whose outside is empty, so every connected node branches in
+`_separated` and termination and exactness never depend on separator quality.
 
 `_Search.run(mask)` is the one runner: the exact solvers run it on the
 full mask, and `ptas` on each leaf of its recursion over the same context.
-A memo per run maps each mask to its answer, so every subproblem is expanded
-once however many boundary configurations or pivots reach it;
-`Solution.nodes` counts these expansions: base cases, component nodes (and
-each batch or component they solve), separated nodes and pivots.  `depth`
-counts separated and pivot levels only, since a component node separates
-nothing.  The node cap counts every subproblem request, memo hits included,
-and every step of the piercing boundary search, so it bounds the
-enumeration work the memo does not save.
+A memo per run maps each non-empty mask to its answer (the empty one is
+answered at once), so every subproblem is expanded once however many
+boundary configurations reach it; `Solution.nodes` counts these expansions:
+base cases, component nodes (and each batch or component they solve),
+separated nodes and pivots.  `depth` counts separated levels (pivots too);
+a component node separates nothing.  The node cap counts every subproblem
+request, memo hits included, every step of the piercing boundary search
+and every branch of the closers, so it bounds a base case's work too.
 """
 from __future__ import annotations
 
@@ -111,10 +113,12 @@ class _Search:
     """Memoized search over the masks of one context.  An answer is
     (witness, depth), its value the witness's length; a witness lists
     context ids (packing) or `PierceTable` rows (piercing).  `solve(mask)`
-    returns one; subclasses expand a mask in `_expand(mask, g)` (closing it
-    exactly when its greedy estimate `g`, computed there unless given, is at
-    most `base_threshold`), give its greedy witness in `greedy` and map a
-    witness out of the search, for `problem`, in `output`."""
+    returns one; subclasses expand a non-empty mask in `_expand(mask, g)`
+    (closing it exactly, each branch ticking the budget, when its greedy
+    estimate `g`, computed there unless given, is at most `base_threshold`,
+    else branching in `_separated` on `split`'s regions or `_pivot`'s),
+    give its greedy witness in `greedy` and map a witness out of the
+    search, for `problem`, in `output`."""
 
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         self.ctx = ctx
@@ -138,6 +142,8 @@ class _Search:
         """Memoized answer of `mask`.  A caller that knows the mask's greedy
         `estimate` passes it on to `_expand`, which then skips computing it."""
         self.budget.tick()
+        if not mask:
+            return [], 0
         hit = self.memo.get(mask)
         if hit is None:
             hit = self.memo[mask] = self._expand(mask, estimate)
@@ -190,29 +196,20 @@ class _PackSearch(_Search):
         return sorted(self.ctx.ids[i] for i in witness)
 
     def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
-        if not mask:
-            return [], 0
         if g is None:
             g, greedy = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
-            return mask_to_ids(self.ctx.exact_pack_mask(mask)[1]), 0
+            return mask_to_ids(self.ctx.exact_pack_mask(mask, self.budget.tick)[1]), 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
             return self._components(comps, [(greedy & c).bit_count() for c in comps])
-        parts = self.split(mask)
-        if parts is None:
-            return self._pivot(mask)
-        return self._separated(*parts)
+        return self._separated(*(self.split(mask) or self._pivot(mask)))
 
     def _pivot(self, mask):
-        # Max-degree pivot: Pack = max(Pack(C - o), 1 + Pack(C - N[o])).
-        o = max(mask_to_ids(mask), key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
-        skip, skip_depth = self.solve(mask & ~(1 << o))
-        take, take_depth = self.solve(mask & ~self.ctx.nbr[o])
-        depth = 1 + max(skip_depth, take_depth)
-        if 1 + len(take) >= len(skip):
-            return take + [o], depth
-        return skip, depth
+        # The object with the most neighbours alone as the boundary, so
+        # Pack = max(Pack(C - o), 1 + Pack(C - N[o])).
+        o = 1 << max(mask_to_ids(mask), key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
+        return mask & ~o, 0, o
 
     def _separated(self, inside: int, outside: int, boundary: int):
         best = None
@@ -245,38 +242,24 @@ class _PierceSearch(_Search):
         return [self.table.points[r] for r in witness]
 
     def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
-        if not mask:
-            return [], 0
         rows, cov = self.table.restrict(mask)
         if g is None:
             greedy = self.ctx.greedy_pierce_mask(cov, mask)
             g = len(greedy)
         if g <= self.cfg.base_threshold:
             # The greedy cover is feasible, so the optimum fits under g.
-            return [rows[k] for k in self.ctx.exact_pierce_mask(cov, mask, g)], 0
+            return [rows[k] for k in self.ctx.exact_pierce_mask(cov, mask, g, self.budget.tick)], 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
             # A point pierces objects of one component only.
             return self._components(comps, [sum(1 for k in greedy if cov[k] & c) for c in comps])
-        parts = self.split(mask)
-        if parts is None:
-            return self._pivot(mask, rows, cov)
-        return self._separated(*parts, rows, cov)
+        return self._separated(*(self.split(mask) or self._pivot(mask)), rows, cov)
 
-    def _pivot(self, mask, rows, cov):
-        # Branch over the points that pierce the smallest object.
+    def _pivot(self, mask):
+        # The smallest object alone as the boundary: its covers are the
+        # points that pierce it.
         obit = mask & -mask
-        best = None
-        depth = 0
-        for r, c in zip(rows, cov):
-            if not c & obit:
-                continue
-            rest, rest_depth = self.solve(mask & ~c)
-            depth = max(depth, 1 + rest_depth)
-            if best is None or 1 + len(rest) < len(best):
-                best = [r] + rest
-        assert best is not None, "candidate set must pierce the pivot object"
-        return best, depth
+        return mask & ~obit, 0, obit
 
     def _separated(self, inside: int, outside: int, boundary: int, rows, cov):
         best = None

@@ -12,6 +12,7 @@ from fatsep.oracle import (
     fine_grid_pierce,
 )
 from conftest import random_objects
+from milp_reference import milp_pack, milp_pierce
 
 
 def inst_of(objs, d=2):
@@ -118,3 +119,14 @@ def test_fine_grid_rejects_d3():
     inst = gen_instance("random", 3, shape="box", n=5, seed=0)
     with pytest.raises(ValueError):
         fine_grid_pierce(inst)
+
+
+@pytest.mark.parametrize("shape, d", [("ball", 2), ("box", 2), ("box", 3)])
+def test_milp_reference_agrees_with_brute_force(shape, d):
+    # The MILP reference that checks the solvers above the guards must
+    # agree with the brute-force oracles below them, sparse and dense.
+    for density in (1, 8):
+        for seed in range(10):
+            inst = gen_instance("random", d, shape=shape, n=12, seed=seed, density=density)
+            assert milp_pack(inst.objects) == brute_pack(inst).value, (inst.label, density)
+            assert milp_pierce(inst.objects) == brute_pierce(inst).value, (inst.label, density)

@@ -1,4 +1,6 @@
 import random
+import statistics
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from fatsep.solver import (
     solve_pierce,
 )
 from conftest import random_objects, shifted
+from milp_reference import milp_pack, milp_pierce
 
 
 def inst_of(objs, d=2):
@@ -238,8 +241,10 @@ def test_forced_fallback_same_value(monkeypatch):
 def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, base):
     # Base cases, component nodes, separated nodes and pivots (forced by
     # balance_cap=1e-9) each expand a mask at most once per solve; repeats
-    # come from the memo.  Sparse packing families never reach a separated
-    # node, so packing runs on dense ones.
+    # come from the memo.  A pivot is a split whose boundary is one object
+    # and whose outside is empty, so its mask reaches `_separated` too.
+    # Sparse packing families never reach a separated node, so packing runs
+    # on dense ones.
     density = 8 if search is _PackSearch else 1
     requests = count_calls(monkeypatch, _Search, "solve")
     expanded = count_calls(monkeypatch, search, "_expand")
@@ -265,10 +270,16 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
             assert len(set(separated_masks)) == len(separated_masks)
             assert len(set(component_masks)) == len(component_masks)
             assert set(pivot_masks + separated_masks + component_masks) <= set(masks)
+            one_object_splits = {
+                inside | boundary
+                for inside, outside, boundary in (args[:3] for args in separated)
+                if not outside and boundary.bit_count() == 1 and not inside & boundary
+            }
+            assert set(pivot_masks) <= one_object_splits
             reached["components"] += len(component_masks)
             reached["pivot"] += len(pivot_masks)
             reached["separated"] += len(separated_masks)
-            reached["base"] += len(masks) - len(pivot_masks) - len(separated_masks) - len(component_masks)
+            reached["base"] += len(set(masks) - set(pivot_masks + separated_masks + component_masks))
             hits += len(requests) - len(masks)
     assert all(reached.values()), reached
     assert hits > 0
@@ -368,6 +379,26 @@ def test_dense_families_match_oracle_on_every_path(monkeypatch, solve, brute, se
             for base in (1, 2, 3):
                 sol = solve(inst, SolveConfig(base_threshold=base))
                 assert sol.optimal and sol.value == want, (inst.label, base)
+    assert all(paths.values()), {name: len(calls) for name, calls in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "solve, milp, n, base",
+    [(solve_pack, milp_pack, 40, 4), (solve_pierce, milp_pierce, 24, 3)],
+)
+def test_dense_families_above_the_oracle_guards_match_milp(monkeypatch, solve, milp, n, base):
+    # Families too large for the brute-force oracles, checked against the
+    # MILP reference, through separated nodes and (with a balance cap no
+    # split meets) pivots.
+    search = _PackSearch if solve is solve_pack else _PierceSearch
+    paths = {name: count_calls(monkeypatch, search, name) for name in ("_separated", "_pivot")}
+    for shape in ("ball", "box"):
+        for seed in range(3):
+            inst = gen_instance("random", 2, shape=shape, n=n, seed=seed, density=8)
+            want = milp(inst.objects)
+            for balance_cap in (0.8, 1e-9):
+                sol = solve(inst, SolveConfig(base_threshold=base, balance_cap=balance_cap))
+                assert sol.optimal and sol.value == want, (inst.label, balance_cap)
     assert all(paths.values()), {name: len(calls) for name, calls in paths.items()}
 
 
@@ -514,9 +545,52 @@ def test_node_cap_counts_work_not_expansions(monkeypatch, solve, greedy, inst):
 
 
 def test_pierce_node_cap_counts_boundary_steps(monkeypatch):
-    # The boundary search's own steps tick the budget, beyond its solve calls.
+    # The boundary search's own steps tick the budget, beyond its solve calls
+    # (and beyond the closers' branches, which tick it too).
     inst = gen_instance("random", 2, shape="box", n=14, seed=1)
-    ticks = count_calls(monkeypatch, _Budget, "tick")
+    callers = []
+    original = _Budget.tick
+
+    def tick(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        original(self)
+
+    monkeypatch.setattr(_Budget, "tick", tick)
     requests = count_calls(monkeypatch, _Search, "solve")
     sol = solve_pierce(inst, SolveConfig(base_threshold=2))
-    assert sol.optimal and len(ticks) > len(requests)
+    assert sol.optimal and len(callers) > len(requests)
+    assert "dfs" in callers
+
+
+def equal_size_balls(n, seed):
+    """A dense random ball family with every radius set to half the
+    family's median size."""
+    inst = gen_instance("random", 2, shape="ball", n=n, seed=seed, density=8)
+    side = statistics.median(size(o) for o in inst.objects)
+    return inst_of([Ball(o.center, side / 2) for o in inst.objects])
+
+
+@pytest.mark.parametrize(
+    "solve, greedy, inst, base",
+    [
+        (solve_pack, greedy_pack, equal_size_balls(60, 1), 12),
+        (solve_pierce, greedy_pierce, gen_instance("random", 2, shape="box", n=60, seed=1, density=8), 100),
+    ],
+)
+def test_node_cap_bounds_closer_branches(solve, greedy, inst, base):
+    # The greedy estimate is under base_threshold, so one closer call closes
+    # the root, and uncapped it branches 3,678,559 times (packing, Pack 14)
+    # or 312,067 times (piercing, Pierce 20).
+    # Each branch ticks the budget: the solve aborts soon after the cap and
+    # answers with the greedy witness.
+    want = greedy(list(inst.objects))
+    assert want.value <= base
+    sol = solve(inst, SolveConfig(base_threshold=base, node_cap=1000))
+    assert sol.aborted and not sol.optimal
+    assert sol.wall_time < 1.0
+    assert (sol.value, sol.witness) == (want.value, want.witness)
+    if solve is solve_pack:
+        chosen = [inst.objects[i] for i in sol.witness]
+        assert not any(intersects(a, b) for i, a in enumerate(chosen) for b in chosen[i + 1 :])
+    else:
+        assert all(any(contains_point(o, p) for p in sol.witness) for o in inst.objects)
