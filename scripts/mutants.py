@@ -291,7 +291,8 @@ MUTANTS = [
         "nmask |= 1 << i",
         "tests/test_solver.py::test_dense_families_match_oracle_on_every_path",
     ),
-    # Every branch of a closer ticks the solve's budget.
+    # Every branch of a closer ticks the solve's budget; the piercing closer
+    # is the boundary search, its whole mask the boundary.
     Mutant(
         "pack-closer-skips-tick",
         "measure.py",
@@ -301,10 +302,27 @@ MUTANTS = [
     ),
     Mutant(
         "pierce-closer-skips-tick",
-        "measure.py",
-        "nonlocal best_val, best\n            tick()\n",
-        "nonlocal best_val, best\n",
+        "solver.py",
+        "nonlocal best, limit, depth\n            tick()\n",
+        "nonlocal best, limit, depth\n",
         "tests/test_solver.py::test_node_cap_bounds_closer_branches",
+    ),
+    # The boundary search counts a configuration only below its bound: the
+    # node's greedy cover size plus one, then the best found.  A closed
+    # boundary needs no further point.
+    Mutant(
+        "pierce-limit-excludes-greedy",
+        "solver.py",
+        "limit = g + 1\n",
+        "limit = g\n",
+        "tests/test_solver.py::test_pierce_matches_oracle",
+    ),
+    Mutant(
+        "pierce-closed-pruned-as-open",
+        "solver.py",
+        "if len(picked) < limit:",
+        "if len(picked) + 1 < limit:",
+        "tests/test_solver.py::test_pierce_matches_oracle",
     ),
     # Tolerances: objects within TOL of touching meet, and an object is
     # inside a box only TOL clear of its faces.

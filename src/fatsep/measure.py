@@ -5,8 +5,9 @@ exact branch and bound.  The greedy packing value is always a lower bound
 on the true packing number; the greedy piercing value is always a feasible
 upper bound on the piercing number.  The exact solver
 searches packing subproblems with `exact_pack_mask` and `independent_sets`,
-and piercing ones with `greedy_pierce_mask` and `exact_pierce_mask` over a
-`PierceTable`, all on bitmasks over one `IntersectionContext`.  The table
+and piercing ones with `greedy_pierce_mask` over a `PierceTable` (the
+solver's own boundary search closes them), all on bitmasks over one
+`IntersectionContext`.  The table
 keeps its coverage masks as uint64 word rows too, and restricts them to a
 subproblem's mask with numpy, naming the rows it keeps by their indices.
 `exact_pack_mask` closes each intersection component of its mask with its
@@ -241,38 +242,6 @@ class IntersectionContext:
                 todo &= ~cov[k]
         return picked
 
-    def exact_pierce_mask(
-        self, cov: Sequence[int], mask: int, cap: int, tick: Callable[[], None] = lambda: None
-    ) -> Optional[List[int]]:
-        """Minimum piercing of `mask` by the points whose coverage is `cov`,
-        as indices into `cov`; None if it needs more than `cap` points.
-
-        Set-cover branch over the points inside the smallest unpierced
-        object, so depth equals the cover size.  Each branch calls `tick`
-        (a solve's budget, which may abort it).
-        """
-        best_val = cap + 1
-        best: List[int] = []
-
-        def rec(uncovered: int, picked: List[int]):
-            nonlocal best_val, best
-            tick()
-            if not uncovered:
-                if len(picked) < best_val:
-                    best_val, best = len(picked), list(picked)
-                return
-            if len(picked) + 1 >= best_val:
-                return
-            obit = uncovered & -uncovered
-            for k, c in enumerate(cov):
-                if c & obit:
-                    picked.append(k)
-                    rec(uncovered & ~c, picked)
-                    picked.pop()
-
-        rec(mask, [])
-        return best if best_val <= cap else None
-
 
 class Subfamily:
     """The objects of `mask` in `ctx`, which a split hands `separate`.  It
@@ -458,16 +427,19 @@ def exact_small_pack(objs: Sequence[FatObject], cap: int):
 def exact_small_pierce(objs: Sequence[FatObject], cap: int):
     """Exact Pierce if it is <= cap, else OVERFLOW.
 
-    `IntersectionContext.exact_pierce_mask` over the family's `PierceTable`.
+    The exact piercing search (`solver._PierceSearch`) on the whole family,
+    under the default `SolveConfig`.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
+    from .solver import SolveConfig, _PierceSearch  # solver imports this module
+
     ctx = IntersectionContext(objs)
-    table = PierceTable(ctx)
-    picked = ctx.exact_pierce_mask(table.cov, ctx.full_mask(), cap)
-    if picked is None:
+    search = _PierceSearch(ctx, SolveConfig())
+    picked = search.run(ctx.full_mask())[0]
+    if len(picked) > cap:
         return OVERFLOW
-    return MeasureEstimate(value=len(picked), witness=[table.points[k] for k in picked])
+    return MeasureEstimate(value=len(picked), witness=search.output(picked))
 
 
 def prune_dominated(points: Sequence[Point], cov: Sequence[int]):

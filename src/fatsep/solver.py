@@ -6,15 +6,18 @@ to each subproblem's mask.  An answer is its witness (with a depth), its
 value the witness's length: context ids (size ranks) for packing, table
 rows for piercing, until the search's `output` maps them to given positions
 or points once per solve.  Small subproblems (by greedy estimate) are
-closed exactly.  A larger one that is disconnected in the intersection
-graph is a component node: Pack and Pierce add up over
+base cases, closed exactly: packing by `IntersectionContext.exact_pack_mask`,
+piercing by the boundary search below with the whole mask as the boundary
+and nothing inside or outside.  A larger one that is disconnected in the
+intersection graph is a component node: Pack and Pierce add up over
 components, and so do both greedy estimates, so components whose estimates
 sum to at most `base_threshold` close together as one base case and each
 larger component is searched on its own.  The packing closer then searches
-each component of such a batch alone (`IntersectionContext.exact_pack_mask`);
-the piercing closer searches the batch as one family.  A larger connected one
-is split with a box separator, enumerating independent sets (packing) or
-candidate pierce covers (piercing) of the boundary class.  `split` passes
+each component of such a batch alone.  A larger connected one is split
+with a box separator, enumerating independent sets (packing) or candidate
+pierce covers (piercing) of the boundary class; a piercing configuration
+counts only if its whole cover is no larger than the node's greedy one,
+then only if it is smaller than the best found.  `split` passes
 `separate` the context read through the mask (`Subfamily`), so every split
 of a solve shares its one context and separator tables, and takes the
 separator's regions as masks over the context.  An unbalanced or
@@ -30,9 +33,10 @@ answered at once), so every subproblem is expanded once however many
 boundary configurations reach it; `Solution.nodes` counts these expansions:
 base cases, component nodes (and each batch or component they solve),
 separated nodes and pivots.  `depth` counts separated levels (pivots too);
-a component node separates nothing.  The node cap counts every subproblem
-request, memo hits included, every step of the piercing boundary search
-and every branch of the closers, so it bounds a base case's work too.
+base cases and component nodes separate nothing.  The node cap counts every
+subproblem request, memo hits included, every branch of the packing closer
+and every step of the piercing boundary search (base cases included), so
+it bounds a base case's work too.
 """
 from __future__ import annotations
 
@@ -116,7 +120,8 @@ class _Search:
     returns one; subclasses expand a non-empty mask in `_expand(mask, g)`
     (closing it exactly, each branch ticking the budget, when its greedy
     estimate `g`, computed there unless given, is at most `base_threshold`,
-    else branching in `_separated` on `split`'s regions or `_pivot`'s),
+    else branching in `_separated` on `split`'s regions or `_pivot`'s;
+    piercing closes in `_separated` too, on the whole mask as boundary),
     give its greedy witness in `greedy` and map a witness out of the
     search, for `problem`, in `output`."""
 
@@ -247,13 +252,13 @@ class _PierceSearch(_Search):
             greedy = self.ctx.greedy_pierce_mask(cov, mask)
             g = len(greedy)
         if g <= self.cfg.base_threshold:
-            # The greedy cover is feasible, so the optimum fits under g.
-            return [rows[k] for k in self.ctx.exact_pierce_mask(cov, mask, g, self.budget.tick)], 0
+            # A base case separates nothing: its whole mask is the boundary.
+            return self._separated(0, 0, mask, rows, cov, g)[0], 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
             # A point pierces objects of one component only.
             return self._components(comps, [sum(1 for k in greedy if cov[k] & c) for c in comps])
-        return self._separated(*(self.split(mask) or self._pivot(mask)), rows, cov)
+        return self._separated(*(self.split(mask) or self._pivot(mask)), rows, cov, g)
 
     def _pivot(self, mask):
         # The smallest object alone as the boundary: its covers are the
@@ -261,21 +266,27 @@ class _PierceSearch(_Search):
         obit = mask & -mask
         return mask & ~obit, 0, obit
 
-    def _separated(self, inside: int, outside: int, boundary: int, rows, cov):
+    def _separated(self, inside: int, outside: int, boundary: int, rows, cov, g: int):
+        # A greedy cover of g rows exists, so a configuration counts only
+        # below `limit`: g + 1 rows at first, then the best found.
         best = None
+        limit = g + 1
         depth = 0
+        tick = self.budget.tick
 
         def dfs(unb: int, removed: int, picked: List[int]):
-            nonlocal best, depth
-            self.budget.tick()
-            if best is not None and len(picked) >= len(best):
-                return
+            nonlocal best, limit, depth
+            tick()
             if not unb:
-                rin, din = self.solve(inside & ~removed)
-                rout, dout = self.solve(outside & ~removed)
-                depth = max(depth, 1 + max(din, dout))
-                if best is None or len(picked) + len(rin) + len(rout) < len(best):
-                    best = picked + rin + rout
+                if len(picked) < limit:
+                    rin, din = self.solve(inside & ~removed)
+                    rout, dout = self.solve(outside & ~removed)
+                    depth = max(depth, 1 + max(din, dout))
+                    if len(picked) + len(rin) + len(rout) < limit:
+                        best = picked + rin + rout
+                        limit = len(best)
+                return
+            if len(picked) + 1 >= limit:
                 return
             obit = unb & -unb
             for r, c in zip(rows, cov):

@@ -29,7 +29,7 @@ from fatsep.measure import (
     prune_dominated,
 )
 from fatsep.oracle import brute_pack, brute_pierce
-from fatsep.solver import solve_pierce
+from fatsep.solver import SolveConfig, _PierceSearch, solve_pierce
 from conftest import given_mask, given_nbr, random_objects, shifted
 
 
@@ -293,17 +293,19 @@ def test_pierce_table_restricts_to_every_submask(shape, d):
         ctx = IntersectionContext(inst.objects)
         objs = ctx.objs
         table = PierceTable(ctx)
+        # The search's own table equals `table`; its witnesses are table rows.
+        search = _PierceSearch(ctx, SolveConfig())
         for mask in [ctx.full_mask()] + [rng.randrange(1, 1 << ctx.n) for _ in range(5)]:
             ids = [i for i in range(ctx.n) if mask >> i & 1]
             points, cov = check_restrict(ctx, table, mask)
-            exact = ctx.exact_pierce_mask(cov, mask, len(ids))
+            exact = [table.points[r] for r in search.run(mask)[0]]
             sub = Instance(dim=d, objects=tuple(objs[i] for i in ids))
             assert len(exact) == brute_pierce(sub).value
-            greedy = ctx.greedy_pierce_mask(cov, mask)
+            greedy = [points[k] for k in ctx.greedy_pierce_mask(cov, mask)]
             assert len(greedy) >= len(exact)
             for picked in (exact, greedy):
                 for i in ids:
-                    assert any(contains_point(objs[i], points[k]) for k in picked)
+                    assert any(contains_point(objs[i], p) for p in picked)
     # Families of 65-200 objects (disks up to 120), whose masks span two to
     # four words, sparse and dense, restricted to random masks and to each
     # single word.

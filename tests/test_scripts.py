@@ -69,10 +69,21 @@ def test_pierce_answers_repeat_byte_for_byte(tmp_path):
     assert all(r["value"] == len(r["witness"]) for r in records)
 
 
+def test_mutants_script_lists_no_stale_mutant():
+    # `--list` exits 1 when some mutant's text no longer occurs exactly once
+    # in its file, so a refactor that moves mutated code fails here.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), "--list"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "STALE" not in proc.stdout
+
+
 def test_mutants_script_kills_two_planted_faults():
-    # Three of the listed faults, each in its own temporary copy of `src/`,
-    # one at the boundary where context ids become given positions and one
-    # in the subfamily a split reads, in the list's order.
+    # Four of the listed faults, each in its own temporary copy of `src/`,
+    # in the list's order: a centre candidate's face, the base-box
+    # thresholds' slack, the boundary where context ids become given
+    # positions and the subfamily a split reads.
     names = [
         "centre-strict-end",
         "base-box-slack-dropped",

@@ -242,9 +242,10 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
     # Base cases, component nodes, separated nodes and pivots (forced by
     # balance_cap=1e-9) each expand a mask at most once per solve; repeats
     # come from the memo.  A pivot is a split whose boundary is one object
-    # and whose outside is empty, so its mask reaches `_separated` too.
-    # Sparse packing families never reach a separated node, so packing runs
-    # on dense ones.
+    # and whose outside is empty, so its mask reaches `_separated` too; so
+    # does a piercing base case, its whole mask the boundary with nothing
+    # inside or outside.  Sparse packing families never reach a separated
+    # node, so packing runs on dense ones.
     density = 8 if search is _PackSearch else 1
     requests = count_calls(monkeypatch, _Search, "solve")
     expanded = count_calls(monkeypatch, search, "_expand")
@@ -265,7 +266,8 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
             assert len(set(masks)) == len(masks) == sol.nodes
             component_masks = [sum(args[0]) for args in components]
             pivot_masks = [args[0] for args in pivots]
-            separated_masks = [args[0] | args[1] | args[2] for args in separated]
+            base_masks = [args[2] for args in separated if not args[0] | args[1]]
+            separated_masks = [args[0] | args[1] | args[2] for args in separated if args[0] | args[1]]
             assert len(set(pivot_masks)) == len(pivot_masks)
             assert len(set(separated_masks)) == len(separated_masks)
             assert len(set(component_masks)) == len(component_masks)
@@ -279,7 +281,10 @@ def test_no_mask_expanded_twice(monkeypatch, solve, brute, search, shape, n, bas
             reached["components"] += len(component_masks)
             reached["pivot"] += len(pivot_masks)
             reached["separated"] += len(separated_masks)
-            reached["base"] += len(set(masks) - set(pivot_masks + separated_masks + component_masks))
+            plain = set(masks) - set(pivot_masks + separated_masks + component_masks)
+            if search is _PierceSearch:
+                assert sorted(base_masks) == sorted(plain)
+            reached["base"] += len(plain)
             hits += len(requests) - len(masks)
     assert all(reached.values()), reached
     assert hits > 0
@@ -545,8 +550,8 @@ def test_node_cap_counts_work_not_expansions(monkeypatch, solve, greedy, inst):
 
 
 def test_pierce_node_cap_counts_boundary_steps(monkeypatch):
-    # The boundary search's own steps tick the budget, beyond its solve calls
-    # (and beyond the closers' branches, which tick it too).
+    # The boundary search's own steps tick the budget, beyond its solve
+    # calls; at a base case they are the closer's branches.
     inst = gen_instance("random", 2, shape="box", n=14, seed=1)
     callers = []
     original = _Budget.tick
@@ -579,7 +584,8 @@ def equal_size_balls(n, seed):
 )
 def test_node_cap_bounds_closer_branches(solve, greedy, inst, base):
     # The greedy estimate is under base_threshold, so one closer call closes
-    # the root, and uncapped it branches 3,678,559 times (packing, Pack 14)
+    # the root (piercing: the boundary search with the whole mask as the
+    # boundary), and uncapped it branches 3,678,559 times (packing, Pack 14)
     # or 312,067 times (piercing, Pierce 20).
     # Each branch ticks the budget: the solve aborts soon after the cap and
     # answers with the greedy witness.
