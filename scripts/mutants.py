@@ -72,23 +72,37 @@ MUTANTS = [
         "first[1:] = ranked[1:, 0] != ranked[:-1, 0]",
         "tests/test_candidates.py::test_box_candidates_are_the_in_box_grid",
     ),
+    # The table's pruning and its restriction to a mask test dominance on
+    # its incidence index: a row stays when the rows that pierce every object
+    # of its coverage are it alone, and of equal masked rows the first stays.
     Mutant(
         "restrict-dominance-any-word",
         "measure.py",
-        "within = np.ones((len(rows), len(rows)), dtype=bool)\n"
-        "        for word in rows.T:\n"
-        "            within &= ",
-        "within = np.zeros((len(rows), len(rows)), dtype=bool)\n"
-        "        for word in rows.T:\n"
-        "            within |= ",
+        "            c ^= low\n    return kept",
+        "            c = 0\n    return kept",
         "tests/test_measure.py::test_pierce_table_restricts_to_every_submask",
     ),
     Mutant(
         "restrict-last-of-equal-rows",
         "measure.py",
-        "(order[:, None] > order)",
-        "(order[:, None] < order)",
+        "first.setdefault(cov[r] & mask, r)",
+        "first[cov[r] & mask] = r",
         "tests/test_measure.py::test_prune_dominated_matches_reference",
+    ),
+    Mutant(
+        "index-misses-last-row",
+        "measure.py",
+        "self.inc = _transpose(self.cov, ctx.n)",
+        "self.inc = _transpose(self.cov[:-1], ctx.n)",
+        "tests/test_measure.py::test_pierce_table_index_is_the_transpose_of_its_coverage",
+    ),
+    # The disk candidates skip only pairs that cannot meet, block by block.
+    Mutant(
+        "disk-pair-margin-inward",
+        "candidates.py",
+        "* (1.0 + _PAIR_MARGIN)",
+        "* (1.0 - _PAIR_MARGIN)",
+        "tests/test_candidates.py::test_disk_pair_filter_keeps_every_intersection",
     ),
     Mutant(
         "base-box-run-start-side",
@@ -160,13 +174,21 @@ MUTANTS = [
         "tests/test_solver.py::test_solve_order_invariance "
         "tests/test_ptas.py::test_witness_feasible_even_when_lossy",
     ),
-    # Piercing searches carry rows of the solve's one table.
+    # Piercing searches carry rows of the solve's one table, and branch only
+    # on the rows a node's restriction keeps.
     Mutant(
         "restrict-rows-within-live",
         "measure.py",
-        "return kept, [self.cov[k] & mask for k in kept]",
-        "return np.searchsorted(live, kept).tolist(), [self.cov[k] & mask for k in kept]",
+        "return _undominated(inc, first)",
+        "return _undominated(inc, first) >> (live & -live).bit_length() - 1",
         "tests/test_solver.py::test_pierce_matches_oracle",
+    ),
+    Mutant(
+        "dfs-rows-not-kept",
+        "solver.py",
+        "inc[(unb & -unb).bit_length() - 1] & kept",
+        "inc[(unb & -unb).bit_length() - 1]",
+        "tests/test_solver.py::test_pierce_base_case_covers_with_kept_rows",
     ),
     Mutant(
         "cover-boundary-first-row-only",

@@ -68,6 +68,29 @@ def _circle_intersections(a: Ball, b: Ball) -> List[Point]:
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
+# Relative margin of `_circle_pairs`' distance test: numpy's and Python's
+# `hypot` differ by a few units in the last place, far below it.
+_PAIR_MARGIN = 1e-9
+
+
+def _circle_pairs(disks: Sequence[Ball]):
+    """The pairs i < j of `disks` for which `_circle_intersections` may find
+    a point: a pair is ruled out only when its centre distance is past the
+    radii's sum, or short of their difference, by the margin, so every
+    pair left out has no intersection point.  One block of rows at a time."""
+    c = np.array([o.center for o in disks])
+    r = np.array([o.radius for o in disks])
+    for start in range(0, len(disks), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        dist = np.hypot(c[rows, 0, None] - c[:, 0], c[rows, 1, None] - c[:, 1])
+        far = dist > (np.add(r[rows, None], r) + TOL) * (1.0 + _PAIR_MARGIN)
+        nested = dist < (np.abs(np.subtract(r[rows, None], r)) - TOL) * (1.0 - _PAIR_MARGIN)
+        i, j = np.nonzero(~(far | nested))
+        i += start
+        upper = i < j
+        yield from zip(i[upper].tolist(), j[upper].tolist())
+
+
 def _first_distinct(words: np.ndarray) -> np.ndarray:
     """Ascending indices of the first row of each distinct word row: a
     stable sort brings equal rows together in index order, and a row is
@@ -128,9 +151,8 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
         for o in objs:
             pts.add((o.center[0], o.center[1] - o.radius))
         disks = sorted(objs, key=lambda o: (o.center, o.radius))
-        for i, a in enumerate(disks):
-            for b in disks[i + 1 :]:
-                pts.update(_circle_intersections(a, b))
+        for i, j in _circle_pairs(disks):
+            pts.update(_circle_intersections(disks[i], disks[j]))
     else:
         raise UnsupportedShapeError(
             "piercing candidates require a pure ball or pure box family"

@@ -6,8 +6,8 @@ shapes intersect, objects coinciding with a region face are Boundary).
 Everything here is immutable and pure.  `ShapeArrays` lays a family out as
 the arrays every numpy kernel elsewhere reads, and `rows_to_masks` turns
 those kernels' boolean arrays into the Python-int bitmasks the searches
-work on.  `to_words` packs them into rows of uint64 words instead, which
-`words_to_masks` and `masks_to_words` convert to and from those bitmasks.
+work on.  `to_words` packs them into rows of uint64 words instead, for the
+candidate sweep, and `words_to_masks` turns those into the same bitmasks.
 """
 from __future__ import annotations
 
@@ -227,9 +227,6 @@ class ShapeArrays:
         return sub
 
 
-_WORD = (1 << 64) - 1
-
-
 def to_words(rows: np.ndarray) -> np.ndarray:
     """Uint64 word rows of a 2-d boolean array: bit j of a row is column j,
     in word j // 64.  Every row gets at least one word, so a family of no
@@ -240,16 +237,8 @@ def to_words(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def masks_to_words(masks: Sequence[int], n: int) -> np.ndarray:
-    """Word rows of Python-int bitmasks over `n` objects (as `to_words`)."""
-    words = np.empty((len(masks), max(1, -(-n // 64))), dtype="<u8")
-    for w in range(words.shape[1]):
-        words[:, w] = [m >> 64 * w & _WORD for m in masks]
-    return words
-
-
 def words_to_masks(words: np.ndarray) -> List[int]:
-    """Python-int bitmask per word row (inverse of `masks_to_words`)."""
+    """Python-int bitmask per word row of `to_words`."""
     masks = words[:, -1].tolist()
     for w in range(words.shape[1] - 2, -1, -1):
         masks = [m << 64 | low for m, low in zip(masks, words[:, w].tolist())]

@@ -5,11 +5,12 @@ exact branch and bound.  The greedy packing value is always a lower bound
 on the true packing number; the greedy piercing value is always a feasible
 upper bound on the piercing number.  The exact solver
 searches packing subproblems with `exact_pack_mask` and `independent_sets`,
-and piercing ones with `greedy_pierce_mask` over a `PierceTable` (the
-solver's own boundary search closes them), all on bitmasks over one
-`IntersectionContext`.  The table
-keeps its coverage masks as uint64 word rows too, and restricts them to a
-subproblem's mask with numpy, naming the rows it keeps by their indices.
+and piercing ones with a `PierceTable` (the solver's own boundary search
+closes them), all on bitmasks over one `IntersectionContext`.  The table
+indexes its rows by object (`inc[o]`: the rows that pierce object o), so
+its pruning, its restriction to a subproblem's mask, its greedy cover and
+the boundary search all work on masks of table rows, with no scan of the
+whole table.
 `exact_pack_mask` closes each intersection component of its mask with its
 own search and adds the answers up, so the solver's batches of small
 components cost the sum of their searches rather than the product.
@@ -31,7 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import candidates as cand
-from .geometry import TOL, FatObject, Point, ShapeArrays, masks_to_words, rows_to_masks, size
+from .geometry import TOL, FatObject, Point, ShapeArrays, rows_to_masks, size
 
 
 class _Overflow:
@@ -220,28 +221,6 @@ class IntersectionContext:
 
         yield from rec([], mask)
 
-    def greedy_pierce_mask(self, cov: Sequence[int], mask: int) -> List[int]:
-        """Greedy piercing of `mask` by the points whose coverage is `cov`;
-        returns the picked indices into `cov`.
-
-        Rounds: take the smallest unpierced object, then pierce its whole
-        unpierced neighbourhood, each time with the first point of greatest
-        gain.  The result is feasible, so its size bounds Pierce from above.
-        """
-        picked: List[int] = []
-        unpierced = mask
-        while unpierced:
-            o = (unpierced & -unpierced).bit_length() - 1
-            todo = self.nbr[o] & unpierced
-            while todo:
-                gains = [(c & todo).bit_count() for c in cov]
-                k = max(range(len(cov)), key=gains.__getitem__)
-                assert gains[k], "candidate set must cover every object"
-                picked.append(k)
-                unpierced &= ~cov[k]
-                todo &= ~cov[k]
-        return picked
-
 
 class Subfamily:
     """The objects of `mask` in `ctx`, which a split hands `separate`.  It
@@ -280,9 +259,11 @@ class Subfamily:
 
 
 class PierceTable:
-    """Undominated candidate pierce points of a context's family (sorted) and
-    their coverage masks over that context, as Python ints (`cov`) and as
-    uint64 word rows (`words`).
+    """Undominated candidate pierce points of a context's family (sorted),
+    their coverage masks over that context (`cov`) and its incidence index:
+    `inc[o]` is the mask of the rows whose coverage holds object o, the
+    transpose of `cov`.  Searches name rows by their indices and carry sets
+    of them as row masks.
 
     One table serves every subfamily.  A subfamily's candidates are among the
     family's (for boxes the points of the grid of lows that lie in some box,
@@ -295,27 +276,88 @@ class PierceTable:
     """
 
     def __init__(self, ctx: IntersectionContext):
-        self.n = ctx.n
+        self.nbr = ctx.nbr
+        self.full = ctx.full_mask()
         self.points, self.cov = prune_dominated(*cand.candidate_rows(ctx.objs, ctx.arrays))
-        self.words = masks_to_words(self.cov, self.n)
+        self.inc = _transpose(self.cov, ctx.n)
 
-    def restrict(self, mask: int):
-        """(rows, coverage masks) of the table within `mask`: the indices of
-        the rows kept and their coverages masked, pruned again as
-        `prune_dominated` would, on the word rows: a nonzero masked row is
-        dropped when another row holds all of it and either differs from it
-        or comes before it (the rows are sorted by point)."""
-        words = self.words & masks_to_words([mask], self.n)
-        live = np.flatnonzero(words.any(axis=1))
-        rows = words[live]
-        # within[i, j]: row i's coverage lies in row j's, on every word.
-        within = np.ones((len(rows), len(rows)), dtype=bool)
-        for word in rows.T:
-            within &= (word[:, None] & ~word) == 0
-        order = np.arange(len(rows))
-        dropped = within & (~within.T | (order[:, None] > order))
-        kept = live[~dropped.any(axis=1)].tolist()
-        return kept, [self.cov[k] & mask for k in kept]
+    def restrict(self, mask: int) -> int:
+        """The mask of the rows of the table within `mask`, pruned again as
+        `prune_dominated` would: a row with nonzero masked coverage is
+        dropped when another row's masked coverage holds all of it and
+        either differs from it or comes before it (the rows are sorted by
+        point).  The rows that pierce `mask` are the union of its objects'
+        `inc`; of those with equal masked coverage only the first can stay.
+        The whole family keeps every row: the table is pruned on it."""
+        inc, cov = self.inc, self.cov
+        if mask == self.full:
+            return (1 << len(cov)) - 1
+        live = 0
+        for o in _bits(mask):
+            live |= inc[o]
+        first = {}
+        for r in _bits(live):
+            first.setdefault(cov[r] & mask, r)
+        return _undominated(inc, first)
+
+    def greedy(self, mask: int, kept: int) -> List[int]:
+        """Greedy piercing of `mask` by the rows of `kept` (its
+        `restrict(mask)`); returns the picked rows.
+
+        Rounds: take the smallest unpierced object, then pierce its whole
+        unpierced neighbourhood, each time with the first row of greatest
+        gain.  Only the rows in the `inc` of an object still to do gain, so
+        only they are scored, in row order.  The result is feasible, so its
+        size bounds Pierce from above.
+        """
+        inc, cov = self.inc, self.cov
+        picked: List[int] = []
+        unpierced = mask
+        while unpierced:
+            o = (unpierced & -unpierced).bit_length() - 1
+            todo = self.nbr[o] & unpierced
+            while todo:
+                rows = 0
+                for j in _bits(todo):
+                    rows |= inc[j]
+                best = gain = 0
+                for r in _bits(rows & kept):
+                    g = (cov[r] & todo).bit_count()
+                    if g > gain:
+                        best, gain = r, g
+                assert gain, "candidate set must cover every object"
+                picked.append(best)
+                unpierced &= ~cov[best]
+                todo &= ~cov[best]
+        return picked
+
+
+def _transpose(masks: Sequence[int], n: int) -> List[int]:
+    """Per bit j < n, the mask of the indices of `masks` that hold bit j."""
+    nbytes = -(-n // 8)
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1, count=n, bitorder="little")
+    return rows_to_masks(bits.T)
+
+
+def _undominated(inc: Sequence[int], first: dict) -> int:
+    """The mask of the rows of `first` (distinct nonzero coverage: row)
+    that no other of them holds: the rows of `first` in the `inc` of every
+    object of a row's coverage hold it, so it stays when they are it alone."""
+    rows = 0
+    for r in first.values():
+        rows |= 1 << r
+    kept = 0
+    for c, r in first.items():
+        held, bit = rows, 1 << r
+        while c:  # over the bits of c, without a generator per row
+            low = c & -c
+            held &= inc[low.bit_length() - 1]
+            if held == bit:
+                kept |= bit
+                break
+            c ^= low
+    return kept
 
 
 # A bound below the square root of the largest float: every `limit` under
@@ -405,11 +447,11 @@ def greedy_pack(objs: Sequence[FatObject]) -> MeasureEstimate:
 def greedy_pierce(objs: Sequence[FatObject]) -> MeasureEstimate:
     """Feasible piercing point set, a constant-factor upper bound on Pierce.
 
-    `IntersectionContext.greedy_pierce_mask` over the family's `PierceTable`.
+    `PierceTable.greedy` over the family's whole table.
     """
     ctx = IntersectionContext(objs)
     table = PierceTable(ctx)
-    picked = ctx.greedy_pierce_mask(table.cov, ctx.full_mask())
+    picked = table.greedy(ctx.full_mask(), table.restrict(ctx.full_mask()))
     return MeasureEstimate(value=len(picked), witness=[table.points[k] for k in picked])
 
 
@@ -448,9 +490,9 @@ def prune_dominated(points: Sequence[Point], cov: Sequence[int]):
     Returns (points, coverage masks) sorted by point: each nonzero coverage
     that no other coverage strictly contains, with the lexicographically
     smallest point that has it, so the result is deterministic.  Coverages
-    are deduplicated first, and only the distinct ones are tested, by
-    falling size, so each one's strict supersets come before it.  It builds
-    `PierceTable`s; `PierceTable.restrict` prunes the same way on words.
+    are deduplicated first and sorted by point; a row is dominated when the
+    AND of the incidence index over its objects holds another row.  It
+    builds `PierceTable`s, whose `restrict` prunes the same way.
     """
     first = {}
     for p, c in zip(points, cov):
@@ -458,9 +500,8 @@ def prune_dominated(points: Sequence[Point], cov: Sequence[int]):
             q = first.get(c)
             if q is None or p < q:
                 first[c] = p
-    keep: List[int] = []
-    for c in sorted(first, key=int.bit_count, reverse=True):
-        if all(c & ~k for k in keep):
-            keep.append(c)
-    kept = sorted((first[c], c) for c in keep)
-    return [p for p, _ in kept], [c for _, c in kept]
+    rows = sorted((p, c) for c, p in first.items())
+    cov = [c for _, c in rows]
+    inc = _transpose(cov, max(c.bit_length() for c in cov) if cov else 0)
+    kept = mask_to_ids(_undominated(inc, {c: r for r, c in enumerate(cov)}))
+    return [rows[r][0] for r in kept], [cov[r] for r in kept]

@@ -2,10 +2,12 @@
 
 Each solve builds one `IntersectionContext` and searches subproblems as
 bitmasks over it; piercing also builds one `PierceTable` and restricts it
-to each subproblem's mask.  An answer is its witness (with a depth), its
-value the witness's length: context ids (size ranks) for packing, table
-rows for piercing, until the search's `output` maps them to given positions
-or points once per solve.  Small subproblems (by greedy estimate) are
+to each subproblem's mask, as a mask of the table rows kept, which the
+greedy cover and the boundary search read through the table's incidence
+index (the rows that pierce each object).  An answer is its witness (with
+a depth), its value the witness's length: context ids (size ranks) for
+packing, table rows for piercing, until the search's `output` maps them to
+given positions or points once per solve.  Small subproblems (by greedy estimate) are
 base cases, closed exactly: packing by `IntersectionContext.exact_pack_mask`,
 piercing by the boundary search below with the whole mask as the boundary
 and nothing inside or outside.  A larger one that is disconnected in the
@@ -145,7 +147,11 @@ class _Search:
 
     def solve(self, mask: int, estimate: Optional[int] = None) -> tuple:
         """Memoized answer of `mask`.  A caller that knows the mask's greedy
-        `estimate` passes it on to `_expand`, which then skips computing it."""
+        `estimate` passes it on to `_expand`, which then skips computing it.
+        Only a base case may be handed its estimate (at most
+        `base_threshold`, as `_components`' batches are): a larger node
+        needs the greedy witness itself."""
+        assert estimate is None or estimate <= self.cfg.base_threshold, "only a base case takes an estimate"
         self.budget.tick()
         if not mask:
             return [], 0
@@ -240,25 +246,30 @@ class _PierceSearch(_Search):
         self.table = PierceTable(ctx)
 
     def greedy(self, mask: int) -> List[int]:
-        rows, cov = self.table.restrict(mask)
-        return [rows[k] for k in self.ctx.greedy_pierce_mask(cov, mask)]
+        return self.table.greedy(mask, self.table.restrict(mask))
 
     def output(self, witness: List[int]) -> List[Point]:
         return [self.table.points[r] for r in witness]
 
     def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
-        rows, cov = self.table.restrict(mask)
+        kept = self.table.restrict(mask)
         if g is None:
-            greedy = self.ctx.greedy_pierce_mask(cov, mask)
+            greedy = self.table.greedy(mask, kept)
             g = len(greedy)
         if g <= self.cfg.base_threshold:
             # A base case separates nothing: its whole mask is the boundary.
-            return self._separated(0, 0, mask, rows, cov, g)[0], 0
+            return self._separated(0, 0, mask, kept, g)[0], 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
-            # A point pierces objects of one component only.
-            return self._components(comps, [sum(1 for k in greedy if cov[k] & c) for c in comps])
-        return self._separated(*(self.split(mask) or self._pivot(mask)), rows, cov, g)
+            # A point pierces objects of one component only: a greedy row
+            # counts in the component of the lowest object it pierces.
+            comp_of = {o: k for k, c in enumerate(comps) for o in mask_to_ids(c)}
+            counts = [0] * len(comps)
+            for r in greedy:
+                low = self.table.cov[r] & mask
+                counts[comp_of[(low & -low).bit_length() - 1]] += 1
+            return self._components(comps, counts)
+        return self._separated(*(self.split(mask) or self._pivot(mask)), kept, g)
 
     def _pivot(self, mask):
         # The smallest object alone as the boundary: its covers are the
@@ -266,19 +277,29 @@ class _PierceSearch(_Search):
         obit = mask & -mask
         return mask & ~obit, 0, obit
 
-    def _separated(self, inside: int, outside: int, boundary: int, rows, cov, g: int):
-        # A greedy cover of g rows exists, so a configuration counts only
-        # below `limit`: g + 1 rows at first, then the best found.
+    def _separated(self, inside: int, outside: int, boundary: int, kept: int, g: int):
+        # Covers of the boundary from the rows of `kept` (the node's
+        # restricted table): each step branches on the rows that pierce the
+        # smallest object left, in row order.  A greedy cover of g rows
+        # exists, so a configuration counts only below `limit`: g + 1 rows
+        # at first, then the best found.  A closed boundary removes its
+        # rows' objects from the sides, if it has any.
         best = None
         limit = g + 1
         depth = 0
         tick = self.budget.tick
+        inc, cov = self.table.inc, self.table.cov
+        sides = inside | outside
 
-        def dfs(unb: int, removed: int, picked: List[int]):
+        def dfs(unb: int, picked: List[int]):
             nonlocal best, limit, depth
             tick()
             if not unb:
                 if len(picked) < limit:
+                    removed = 0
+                    if sides:
+                        for r in picked:
+                            removed |= cov[r]
                     rin, din = self.solve(inside & ~removed)
                     rout, dout = self.solve(outside & ~removed)
                     depth = max(depth, 1 + max(din, dout))
@@ -288,12 +309,10 @@ class _PierceSearch(_Search):
                 return
             if len(picked) + 1 >= limit:
                 return
-            obit = unb & -unb
-            for r, c in zip(rows, cov):
-                if c & obit:
-                    dfs(unb & ~c, removed | c, picked + [r])
+            for r in mask_to_ids(inc[(unb & -unb).bit_length() - 1] & kept):
+                dfs(unb & ~cov[r], picked + [r])
 
-        dfs(boundary, 0, [])
+        dfs(boundary, [])
         assert best is not None
         return best, depth
 

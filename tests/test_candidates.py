@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from fatsep import candidates
 from fatsep.candidates import (
     _CHUNK,
     UnsupportedShapeError,
+    _circle_intersections,
     candidate_pierce_points,
     candidate_rows,
     coverage_masks,
@@ -58,6 +60,53 @@ def test_disk_candidates_ignore_family_order():
             shuffled = rng.sample(objs, len(objs))
             assert candidate_pierce_points(shuffled) == want
             assert candidate_pierce_points(shuffled[::-1]) == want
+
+
+def all_pairs_disk_candidates(objs):
+    """Reference: every lowest point and the circle intersections of every
+    pair, each pair taken in (centre, radius) order."""
+    pts = {(o.center[0], o.center[1] - o.radius) for o in objs}
+    disks = sorted(objs, key=lambda o: (o.center, o.radius))
+    for i, a in enumerate(disks):
+        for b in disks[i + 1 :]:
+            pts.update(_circle_intersections(a, b))
+    return sorted(pts)
+
+
+def test_disk_pair_filter_keeps_every_intersection(monkeypatch):
+    # The numpy distance test skips only pairs without intersection points:
+    # tangent, nested and coincident disks, and pairs within rounding of the
+    # outer and inner tangent distances (radii sum or difference plus or
+    # minus TOL) at angles where `hypot` rounds, give the all-pairs points.
+    families = [
+        [Ball((0, 0), 1.0), Ball((2, 0), 1.0)],
+        [Ball((0, 0), 1.0), Ball((2 + TOL, 0), 1.0), Ball((2 + 3 * TOL, 0), 1.0)],
+        [Ball((0, 0), 2.0), Ball((1, 0), 1.0), Ball((1 - TOL, 0), 1.0), Ball((0.5, 0), 1.0)],
+        [Ball((0, 0), 3.0), Ball((0.5, 0.5), 1.0), Ball((0.5, 0.5), 1.0), Ball((0, 0), 3.0)],
+        [Ball((1, 1), 1.0), Ball((1, 1), 2.0), Ball((1, 1 + TOL / 2), 1.0)],
+    ]
+    rng = random.Random(6)
+    for _ in range(300):
+        r1, r2 = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+        t = rng.uniform(0, 2 * math.pi)
+        for dist in (r1 + r2 + TOL, abs(r1 - r2) - TOL, r1 + r2, abs(r1 - r2)):
+            for eps in (-1e-15, 0.0, 1e-15):
+                d = dist * (1 + eps)
+                families.append([Ball((0.3, 0.7), r1), Ball((0.3 + d * math.cos(t), 0.7 + d * math.sin(t)), r2)])
+    for seed, density in ((0, 1), (1, 8)):
+        families.append(list(gen_instance("random", 2, shape="ball", n=40, seed=seed, density=density).objects))
+    found = 0
+    for objs in families:
+        want = all_pairs_disk_candidates(objs)
+        assert candidate_pierce_points(objs) == want
+        found += len(want) - len(objs)
+    assert found > 1000
+    # The filter rules out most pairs of a sparse family, block by block.
+    objs = sorted(gen_instance("random", 2, shape="ball", n=40, seed=0).objects, key=lambda o: (o.center, o.radius))
+    monkeypatch.setattr(candidates, "_CHUNK", 7)
+    pairs = list(candidates._circle_pairs(objs))
+    assert all(i < j for i, j in pairs) and len(pairs) < 40 * 39 // 8
+    assert candidate_pierce_points(objs) == all_pairs_disk_candidates(objs)
 
 
 def test_balls_d3_unsupported():

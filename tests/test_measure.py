@@ -26,6 +26,7 @@ from fatsep.measure import (
     exact_small_pierce,
     greedy_pack,
     greedy_pierce,
+    mask_to_ids,
     prune_dominated,
 )
 from fatsep.oracle import brute_pack, brute_pierce
@@ -261,7 +262,8 @@ def test_prune_dominated_matches_reference(monkeypatch):
     duplicated = 0
     for table, mask in inputs:
         cov = [c & mask for c in table.cov]
-        rows, kept = restrict(table, mask)
+        rows = mask_to_ids(restrict(table, mask))
+        kept = [cov[r] for r in rows]
         assert ([table.points[r] for r in rows], kept) == prune_reference(table.points, cov)
         nonzero = [c for c in cov if c]
         duplicated += len(set(nonzero)) < len(nonzero)
@@ -271,16 +273,19 @@ def test_prune_dominated_matches_reference(monkeypatch):
 def check_restrict(ctx, table, mask):
     """`table.restrict(mask)` prunes the masked table as the reference does,
     and its greedy cover of `mask` is feasible; returns the restriction's
-    points and coverages."""
-    rows, cov = table.restrict(mask)
+    kept-row mask, points and coverages."""
+    kept = table.restrict(mask)
+    rows = mask_to_ids(kept)
     points = [table.points[r] for r in rows]
+    cov = [table.cov[r] & mask for r in rows]
     assert (points, cov) == prune_reference(table.points, [c & mask for c in table.cov])
     assert all(c and c & ~mask == 0 for c in cov)
     pierced = 0
-    for k in ctx.greedy_pierce_mask(cov, mask):
-        pierced |= cov[k]
+    for r in table.greedy(mask, kept):
+        assert kept >> r & 1
+        pierced |= table.cov[r] & mask
     assert pierced == mask
-    return points, cov
+    return kept, points, cov
 
 
 @pytest.mark.parametrize("shape,d", [("ball", 2), ("box", 2), ("box", 3)])
@@ -297,11 +302,11 @@ def test_pierce_table_restricts_to_every_submask(shape, d):
         search = _PierceSearch(ctx, SolveConfig())
         for mask in [ctx.full_mask()] + [rng.randrange(1, 1 << ctx.n) for _ in range(5)]:
             ids = [i for i in range(ctx.n) if mask >> i & 1]
-            points, cov = check_restrict(ctx, table, mask)
+            kept = check_restrict(ctx, table, mask)[0]
             exact = [table.points[r] for r in search.run(mask)[0]]
             sub = Instance(dim=d, objects=tuple(objs[i] for i in ids))
             assert len(exact) == brute_pierce(sub).value
-            greedy = [points[k] for k in ctx.greedy_pierce_mask(cov, mask)]
+            greedy = [table.points[r] for r in table.greedy(mask, kept)]
             assert len(greedy) >= len(exact)
             for picked in (exact, greedy):
                 for i in ids:
@@ -326,8 +331,9 @@ def test_pierce_table_on_zero_and_one_objects():
         ctx = IntersectionContext(objs)
         table = PierceTable(ctx)
         assert len(table.points) == len(table.cov) == ctx.n
-        assert table.restrict(0) == ([], [])
-        rows, cov = table.restrict(ctx.full_mask())
+        assert table.restrict(0) == 0
+        rows = mask_to_ids(table.restrict(ctx.full_mask()))
+        cov = [table.cov[r] for r in rows]
         assert ([table.points[r] for r in rows], cov) == (table.points, table.cov)
         for cap in (0, 1):
             got = exact_small_pierce(objs, cap)
@@ -336,6 +342,59 @@ def test_pierce_table_on_zero_and_one_objects():
             else:
                 assert got.value == ctx.n and all(contains_point(o, got.witness[0]) for o in objs)
     assert PierceTable(IntersectionContext(one)).points == [(0.0, 0.0)]
+
+
+def test_pierce_table_index_is_the_transpose_of_its_coverage():
+    # inc[o] holds row r exactly when cov[r] holds object o, for every object
+    # of the context, over tables of more than 64 rows and objects too.
+    families = [[], [AxisBox((0.0, 0.0), (1.0, 2.0))], disks_on_a_line([3.0])]
+    for shape in ("box", "ball"):
+        for density in (1, 8):
+            families.append(gen_instance("random", 2, shape=shape, n=100, seed=density, density=density).objects)
+    rows = []
+    for objs in families:
+        ctx = IntersectionContext(objs)
+        table = PierceTable(ctx)
+        assert len(table.inc) == ctx.n
+        for o in range(ctx.n):
+            assert table.inc[o] == sum(1 << r for r, c in enumerate(table.cov) if c >> o & 1)
+        rows.append(len(table.cov))
+    assert rows[:3] == [0, 1, 1] and min(rows[3:]) > 64
+
+
+def full_scan_greedy(ctx, table, mask):
+    """The greedy piercing of `mask` that scores every row of
+    `table.restrict(mask)` at each pick and takes the first of greatest gain."""
+    rows = mask_to_ids(table.restrict(mask))
+    picked = []
+    unpierced = mask
+    while unpierced:
+        todo = ctx.nbr[(unpierced & -unpierced).bit_length() - 1] & unpierced
+        while todo:
+            gains = [(table.cov[r] & todo).bit_count() for r in rows]
+            r = rows[max(range(len(rows)), key=gains.__getitem__)]
+            picked.append(r)
+            unpierced &= ~table.cov[r]
+            todo &= ~table.cov[r]
+    return picked
+
+
+def test_index_greedy_equals_a_full_scan():
+    rng = random.Random(4)
+    for shape, d in (("ball", 2), ("box", 2), ("box", 3)):
+        for density in (1, 8):
+            ctx = IntersectionContext(gen_instance("random", d, shape=shape, n=40, seed=density, density=density).objects)
+            table = PierceTable(ctx)
+            for mask in [ctx.full_mask()] + [rng.getrandbits(ctx.n) for _ in range(20)]:
+                assert table.greedy(mask, table.restrict(mask)) == full_scan_greedy(ctx, table, mask)
+
+
+def test_prune_dominated_matches_reference_on_a_dense_table():
+    # Boxes d=2 at density 8: 925 unpruned rows, wide and nested coverages.
+    ctx = IntersectionContext(gen_instance("random", 2, shape="box", n=150, seed=1, density=8).objects)
+    points, cov = cand.candidate_rows(ctx.objs, ctx.arrays)
+    assert len(points) == 925
+    assert prune_dominated(points, cov) == prune_reference(points, cov)
 
 
 def pairwise_nbr(objs):

@@ -1,6 +1,8 @@
+import json
 import random
 import statistics
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +134,54 @@ def test_pierce_cluster_recursion_matches_oracle(monkeypatch):
         sol = solve_pierce(inst, cfg)
         assert sol.value == brute_pierce(inst).value
     assert separated
+
+
+def test_pierce_answers_pinned_on_the_seed_1_benchmark_mix():
+    # The 22 instances of the pierce-exact mix of `perfbench/run.py --seed 1`
+    # (30 s), with the value, witness, nodes and depth of each solve as
+    # recorded at commit f8db317, before piercing ran on the table's
+    # incidence index: how rows are found may change, which rows may not.
+    pinned = json.loads(Path(__file__).with_name("pierce_exact_seed1.json").read_text())
+    assert len(pinned) == 22
+    for rec in pinned:
+        _, shape, d, n, seed = rec["label"].split("-")
+        inst = gen_instance("random", int(d[1:]), shape=shape, n=int(n[1:]), seed=int(seed[1:]))
+        sol = solve_pierce(inst)
+        got = (sol.value, [list(p) for p in sol.witness], sol.nodes, sol.depth)
+        assert got == (rec["value"], rec["witness"], rec["nodes"], rec["depth"]), rec["label"]
+
+
+def test_pierce_base_case_covers_with_kept_rows():
+    # A base case's boundary search branches only on the rows its mask's
+    # restriction keeps: on dense boxes, where restrictions drop repeated
+    # and dominated rows, every witness row of a submask is a kept row.
+    rng = random.Random(0)
+    for seed in (1, 2):
+        inst = gen_instance("random", 2, shape="box", n=40, seed=seed, density=8)
+        ctx = IntersectionContext(inst.objects)
+        search = _PierceSearch(ctx, SolveConfig(base_threshold=100))
+        for _ in range(5):
+            mask = rng.getrandbits(ctx.n)
+            witness, _, nodes, _ = search.run(mask)
+            kept = search.table.restrict(mask)
+            assert nodes == 1 and all(kept >> r & 1 for r in witness)
+            pierced = 0
+            for r in witness:
+                pierced |= search.table.cov[r]
+            assert pierced & mask == mask
+
+
+@pytest.mark.parametrize("search_cls", [_PackSearch, _PierceSearch])
+def test_solve_takes_an_estimate_only_for_a_base_case(search_cls):
+    # `_expand` skips the greedy witness when handed an estimate, and a
+    # component node needs it: an estimate above `base_threshold` is refused.
+    inst = gen_instance("cluster", 2, shape="box", clusters=2, cluster_size=7, seed=0)
+    ctx = IntersectionContext(inst.objects)
+    search = search_cls(ctx, SolveConfig(base_threshold=2))
+    search.run(0)
+    assert len(ctx.components(ctx.full_mask())) > 1
+    with pytest.raises(AssertionError, match="only a base case"):
+        search.solve(ctx.full_mask(), 3)
 
 
 def test_pierce_builds_one_candidate_table(monkeypatch):
