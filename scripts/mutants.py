@@ -313,6 +313,14 @@ MUTANTS = [
         "nmask |= 1 << i",
         "tests/test_solver.py::test_dense_families_match_oracle_on_every_path",
     ),
+    # A batch hands the closer its own components.
+    Mutant(
+        "batch-closed-with-earlier-parts",
+        "solver.py",
+        "                batch = load = 0\n                held = []\n",
+        "                batch = load = 0\n",
+        "tests/test_solver.py::test_pack_answers_pinned_on_the_seed_1_benchmark_mix",
+    ),
     # Every branch of a closer ticks the solve's budget; the piercing closer
     # is the boundary search, its whole mask the boundary.
     Mutant(
@@ -351,9 +359,32 @@ MUTANTS = [
     Mutant(
         "box-meet-strict",
         "measure.py",
-        "meet &= lo[:, a, None] <= hi[:, a] + TOL",
-        "meet &= lo[:, a, None] < hi[:, a] + TOL",
+        "reach &= lo[:, a, None] <= hi[:, a]",
+        "reach &= lo[:, a, None] < hi[:, a]",
         "tests/test_measure.py::test_intersection_context_matches_intersects",
+    ),
+    # Ball pairs square by multiplication, `_BALL_ROWS` rows at a time, and
+    # decide again with `pow` near touching and where a square overflows.
+    Mutant(
+        "ball-band-zero",
+        "measure.py",
+        "_BAND = 1e-12",
+        "_BAND = 0.0",
+        "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
+    ),
+    Mutant(
+        "ball-overflow-not-redone",
+        "measure.py",
+        "        redo |= bd2 == np.inf\n",
+        "",
+        "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
+    ),
+    Mutant(
+        "ball-redo-row-off",
+        "measure.py",
+        "i += start\n",
+        "i += start + 1\n",
+        "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
     ),
     Mutant(
         "classify-inside-without-tol",
@@ -374,15 +405,6 @@ class Equivalent(NamedTuple):
 
 
 EQUIVALENT = [
-    Equivalent(
-        "ball-slack-factor-one",
-        "measure.py",
-        "slack *= 1.0 + 1e-6",
-        "slack *= 1.0",
-        "for floats t > limit, t^2 - limit^2 >= 2 limit ulp(limit), more than a rounding step "
-        "of limit^2, so an offset past the unscaled limit already squares past its square; "
-        "the 1e-6 is margin for a `pow` that is not correctly rounded",
-    ),
     Equivalent(
         "clique-source-fresh-partition",
         "separator.py",

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -186,41 +187,67 @@ def intersects(a: FatObject, b: FatObject) -> bool:
 class ShapeArrays:
     """A family laid out as arrays, one row per object, for the numpy kernels.
 
-    `ball` flags the balls; `radius` holds their radii (NaN for boxes);
-    `center` holds `center(o)`, and `low`/`high` the corners of
+    `rows` holds one flat row per object: a ball's center twice and its
+    radius, a box's corners and NaN (radii are finite, so NaN marks the
+    boxes).  The rest is read from it, the layout on first use: `ball` flags
+    the balls; `radius` holds their radii (NaN for boxes); `sizes` holds
+    `size(o)`, `center` `center(o)`, and `low`/`high` the corners of
     `bounding_low_high(o)`, with the same float operations, so every entry
     equals the scalar one bit for bit.  All objects must share one dimension.
     """
 
     def __init__(self, objs: Sequence[FatObject]):
-        n = len(objs)
-        d = objs[0].dim if n else 0
-        for o in objs:
-            if o.dim != d:
-                raise DimensionMismatchError(f"dimension mismatch: {d} vs {o.dim}")
-        # One flat row per object: a ball's center twice and its radius, a
-        # box's corners and NaN (radii are finite, so NaN marks the boxes).
-        rows = np.array(
-            [
-                o.center + o.center + (o.radius,) if isinstance(o, Ball) else o.low + o.high + (math.nan,)
-                for o in objs
-            ],
-            dtype=float,
-        ).reshape(n, 2 * d + 1)
-        lo, hi, self.radius = rows[:, :d], rows[:, d:-1], rows[:, -1]
-        self.ball = ~np.isnan(self.radius)
-        ball, r = self.ball[:, None], self.radius[:, None]
-        self.center = np.where(ball, lo, (lo + hi) / 2.0)
-        self.low = np.where(ball, lo - r, lo)
-        self.high = np.where(ball, hi + r, hi)
+        rows = [o.center + o.center + (o.radius,) if isinstance(o, Ball) else o.low + o.high + (math.nan,) for o in objs]
+        # A row of a d-dimensional object has 2d + 1 entries.
+        widths = sorted(set(map(len, rows))) or [1]
+        if len(widths) > 1:
+            raise DimensionMismatchError(f"dimension mismatch: {widths[0] // 2} vs {widths[-1] // 2}")
+        flat = np.fromiter(chain.from_iterable(rows), float, count=len(rows) * widths[0])
+        self.rows = flat.reshape(len(rows), widths[0])
 
     @property
     def dim(self) -> int:
-        return self.low.shape[1]
+        return self.rows.shape[1] // 2
+
+    @property
+    def radius(self) -> np.ndarray:
+        return self.rows[:, -1]
+
+    @cached_property
+    def ball(self) -> np.ndarray:
+        return ~np.isnan(self.radius)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """`size` of every object: a box's longest side, or a ball's 2r (a
+        ball's row has sides 0, and `fmax` passes over a box's NaN)."""
+        d = self.dim
+        sides = self.rows[:, d:-1] - self.rows[:, :d]
+        sizes = 2.0 * self.radius
+        for a in range(d):
+            np.fmax(sizes, sides[:, a], out=sizes)
+        return sizes
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        d = self.dim
+        lo, hi = self.rows[:, :d], self.rows[:, d:-1]
+        return np.where(self.ball[:, None], lo, (lo + hi) / 2.0)
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        lo = self.rows[:, : self.dim]
+        return np.where(self.ball[:, None], lo - self.radius[:, None], lo)
+
+    @cached_property
+    def high(self) -> np.ndarray:
+        hi = self.rows[:, self.dim : -1]
+        return np.where(self.ball[:, None], hi + self.radius[:, None], hi)
 
     def take(self, rows: np.ndarray) -> "ShapeArrays":
         """The layout of the objects `rows` selects (indices, in that order,
-        or a boolean mask): the rows a fresh layout of them holds, bit for bit."""
+        or a boolean mask): the rows a fresh layout of them holds, bit for
+        bit, with the fields already read taken along."""
         sub = object.__new__(ShapeArrays)
         for name, value in vars(self).items():
             setattr(sub, name, value[rows])

@@ -13,13 +13,19 @@ the boundary search all work on masks of table rows, with no scan of the
 whole table.
 `exact_pack_mask` closes each intersection component of its mask with its
 own search and adds the answers up, so the solver's batches of small
-components cost the sum of their searches rather than the product.
+components cost the sum of their searches rather than the product; a batch
+hands it the components it already holds.
 The context numbers its objects by size rank, so every smallest-first walk
-and branch takes a mask's lowest bit.  It lays its family out once as
-`geometry.ShapeArrays` (`ctx.arrays`), which the separator reads too, and
-builds its neighbourhood masks from one numpy array per pair of shapes, with
-the float operations of `geometry.intersects`, bit for bit.  A split reads
-it through a mask (`Subfamily`), so a solve's splits share its one context.
+and branch takes a mask's lowest bit.  It takes its family's flat rows
+(`geometry.ShapeArrays`) and their sizes in a few numpy calls, sorts the
+rows once, and keeps them as `ctx.arrays`, whose centres and corners the
+separator and `PierceTable` read, built on first use: a packing solve that
+never splits never builds them.  Its neighbourhood masks come from one
+numpy array per pair of shapes with the comparisons of
+`geometry.intersects`, bit for bit; ball pairs are squared by
+multiplication, a block of rows at a time, and decided again with `pow`
+where that could round otherwise.  A split reads the context through a mask
+(`Subfamily`), so a solve's splits share its one context.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import candidates as cand
-from .geometry import TOL, FatObject, Point, ShapeArrays, rows_to_masks, size
+from .geometry import TOL, FatObject, Point, ShapeArrays, rows_to_masks
 
 
 class _Overflow:
@@ -78,16 +84,17 @@ class IntersectionContext:
     bitmasks and its `ShapeArrays`: bit i of every mask, row i of `arrays`,
     `nbr[i]` and bit i of every `PierceTable` coverage mean `objs[i]`, the
     i-th smallest object, whose given position is `ids[i]`.  Ids leave the
-    package as given positions only (`input_ids`).  A greedy clique
-    partition (`cliques`) and the separator's ranked centres (`rank_axes`)
-    are built on first use."""
+    package as given positions only (`input_ids`).  The layout of `arrays`
+    (centres and corners), a greedy clique partition (`cliques`) and the
+    separator's ranked centres (`rank_axes`) are built on first use."""
 
     def __init__(self, objs: Sequence[FatObject]):
         given = list(objs)
-        sizes = [size(o) for o in given]
-        self.ids = sorted(range(len(given)), key=sizes.__getitem__)
+        arrays = ShapeArrays(given)
+        order = np.argsort(arrays.sizes, kind="stable")
+        self.ids = order.tolist()
         self.objs = [given[i] for i in self.ids]
-        self.arrays = ShapeArrays(self.objs)
+        self.arrays = arrays.take(order)
         self.nbr = rows_to_masks(_intersection_matrix(self.arrays))
 
     @property
@@ -141,13 +148,16 @@ class IntersectionContext:
     def components(self, mask: int) -> List[int]:
         """Masks of the intersection graph's components within `mask`, in
         order of lowest bit (bitmask BFS over `nbr`)."""
+        nbr = self.nbr
         parts = []
         while mask:
             part = frontier = mask & -mask
             while frontier:
                 reach = 0
-                for i in _bits(frontier):
-                    reach |= self.nbr[i]
+                while frontier:  # over the bits of frontier, without a generator
+                    low = frontier & -frontier
+                    reach |= nbr[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = reach & mask & ~part
                 part |= frontier
             parts.append(part)
@@ -167,12 +177,15 @@ class IntersectionContext:
             mask &= ~self.nbr[low.bit_length() - 1]
         return chosen.bit_count(), chosen
 
-    def exact_pack_mask(self, mask: int, tick: Callable[[], None] = lambda: None):
+    def exact_pack_mask(
+        self, mask: int, tick: Callable[[], None] = lambda: None, parts: Optional[List[int]] = None
+    ):
         """Exact Pack within `mask`; returns (value, chosen_mask).
 
         Pack adds up over the intersection graph's components, so each
         component of `mask` is closed on its own (a single object directly)
-        and the values are summed, the chosen masks joined.  Within a
+        and the values are summed, the chosen masks joined.  A caller that
+        holds those components passes them as `parts`.  Within a
         component it branches on the closed neighborhood of the smallest
         remaining object: every maximal independent set contains one of
         those objects, so depth equals the component's solution size.
@@ -189,12 +202,14 @@ class IntersectionContext:
                 return
             if depth + mask.bit_count() <= best_val:
                 return
-            v = (mask & -mask).bit_length() - 1
-            for u in _bits(nbr[v] & mask):
-                rec(mask & ~nbr[u], depth + 1, picked | (1 << u))
+            branch = nbr[(mask & -mask).bit_length() - 1] & mask
+            while branch:
+                low = branch & -branch
+                rec(mask & ~nbr[low.bit_length() - 1], depth + 1, picked | low)
+                branch ^= low
 
         value = chosen = 0
-        for part in self.components(mask):
+        for part in self.components(mask) if parts is None else parts:
             if not part & (part - 1):
                 value += 1
                 chosen |= part
@@ -360,69 +375,96 @@ def _undominated(inc: Sequence[int], first: dict) -> int:
     return kept
 
 
-# A bound below the square root of the largest float: every `limit` under
-# it squares to a finite float.
-_SQUARE_OVERFLOWS = 1e154
+# Ball rows per block of `_ball_matrix`: its float buffers are _BALL_ROWS x
+# balls, not balls x balls, which at a few hundred balls is the faster.
+_BALL_ROWS = 128
+# How far apart, relative to the squared limit, `x * x` and `pow` sums of
+# squares may decide a ball pair differently: each square rounds within an
+# ulp or so, some 1e-16 of it.
+_BAND = 1e-12
 
 
 def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     """Boolean n x n array of `geometry.intersects` (every object meets itself);
     a family of one shape gets its one block, without the scatter.
 
-    Squared offsets are summed axis by axis in axis order and taken with
-    `float_power`, the C `pow` that Python's `**` calls.  A ball-box offset
-    is `_dist2_point_box`'s `l - x` below the box, `x - h` above it and 0
-    within; boxes compare `al <= bh + TOL and bl <= ah + TOL`.
-
-    Ball pairs are squared only where every axis offset is at most
-    `limit * (1 + 1e-6)`, `limit` being the radii plus TOL: an offset past
-    that on one axis squares, rounding included, above `limit` squared, so
-    `intersects` calls the pair a miss too, unless `limit` squared overflows,
-    and those pairs are always kept.
+    Squared offsets are summed axis by axis in axis order.  A ball-box
+    offset is `_dist2_point_box`'s `l - x` below the box, `x - h` above it
+    and 0 within, squared with `float_power` (the C `pow` that Python's `**`
+    calls); boxes compare `al <= bh + TOL and bl <= ah + TOL`.  Ball pairs
+    go through `_ball_matrix`.
     """
-    n = len(shapes.ball)
-    balls = np.flatnonzero(shapes.ball)
-    boxes = np.flatnonzero(~shapes.ball)
-    c = shapes.center[balls]
-    r = shapes.radius[balls]
-    lo = shapes.low[boxes]
-    hi = shapes.high[boxes]
-    if balls.size:
-        slack = np.add(r[:, None], r)
-        slack += TOL
-        slack[slack >= _SQUARE_OVERFLOWS] = np.inf
-        slack *= 1.0 + 1e-6
-        near = np.ones(slack.shape, dtype=bool)
-        term = np.empty_like(slack)
-        for a in range(shapes.dim):
-            np.subtract(c[:, a, None], c[:, a], out=term)
-            near &= np.abs(term, out=term) <= slack
-        i, j = np.nonzero(near)
-        d2 = np.zeros(len(i))
-        for a in range(shapes.dim):
-            d2 += np.float_power(c[i, a] - c[j, a], 2.0)
-        limit = r[i] + r[j]
-        limit += TOL
-        near[i, j] = d2 <= np.float_power(limit, 2.0)
-        if not boxes.size:
-            return near
-    meet = np.ones((len(boxes), len(boxes)), dtype=bool)
-    for a in range(shapes.dim):
-        meet &= lo[:, a, None] <= hi[:, a] + TOL
-        meet &= lo[:, a] <= hi[:, a, None] + TOL
-    if not balls.size:
-        return meet
-    hit = np.ones((n, n), dtype=bool)
-    hit[np.ix_(balls, balls)] = near
-    hit[np.ix_(boxes, boxes)] = meet
+    rows, d = shapes.rows, shapes.dim
+    ball = shapes.ball
+    if ball.all():
+        return _ball_matrix(rows[:, :d], rows[:, -1])
+    lo, hi = rows[:, :d], rows[:, d:-1]
+    if not ball.any():
+        return _box_matrix(lo, hi)
+    balls, boxes = np.flatnonzero(ball), np.flatnonzero(~ball)
+    c, r = lo[balls], rows[balls, -1]
+    lo, hi = lo[boxes], hi[boxes]
+    hit = np.ones((len(ball), len(ball)), dtype=bool)
+    hit[np.ix_(balls, balls)] = _ball_matrix(c, r)
+    hit[np.ix_(boxes, boxes)] = _box_matrix(lo, hi)
     d2 = np.zeros((len(balls), len(boxes)))
-    for a in range(shapes.dim):
+    for a in range(d):
         x = c[:, a, None]
         offset = np.maximum(np.maximum(lo[:, a] - x, x - hi[:, a]), 0.0)
         d2 += np.float_power(offset, 2.0)
     meet = d2 <= np.float_power(r + TOL, 2.0)[:, None]
     hit[np.ix_(balls, boxes)] = meet
     hit[np.ix_(boxes, balls)] = meet.T
+    return hit
+
+
+def _box_matrix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`intersects` of every pair of boxes with corners `lo` and `hi`: box
+    i's low reaches box j's high (plus TOL) on every axis, and j's reaches
+    i's, which is the transpose."""
+    hi = hi + TOL
+    reach = np.ones((len(lo), len(lo)), dtype=bool)
+    for a in range(lo.shape[1]):
+        reach &= lo[:, a, None] <= hi[:, a]
+    return reach & reach.T
+
+
+def _ball_matrix(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """`intersects` of every pair of balls with centres `c` and radii `r`,
+    `_BALL_ROWS` rows at a time.
+
+    `intersects` squares with the C `pow`, which can round the last bit
+    otherwise than `x * x`.  So pairs are squared by multiplication, and
+    those within `_BAND` of touching, or whose squared offset overflows,
+    are decided again with `float_power`, which calls that `pow`.
+    """
+    m, d = c.shape
+    hit = np.empty((m, m), dtype=bool)
+    t, d2, lim2 = np.empty((3, min(m, _BALL_ROWS), m))
+    for start in range(0, m, _BALL_ROWS):
+        stop = min(start + _BALL_ROWS, m)
+        bt, bd2, blim2 = t[: stop - start], d2[: stop - start], lim2[: stop - start]
+        np.subtract(c[start:stop, 0, None], c[:, 0], out=bd2)
+        np.multiply(bd2, bd2, out=bd2)
+        for a in range(1, d):
+            np.subtract(c[start:stop, a, None], c[:, a], out=bt)
+            bd2 += np.multiply(bt, bt, out=bt)
+        np.add(r[start:stop, None], r, out=blim2)
+        blim2 += TOL
+        np.multiply(blim2, blim2, out=blim2)
+        np.less_equal(bd2, blim2, out=hit[start:stop])
+        redo = np.multiply(bd2, 1.0 - _BAND, out=bt) <= blim2
+        redo &= blim2 <= np.multiply(bd2, 1.0 + _BAND, out=bt)
+        redo |= bd2 == np.inf
+        if redo.any():
+            i, j = np.nonzero(redo)
+            i += start
+            exact = np.zeros(len(i))
+            for a in range(d):
+                exact += np.float_power(c[i, a] - c[j, a], 2.0)
+            limit = r[i] + r[j]
+            limit += TOL
+            hit[i, j] = exact <= np.float_power(limit, 2.0)
     return hit
 
 

@@ -15,9 +15,10 @@ intersection graph is a component node: Pack and Pierce add up over
 components, and so do both greedy estimates, so components whose estimates
 sum to at most `base_threshold` close together as one base case and each
 larger component is searched on its own.  The packing closer then searches
-each component of such a batch alone.  A larger connected one is split
-with a box separator, enumerating independent sets (packing) or candidate
-pierce covers (piercing) of the boundary class; a piercing configuration
+each component of such a batch alone, handed the components already found.
+A larger connected one is split with a box separator, enumerating
+independent sets (packing) or candidate pierce covers (piercing) of the
+boundary class; a piercing configuration
 counts only if its whole cover is no larger than the node's greedy one,
 then only if it is smaller than the best found.  `split` passes
 `separate` the context read through the mask (`Subfamily`), so every split
@@ -119,8 +120,8 @@ class _Search:
     """Memoized search over the masks of one context.  An answer is
     (witness, depth), its value the witness's length; a witness lists
     context ids (packing) or `PierceTable` rows (piercing).  `solve(mask)`
-    returns one; subclasses expand a non-empty mask in `_expand(mask, g)`
-    (closing it exactly, each branch ticking the budget, when its greedy
+    returns one; subclasses expand a non-empty mask in `_expand(mask, g,
+    parts)` (closing it exactly, each branch ticking the budget, when its greedy
     estimate `g`, computed there unless given, is at most `base_threshold`,
     else branching in `_separated` on `split`'s regions or `_pivot`'s;
     piercing closes in `_separated` too, on the whole mask as boundary),
@@ -145,19 +146,21 @@ class _Search:
             witness, depth, aborted = self.greedy(mask), 0, True
         return witness, depth, len(self.memo), aborted
 
-    def solve(self, mask: int, estimate: Optional[int] = None) -> tuple:
+    def solve(self, mask: int, estimate: Optional[int] = None, parts: Optional[List[int]] = None) -> tuple:
         """Memoized answer of `mask`.  A caller that knows the mask's greedy
         `estimate` passes it on to `_expand`, which then skips computing it.
         Only a base case may be handed its estimate (at most
         `base_threshold`, as `_components`' batches are): a larger node
-        needs the greedy witness itself."""
+        needs the greedy witness itself.  A batch passes its component
+        `parts` too, which the packing closer reads instead of finding them
+        again."""
         assert estimate is None or estimate <= self.cfg.base_threshold, "only a base case takes an estimate"
         self.budget.tick()
         if not mask:
             return [], 0
         hit = self.memo.get(mask)
         if hit is None:
-            hit = self.memo[mask] = self._expand(mask, estimate)
+            hit = self.memo[mask] = self._expand(mask, estimate, parts)
         return hit
 
     def _components(self, parts: List[int], estimates: List[int]) -> tuple:
@@ -175,17 +178,20 @@ class _Search:
         cap = self.cfg.base_threshold
         answers = []
         batch = load = 0
+        held: List[int] = []
         for part, estimate in zip(parts, estimates):
             if estimate > cap:
                 answers.append(self.solve(part))
                 continue
             if load + estimate > cap:
-                answers.append(self.solve(batch, load))
+                answers.append(self.solve(batch, load, held))
                 batch = load = 0
+                held = []
             batch |= part
             load += estimate
+            held.append(part)
         if batch:
-            answers.append(self.solve(batch, load))
+            answers.append(self.solve(batch, load, held))
         return [x for witness, _ in answers for x in witness], max(depth for _, depth in answers)
 
     def split(self, mask: int) -> Optional[Tuple[int, int, int]]:
@@ -206,11 +212,11 @@ class _PackSearch(_Search):
     def output(self, witness: List[int]) -> List[int]:
         return sorted(self.ctx.ids[i] for i in witness)
 
-    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
+    def _expand(self, mask: int, g: Optional[int] = None, parts: Optional[List[int]] = None) -> Tuple[List[int], int]:
         if g is None:
             g, greedy = self.ctx.greedy_pack_mask(mask)
         if g <= self.cfg.base_threshold:
-            return mask_to_ids(self.ctx.exact_pack_mask(mask, self.budget.tick)[1]), 0
+            return mask_to_ids(self.ctx.exact_pack_mask(mask, self.budget.tick, parts)[1]), 0
         comps = self.ctx.components(mask)
         if len(comps) > 1:
             return self._components(comps, [(greedy & c).bit_count() for c in comps])
@@ -251,7 +257,7 @@ class _PierceSearch(_Search):
     def output(self, witness: List[int]) -> List[Point]:
         return [self.table.points[r] for r in witness]
 
-    def _expand(self, mask: int, g: Optional[int] = None) -> Tuple[List[int], int]:
+    def _expand(self, mask: int, g: Optional[int] = None, parts: Optional[List[int]] = None) -> Tuple[List[int], int]:
         kept = self.table.restrict(mask)
         if g is None:
             greedy = self.table.greedy(mask, kept)

@@ -12,6 +12,7 @@ from fatsep.geometry import (
     AxisBox,
     Ball,
     DimensionMismatchError,
+    ShapeArrays,
     contains_point,
     intersects,
     rows_to_masks,
@@ -442,9 +443,10 @@ def near_touching_pairs(d):
 
 
 def filter_bound_pairs(d):
-    """Ball pairs whose offset on axis 0 lies 0-2 ulps either side of the
-    kernel's filter bound `limit * (1 + 1e-6)`, alone or with half the
-    bound on axis 1 as well: all misses, some squared exactly, some not."""
+    """Ball pairs whose offset on axis 0 lies 0-2 ulps either side of
+    `limit * (1 + 1e-6)`, a bound a relative prefilter of far pairs might
+    use, alone or with half the bound on axis 1 as well: all misses, some
+    squared exactly, some not."""
     r1, r2 = 0.7, 1.1
     bound = (r1 + r2 + TOL) * (1.0 + 1e-6)
     pairs = []
@@ -494,7 +496,8 @@ def huge_ball_family(x, rng):
     """Ball pairs near (x, 0), radii about 1e150, whose axis offset is the
     radii sum plus TOL, or that times 1 + 1e-6, rounded to the ulp of x
     (about 1.6e144 at 1e160, a few 1e-7 of the sum): so the pairs fall
-    either side of touching and of the kernel's filter bound."""
+    either side of touching, and the kernel's squares must round like the
+    offsets `intersects` takes."""
     objs = []
     for k in range(12):
         r1, r2 = rng.uniform(1e150, 3e150), rng.uniform(1e150, 3e150)
@@ -546,7 +549,44 @@ def test_intersection_context_rounds_like_intersects():
     nbr = given_nbr(IntersectionContext(objs))
     assert nbr == pairwise_nbr(objs)
     assert all(nbr[i] & (1 << (i + 1)) for i in range(0, len(objs), 2))
-    # Near +-1e160 the offsets round in the subtraction; the filter must
+    # Ball pairs offset on two axes within an ulp or so of touching, whose
+    # sums of squares compare otherwise under x * x than under `**`.
+    gen = np.random.default_rng(3)
+    r1, r2 = gen.uniform(0.2, 0.5, (2, 20000))
+    limit = r1 + r2 + TOL
+    dx = limit * gen.uniform(0.2, 0.8, 20000)
+    dy = np.sqrt(limit * limit - dx * dx)
+    objs = []
+    for _ in range(5):
+        mult = dx * dx + dy * dy <= limit * limit
+        power = np.float_power(dx, 2.0) + np.float_power(dy, 2.0) <= np.float_power(limit, 2.0)
+        for k in np.flatnonzero(mult != power).tolist():
+            objs += [Ball((0.0, 0.0), r1[k]), Ball((dx[k], dy[k]), r2[k])]
+        dy = np.nextafter(dy, np.inf)
+    touching = [intersects(a, b) for a, b in zip(objs[::2], objs[1::2])]
+    assert len(touching) >= 10 and set(touching) == {True, False}
+    assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
+    # Tangent pairs across a block boundary of the ball kernel: a small ball
+    # ranks below `_BALL_ROWS` far fillers of middle size and its tangent
+    # partner, a large ball, above them.
+    objs = [Ball((100.0 + 10.0 * k, -50.0), 0.55) for k in range(measure._BALL_ROWS)]
+    pairs = []
+    while len(pairs) < 40:
+        r, big = rng.uniform(0.2, 0.5), rng.uniform(0.6, 0.9)
+        g = r + big + TOL
+        if g * g != g**2:
+            pairs.append((r, big))
+    assert {(r + big + TOL) ** 2 > (r + big + TOL) * (r + big + TOL) for r, big in pairs} == {True, False}
+    for k, (r, big) in enumerate(pairs):
+        objs.append(Ball((0.0, 10.0 * k), r))
+        objs.append(Ball((r + big + TOL, 10.0 * k), big))
+    ctx = IntersectionContext(objs)
+    small, large = ctx.by_given[measure._BALL_ROWS :: 2], ctx.by_given[measure._BALL_ROWS + 1 :: 2]
+    assert max(small) < measure._BALL_ROWS <= min(large)
+    nbr = given_nbr(ctx)
+    assert nbr == pairwise_nbr(objs)
+    assert all(nbr[i] & (1 << (i + 1)) for i in range(measure._BALL_ROWS, len(objs), 2))
+    # Near +-1e160 the offsets round in the subtraction; the kernel must
     # take the same offsets as the exact test.
     far = random.Random(5)
     for x in (1e160, -1e160):
@@ -568,6 +608,28 @@ def test_intersection_context_rounds_like_intersects():
     assert nbr == all_pairs_ball_nbr(objs)
     across = {(i, j) for i in range(5) for j in range(5, 10) if nbr[i] >> j & 1}
     assert (0, 5) not in across and (4, 5) in across and (3, 8) in across and (2, 7) not in across
+    # At the top of the float range a squared offset can overflow under
+    # x * x and not under `pow`: offsets (dx, dy) with dx * dx + dy * dy
+    # half an ulp past the largest float (so it rounds to inf), where `pow`
+    # rounds dx squared an ulp lower (so the sum rounds down, to the square
+    # of the radii sum).  `intersects` calls such a pair touching.
+    ulp = math.ldexp(1.0, 971)
+    limit = math.ldexp(1.0, 512) - math.ldexp(1.0, 459)
+    assert limit * limit == np.finfo(float).max - ulp
+    m = np.arange(1, 1 << 21, 2)
+    square = np.ldexp(((1 << 54) - 1 - m * m).astype(float), 970)
+    dx = np.sqrt(square)
+    with np.errstate(over="ignore"):
+        found = np.flatnonzero((dx * dx == square) & (np.float_power(dx, 2.0) == square - ulp))
+    assert found.size
+    objs = []
+    for k in found[:5].tolist():
+        x, y = float(dx[k]), math.ldexp(float(m[k]), 485)
+        assert x * x + y * y == math.inf and x**2 + y**2 == limit * limit
+        objs += [Ball((0.0, 0.0), limit / 2.0), Ball((x, y), limit / 2.0)]
+        assert intersects(objs[-2], objs[-1])
+    with np.errstate(over="ignore"):
+        assert given_nbr(IntersectionContext(objs)) == all_pairs_ball_nbr(objs)
 
 
 def test_intersection_context_numbers_objects_by_size():
@@ -582,6 +644,26 @@ def test_intersection_context_numbers_objects_by_size():
     rng = random.Random(3)
     for mask in [0, ctx.full_mask()] + [rng.getrandbits(ctx.n) for _ in range(5)]:
         assert ctx.input_ids(mask) == sorted(ctx.ids[i] for i in range(ctx.n) if mask >> i & 1)
+
+
+def test_intersection_context_arrays_are_a_fresh_layout():
+    # The context's layout, read from its sorted rows, is the one a fresh
+    # `ShapeArrays` of its objects holds, bit for bit (NaN radii included),
+    # and its sizes are `size`'s, ascending.
+    families = [[], [Ball((0.0, 0.0), 1.0)], [AxisBox((0.0, 0.0, 0.0), (1.0, 1.5, 2.0))]]
+    for d in (2, 3):
+        for seed in range(3):
+            balls, boxes = random_objects(seed, 20, d=d), random_objects(seed, 20, d=d, shape="box")
+            mixed = balls + boxes
+            random.Random(seed).shuffle(mixed)
+            families += [balls, boxes, mixed]
+    for objs in families:
+        ctx = IntersectionContext(objs)
+        fresh = ShapeArrays(ctx.objs)
+        for name in ("rows", "ball", "radius", "sizes", "center", "low", "high"):
+            got, want = getattr(ctx.arrays, name), getattr(fresh, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert ctx.arrays.sizes.tolist() == sorted(size(o) for o in objs) == [size(o) for o in ctx.objs]
 
 
 def test_intersection_context_small_and_mixed_dimensions():

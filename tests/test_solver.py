@@ -151,6 +151,44 @@ def test_pierce_answers_pinned_on_the_seed_1_benchmark_mix():
         assert got == (rec["value"], rec["witness"], rec["nodes"], rec["depth"]), rec["label"]
 
 
+def test_pack_answers_pinned_on_the_seed_1_benchmark_mix():
+    # The 260 instances of the pack-exact mix of `perfbench/run.py --seed 1`
+    # (30 s), with the value, witness, nodes and depth of each solve as
+    # recorded at commit b4cff9c, before contexts were built from one flat
+    # row array and batches closed on the components already found.
+    pinned = json.loads(Path(__file__).with_name("pack_exact_seed1.json").read_text())
+    assert len(pinned) == 260
+    for rec in pinned:
+        _, shape, d, n, seed = rec["label"].split("-")
+        inst = gen_instance("random", int(d[1:]), shape=shape, n=int(n[1:]), seed=int(seed[1:]))
+        sol = solve_pack(inst)
+        got = (sol.value, sol.witness, sol.nodes, sol.depth)
+        assert got == (rec["value"], rec["witness"], rec["nodes"], rec["depth"]), rec["label"]
+
+
+def test_pack_without_splits_leaves_the_layout_unbuilt(monkeypatch):
+    # A packing solve reads its context's layout only to separate: one
+    # that closes at once, or through component batches, leaves it unbuilt,
+    # and one that splits builds it.
+    contexts = []
+
+    class Recorded(IntersectionContext):
+        def __init__(self, objs):
+            super().__init__(objs)
+            contexts.append(self)
+
+    monkeypatch.setattr(solver, "IntersectionContext", Recorded)
+    splits = count_calls(monkeypatch, _PackSearch, "split")
+    layout = {"center", "low", "high"}
+    nodes = []
+    for shape, d, n in (("ball", 2, 26), ("box", 3, 18)):
+        nodes.append(solve_pack(gen_instance("random", d, shape=shape, n=n, seed=1)).nodes)
+        assert not splits and not layout & vars(contexts[-1].arrays).keys()
+    assert min(nodes) == 1 < max(nodes)
+    solve_pack(gen_instance("random", 2, n=24, seed=0, density=8), SolveConfig(base_threshold=2))
+    assert splits and layout & vars(contexts[-1].arrays).keys()
+
+
 def test_pierce_base_case_covers_with_kept_rows():
     # A base case's boundary search branches only on the rows its mask's
     # restriction keeps: on dense boxes, where restrictions drop repeated
