@@ -151,6 +151,13 @@ MUTANTS = [
         "tests/test_separator.py::test_min_sides_hold_under_rounding",
     ),
     Mutant(
+        "base-box-centred-threshold-unsorted",
+        "separator.py",
+        "        t.sort(axis=1)\n        rows[:, 0] = t[:, k]",
+        "        rows[:, 0] = t[:, k]",
+        "tests/test_separator.py::test_min_sides_are_tight_on_disjoint_families",
+    ),
+    Mutant(
         "base-box-threshold-axis-0",
         "separator.py",
         "for a in range(1, d):\n            np.maximum(up,",
@@ -247,8 +254,8 @@ MUTANTS = [
     Mutant(
         "base-box-ladder-top-below-extent",
         "separator.py",
-        "for j in range(steps, -1, -1)]",
-        "for j in range(steps + 1, 0, -1)]",
+        "extent / SIDE_SEARCH_RATIO ** (steps - i)",
+        "extent / SIDE_SEARCH_RATIO ** (steps - i + 1)",
         "tests/test_separator.py::test_find_base_box_bounding_corner_first",
     ),
     Mutant(
@@ -281,7 +288,15 @@ MUTANTS = [
         "np.vstack([centers, sub.ctx.arrays.center.min(axis=0)])",
         "tests/test_separator.py::test_find_base_box_on_a_subfamily_anchors_at_its_own_corner",
     ),
-    # The shell sweep's row is the final classification.
+    # The shell sweep's row is the final classification; its shells are
+    # `magnify`'s, built as one corner array.
+    Mutant(
+        "sweep-shell-low-above-centre",
+        "separator.py",
+        "np.stack([centre - half, centre + half], axis=1)",
+        "np.stack([centre + half, centre + half], axis=1)",
+        "tests/test_separator.py::test_shell_sweep_classifies_against_magnifys_shells",
+    ),
     Mutant(
         "sweep-returns-other-shell",
         "separator.py",
@@ -392,6 +407,46 @@ MUTANTS = [
         "inside &= shapes.low[:, a] >= l + TOL",
         "inside &= shapes.low[:, a] >= l",
         "tests/test_separator.py::test_shapes_classify_matches_classify",
+    ),
+    # The classifier squares ball offsets by multiplication and decides
+    # again with `pow` near the limit and where a square is infinite; with
+    # balls only, the distances decide outside on their own.
+    Mutant(
+        "classify-band-zero",
+        "separator.py",
+        "redo = d2 * (1.0 - _BAND) <= lim2\n    redo &= lim2 <= d2 * (1.0 + _BAND)",
+        "redo = d2 * (1.0 - 0.0) <= lim2\n    redo &= lim2 <= d2 * (1.0 + 0.0)",
+        "tests/test_separator.py::test_shapes_classify_rounds_like_classify",
+    ),
+    Mutant(
+        "classify-overflow-not-redone",
+        "separator.py",
+        "    redo |= (d2 == np.inf) | (lim2 == np.inf)\n",
+        "",
+        "tests/test_separator.py::test_shapes_classify_rounds_like_classify",
+    ),
+    Mutant(
+        "classify-box-tests-skipped-with-any-ball",
+        "separator.py",
+        "every_ball = balls.all()",
+        "every_ball = balls.any()",
+        "tests/test_separator.py::test_shapes_classify_matches_classify",
+    ),
+    # A PTAS solve walks each mask's greedy packing once, on a memo that
+    # lives as long as the solve.
+    Mutant(
+        "ptas-walk-memo-kept-across-solves",
+        "ptas.py",
+        "ctx.greedy_pack_mask = functools.cache(ctx.greedy_pack_mask)",
+        'ctx.greedy_pack_mask = globals().setdefault("_walks", functools.cache(ctx.greedy_pack_mask))',
+        "tests/test_ptas.py::test_ptas_walks_each_mask_once_per_solve",
+    ),
+    Mutant(
+        "ptas-walk-memo-outlives-solve",
+        "ptas.py",
+        "    del ctx.greedy_pack_mask\n",
+        "",
+        "tests/test_ptas.py::test_ptas_walks_each_mask_once_per_solve",
     ),
 ]
 

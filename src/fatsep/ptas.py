@@ -20,6 +20,7 @@ the search's `output`.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -101,7 +102,11 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
     """
     start = time.perf_counter()
     stop = cfg.stop_threshold(inst.dim)
-    search = search_cls(IntersectionContext(inst.objects), cfg.solve)
+    ctx = IntersectionContext(inst.objects)
+    # The parts' estimates, their splits' measures, the leaves and the
+    # packing refill walk the same masks: each greedy walk is made once.
+    ctx.greedy_pack_mask = functools.cache(ctx.greedy_pack_mask)
+    search = search_cls(ctx, cfg.solve)
     discarded = 0
     nodes = 0
     max_depth = 0
@@ -114,7 +119,7 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
         if not mask:
             return []
         # A greedy value above stop >= 1 needs two objects, as `separate` does.
-        parts = search.split(mask) if len(search.greedy(mask)) > stop else None
+        parts = search.split(mask) if search.estimate(mask) > stop else None
         if parts is None:
             witness, _, leaf_nodes, leaf_aborted = search.run(mask)
             nodes += leaf_nodes
@@ -125,7 +130,9 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
         discarded += cost
         return witness + rec(inside & ~covered, depth + 1) + rec(outside & ~covered, depth + 1)
 
-    witness = finish(search, rec(search.ctx.full_mask(), 0))
+    witness = finish(search, rec(ctx.full_mask(), 0))
+    # The memo goes with the solve: it and the context refer to each other.
+    del ctx.greedy_pack_mask
     return Solution(
         problem=search.problem,
         witness=search.output(witness),

@@ -21,10 +21,13 @@ packing holds at most one object of each clique of `ctx.cliques` cut to the
 mask, so once per search every cube gets the side below which it holds
 centres of fewer cliques than the target; a rung walks only the cubes at or
 above theirs, each walk taking the lowest unblocked bits (size rank) and
-stopping once the answer is known.  `shell_sweep` classifies against all
-its shells in one `_classify` call and returns the chosen shell's row.  A
-`SeparatorResult` holds its regions as masks over the context, their ids
-(given positions) derived from them, and measure values only.
+stopping once the answer is known.  The ladder is not listed: the
+bisection works out each rung it probes.  `shell_sweep` builds the corners
+of all its shells in one array, with `magnify`'s float operations,
+classifies against them in one `_classify` call and returns the chosen
+shell's row.  A `SeparatorResult` holds its regions as masks over the
+context, their ids (given positions) derived from them, and measure values
+only.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from .geometry import (
     ShapeArrays,
     magnify,
 )
-from .measure import IntersectionContext, MeasureEstimate, Subfamily
+from .measure import _BAND, IntersectionContext, MeasureEstimate, Subfamily
 
 
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
@@ -126,13 +129,13 @@ def _min_sides(sub: Subfamily, anchors: np.ndarray, tau: int) -> np.ndarray:
     are inf).  A cube of side s holds a centre of clique q only if the
     anchor's distance to the box of q's centres is at most s/2 + TOL
     (Chebyshev, centred) or s + TOL (one-sided, anchored, inf when q lies
-    past TOL beyond the cube's fixed face); the tau-th smallest of
-    these distances gives the bound.  `slack` covers the rounding of
-    `c - s/2`, `(c - s) + s`, `± TOL` and the differences here: each errs by
-    at most 2^-53 times a magnitude below (4d + 1) times the largest centre
-    coordinate (the ladder's sides stay at most the centres' extent), and
-    2^-40 leaves room for thousands of them.  Distances are taken
-    `_DIST_ROWS` anchors at a time, in place.
+    past TOL beyond the cube's fixed face); the tau-th smallest of these
+    distances, read after an in-place sort, gives the bound.  `slack`
+    covers the rounding of `c - s/2`, `(c - s) + s`, `± TOL` and the
+    differences here: each errs by at most 2^-53 times a magnitude below
+    (4d + 1) times the largest centre coordinate (the ladder's sides stay
+    at most the centres' extent), and 2^-40 leaves room for thousands of
+    them.  Distances are taken `_DIST_ROWS` anchors at a time, in place.
     """
     clique_low, clique_high = _clique_boxes(sub)
     m, d = clique_low.shape
@@ -156,15 +159,15 @@ def _min_sides(sub: Subfamily, anchors: np.ndarray, tau: int) -> np.ndarray:
             np.maximum(up, np.subtract(clique_low[:, a], block[:, a, None], out=t), out=up)
             np.maximum(down, np.subtract(block[:, a, None], clique_high[:, a], out=t), out=down)
         np.maximum(up, down, out=t)
-        t.partition(k, axis=1)
+        t.sort(axis=1)
         rows[:, 0] = t[:, k]
         # A clique `past` or more beyond an anchored cube's fixed face gets
         # inf: `copysign` gives +inf or -inf, without a masked store.
         np.maximum(down, np.copysign(np.inf, np.subtract(up, past, out=t), out=t), out=t)
-        t.partition(k, axis=1)
+        t.sort(axis=1)
         rows[:, 2] = t[:, k]
         np.maximum(up, np.copysign(np.inf, np.subtract(down, past, out=t), out=t), out=up)
-        up.partition(k, axis=1)
+        up.sort(axis=1)
         rows[:, 1] = up[:, k]
     sides -= TOL
     sides[:, 0] *= 2.0
@@ -227,8 +230,10 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     rung's corner cube holds every center.  The smallest achieving ladder
     size is located by bisection (achievability is monotone in the side
     length), so no family member with at most half the volume can reach
-    tau.  Every candidate cube's threshold side (`_min_sides`) is computed
-    once per call, so a rung tries only the cubes at or above it.
+    tau.  Only the rungs the bisection probes are worked out: rung i of
+    0 .. steps has the extent over the ratio to the power steps - i.  Every
+    candidate cube's threshold side (`_min_sides`) is computed once per
+    call, so a rung tries only the cubes at or above it.
     """
     centers = sub.arrays.center
     if len(centers) == 0:
@@ -244,19 +249,22 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     # every cube keeps sides of positive length.
     floor = max(extent * 1e-9, 2.0**-50 * float(np.abs(centers).max()))
     steps = max(int(math.log(extent / floor) / math.log(SIDE_SEARCH_RATIO)), 0)
-    ladder = [extent / SIDE_SEARCH_RATIO**j for j in range(steps, -1, -1)]
-
     anchors = _anchors(sub)
     min_side = _min_sides(sub, anchors, tau)
-    best = _achieving_box(sub, anchors, ladder[-1], tau, min_side)
+
+    def rung(i: int) -> Optional[BoxRegion]:
+        # Rung i of the ladder, whose top is rung `steps`.
+        return _achieving_box(sub, anchors, extent / SIDE_SEARCH_RATIO ** (steps - i), tau, min_side)
+
+    best = rung(steps)
     if best is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
 
     # `best` is always the achieving box of rung `hi`.
-    lo, hi = 0, len(ladder) - 1
+    lo, hi = 0, steps
     while lo < hi:
         mid = (lo + hi) // 2
-        box = _achieving_box(sub, anchors, ladder[mid], tau, min_side)
+        box = rung(mid)
         if box is not None:
             hi, best = mid, box
         else:
@@ -268,38 +276,63 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
 _INSIDE, _BOUNDARY, _OUTSIDE = 0, 1, 2
 
 
-def _classify(shapes: ShapeArrays, boxes: Sequence[BoxRegion]) -> np.ndarray:
+def _classify(shapes: ShapeArrays, boxes: Union[Sequence[BoxRegion], np.ndarray]) -> np.ndarray:
     """Code (`_INSIDE`, `_BOUNDARY` or `_OUTSIDE`) of every object (column)
-    against every box (row), equal to `geometry.classify`.
+    against every box (row), equal to `geometry.classify`.  `boxes` is a
+    list of `BoxRegion`s or an array of their corners, boxes x 2 x d (low,
+    then high).
 
     The float operations are `classify`'s: a ball is outside when its
-    squared distance to the box, the `float_power` squares of
-    `_dist2_point_box`'s offsets summed in axis order, exceeds
-    `(radius + TOL) ** 2`; a box when on some axis `high < l - TOL` or
-    `low > h + TOL`; an object is inside when, on every axis, its
-    bounding corners satisfy `low >= l + TOL` and `high <= h - TOL`.
+    squared distance to the box, the squares of `_dist2_point_box`'s
+    offsets summed in axis order, exceeds `(radius + TOL) ** 2`; a box when
+    on some axis `high < l - TOL` or `low > h + TOL`; an object is inside
+    when, on every axis, its bounding corners satisfy `low >= l + TOL` and
+    `high <= h - TOL`.  `classify` squares with the C `pow`, so the squares
+    here are products, and a pair within `_BAND` of the limit, or with an
+    infinite square, is decided again with `float_power` (as in
+    `measure._ball_matrix`).
     """
     d = shapes.dim
-    for b in boxes:
-        if b.dim != d:
-            raise DimensionMismatchError(f"dimension mismatch: {d} vs {b.dim}")
-    blow = np.array([b.low for b in boxes]).reshape(-1, d)
-    bhigh = np.array([b.high for b in boxes]).reshape(-1, d)
+    if isinstance(boxes, np.ndarray):
+        if boxes.shape[-1] != d:
+            raise DimensionMismatchError(f"dimension mismatch: {d} vs {boxes.shape[-1]}")
+    else:
+        for b in boxes:
+            if b.dim != d:
+                raise DimensionMismatchError(f"dimension mismatch: {d} vs {b.dim}")
+        boxes = np.array([(b.low, b.high) for b in boxes]).reshape(-1, 2, d)
+    blow, bhigh = boxes[:, 0], boxes[:, 1]
     balls = shapes.ball
     ball_center = shapes.center[balls]
     inside = np.ones((len(boxes), len(balls)), dtype=bool)
     outside = np.zeros_like(inside)
     d2 = np.zeros((len(boxes), len(ball_center)))
+    every_ball = balls.all()
     for a in range(d):
         l, h = blow[:, a, None], bhigh[:, a, None]
         inside &= shapes.low[:, a] >= l + TOL
         inside &= shapes.high[:, a] <= h - TOL
-        outside |= shapes.high[:, a] < l - TOL
-        outside |= shapes.low[:, a] > h + TOL
+        if not every_ball:
+            outside |= shapes.high[:, a] < l - TOL
+            outside |= shapes.low[:, a] > h + TOL
         x = ball_center[:, a]
-        d2 += np.float_power(np.maximum(np.maximum(l - x, x - h), 0.0), 2.0)
+        t = np.maximum(np.maximum(l - x, x - h), 0.0)
+        d2 += t * t
     # Balls are outside by distance, not by their bounding corners.
-    outside[:, balls] = d2 > np.float_power(shapes.radius[balls] + TOL, 2.0)
+    limit = shapes.radius[balls] + TOL
+    lim2 = limit * limit
+    far = d2 > lim2
+    redo = d2 * (1.0 - _BAND) <= lim2
+    redo &= lim2 <= d2 * (1.0 + _BAND)
+    redo |= (d2 == np.inf) | (lim2 == np.inf)
+    if redo.any():
+        i, j = np.nonzero(redo)
+        exact = np.zeros(len(i))
+        for a in range(d):
+            x = ball_center[j, a]
+            exact += np.float_power(np.maximum(np.maximum(blow[i, a] - x, x - bhigh[i, a]), 0.0), 2.0)
+        far[i, j] = exact > np.float_power(limit[j], 2.0)
+    outside[:, balls] = far
     return np.where(outside, _OUTSIDE, np.where(inside, _INSIDE, _BOUNDARY)).astype(np.int8)
 
 
@@ -312,14 +345,17 @@ def shell_sweep(sub: Subfamily, base: BoxRegion, g: int) -> Tuple[float, int, np
     (m_star, its boundary's greedy measure, its `_classify` row).
 
     Shells are m_j = 1 + j / g^(1/d) for j = 0 .. floor((2^(1/d)-1) g^(1/d));
-    ties resolve to the smallest j.
+    ties resolve to the smallest j.  Their corners are `magnify(base, m_j)`'s
+    bit for bit, built in one array (no `BoxRegion` per shell).
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     d = base.dim
     step = 1.0 / g ** (1.0 / d)
-    shells = [magnify(base, 1.0 + j * step) for j in range(shell_count(d, g))]
-    codes = _classify(sub.arrays, shells)
+    low, high = np.array(base.low), np.array(base.high)
+    centre = (low + high) / 2.0
+    half = (1.0 + np.arange(shell_count(d, g)) * step)[:, None] * (high - low) / 2.0
+    codes = _classify(sub.arrays, np.stack([centre - half, centre + half], axis=1))
     best_j = 0
     best_val = None
     for j, mask in enumerate(sub.masks(codes == _BOUNDARY)):

@@ -125,8 +125,9 @@ class _Search:
     estimate `g`, computed there unless given, is at most `base_threshold`,
     else branching in `_separated` on `split`'s regions or `_pivot`'s;
     piercing closes in `_separated` too, on the whole mask as boundary),
-    give its greedy witness in `greedy` and map a witness out of the
-    search, for `problem`, in `output`."""
+    give its greedy witness in `greedy` and that witness's length in
+    `estimate`, and map a witness out of the search, for `problem`, in
+    `output`."""
 
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         self.ctx = ctx
@@ -209,6 +210,9 @@ class _PackSearch(_Search):
     def greedy(self, mask: int) -> List[int]:
         return mask_to_ids(self.ctx.greedy_pack_mask(mask)[1])
 
+    def estimate(self, mask: int) -> int:
+        return self.ctx.greedy_pack_mask(mask)[0]
+
     def output(self, witness: List[int]) -> List[int]:
         return sorted(self.ctx.ids[i] for i in witness)
 
@@ -253,6 +257,9 @@ class _PierceSearch(_Search):
 
     def greedy(self, mask: int) -> List[int]:
         return self.table.greedy(mask, self.table.restrict(mask))
+
+    def estimate(self, mask: int) -> int:
+        return len(self.greedy(mask))
 
     def output(self, witness: List[int]) -> List[Point]:
         return [self.table.points[r] for r in witness]

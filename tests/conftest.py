@@ -1,9 +1,11 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fatsep.geometry import AxisBox, Ball, center, size
+from fatsep.geometry import TOL, AxisBox, Ball, center, size
 from fatsep.instances import gen_instance
 
 
@@ -49,6 +51,42 @@ def shifted(obj, dx):
     if isinstance(obj, Ball):
         return Ball(move(obj.center), obj.radius)
     return AxisBox(move(obj.low), move(obj.high))
+
+
+def huge_ball_family(x, rng):
+    """Ball pairs near (x, 0), radii about 1e150, whose axis offset is the
+    radii sum plus TOL, or that times 1 + 1e-6, rounded to the ulp of x
+    (about 1.6e144 at 1e160, a few 1e-7 of the sum): so the pairs fall
+    either side of touching, and the kernel's squares must round like the
+    offsets `intersects` takes."""
+    objs = []
+    for k in range(12):
+        r1, r2 = rng.uniform(1e150, 3e150), rng.uniform(1e150, 3e150)
+        limit = r1 + r2 + TOL
+        for t in (limit, limit * (1.0 + 1e-6)):
+            y = 1e152 * len(objs)
+            objs += [Ball((x, y), r1), Ball((x + t, y), r2)]
+    return objs
+
+
+def overflowing_offsets(count=5):
+    """(limit, offsets): `count` offsets (x, y) whose sum of squares under
+    x * x is half an ulp past the largest float (so it rounds to inf), where
+    `pow` rounds x squared an ulp lower (so the sum rounds down to limit
+    squared, the largest float but one)."""
+    ulp = math.ldexp(1.0, 971)
+    limit = math.ldexp(1.0, 512) - math.ldexp(1.0, 459)
+    assert limit * limit == np.finfo(float).max - ulp
+    m = np.arange(1, 1 << 21, 2)
+    square = np.ldexp(((1 << 54) - 1 - m * m).astype(float), 970)
+    dx = np.sqrt(square)
+    with np.errstate(over="ignore"):
+        found = np.flatnonzero((dx * dx == square) & (np.float_power(dx, 2.0) == square - ulp))
+    assert len(found) >= count
+    offsets = [(float(dx[k]), math.ldexp(float(m[k]), 485)) for k in found[:count].tolist()]
+    for x, y in offsets:
+        assert x * x + y * y == math.inf and x**2 + y**2 == limit * limit
+    return limit, offsets
 
 
 @st.composite

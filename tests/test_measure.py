@@ -32,7 +32,7 @@ from fatsep.measure import (
 )
 from fatsep.oracle import brute_pack, brute_pierce
 from fatsep.solver import SolveConfig, _PierceSearch, solve_pierce
-from conftest import given_mask, given_nbr, random_objects, shifted
+from conftest import given_mask, given_nbr, huge_ball_family, overflowing_offsets, random_objects, shifted
 
 
 def disks_on_a_line(xs, r=1.0):
@@ -492,22 +492,6 @@ def test_intersection_context_matches_intersects(d):
     assert all(seen == {True, False} for seen in outcomes.values())
 
 
-def huge_ball_family(x, rng):
-    """Ball pairs near (x, 0), radii about 1e150, whose axis offset is the
-    radii sum plus TOL, or that times 1 + 1e-6, rounded to the ulp of x
-    (about 1.6e144 at 1e160, a few 1e-7 of the sum): so the pairs fall
-    either side of touching, and the kernel's squares must round like the
-    offsets `intersects` takes."""
-    objs = []
-    for k in range(12):
-        r1, r2 = rng.uniform(1e150, 3e150), rng.uniform(1e150, 3e150)
-        limit = r1 + r2 + TOL
-        for t in (limit, limit * (1.0 + 1e-6)):
-            y = 1e152 * len(objs)
-            objs += [Ball((x, y), r1), Ball((x + t, y), r2)]
-    return objs
-
-
 def all_pairs_ball_nbr(objs):
     """`intersects`' ball formula on every pair with numpy's `float_power`,
     which squares past the float range to inf where Python's `**` raises."""
@@ -613,19 +597,9 @@ def test_intersection_context_rounds_like_intersects():
     # half an ulp past the largest float (so it rounds to inf), where `pow`
     # rounds dx squared an ulp lower (so the sum rounds down, to the square
     # of the radii sum).  `intersects` calls such a pair touching.
-    ulp = math.ldexp(1.0, 971)
-    limit = math.ldexp(1.0, 512) - math.ldexp(1.0, 459)
-    assert limit * limit == np.finfo(float).max - ulp
-    m = np.arange(1, 1 << 21, 2)
-    square = np.ldexp(((1 << 54) - 1 - m * m).astype(float), 970)
-    dx = np.sqrt(square)
-    with np.errstate(over="ignore"):
-        found = np.flatnonzero((dx * dx == square) & (np.float_power(dx, 2.0) == square - ulp))
-    assert found.size
+    limit, offsets = overflowing_offsets()
     objs = []
-    for k in found[:5].tolist():
-        x, y = float(dx[k]), math.ldexp(float(m[k]), 485)
-        assert x * x + y * y == math.inf and x**2 + y**2 == limit * limit
+    for x, y in offsets:
         objs += [Ball((0.0, 0.0), limit / 2.0), Ball((x, y), limit / 2.0)]
         assert intersects(objs[-2], objs[-1])
     with np.errstate(over="ignore"):

@@ -1,5 +1,7 @@
+import json
 import math
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +395,56 @@ def test_solves_build_one_set_of_separator_tables(monkeypatch):
     sol = solve_pack(gen_instance("random", 2, n=24, seed=0, density=8), SolveConfig(base_threshold=1))
     assert sol.optimal and separated and len(splits) > 1
     assert builds == {"rank_axes": 1, "cliques": 1}
+
+
+def test_ptas_answers_pinned_on_the_seed_1_benchmark_mix():
+    # The six instances of the ptas-large mix of `perfbench/run.py --seed 1`
+    # (30 s) at its PTAS settings, with the value, witness, nodes, depth and
+    # discarded count of each solve as recorded at commit 3695a73, before
+    # the base-box ladder was computed rung by rung, the shells' corners in
+    # one array and each greedy walk once per solve.
+    pinned = json.loads(Path(__file__).with_name("ptas_large_seed1.json").read_text())
+    assert len(pinned) == 6
+    cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
+    for rec in pinned:
+        _, shape, d, n, seed = rec["label"].split("-")
+        inst = gen_instance("random", int(d[1:]), shape=shape, n=int(n[1:]), seed=int(seed[1:]))
+        sol = getattr(ptas, rec["problem"])(inst, cfg)
+        witness = sol.witness if sol.problem == "pack" else [list(p) for p in sol.witness]
+        got = (sol.value, witness, sol.nodes, sol.depth, sol.discarded)
+        assert got == (rec["value"], rec["witness"], rec["nodes"], rec["depth"], rec["discarded"]), rec["label"]
+
+
+def test_ptas_walks_each_mask_once_per_solve(monkeypatch):
+    # A part's estimate, its split's measures, its leaf's search and the
+    # packing refill share one greedy walk per mask.  The memo goes with the
+    # solve: the next solve of the same instance walks as much again.
+    contexts, walks = [], []
+    init, walk = IntersectionContext.__init__, IntersectionContext.greedy_pack_mask
+
+    def recorded_init(self, objs):
+        init(self, objs)
+        contexts.append(self)
+
+    def recorded_walk(self, mask):
+        walks.append((self, mask))
+        return walk(self, mask)
+
+    monkeypatch.setattr(IntersectionContext, "__init__", recorded_init)
+    monkeypatch.setattr(IntersectionContext, "greedy_pack_mask", recorded_walk)
+    cfg = PtasConfig(epsilon=0.5, c_stop=1.0)
+    for solve, shape in ((ptas_pack, "ball"), (ptas_pierce, "box")):
+        inst = gen_instance("random", 2, shape=shape, n=120, seed=1, density=8)
+        counts = []
+        for _ in range(2):
+            del contexts[:], walks[:]
+            assert solve(inst, cfg).discarded > 0
+            (ctx,) = contexts
+            assert "greedy_pack_mask" not in vars(ctx)
+            masks = [mask for owner, mask in walks if owner is ctx]
+            assert len(masks) == len(walks) == len(set(masks))
+            counts.append(len(masks))
+        assert counts[0] == counts[1] > 1
 
 
 def test_pierce_leaf_abort_falls_back_to_greedy():

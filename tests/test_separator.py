@@ -33,7 +33,7 @@ from fatsep.separator import (
     shell_sweep,
 )
 from fatsep.solver import SolveConfig, _PackSearch
-from conftest import families_and_masks, random_objects
+from conftest import families_and_masks, huge_ball_family, overflowing_offsets, random_objects
 
 
 def tight_cluster(cx, cy, n, seed, r=0.1, spread=1.0):
@@ -138,6 +138,72 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
             got = find_base_box(Subfamily(IntersectionContext(objs)), tau)
             want = reference_base_box(monkeypatch, objs, tau)
             assert (got.low, got.high) == (want.low, want.high)
+
+
+def ladder_bisection(sub, tau):
+    """The base-box search over its whole ladder, listed: the bounding rung,
+    then a bisection for the smallest achieving rung.  Returns its box and
+    the sides it asked `_achieving_box` about, in order."""
+    centers = sub.arrays.center
+    extent = float((centers.max(axis=0) - centers.min(axis=0)).max())
+    floor = max(extent * 1e-9, 2.0**-50 * float(np.abs(centers).max()))
+    steps = max(int(math.log(extent / floor) / math.log(SIDE_SEARCH_RATIO)), 0)
+    ladder = [extent / SIDE_SEARCH_RATIO**j for j in range(steps, -1, -1)]
+    anchors = separator._anchors(sub)
+    min_side = separator._min_sides(sub, anchors, tau)
+    asked = [ladder[-1]]
+    best = separator._achieving_box(sub, anchors, ladder[-1], tau, min_side)
+    if best is None:
+        return None, asked
+    lo, hi = 0, len(ladder) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        asked.append(ladder[mid])
+        box = separator._achieving_box(sub, anchors, ladder[mid], tau, min_side)
+        if box is not None:
+            hi, best = mid, box
+        else:
+            lo = mid + 1
+    return best, asked
+
+
+def test_find_base_box_bisects_the_ladder_list(monkeypatch):
+    # The same rungs asked in the same order, and the same box, as a
+    # bisection over the listed ladder, on masks of ball and box families;
+    # above the mask's clique count every threshold is inf and both fail.
+    rng = random.Random(7)
+    asked = []
+    original = separator._achieving_box
+
+    def recording(sub, anchors, s, tau, min_side):
+        asked.append(s)
+        return original(sub, anchors, s, tau, min_side)
+
+    unreachable = 0
+    for shape in ("ball", "box"):
+        for d in (2, 3):
+            for density in (1.0, 8.0):
+                ctx = IntersectionContext(gen_instance("random", d, shape=shape, n=50, seed=d, density=density).objects)
+                for mask in (ctx.full_mask(), rng.getrandbits(ctx.n) | 3):
+                    sub = Subfamily(ctx, mask)
+                    cliques = len(separator._clique_boxes(sub)[0])
+                    g = ctx.greedy_pack_mask(mask)[0]
+                    for tau in sorted({1, 2, max(1, g // 3), g, cliques, cliques + 1}):
+                        want, want_asked = ladder_bisection(sub, tau)
+                        del asked[:]
+                        with monkeypatch.context() as m:
+                            m.setattr(separator, "_achieving_box", recording)
+                            if want is None:
+                                with pytest.raises(ValueError):
+                                    find_base_box(sub, tau)
+                            else:
+                                assert find_base_box(sub, tau) == want
+                        assert asked == want_asked, (shape, d, tau)
+                        if tau > cliques:
+                            assert want is None
+                            assert np.isinf(separator._min_sides(sub, separator._anchors(sub), tau)).all()
+                            unreachable += 1
+    assert unreachable
 
 
 def test_find_base_box_bounding_corner_first(monkeypatch):
@@ -557,12 +623,20 @@ CODES = {
 }
 
 
+def corners(boxes):
+    """`boxes` as the boxes x 2 x d array of their corners that `_classify`
+    also takes."""
+    return np.array([(b.low, b.high) for b in boxes])
+
+
 def assert_classify_matches(objs, boxes):
-    codes = separator._classify(ShapeArrays(objs), boxes)
-    assert codes.shape == (len(boxes), len(objs))
-    got = [[CODES[c] for c in row] for row in codes.tolist()]
+    """`_classify` of `objs` against `boxes`, given as a list and as a
+    corner array, equals `classify`; returns `classify`'s classes."""
     want = [[classify(o, b) for o in objs] for b in boxes]
-    assert got == want
+    for given in (boxes, corners(boxes)):
+        codes = separator._classify(ShapeArrays(objs), given)
+        assert codes.shape == (len(boxes), len(objs))
+        assert [[CODES[c] for c in row] for row in codes.tolist()] == want
     return want
 
 
@@ -624,6 +698,39 @@ def test_shapes_classify_rounds_like_classify():
     want = assert_classify_matches(objs, boxes)
     assert want[0][: len(radii)] == [RegionClass.BOUNDARY] * len(radii)
     assert want[1][len(radii) :] == [RegionClass.BOUNDARY] * len(radii)
+    # Balls off a box's corner on two axes, within an ulp or so of
+    # touching, whose sums of squares compare otherwise under x * x than
+    # under `**`: inside the band, where the kernel decides again.
+    gen = np.random.default_rng(4)
+    r = gen.uniform(0.2, 0.5, 20000)
+    limit = r + TOL
+    dx = limit * gen.uniform(0.2, 0.8, 20000)
+    dy = np.sqrt(limit * limit - dx * dx)
+    objs = []
+    for _ in range(5):
+        mult = dx * dx + dy * dy > limit * limit
+        power = np.float_power(dx, 2.0) + np.float_power(dy, 2.0) > np.float_power(limit, 2.0)
+        objs += [Ball((dx[k], dy[k]), r[k]) for k in np.flatnonzero(mult != power).tolist()]
+        dy = np.nextafter(dy, np.inf)
+    corner = [BoxRegion((-1.0, -1.0), (0.0, 0.0))]
+    want = assert_classify_matches(objs, corner)
+    assert len(objs) >= 10 and set(want[0]) == {RegionClass.OUTSIDE, RegionClass.BOUNDARY}
+    # Near +-1e160 the offsets round in the subtraction; against each pair's
+    # first ball's bounding box, its second ball falls either side of
+    # touching.
+    far = random.Random(5)
+    for x in (1e160, -1e160):
+        objs = huge_ball_family(x, far)
+        boxes = [BoxRegion(tuple(c - o.radius for c in o.center), tuple(c + o.radius for c in o.center)) for o in objs[::2]]
+        want = assert_classify_matches(objs, boxes)
+        assert {want[k][2 * k + 1] for k in range(len(boxes))} == {RegionClass.OUTSIDE, RegionClass.BOUNDARY}
+    # At the top of the float range a squared offset overflows under x * x
+    # and not under `pow`: `classify` finds these balls touching the box.
+    limit, offsets = overflowing_offsets()
+    objs = [Ball(xy, limit) for xy in offsets]
+    with np.errstate(over="ignore"):
+        want = assert_classify_matches(objs, corner)
+    assert want == [[RegionClass.BOUNDARY] * len(objs)]
 
 
 def test_shapes_classify_dimension_mismatch():
@@ -631,8 +738,9 @@ def test_shapes_classify_dimension_mismatch():
         ShapeArrays([Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)])
     square = BoxRegion((0.0, 0.0), (1.0, 1.0))
     for objs in ([Ball((0.0, 0.0, 0.0), 1.0)], [AxisBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))]):
-        with pytest.raises(DimensionMismatchError):
-            separator._classify(ShapeArrays(objs), [square])
+        for boxes in ([square], corners([square])):
+            with pytest.raises(DimensionMismatchError):
+                separator._classify(ShapeArrays(objs), boxes)
         with pytest.raises(DimensionMismatchError):
             shell_sweep(Subfamily(IntersectionContext(objs)), square, 4)
 
@@ -659,6 +767,31 @@ def test_find_base_box_picks_one_cluster():
     objs = tight_cluster(0, 0, 5, 1) + tight_cluster(1000, 0, 5, 2)
     box = find_base_box(Subfamily(IntersectionContext(objs)), 5)
     assert box.longest_side < 100  # one cluster, not a box spanning both
+
+
+def test_shell_sweep_classifies_against_magnifys_shells(monkeypatch):
+    # The sweep builds every shell's corners at once; they are `magnify`'s,
+    # bit for bit, for random boxes of every scale and many g.
+    rng = random.Random(6)
+    subs = {d: Subfamily(IntersectionContext(random_objects(d, 3, d=d))) for d in (2, 3)}
+    seen = []
+    original = separator._classify
+
+    def recording(shapes, boxes):
+        seen.append(boxes)
+        return original(shapes, boxes)
+
+    monkeypatch.setattr(separator, "_classify", recording)
+    for _ in range(2000):
+        d = rng.choice((2, 3))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        low = [rng.uniform(-1e3, 1e3) * scale for _ in range(d)]
+        base = BoxRegion(low, [x + rng.uniform(1e-3, 1e3) * scale for x in low])
+        g = rng.randint(1, 500)
+        shell_sweep(subs[d], base, g)
+        step = 1.0 / g ** (1.0 / d)
+        want = [magnify(base, 1.0 + j * step) for j in range(shell_count(d, g))]
+        assert seen.pop().tolist() == [[list(b.low), list(b.high)] for b in want]
 
 
 def test_shell_sweep_nothing_on_boundary():
