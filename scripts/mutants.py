@@ -54,8 +54,8 @@ MUTANTS = [
     Mutant(
         "centre-strict-end",
         "candidates.py",
-        "inside &= (lows[:, a] <= x[:, None]) & (x[:, None] <= highs[:, a])",
-        "inside &= (lows[:, a] <= x[:, None]) & (x[:, None] < highs[:, a])",
+        "inside &= (lows[:, a] <= x) & (x <= highs[:, a])",
+        "inside &= (lows[:, a] <= x) & (x < highs[:, a])",
         "tests/test_candidates.py::test_candidate_rows_are_the_coverage_masks",
     ),
     Mutant(
@@ -197,6 +197,23 @@ MUTANTS = [
         "inc[(unb & -unb).bit_length() - 1]",
         "tests/test_solver.py::test_pierce_base_case_covers_with_kept_rows",
     ),
+    # A packing boundary configuration grows by boundary objects that meet
+    # none of its own, and blocks, on both sides, the neighbours of all of
+    # them.
+    Mutant(
+        "pack-dfs-blocked-not-joined",
+        "solver.py",
+        "blocked | nbr[i]",
+        "nbr[i]",
+        "tests/test_solver.py::test_boundary_dfs_answer_is_best_over_subsets",
+    ),
+    Mutant(
+        "pack-dfs-keeps-neighbours",
+        "solver.py",
+        "cand & ~nbr[i]",
+        "cand",
+        "tests/test_solver.py::test_boundary_dfs_visits_each_independent_subset_once",
+    ),
     Mutant(
         "cover-boundary-first-row-only",
         "ptas.py",
@@ -324,8 +341,8 @@ MUTANTS = [
     Mutant(
         "boundary-removes-only-chosen",
         "solver.py",
-        "nmask |= self.ctx.nbr[i]",
-        "nmask |= 1 << i",
+        "blocked | nbr[i]",
+        "blocked | 1 << i",
         "tests/test_solver.py::test_dense_families_match_oracle_on_every_path",
     ),
     # A batch hands the closer its own components.

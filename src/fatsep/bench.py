@@ -10,7 +10,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence
 
 from .calibration import NODE_LAW_EXPONENT, node_law_bound
@@ -47,16 +47,17 @@ def config_digest(cfg: SolveConfig) -> str:
 
 
 def run_solver(solver: str, inst: Instance, cfg: SolveConfig) -> Solution:
-    """Run the solver named "pack", "pierce", "ptas-pack" or "ptas-pierce";
-    the PTAS runs at `cfg.epsilon` with `cfg` for its exact leaves."""
+    """Run the solver named "pack", "pierce", "ptas-pack" or "ptas-pierce".
+    The PTAS runs at `cfg.epsilon`, in (0, 1), and its splits and exact
+    leaves with `cfg` at the default separator epsilon of `SolveConfig`, as
+    under `PtasConfig(epsilon=e)` alone."""
     if solver == "pack":
         return solve_pack(inst, cfg)
     if solver == "pierce":
         return solve_pierce(inst, cfg)
-    if solver == "ptas-pack":
-        return ptas_pack(inst, PtasConfig(epsilon=cfg.epsilon, solve=cfg))
-    if solver == "ptas-pierce":
-        return ptas_pierce(inst, PtasConfig(epsilon=cfg.epsilon, solve=cfg))
+    if solver in ("ptas-pack", "ptas-pierce"):
+        ptas_cfg = PtasConfig(epsilon=cfg.epsilon, solve=replace(cfg, epsilon=SolveConfig.epsilon))
+        return (ptas_pack if solver == "ptas-pack" else ptas_pierce)(inst, ptas_cfg)
     raise ValueError(f"unknown solver {solver!r}")
 
 

@@ -15,8 +15,8 @@ intersection points — the lowest point of any nonempty disk intersection is
 one of these.  Each pair is intersected in (centre, radius) order, so the
 points do not depend on the family's order, bit for bit.
 
-Box grid coverage masks are the sweep's own, and the centres' come from the
-same comparisons; disk ones come from numpy, one block of points at a time.
+Box grid coverage masks are the sweep's own; the centres' and the disk ones
+come from numpy, one block of points at a time, with the same comparisons.
 All use the float operations of `geometry.contains_point`, so every bit
 equals its answer.
 """
@@ -163,17 +163,14 @@ def candidate_pierce_points(objs: Sequence[FatObject]) -> List[Point]:
 def candidate_rows(objs: Sequence[FatObject], shapes: ShapeArrays) -> Tuple[List[Point], List[int]]:
     """Unpruned (points, coverage masks) of `objs`, laid out as `shapes`:
     for boxes the first grid point of each distinct coverage and then every
-    centre (which may repeat a grid point or its coverage), with the
-    sweep's comparisons; or the disk candidates, with masks from the
-    coverage kernel over `shapes`."""
+    centre (which may repeat a grid point or its coverage), the grid's
+    masks the sweep's own and the centres' from the coverage kernel over
+    `shapes`, whose box test is the sweep's comparison; or the disk
+    candidates, their masks from that kernel too."""
     if objs and not shapes.ball.any():
         grid, rows = _box_sweep(shapes, first=True)
-        lows, highs = shapes.low - TOL, shapes.high + TOL
-        inside = np.ones((len(objs), len(objs)), dtype=bool)
-        for a, x in enumerate(shapes.center.T):
-            inside &= (lows[:, a] <= x[:, None]) & (x[:, None] <= highs[:, a])
         centres = list(map(tuple, shapes.center.tolist()))
-        return grid + centres, words_to_masks(rows) + rows_to_masks(inside)
+        return grid + centres, words_to_masks(rows) + _coverage(shapes, centres)
     points = candidate_pierce_points(objs)
     return points, _coverage(shapes, points)
 

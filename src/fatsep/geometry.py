@@ -105,14 +105,6 @@ class BoxRegion:
         return max(self.sides)
 
     @property
-    def shortest_side(self) -> float:
-        return min(self.sides)
-
-    @property
-    def aspect_ratio(self) -> float:
-        return self.longest_side / self.shortest_side
-
-    @property
     def center(self) -> Point:
         return tuple((l + h) / 2.0 for l, h in zip(self.low, self.high))
 

@@ -4,9 +4,9 @@ Polynomial-time greedy bounds (smallest-first, fully deterministic) and
 exact branch and bound.  The greedy packing value is always a lower bound
 on the true packing number; the greedy piercing value is always a feasible
 upper bound on the piercing number.  The exact solver
-searches packing subproblems with `exact_pack_mask` and `independent_sets`,
-and piercing ones with a `PierceTable` (the solver's own boundary search
-closes them), all on bitmasks over one `IntersectionContext`.  The table
+closes packing subproblems with `exact_pack_mask` and piercing ones with its
+own boundary search over a `PierceTable`, and enumerates every boundary
+class itself, all on bitmasks over one `IntersectionContext`.  The table
 indexes its rows by object (`inc[o]`: the rows that pierce object o), so
 its pruning, its restriction to a subproblem's mask, its greedy cover and
 the boundary search all work on masks of table rows, with no scan of the
@@ -43,13 +43,6 @@ from .geometry import TOL, FatObject, Point, ShapeArrays, rows_to_masks
 
 class _Overflow:
     """Sentinel: the exact value exceeds the requested cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "OVERFLOW"
@@ -219,22 +212,6 @@ class IntersectionContext:
             value += best_val
             chosen |= best_wit
         return value, chosen
-
-    def independent_sets(self, mask: int):
-        """Yield every independent subset of `mask` once, as a sorted id list.
-
-        DFS with forward pruning: subsets extend only by non-intersecting,
-        higher-id objects, so each subset appears exactly once, the empty set
-        first.
-        """
-
-        def rec(prefix: List[int], cand: int):
-            yield prefix
-            for i in _bits(cand):
-                higher = ~((1 << (i + 1)) - 1)
-                yield from rec(prefix + [i], cand & higher & ~self.nbr[i])
-
-        yield from rec([], mask)
 
 
 class Subfamily:

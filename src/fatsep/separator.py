@@ -188,21 +188,16 @@ def _achieving_box(
     so only those are tried.  A cube holds the run `[i, j)` of sorted
     coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]` on each
     axis (`bisect_left`, `bisect_right`), so its centre set is the mask ANDed
-    over axes with `prefixes[j] ^ prefixes[i]`; a centre set already tried
-    is skipped.
+    over axes with `prefixes[j] ^ prefixes[i]`.
     """
     coords, prefixes, _, _ = sub.ctx.rank_axes
     shifts = (s / 2.0, 0.0, s)
-    tried = set()
     for k in np.flatnonzero(min_side <= s).tolist():
         i, kind = divmod(k, 3)
         low = [x - shifts[kind] for x in anchors[i].tolist()]
         mask = sub.mask
         for coord, prefix, x in zip(coords, prefixes, low):
             mask &= prefix[bisect_right(coord, x + s + TOL)] ^ prefix[bisect_left(coord, x - TOL)]
-        if mask in tried:
-            continue
-        tried.add(mask)
         if _greedy_reaches(sub.ctx, mask, tau):
             return BoxRegion(tuple(low), tuple(x + s for x in low))
     return None
@@ -276,11 +271,10 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
 _INSIDE, _BOUNDARY, _OUTSIDE = 0, 1, 2
 
 
-def _classify(shapes: ShapeArrays, boxes: Union[Sequence[BoxRegion], np.ndarray]) -> np.ndarray:
+def _classify(shapes: ShapeArrays, boxes: np.ndarray) -> np.ndarray:
     """Code (`_INSIDE`, `_BOUNDARY` or `_OUTSIDE`) of every object (column)
-    against every box (row), equal to `geometry.classify`.  `boxes` is a
-    list of `BoxRegion`s or an array of their corners, boxes x 2 x d (low,
-    then high).
+    against every box (row), equal to `geometry.classify`.  `boxes` holds
+    the boxes' corners, boxes x 2 x d (low, then high).
 
     The float operations are `classify`'s: a ball is outside when its
     squared distance to the box, the squares of `_dist2_point_box`'s
@@ -293,14 +287,8 @@ def _classify(shapes: ShapeArrays, boxes: Union[Sequence[BoxRegion], np.ndarray]
     `measure._ball_matrix`).
     """
     d = shapes.dim
-    if isinstance(boxes, np.ndarray):
-        if boxes.shape[-1] != d:
-            raise DimensionMismatchError(f"dimension mismatch: {d} vs {boxes.shape[-1]}")
-    else:
-        for b in boxes:
-            if b.dim != d:
-                raise DimensionMismatchError(f"dimension mismatch: {d} vs {b.dim}")
-        boxes = np.array([(b.low, b.high) for b in boxes]).reshape(-1, 2, d)
+    if boxes.shape[-1] != d:
+        raise DimensionMismatchError(f"dimension mismatch: {d} vs {boxes.shape[-1]}")
     blow, bhigh = boxes[:, 0], boxes[:, 1]
     balls = shapes.ball
     ball_center = shapes.center[balls]
@@ -390,7 +378,7 @@ def separate(
     base = find_base_box(sub, tau)
     if degenerate:
         m_star, box = 1.0, magnify(base, 1.0)
-        codes = _classify(sub.arrays, [box])[0]
+        codes = _classify(sub.arrays, np.array([[box.low, box.high]]))[0]
     else:
         m_star, swept, codes = shell_sweep(sub, base, g)
         box = magnify(base, m_star)

@@ -233,17 +233,27 @@ class _PackSearch(_Search):
         return mask & ~o, 0, o
 
     def _separated(self, inside: int, outside: int, boundary: int):
+        # Independent sets of the boundary, the empty one first: a set grows
+        # only by higher bits of `cand`, its bits that no chosen object
+        # meets, and `blocked` is the union of its objects' neighbourhoods.
         best = None
         depth = 0
-        for chosen in self.ctx.independent_sets(boundary):
-            nmask = 0
-            for i in chosen:
-                nmask |= self.ctx.nbr[i]
-            rin, din = self.solve(inside & ~nmask)
-            rout, dout = self.solve(outside & ~nmask)
+        nbr = self.ctx.nbr
+
+        def dfs(cand: int, chosen: List[int], blocked: int):
+            nonlocal best, depth
+            rin, din = self.solve(inside & ~blocked)
+            rout, dout = self.solve(outside & ~blocked)
             depth = max(depth, 1 + max(din, dout))
             if best is None or len(chosen) + len(rin) + len(rout) > len(best):
                 best = chosen + rin + rout
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                dfs(cand & ~nbr[i], chosen + [i], blocked | nbr[i])
+
+        dfs(boundary, [], 0)
         assert best is not None
         return best, depth
 

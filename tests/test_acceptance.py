@@ -119,7 +119,7 @@ def test_criterion_3_separator_invariants(capsys):
             sep = separate(list(inst.objects))
             p = k**d
             total += 1
-            if sep.box.aspect_ratio > 2 + 1e-9:
+            if max(sep.box.sides) / min(sep.box.sides) > 2 + 1e-9:
                 ok = False
             for i, o in enumerate(inst.objects):
                 cls = classify(o, sep.box)

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from fatsep.cli import EXIT_NODE_CAP, EXIT_OK, EXIT_SPEC_ERROR, main
+from fatsep.cli import EXIT_NODE_CAP, EXIT_OK, EXIT_SPEC_ERROR, _format_solution, main
 from fatsep.instances import read_instance
+from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
 
 
 def run_cli(args):
@@ -142,6 +143,22 @@ def test_ptas_subcommands(inst_file, tmp_path, capsys):
         rc = run_cli([cmd, "--in", inst_file, "--epsilon", "0.5", "--out", str(out)])
         assert rc == EXIT_OK
         assert f"problem={cmd}" in out.read_text()
+    capsys.readouterr()
+
+
+def test_ptas_epsilon_above_half(tmp_path, capsys):
+    # The PTAS takes any epsilon in (0, 1); its splits and leaves run at the
+    # default separator epsilon, so the CLI answers as the API does.
+    p = tmp_path / "big.txt"
+    assert run_cli(["gen", "--family", "random", "--dim", "2", "--n", "80",
+                    "--seed", "1", "--out", str(p)]) == EXIT_OK
+    inst = read_instance(str(p))
+    for cmd, scheme in (("ptas-pack", ptas_pack), ("ptas-pierce", ptas_pierce)):
+        out = tmp_path / f"{cmd}.txt"
+        rc = run_cli([cmd, "--in", str(p), "--epsilon", "0.75", "--out", str(out)])
+        assert rc == EXIT_OK
+        sol = scheme(inst, PtasConfig(epsilon=0.75))
+        assert out.read_text() == _format_solution(cmd, sol)
     capsys.readouterr()
 
 

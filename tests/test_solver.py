@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import statistics
@@ -250,43 +251,84 @@ def test_pierce_at_least_pack():
 # --- boundary enumeration -------------------------------------------------
 
 
-def independent_sets(objs, mask=None):
-    ctx = IntersectionContext(objs)
-    return list(ctx.independent_sets(ctx.full_mask() if mask is None else mask))
+def boundary_visits(ctx, boundary, monkeypatch):
+    """The independent subsets of `boundary` that `_PackSearch._separated`
+    visits, in visit order, read from its `solve` calls.  Each object i of
+    the context gets a private neighbour, bit n + i, which meets it alone;
+    with these bits as the inside, a visit of C asks for the inside minus
+    N(C), which names C."""
+    n = ctx.n
+    probes = ((1 << n) - 1) << n
+    monkeypatch.setattr(ctx, "nbr", [m | 1 << (n + i) for i, m in enumerate(ctx.nbr)])
+    search = _PackSearch(ctx, SolveConfig())
+    asked = []
+    monkeypatch.setattr(search, "solve", lambda mask: asked.append(mask) or ([], 0))
+    search._separated(probes, 0, boundary)
+    # Each visit asks for the inside, then for the empty outside.
+    assert asked[1::2] == [0] * (len(asked) // 2)
+    return [tuple(i for i in range(n) if not mask >> (n + i) & 1) for mask in asked[::2]]
 
 
-def test_enumerate_empty_boundary():
-    assert independent_sets([]) == [[]]
+def independent_subsets(ctx, mask):
+    """Every independent subset of `mask`, by filtering its power set."""
+    ids = mask_to_ids(mask)
+    subsets = []
+    for k in range(len(ids) + 1):
+        for c in itertools.combinations(ids, k):
+            if all(not intersects(ctx.objs[a], ctx.objs[b]) for a, b in itertools.combinations(c, 2)):
+                subsets.append(c)
+    return subsets
 
 
-def test_enumerate_two_intersecting():
-    objs = [Ball((0, 0), 1), Ball((0.5, 0), 1)]
-    got = sorted(map(tuple, independent_sets(objs)))
-    assert got == [(), (0,), (1,)]
+def test_boundary_dfs_empty_boundary(monkeypatch):
+    assert boundary_visits(IntersectionContext([]), 0, monkeypatch) == [()]
 
 
-def test_enumerate_matches_powerset_filter():
+def test_boundary_dfs_two_intersecting(monkeypatch):
+    ctx = IntersectionContext([Ball((0, 0), 1), Ball((0.5, 0), 1)])
+    assert boundary_visits(ctx, 3, monkeypatch) == [(), (0,), (1,)]
+
+
+def random_boundaries():
+    """(context, boundary mask) of 6-object families: the full mask, then a
+    random proper sub-mask of it."""
     rng = random.Random(0)
     for seed in range(10):
         ctx = IntersectionContext(random_objects(seed, 6))
-        objs = ctx.objs
-        # The full mask, then a random proper sub-mask of it.
         for mask in (63, rng.randrange(1, 63)):
-            got = list(ctx.independent_sets(mask))
-            want = []
-            for m in range(64):
-                if m & ~mask:
-                    continue
-                ids = [i for i in range(6) if m >> i & 1]
-                if all(
-                    not intersects(objs[a], objs[b])
-                    for x, a in enumerate(ids)
-                    for b in ids[x + 1 :]
-                ):
-                    want.append(tuple(ids))
-            assert sorted(map(tuple, got)) == sorted(want)
-            assert all(s == sorted(s) for s in got)
-            assert got[0] == []  # the empty set comes first
+            yield ctx, mask
+
+
+def test_boundary_dfs_visits_each_independent_subset_once(monkeypatch):
+    for ctx, mask in random_boundaries():
+        with monkeypatch.context() as m:
+            got = boundary_visits(ctx, mask, m)
+        assert got[0] == ()  # the empty set comes first
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(independent_subsets(ctx, mask))
+
+
+def test_boundary_dfs_answer_is_best_over_subsets():
+    # The objects off the boundary alternate between the two sides.
+    for ctx, mask in random_boundaries():
+        rest = mask_to_ids(63 & ~mask)
+        inside = sum(1 << i for i in rest[::2])
+        outside = sum(1 << i for i in rest[1::2])
+        search = _PackSearch(ctx, SolveConfig(base_threshold=1))
+        search.memo, search.budget = {}, _Budget(10**6)
+        best, _ = search._separated(inside, outside, mask)
+
+        def side(part, c):
+            free = [ctx.objs[i] for i in mask_to_ids(part) if not any(ctx.nbr[j] >> i & 1 for j in c)]
+            return brute_pack(inst_of(free)).value
+
+        want = max(len(c) + side(inside, c) + side(outside, c) for c in independent_subsets(ctx, mask))
+        assert len(best) == want
+        # The sides may meet each other here, but neither meets the
+        # boundary objects chosen, and each side's answer is a packing.
+        for part in (mask | inside, mask | outside):
+            objs = [ctx.objs[i] for i in best if part >> i & 1]
+            assert all(not intersects(a, b) for a, b in itertools.combinations(objs, 2))
 
 
 # --- pivot fallback ---------------------------------------------------------
