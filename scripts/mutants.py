@@ -395,28 +395,36 @@ MUTANTS = [
         "reach &= lo[:, a, None] < hi[:, a]",
         "tests/test_measure.py::test_intersection_context_matches_intersects",
     ),
-    # Ball pairs square by multiplication, `_BALL_ROWS` rows at a time, and
-    # decide again with `pow` near touching and where a square overflows.
+    # Every ball test squares by multiplication, `t * t`, the predicates and
+    # the kernels alike; a square taken with `pow` (`**`, `float_power`)
+    # rounds the last bit otherwise on near-tangent pairs.
     Mutant(
-        "ball-band-zero",
-        "measure.py",
-        "_BAND = 1e-12",
-        "_BAND = 0.0",
+        "ball-scalar-pow",
+        "geometry.py",
+        "t = x - y\n        s += t * t",
+        "t = x - y\n        s += t ** 2",
         "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
     ),
     Mutant(
-        "ball-overflow-not-redone",
+        "ball-matrix-pow",
         "measure.py",
-        "        redo |= bd2 == np.inf\n",
-        "",
+        "np.multiply(blim2, blim2, out=blim2)",
+        "np.float_power(blim2, 2.0, out=blim2)",
         "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
     ),
     Mutant(
-        "ball-redo-row-off",
-        "measure.py",
-        "i += start\n",
-        "i += start + 1\n",
-        "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
+        "classify-pow",
+        "separator.py",
+        "d2 += t * t",
+        "d2 += np.float_power(t, 2.0)",
+        "tests/test_separator.py::test_shapes_classify_rounds_like_classify",
+    ),
+    Mutant(
+        "coverage-pow",
+        "candidates.py",
+        "d2 += t * t",
+        "d2 += np.float_power(t, 2.0)",
+        "tests/test_candidates.py::test_coverage_masks_matches_contains_point",
     ),
     Mutant(
         "classify-inside-without-tol",
@@ -425,23 +433,7 @@ MUTANTS = [
         "inside &= shapes.low[:, a] >= l",
         "tests/test_separator.py::test_shapes_classify_matches_classify",
     ),
-    # The classifier squares ball offsets by multiplication and decides
-    # again with `pow` near the limit and where a square is infinite; with
-    # balls only, the distances decide outside on their own.
-    Mutant(
-        "classify-band-zero",
-        "separator.py",
-        "redo = d2 * (1.0 - _BAND) <= lim2\n    redo &= lim2 <= d2 * (1.0 + _BAND)",
-        "redo = d2 * (1.0 - 0.0) <= lim2\n    redo &= lim2 <= d2 * (1.0 + 0.0)",
-        "tests/test_separator.py::test_shapes_classify_rounds_like_classify",
-    ),
-    Mutant(
-        "classify-overflow-not-redone",
-        "separator.py",
-        "    redo |= (d2 == np.inf) | (lim2 == np.inf)\n",
-        "",
-        "tests/test_separator.py::test_shapes_classify_rounds_like_classify",
-    ),
+    # With balls only, the distances decide outside on their own.
     Mutant(
         "classify-box-tests-skipped-with-any-ball",
         "separator.py",

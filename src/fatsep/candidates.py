@@ -183,17 +183,15 @@ def coverage_masks(objs: Sequence[FatObject], points: Sequence[Point]) -> List[i
 def _coverage(shapes: ShapeArrays, points: Sequence[Point]) -> List[int]:
     """`coverage_masks` over a family's `ShapeArrays`.
 
-    Boxes test `low - TOL <= x <= high + TOL` per axis.  Balls sum the
-    squared axis offsets in axis order and compare with `(radius + TOL) **
-    2`; squares use `float_power`, which calls the C `pow` that Python's
-    `**` calls (numpy's `square` and `power` can round the last bit
-    otherwise).
+    Boxes test `low - TOL <= x <= high + TOL` per axis; balls square as the
+    `geometry` module states.
     """
     n = len(shapes.ball)
     ball_ids = np.flatnonzero(shapes.ball)
     box_ids = np.flatnonzero(~shapes.ball)
     centers = shapes.center[ball_ids]
-    limits = np.float_power(shapes.radius[ball_ids] + TOL, 2.0)
+    limits = shapes.radius[ball_ids] + TOL
+    limits *= limits
     lows = shapes.low[box_ids] - TOL
     highs = shapes.high[box_ids] + TOL
     masks: List[int] = []
@@ -203,7 +201,8 @@ def _coverage(shapes: ShapeArrays, points: Sequence[Point]) -> List[int]:
         if ball_ids.size:
             d2 = np.zeros((len(block), len(ball_ids)))
             for a in range(block.shape[1]):
-                d2 += np.float_power(block[:, a, None] - centers[:, a], 2.0)
+                t = block[:, a, None] - centers[:, a]
+                d2 += t * t
             hit[:, ball_ids] = d2 <= limits
         if box_ids.size:
             inside = np.ones((len(block), len(box_ids)), dtype=bool)

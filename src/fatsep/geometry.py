@@ -3,11 +3,17 @@
 All predicates use closed-set semantics with an absolute tolerance TOL on
 boundary coincidences; exact touches are resolved conservatively (tangent
 shapes intersect, objects coinciding with a region face are Boundary).
-Everything here is immutable and pure.  `ShapeArrays` lays a family out as
-the arrays every numpy kernel elsewhere reads, and `rows_to_masks` turns
-those kernels' boolean arrays into the Python-int bitmasks the searches
-work on.  `to_words` packs them into rows of uint64 words instead, for the
-candidate sweep, and `words_to_masks` turns those into the same bitmasks.
+A ball test squares by multiplication: it sums `t * t` over the axis
+offsets t in axis order and compares the sum with `limit * limit`, where
+limit is the radius (or the radii sum) plus TOL.  A square past the float
+range is inf, so such a pair is apart.  Every numpy kernel that answers a
+ball test does the same float operations, so it agrees with these
+predicates bit for bit.  Everything here is immutable and pure.
+`ShapeArrays` lays a family out as the arrays every numpy kernel elsewhere
+reads, and `rows_to_masks` turns those kernels' boolean arrays into the
+Python-int bitmasks the searches work on.  `to_words` packs them into rows
+of uint64 words instead, for the candidate sweep, and `words_to_masks`
+turns those into the same bitmasks.
 """
 from __future__ import annotations
 
@@ -142,21 +148,32 @@ def _check_same_dim(a, b):
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _dist2(p: Point, q: Point) -> float:
+    # A loop, not `sum`: from CPython 3.12 `sum` compensates float rounding,
+    # which the kernels' plain additions do not.
+    s = 0.0
+    for x, y in zip(p, q):
+        t = x - y
+        s += t * t
+    return s
+
+
 def _dist2_point_box(p: Point, low: Point, high: Point) -> float:
     s = 0.0
     for x, l, h in zip(p, low, high):
-        if x < l:
-            s += (l - x) ** 2
-        elif x > h:
-            s += (x - h) ** 2
+        t = max(l - x, x - h, 0.0)
+        s += t * t
     return s
+
+
+def _within(d2: float, limit: float) -> bool:
+    return d2 <= limit * limit
 
 
 def contains_point(obj: FatObject, p: Point) -> bool:
     """Closed-set membership of a point in an object (tolerance TOL)."""
     if isinstance(obj, Ball):
-        d2 = sum((x - c) ** 2 for x, c in zip(p, obj.center))
-        return d2 <= (obj.radius + TOL) ** 2
+        return _within(_dist2(p, obj.center), obj.radius + TOL)
     return all(l - TOL <= x <= h + TOL for x, l, h in zip(p, obj.low, obj.high))
 
 
@@ -164,12 +181,11 @@ def intersects(a: FatObject, b: FatObject) -> bool:
     """True iff the closed shapes share at least one point."""
     _check_same_dim(a, b)
     if isinstance(a, Ball) and isinstance(b, Ball):
-        d2 = sum((x - y) ** 2 for x, y in zip(a.center, b.center))
-        return d2 <= (a.radius + b.radius + TOL) ** 2
+        return _within(_dist2(a.center, b.center), a.radius + b.radius + TOL)
     if isinstance(a, Ball):
-        return _dist2_point_box(a.center, b.low, b.high) <= (a.radius + TOL) ** 2
+        return _within(_dist2_point_box(a.center, b.low, b.high), a.radius + TOL)
     if isinstance(b, Ball):
-        return _dist2_point_box(b.center, a.low, a.high) <= (b.radius + TOL) ** 2
+        return _within(_dist2_point_box(b.center, a.low, a.high), b.radius + TOL)
     return all(
         al <= bh + TOL and bl <= ah + TOL
         for al, ah, bl, bh in zip(a.low, a.high, b.low, b.high)
@@ -286,8 +302,7 @@ def classify(obj: FatObject, box: BoxRegion) -> RegionClass:
     _check_same_dim(obj, box)
     olow, ohigh = bounding_low_high(obj)
     if isinstance(obj, Ball):
-        d2 = _dist2_point_box(obj.center, box.low, box.high)
-        if d2 > (obj.radius + TOL) ** 2:
+        if not _within(_dist2_point_box(obj.center, box.low, box.high), obj.radius + TOL):
             return RegionClass.OUTSIDE
     else:
         for ol, oh, l, h in zip(olow, ohigh, box.low, box.high):

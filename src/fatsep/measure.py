@@ -21,10 +21,9 @@ and branch takes a mask's lowest bit.  It takes its family's flat rows
 rows once, and keeps them as `ctx.arrays`, whose centres and corners the
 separator and `PierceTable` read, built on first use: a packing solve that
 never splits never builds them.  Its neighbourhood masks come from one
-numpy array per pair of shapes with the comparisons of
-`geometry.intersects`, bit for bit; ball pairs are squared by
-multiplication, a block of rows at a time, and decided again with `pow`
-where that could round otherwise.  A split reads the context through a mask
+numpy array per pair of shapes with the float operations of
+`geometry.intersects`, bit for bit; ball pairs are taken a block of rows
+at a time.  A split reads the context through a mask
 (`Subfamily`), so a solve's splits share its one context.
 """
 from __future__ import annotations
@@ -355,21 +354,16 @@ def _undominated(inc: Sequence[int], first: dict) -> int:
 # Ball rows per block of `_ball_matrix`: its float buffers are _BALL_ROWS x
 # balls, not balls x balls, which at a few hundred balls is the faster.
 _BALL_ROWS = 128
-# How far apart, relative to the squared limit, `x * x` and `pow` sums of
-# squares may decide a ball pair differently: each square rounds within an
-# ulp or so, some 1e-16 of it.
-_BAND = 1e-12
 
 
 def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     """Boolean n x n array of `geometry.intersects` (every object meets itself);
     a family of one shape gets its one block, without the scatter.
 
-    Squared offsets are summed axis by axis in axis order.  A ball-box
-    offset is `_dist2_point_box`'s `l - x` below the box, `x - h` above it
-    and 0 within, squared with `float_power` (the C `pow` that Python's `**`
-    calls); boxes compare `al <= bh + TOL and bl <= ah + TOL`.  Ball pairs
-    go through `_ball_matrix`.
+    Ball tests square as the `geometry` module states.  A ball-box offset
+    is `_dist2_point_box`'s `max(l - x, x - h, 0)`; boxes compare
+    `al <= bh + TOL and bl <= ah + TOL`.  Ball pairs go through
+    `_ball_matrix`.
     """
     rows, d = shapes.rows, shapes.dim
     ball = shapes.ball
@@ -388,8 +382,9 @@ def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     for a in range(d):
         x = c[:, a, None]
         offset = np.maximum(np.maximum(lo[:, a] - x, x - hi[:, a]), 0.0)
-        d2 += np.float_power(offset, 2.0)
-    meet = d2 <= np.float_power(r + TOL, 2.0)[:, None]
+        d2 += offset * offset
+    limit = r + TOL
+    meet = d2 <= (limit * limit)[:, None]
     hit[np.ix_(balls, boxes)] = meet
     hit[np.ix_(boxes, balls)] = meet.T
     return hit
@@ -408,13 +403,7 @@ def _box_matrix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _ball_matrix(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """`intersects` of every pair of balls with centres `c` and radii `r`,
-    `_BALL_ROWS` rows at a time.
-
-    `intersects` squares with the C `pow`, which can round the last bit
-    otherwise than `x * x`.  So pairs are squared by multiplication, and
-    those within `_BAND` of touching, or whose squared offset overflows,
-    are decided again with `float_power`, which calls that `pow`.
-    """
+    `_BALL_ROWS` rows at a time."""
     m, d = c.shape
     hit = np.empty((m, m), dtype=bool)
     t, d2, lim2 = np.empty((3, min(m, _BALL_ROWS), m))
@@ -430,18 +419,6 @@ def _ball_matrix(c: np.ndarray, r: np.ndarray) -> np.ndarray:
         blim2 += TOL
         np.multiply(blim2, blim2, out=blim2)
         np.less_equal(bd2, blim2, out=hit[start:stop])
-        redo = np.multiply(bd2, 1.0 - _BAND, out=bt) <= blim2
-        redo &= blim2 <= np.multiply(bd2, 1.0 + _BAND, out=bt)
-        redo |= bd2 == np.inf
-        if redo.any():
-            i, j = np.nonzero(redo)
-            i += start
-            exact = np.zeros(len(i))
-            for a in range(d):
-                exact += np.float_power(c[i, a] - c[j, a], 2.0)
-            limit = r[i] + r[j]
-            limit += TOL
-            hit[i, j] = exact <= np.float_power(limit, 2.0)
     return hit
 
 

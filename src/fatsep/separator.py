@@ -46,7 +46,7 @@ from .geometry import (
     ShapeArrays,
     magnify,
 )
-from .measure import _BAND, IntersectionContext, MeasureEstimate, Subfamily
+from .measure import IntersectionContext, MeasureEstimate, Subfamily
 
 
 # Ratio between consecutive cube sides on `find_base_box`'s ladder.
@@ -277,14 +277,11 @@ def _classify(shapes: ShapeArrays, boxes: np.ndarray) -> np.ndarray:
     the boxes' corners, boxes x 2 x d (low, then high).
 
     The float operations are `classify`'s: a ball is outside when its
-    squared distance to the box, the squares of `_dist2_point_box`'s
-    offsets summed in axis order, exceeds `(radius + TOL) ** 2`; a box when
-    on some axis `high < l - TOL` or `low > h + TOL`; an object is inside
-    when, on every axis, its bounding corners satisfy `low >= l + TOL` and
-    `high <= h - TOL`.  `classify` squares with the C `pow`, so the squares
-    here are products, and a pair within `_BAND` of the limit, or with an
-    infinite square, is decided again with `float_power` (as in
-    `measure._ball_matrix`).
+    squared distance to the box, from `_dist2_point_box`'s offsets squared
+    as the `geometry` module states, exceeds `(radius + TOL)` squared; a box
+    when on some axis `high < l - TOL` or `low > h + TOL`; an object is
+    inside when, on every axis, its bounding corners satisfy
+    `low >= l + TOL` and `high <= h - TOL`.
     """
     d = shapes.dim
     if boxes.shape[-1] != d:
@@ -308,19 +305,7 @@ def _classify(shapes: ShapeArrays, boxes: np.ndarray) -> np.ndarray:
         d2 += t * t
     # Balls are outside by distance, not by their bounding corners.
     limit = shapes.radius[balls] + TOL
-    lim2 = limit * limit
-    far = d2 > lim2
-    redo = d2 * (1.0 - _BAND) <= lim2
-    redo &= lim2 <= d2 * (1.0 + _BAND)
-    redo |= (d2 == np.inf) | (lim2 == np.inf)
-    if redo.any():
-        i, j = np.nonzero(redo)
-        exact = np.zeros(len(i))
-        for a in range(d):
-            x = ball_center[j, a]
-            exact += np.float_power(np.maximum(np.maximum(blow[i, a] - x, x - bhigh[i, a]), 0.0), 2.0)
-        far[i, j] = exact > np.float_power(limit[j], 2.0)
-    outside[:, balls] = far
+    outside[:, balls] = d2 > limit * limit
     return np.where(outside, _OUTSIDE, np.where(inside, _INSIDE, _BOUNDARY)).astype(np.int8)
 
 

@@ -71,9 +71,10 @@ def huge_ball_family(x, rng):
 
 def overflowing_offsets(count=5):
     """(limit, offsets): `count` offsets (x, y) whose sum of squares under
-    x * x is half an ulp past the largest float (so it rounds to inf), where
-    `pow` rounds x squared an ulp lower (so the sum rounds down to limit
-    squared, the largest float but one)."""
+    x * x is half an ulp past the largest float, so it rounds to inf and a
+    ball test takes the pair as apart.  `pow` rounds x squared an ulp lower,
+    so a test that squares with `pow` would find the sum equal to limit
+    squared, the largest float but one, and the pair touching."""
     ulp = math.ldexp(1.0, 971)
     limit = math.ldexp(1.0, 512) - math.ldexp(1.0, 459)
     assert limit * limit == np.finfo(float).max - ulp

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fatsep import candidates
@@ -164,10 +165,28 @@ def test_coverage_masks_matches_contains_point():
             objs = list(gen_instance("random", d, shape=shape, n=12, seed=seed).objects)
             check(objs, candidate_pierce_points(objs) + boundary_points(objs))
     # A point at exactly radius + TOL from the center sits on the comparison's
-    # last bit: squares rounded other than as Python's `**` flips some.
+    # last bit: squares rounded other than as `contains_point`'s flip some.
     for k in range(2000):
         r = 0.5 + k / 997
         check([Ball((0.0, 0.0), r)], [(r + TOL, 0.0)])
+    # Points off a disk's centre on two axes, within an ulp or so of its
+    # limit r + TOL, whose sums of squares compare otherwise under x * x
+    # than under `pow`.
+    gen = np.random.default_rng(6)
+    r = gen.uniform(0.2, 0.5, 20000)
+    limit = r + TOL
+    dx = limit * gen.uniform(0.2, 0.8, 20000)
+    dy = np.sqrt(limit * limit - dx * dx)
+    disks, pts = [], []
+    for _ in range(5):
+        mult = dx * dx + dy * dy <= limit * limit
+        power = np.float_power(dx, 2.0) + np.float_power(dy, 2.0) <= np.float_power(limit, 2.0)
+        for k in np.flatnonzero(mult != power).tolist():
+            disks.append(Ball((0.0, 0.0), r[k]))
+            pts.append((float(dx[k]), float(dy[k])))
+        dy = np.nextafter(dy, np.inf)
+    masks = check(disks, pts)
+    assert len(pts) >= 10 and {m >> k & 1 for k, m in enumerate(masks)} == {0, 1}
     # Masks wider than 64 bits, over more than one block of points.
     objs = list(gen_instance("random", 2, shape="box", n=70, seed=1).objects)
     pts = candidate_pierce_points(objs) + boundary_points(objs)

@@ -77,6 +77,16 @@ def test_classify_examples():
     assert classify(Ball((2, 0), 1), box) is RegionClass.BOUNDARY
 
 
+def test_ball_tests_take_overflowing_squares_as_apart():
+    # Offsets near 1e160 square past the float range, to inf: the shapes are
+    # apart and the point outside, where squaring with Python's `**` raises.
+    far, unit = Ball((1e160, 0.0), 1.0), Ball((0.0, 0.0), 1.0)
+    assert not intersects(far, Ball((-1e160, 0.0), 1.0))
+    assert not intersects(far, AxisBox((-1.0, -1.0), (1.0, 1.0)))
+    assert not contains_point(unit, (1e160, 0.0))
+    assert classify(far, BoxRegion((-1.0, -1.0), (1.0, 1.0))) is RegionClass.OUTSIDE
+
+
 def test_center_in_examples():
     box = BoxRegion((-1, -1), (1, 1))
     assert center_in(Ball((0, 0), 10), box)

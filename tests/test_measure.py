@@ -15,7 +15,6 @@ from fatsep.geometry import (
     ShapeArrays,
     contains_point,
     intersects,
-    rows_to_masks,
     size,
 )
 from fatsep.instances import Instance, gen_instance
@@ -492,21 +491,10 @@ def test_intersection_context_matches_intersects(d):
     assert all(seen == {True, False} for seen in outcomes.values())
 
 
-def all_pairs_ball_nbr(objs):
-    """`intersects`' ball formula on every pair with numpy's `float_power`,
-    which squares past the float range to inf where Python's `**` raises."""
-    c = np.array([o.center for o in objs])
-    r = np.array([o.radius for o in objs])
-    d2 = np.zeros((len(objs), len(objs)))
-    with np.errstate(over="ignore"):
-        for a in range(c.shape[1]):
-            d2 += np.float_power(c[:, a, None] - c[:, a], 2.0)
-        return rows_to_masks(d2 <= np.float_power(r[:, None] + r + TOL, 2.0))
-
-
 def test_intersection_context_rounds_like_intersects():
     # Tangent pairs whose squared gap rounds differently under x * x than
-    # under Python's `**`: any kernel that squares another way flips a bit.
+    # under Python's `**`: any kernel or predicate that squares with `pow`
+    # flips a bit.
     rng = random.Random(3)
 
     def radii(gap):
@@ -579,31 +567,30 @@ def test_intersection_context_rounds_like_intersects():
         assert nbr == pairwise_nbr(objs)
         hits = [bool(nbr[i] >> (i + 1) & 1) for i in range(0, len(objs), 2)]
         assert set(hits) == {True, False}
-    # Across +-1e160 every offset squares past the float range: `intersects`
-    # raises, and the kernel keeps the all-pairs answer, where a pair whose
-    # radii sum (plus TOL) squares to inf as well meets (`inf <= inf`).
-    with pytest.raises(OverflowError):
-        intersects(Ball((1e160, 0.0), 1.0), Ball((-1e160, 0.0), 1.0))
+    # Across +-1e160 every offset squares past the float range, to inf: a
+    # pair is apart unless its radii sum (plus TOL) squares to inf as well,
+    # when it meets (`inf <= inf`).
+    assert not intersects(Ball((1e160, 0.0), 1.0), Ball((-1e160, 0.0), 1.0))
     root = math.sqrt(np.finfo(float).max)
     sizes = [1.0, 1e152, root / 2 * (1 - 1e-9), root / 2 * (1 + 1e-9), 1e155]
     objs = [Ball((x, 3.0 * k), r) for x in (1e160, -1e160) for k, r in enumerate(sizes)]
     with np.errstate(over="ignore"):
         nbr = given_nbr(IntersectionContext(objs))
-    assert nbr == all_pairs_ball_nbr(objs)
+    assert nbr == pairwise_nbr(objs)
     across = {(i, j) for i in range(5) for j in range(5, 10) if nbr[i] >> j & 1}
     assert (0, 5) not in across and (4, 5) in across and (3, 8) in across and (2, 7) not in across
     # At the top of the float range a squared offset can overflow under
     # x * x and not under `pow`: offsets (dx, dy) with dx * dx + dy * dy
     # half an ulp past the largest float (so it rounds to inf), where `pow`
     # rounds dx squared an ulp lower (so the sum rounds down, to the square
-    # of the radii sum).  `intersects` calls such a pair touching.
+    # of the radii sum).  Squared by multiplication, such a pair is apart.
     limit, offsets = overflowing_offsets()
     objs = []
     for x, y in offsets:
         objs += [Ball((0.0, 0.0), limit / 2.0), Ball((x, y), limit / 2.0)]
-        assert intersects(objs[-2], objs[-1])
+        assert not intersects(objs[-2], objs[-1])
     with np.errstate(over="ignore"):
-        assert given_nbr(IntersectionContext(objs)) == all_pairs_ball_nbr(objs)
+        assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
 
 
 def test_intersection_context_numbers_objects_by_size():

@@ -680,7 +680,8 @@ def test_shapes_classify_matches_classify(d):
 def test_shapes_classify_rounds_like_classify():
     # Balls tangent to a face at 0, with gaps g = r + TOL whose square
     # rounds differently under g * g than under Python's `**`: squaring
-    # either side of the kernel's ball test another way flips a class.
+    # either side of the kernel's or `classify`'s ball test with `pow` flips
+    # a class.
     rng = random.Random(4)
     radii = []
     while len(radii) < 40:
@@ -696,7 +697,7 @@ def test_shapes_classify_rounds_like_classify():
     assert want[1][len(radii) :] == [RegionClass.BOUNDARY] * len(radii)
     # Balls off a box's corner on two axes, within an ulp or so of
     # touching, whose sums of squares compare otherwise under x * x than
-    # under `**`: inside the band, where the kernel decides again.
+    # under `**`.
     gen = np.random.default_rng(4)
     r = gen.uniform(0.2, 0.5, 20000)
     limit = r + TOL
@@ -721,12 +722,13 @@ def test_shapes_classify_rounds_like_classify():
         want = assert_classify_matches(objs, boxes)
         assert {want[k][2 * k + 1] for k in range(len(boxes))} == {RegionClass.OUTSIDE, RegionClass.BOUNDARY}
     # At the top of the float range a squared offset overflows under x * x
-    # and not under `pow`: `classify` finds these balls touching the box.
+    # and not under `pow`: squared by multiplication, these balls are
+    # outside the box.
     limit, offsets = overflowing_offsets()
     objs = [Ball(xy, limit) for xy in offsets]
     with np.errstate(over="ignore"):
         want = assert_classify_matches(objs, corner)
-    assert want == [[RegionClass.BOUNDARY] * len(objs)]
+    assert want == [[RegionClass.OUTSIDE] * len(objs)]
 
 
 def test_shapes_classify_dimension_mismatch():
