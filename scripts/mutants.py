@@ -1,5 +1,5 @@
-"""Plant known faults in a copy of the package, one at a time, and check that
-the tests catch each of them.
+"""Plant known faults in copies of the package, one fault per copy, and check
+that the tests catch each of them.
 
 Each entry of MUTANTS names a file under `src/fatsep/`, a text that must
 occur in it exactly once, the text that replaces it, and the pytest
@@ -9,9 +9,10 @@ selection that must fail on the result.  For each entry the script copies
 PYTHONPATH, and prints `killed` (some test failed), `SURVIVED` (all
 passed), `ERROR` (pytest could not run the selection, say a renamed test)
 or `STALE` (the old text does not occur exactly once, so a refactor that
-moves the code must update the list).  It exits 1 unless every mutant is
-killed.  EQUIVALENT lists faults that change no answer, with the reason, so
-no test can kill them; they are not run.
+moves the code must update the list), in list order.  `WORKERS` mutants
+run at once.  It exits 1 unless every mutant is killed.  EQUIVALENT lists
+faults that change no answer, with the reason, so no test can kill them;
+they are not run.
 
 Usage (from any directory):
 
@@ -21,6 +22,7 @@ Usage (from any directory):
                                              # STALE marked (then exits 1)
 """
 import argparse
+import concurrent.futures
 import os
 import shutil
 import subprocess
@@ -33,6 +35,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 # A mutant whose selection runs this long is taken as killed (it hangs).
 TIMEOUT_S = 600
+# Mutants run this many at a time, each in its own pytest process; most of
+# a mutant's time is that process starting up.
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -332,6 +337,13 @@ MUTANTS = [
         "tests/test_solver.py::test_dense_families_above_the_oracle_guards_match_milp",
     ),
     Mutant(
+        "pack-pivot-take-only",
+        "solver.py",
+        "return mask & ~o, 0, o",
+        "return mask & ~self.ctx.nbr[o.bit_length() - 1], 0, o",
+        "tests/test_solver.py::test_dense_families_above_the_oracle_guards_match_milp",
+    ),
+    Mutant(
         "pierce-pivot-empty-boundary",
         "solver.py",
         "return mask & ~obit, 0, obit",
@@ -457,6 +469,14 @@ MUTANTS = [
         "",
         "tests/test_ptas.py::test_ptas_walks_each_mask_once_per_solve",
     ),
+    # A subcommand takes only the shared flags it reads.
+    Mutant(
+        "cli-solvers-take-seed",
+        "cli.py",
+        '_add_shared(p, "--in", "--out", "--svg", *_SOLVE)',
+        '_add_shared(p, "--in", "--out", "--svg", "--seed", *_SOLVE)',
+        "tests/test_cli.py::test_cli_refuses_flags_its_command_ignores",
+    ),
 ]
 
 
@@ -529,12 +549,17 @@ def main(argv=None) -> int:
         for e in EQUIVALENT:
             print(f"{'STALE ' if stale(e) else ''}equivalent {e.name}\t{e.file}\t{e.reason}")
         return 1 if any(map(stale, chosen + EQUIVALENT)) else 0
-    bad = 0
-    for m in chosen:
+
+    def timed(m: Mutant):
         start = time.perf_counter()
-        verdict = run(m)
-        bad += verdict != "killed"
-        print(f"{verdict:8} {m.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+        return run(m), time.perf_counter() - start
+
+    bad = 0
+    with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
+        # `map` yields in list order, so the verdicts print in that order.
+        for m, (verdict, seconds) in zip(chosen, pool.map(timed, chosen)):
+            bad += verdict != "killed"
+            print(f"{verdict:8} {m.name} ({seconds:.1f} s)", flush=True)
     return 1 if bad else 0
 
 

@@ -1,7 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 parse/spec error (also a missing --in or --svg, or
-a path that cannot be opened; one `error:` line on stderr), 3 node-cap
+Each subcommand takes only the shared flags (`_SHARED`) it reads.  Exit
+codes: 0 success, 2 parse/spec error (a missing --in or --svg, or a path
+that cannot be opened: one `error:` line on stderr; a flag the subcommand
+does not take: argparse's usage and error), 3 node-cap
 abort (the best-so-far record is still written).  Timings never go into
 --out files, so every non-timing output is byte-reproducible.
 """
@@ -73,15 +75,24 @@ def _format_separator(sep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_shared(p: argparse.ArgumentParser):
-    p.add_argument("--in", dest="inp", help="instance file to read")
-    p.add_argument("--out", help="output file (stdout when omitted)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--base-threshold", type=int, default=12)
-    p.add_argument("--node-cap", type=int, default=10**8)
-    p.add_argument("--svg", help="also write an SVG figure (d=2 only)")
+# The shared flags; each subcommand declares those its `_dispatch` branch reads.
+_SHARED = {
+    "--in": dict(dest="inp", help="instance file to read"),
+    "--out": dict(help="output file (stdout when omitted)"),
+    "--seed": dict(type=int, default=0),
+    "--epsilon": dict(type=float, default=0.25),
+    "--dim": dict(type=int, default=2),
+    "--base-threshold": dict(type=int, default=12),
+    "--node-cap": dict(type=int, default=10**8),
+    "--svg": dict(help="also write an SVG figure (d=2 only)"),
+}
+# The flags `_solve_config` reads.
+_SOLVE = ("--epsilon", "--base-threshold", "--node-cap")
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    _add_shared(p)
+    _add_shared(p, "--out", "--seed", "--dim", "--svg")
     p.add_argument("--family", required=True, choices=["grid", "random", "cluster"])
     p.add_argument("--shape", default="ball", choices=["ball", "box"])
     p.add_argument("--n", type=int, default=0)
@@ -104,24 +115,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("pack", "pierce", "ptas-pack", "ptas-pierce"):
         p = sub.add_parser(name, help=f"run the {name} solver")
-        _add_shared(p)
+        _add_shared(p, "--in", "--out", "--svg", *_SOLVE)
 
     p = sub.add_parser("separator", help="compute a separator box")
-    _add_shared(p)
+    _add_shared(p, "--in", "--out", "--svg", "--epsilon")
 
     p = sub.add_parser("oracle", help="brute-force reference value")
-    _add_shared(p)
+    _add_shared(p, "--in", "--out")
     p.add_argument("--problem", required=True, choices=["pack", "pierce"])
 
     p = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
-    _add_shared(p)
+    _add_shared(p, "--out", "--seed", "--dim", *_SOLVE)
     p.add_argument("--family", default="grid", choices=["grid"])
     p.add_argument("--shape", default="ball", choices=["ball", "box"])
     p.add_argument("--ks", default="2,3,4,5", help="comma-separated grid k values")
     p.add_argument("--solvers", default="pack", help="comma-separated solver names")
 
     p = sub.add_parser("render", help="render an instance to SVG")
-    _add_shared(p)
+    _add_shared(p, "--in", "--svg", *_SOLVE)
     p.add_argument(
         "--overlay",
         default="none",
@@ -156,18 +167,9 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "gen":
-        inst = gen_instance(
-            args.family,
-            args.dim,
-            shape=args.shape,
-            n=args.n,
-            k=args.k,
-            seed=args.seed,
-            density=args.density,
-            clusters=args.clusters,
-            cluster_size=args.cluster_size,
-            label=args.label,
-        )
+        # Its flags other than --out and --svg are `gen_instance`'s parameters.
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "out", "svg", "dim")}
+        inst = gen_instance(d=args.dim, **params)
         if args.out:
             write_instance(inst, args.out)
         else:
@@ -221,11 +223,7 @@ def _dispatch(args) -> int:
                 "k": k,
                 "seed": args.seed,
                 "solvers": solvers,
-                "config": {
-                    "base_threshold": args.base_threshold,
-                    "epsilon": args.epsilon,
-                    "node_cap": args.node_cap,
-                },
+                "config": vars(_solve_config(args)),
             }
             for k in ks
         ]

@@ -15,6 +15,7 @@ its line; an `Instance` built through the API rejects such values too.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -89,6 +90,8 @@ def gen_instance(
       cluster: `clusters` groups of `cluster_size` objects; groups sit on a
                widely spaced lattice so no two groups interact.
     """
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
     rng = random.Random(seed)
     objs: List[FatObject] = []
 
@@ -103,15 +106,10 @@ def gen_instance(
         if k < 1:
             raise ValueError("grid family needs k >= 1")
         pitch = 10.0
-        idx = [0] * d
-        for _ in range(k**d):
-            center = [pitch * idx[i] + rng.uniform(-1.0, 1.0) for i in range(d)]
+        # Axis 0 varies fastest.
+        for idx in itertools.product(range(k), repeat=d):
+            center = [pitch * i + rng.uniform(-1.0, 1.0) for i in reversed(idx)]
             objs.append(make(center, 1.0))
-            for i in range(d):
-                idx[i] += 1
-                if idx[i] < k:
-                    break
-                idx[i] = 0
     elif family == "random":
         if n < 0:
             raise ValueError("random family needs n >= 0")

@@ -25,9 +25,11 @@ stopping once the answer is known.  The ladder is not listed: the
 bisection works out each rung it probes.  `shell_sweep` builds the corners
 of all its shells in one array, with `magnify`'s float operations,
 classifies against them in one `_classify` call and returns the chosen
-shell's row.  A `SeparatorResult` holds its regions as masks over the
-context, their ids (given positions) derived from them, and measure values
-only.
+shell's row, which `separate` takes as its classification: the only one it
+makes, also when the centres coincide (the family is then a clique, so its
+greedy measure is 1 and the sweep has one shell, at m = 1).  A
+`SeparatorResult` holds its regions as masks over the context, their ids
+(given positions) derived from them, and measure values only.
 """
 from __future__ import annotations
 
@@ -274,7 +276,8 @@ _INSIDE, _BOUNDARY, _OUTSIDE = 0, 1, 2
 def _classify(shapes: ShapeArrays, boxes: np.ndarray) -> np.ndarray:
     """Code (`_INSIDE`, `_BOUNDARY` or `_OUTSIDE`) of every object (column)
     against every box (row), equal to `geometry.classify`.  `boxes` holds
-    the boxes' corners, boxes x 2 x d (low, then high).
+    the boxes' corners, boxes x 2 x d (low, then high): in `shell_sweep`,
+    its one caller, the shells.
 
     The float operations are `classify`'s: a ball is outside when its
     squared distance to the box, from `_dist2_point_box`'s offsets squared
@@ -342,8 +345,9 @@ def separate(
     family: Union[Subfamily, Sequence[FatObject]],
     cfg: Optional[SeparatorConfig] = None,
 ) -> SeparatorResult:
-    """Full separator: base box, shell sweep, classification, measures, of a
-    list of objects or a `Subfamily` (say, of a solve's own context)."""
+    """Full separator: base box, shell sweep (whose row is the
+    classification), measures, of a list of objects or a `Subfamily` (say,
+    of a solve's own context).  `degenerate` marks coincident centres."""
     cfg = cfg or SeparatorConfig()
     if len(family) < 2:
         raise ValueError("separate needs at least 2 objects")
@@ -361,18 +365,13 @@ def separate(
     degenerate = float((centers.max(axis=0) - centers.min(axis=0)).max()) <= 0.0
 
     base = find_base_box(sub, tau)
-    if degenerate:
-        m_star, box = 1.0, magnify(base, 1.0)
-        codes = _classify(sub.arrays, np.array([[box.low, box.high]]))[0]
-    else:
-        m_star, swept, codes = shell_sweep(sub, base, g)
-        box = magnify(base, m_star)
+    m_star, swept, codes = shell_sweep(sub, base, g)
     inside, outside, boundary = sub.masks(
         np.stack([codes == _INSIDE, codes == _OUTSIDE, codes == _BOUNDARY])
     )
 
     return SeparatorResult(
-        box=box,
+        box=magnify(base, m_star),
         base_box=base,
         m_star=m_star,
         family=sub,
@@ -383,6 +382,6 @@ def separate(
         mu_inside=part_measure(inside),
         mu_outside=part_measure(outside),
         # The sweep measured its chosen shell's boundary already.
-        mu_boundary=part_measure(boundary) if degenerate else MeasureEstimate(value=swept),
+        mu_boundary=MeasureEstimate(value=swept),
         degenerate=degenerate,
     )

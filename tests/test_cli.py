@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,73 @@ def inst_file(tmp_path):
                   "--seed", "7", "--out", str(p)])
     assert rc == EXIT_OK
     return str(p)
+
+
+# The shared flags each subcommand reads, and the other arguments a run
+# needs; a shared flag it does not read is an argparse error.
+SHARED = ("--in", "--out", "--seed", "--epsilon", "--dim", "--base-threshold", "--node-cap", "--svg")
+SOLVE = ("--epsilon", "--base-threshold", "--node-cap")
+READS = {
+    "gen": (("--out", "--seed", "--dim", "--svg"), ["--family", "grid", "--k", "2"]),
+    **{
+        cmd: (("--in", "--out", "--svg", *SOLVE), [])
+        for cmd in ("pack", "pierce", "ptas-pack", "ptas-pierce")
+    },
+    "separator": (("--in", "--out", "--svg", "--epsilon"), []),
+    "oracle": (("--in", "--out"), ["--problem", "pack"]),
+    "bench": (("--out", "--seed", "--dim", *SOLVE), ["--ks", "2"]),
+    "render": (("--in", "--svg", *SOLVE), ["--overlay", "pack"]),
+}
+IGNORED = [(cmd, flag) for cmd, (reads, _) in READS.items() for flag in SHARED if flag not in reads]
+
+
+def flag_values(inst_file, tmp_path, cmd):
+    """A valid value of every shared flag, for `cmd`."""
+    return {
+        "--in": inst_file,
+        "--out": str(tmp_path / f"{cmd}.out"),
+        "--seed": "3",
+        "--epsilon": "0.5",
+        "--dim": "2",
+        "--base-threshold": "3",
+        "--node-cap": "100000",
+        "--svg": str(tmp_path / f"{cmd}.svg"),
+    }
+
+
+def command_line(cmd, values):
+    """`cmd` with every shared flag it reads set from `values`."""
+    reads, rest = READS[cmd]
+    return [cmd, *rest, *(x for f in reads for x in (f, values[f]))]
+
+
+def test_ignored_flags_are_the_listed_pairs():
+    assert len(IGNORED) == 27
+
+
+@pytest.mark.parametrize("cmd, flag", IGNORED)
+def test_cli_refuses_flags_its_command_ignores(cmd, flag, inst_file, tmp_path, capsys):
+    values = flag_values(inst_file, tmp_path, cmd)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*command_line(cmd, values), flag, values[flag]])
+    assert exc.value.code == EXIT_SPEC_ERROR
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", list(READS))
+def test_cli_takes_every_flag_its_command_reads(cmd, inst_file, tmp_path, capsys):
+    values = flag_values(inst_file, tmp_path, cmd)
+    reads = READS[cmd][0]
+    assert run_cli(command_line(cmd, values)) == EXIT_OK
+    for f in ("--out", "--svg"):
+        if f in reads:
+            assert Path(values[f]).read_text()
+    # Its help lists these shared flags and no other.
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli([cmd, "--help"])
+    assert exc.value.code == EXIT_OK
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) & set(SHARED) == set(reads)
 
 
 def test_gen_writes_parseable_file(inst_file):

@@ -104,6 +104,21 @@ def test_dimension_validation():
         Instance(dim=2, objects=(Ball((0, 0, 0), 1),))
 
 
+@pytest.mark.parametrize(
+    "family, d, kwargs",
+    [
+        ("cluster", 1, dict(clusters=2, cluster_size=2)),
+        ("random", 0, dict(n=3)),
+        ("grid", -1, dict(k=2)),
+    ],
+)
+def test_gen_instance_refuses_dimension_below_two(family, d, kwargs):
+    # Refused up front, as `Instance` refuses it, instead of failing inside
+    # the generator (IndexError, ZeroDivisionError, TypeError).
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        gen_instance(family, d, **kwargs)
+
+
 def test_api_instances_are_range_checked():
     # Disjoint balls at +-1e160 square their offsets past the float range;
     # an `Instance` refuses them as the parser does, instead of a wrong value.

@@ -848,8 +848,8 @@ def test_shell_sweep_returns_the_chosen_shells_classification(shape):
 
 
 def test_separate_classifies_once(monkeypatch):
-    # Once in the shell sweep, or, when the centres coincide and there is
-    # no sweep, once in `separate` itself.
+    # Once, in the shell sweep: coincident centres make a clique, so the
+    # sweep has a single shell.
     calls = []
     original = separator._classify
 
@@ -1016,10 +1016,19 @@ def test_separate_two_far_clusters():
 
 
 def test_separate_degenerate_coincident_centers():
-    objs = [Ball((5, 5), float(r)) for r in (1, 2, 3)]
-    sep = separate(objs)
-    assert sep.degenerate
-    assert sorted(sep.boundary_ids) == [0, 1, 2]
+    # Coincident centres make a clique: the sweep's one shell is the base
+    # box itself, and every object crosses it.
+    families = [
+        [Ball((5, 5), float(r)) for r in (1, 2, 3)],
+        [Ball((5, 5), 1.0), AxisBox((4, 3), (6, 7)), AxisBox((3, 4), (7, 6)), Ball((5, 5), 0.25)],
+        [Ball((-2, 1, 3), float(r)) for r in (0.5, 1, 4, 2)],
+    ]
+    for objs in families:
+        sep = separate(objs)
+        assert sep.degenerate
+        assert sep.m_star == 1.0 and sep.box == magnify(sep.base_box, 1.0)
+        assert sep.boundary_ids == list(range(len(objs)))
+        assert sep.mu_boundary.value == 1
 
 
 def test_separate_lays_out_the_family_once(monkeypatch):
