@@ -453,8 +453,8 @@ MUTANTS = [
         "every_ball = balls.any()",
         "tests/test_separator.py::test_shapes_classify_matches_classify",
     ),
-    # A PTAS solve walks each mask's greedy packing once, on a memo that
-    # lives as long as the solve.
+    # A PTAS solve walks each mask's greedy packing once, and piercing
+    # restricts each mask once, on memos that live as long as the solve.
     Mutant(
         "ptas-walk-memo-kept-across-solves",
         "ptas.py",
@@ -468,6 +468,36 @@ MUTANTS = [
         "    del ctx.greedy_pack_mask\n",
         "",
         "tests/test_ptas.py::test_ptas_walks_each_mask_once_per_solve",
+    ),
+    Mutant(
+        "ptas-restrict-memo-outlives-solve",
+        "ptas.py",
+        "        del table.restrict\n",
+        "        pass\n",
+        "tests/test_ptas.py::test_ptas_pierce_restricts_each_mask_once_per_solve",
+    ),
+    # Packing starts from the dominance kernel: u goes for a neighbour whose
+    # closed neighbourhood lies in its own, and of twins the higher id goes.
+    Mutant(
+        "kernel-subset-reversed",
+        "measure.py",
+        "if not nv & ~nu and",
+        "if not nu & ~nv and",
+        "tests/test_measure.py::test_dominance_kernel_keeps_a_maximum_packing",
+    ),
+    Mutant(
+        "kernel-keeps-twins",
+        "measure.py",
+        "(nv != nu or bit < low)",
+        "nv != nu",
+        "tests/test_measure.py::test_dominance_kernel_is_a_fixed_point",
+    ),
+    Mutant(
+        "kernel-twin-keeps-higher-id",
+        "measure.py",
+        "(nv != nu or bit < low)",
+        "(nv != nu or bit > low)",
+        "tests/test_ptas.py::test_ptas_answers_pinned_on_the_seed_1_benchmark_mix",
     ),
     # A subcommand takes only the shared flags it reads.
     Mutant(

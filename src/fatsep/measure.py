@@ -23,7 +23,9 @@ separator and `PierceTable` read, built on first use: a packing solve that
 never splits never builds them.  Its neighbourhood masks come from one
 numpy array per pair of shapes with the float operations of
 `geometry.intersects`, bit for bit; ball pairs are taken a block of rows
-at a time.  A split reads the context through a mask
+at a time.  `dominance_kernel` drops, by neighbourhood domination, objects
+that some maximum packing does without; the packing PTAS starts from it.
+A split reads the context through a mask
 (`Subfamily`), so a solve's splits share its one context.
 """
 from __future__ import annotations
@@ -168,6 +170,33 @@ class IntersectionContext:
             chosen |= low
             mask &= ~self.nbr[low.bit_length() - 1]
         return chosen.bit_count(), chosen
+
+    def dominance_kernel(self, mask: int) -> int:
+        """`mask` without the objects that neighbourhood domination drops:
+        u goes when a neighbour v has N[v] ⊆ N[u] within what is left (of
+        two equal closed neighbourhoods the higher id goes), so a maximum
+        packing of the kernel is one of `mask` (swap u for v).  Each pass
+        scans the ids in ascending order, dropping as it goes, and the
+        passes repeat until one drops nothing."""
+        nbr = self.nbr
+        dropped = True
+        while dropped:
+            dropped = False
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nu = nbr[low.bit_length() - 1] & mask
+                others = nu ^ low
+                while others:
+                    bit = others & -others
+                    others ^= bit
+                    nv = nbr[bit.bit_length() - 1] & mask
+                    if not nv & ~nu and (nv != nu or bit < low):
+                        mask ^= low
+                        dropped = True
+                        break
+        return mask
 
     def exact_pack_mask(
         self, mask: int, tick: Callable[[], None] = lambda: None, parts: Optional[List[int]] = None

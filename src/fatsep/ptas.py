@@ -5,18 +5,25 @@ boundary class is not enumerated.  Packing drops it outright and unions the
 two sides' solutions; piercing covers it with greedy points and recurses on
 what is left.  Once the greedy estimate falls under the stop threshold the
 exact search takes over, so each level loses at most the (small) boundary
-measure and the overall ratio follows.  Packing ends with a greedy refill
-of the room the dropped boundaries leave, and answers the whole family's
-greedy packing instead when that is larger; piercing ends by dropping each
-point whose objects the other points all pierce.
+measure and the overall ratio follows.  Packing starts that recursion from
+the family's dominance kernel (`IntersectionContext.dominance_kernel`): an
+object goes when a neighbour's closed neighbourhood lies in its own, and a
+packing may take that neighbour instead, so the kernel holds a maximum
+packing of the family.  OPT, and with it the ratio, stays, and every split
+reads fewer objects.  Packing ends with a greedy refill, from the whole
+family, of the room the dropped objects leave, and answers the whole
+family's greedy packing instead when that is larger; piercing starts from
+the whole family and ends by dropping each point whose objects the other
+points all pierce.
 
 Each call builds one `IntersectionContext` and one search object over it
 (piercing: with one `PierceTable`), and recurses on masks.  Estimates,
 splits, boundary covers and exact leaves all go through that search, whose
 `run` gives each leaf its own memo and node budget.  The witness stays in
 the search's ids (context ids, table rows) through the finish step, which
-each scheme passes in as it passes its boundary step, and leaves through
-the search's `output`.
+each scheme passes in as it passes its root and boundary steps, and leaves
+through the search's `output`.  For the length of one call the context
+memoizes its greedy packing walks and the table its restrictions.
 """
 from __future__ import annotations
 
@@ -46,6 +53,17 @@ class PtasConfig:
         return max(int(math.ceil((self.c_stop / self.epsilon) ** d)), 1)
 
 
+def _kernel(search, mask: int) -> int:
+    """Packing: the root is `mask`'s dominance kernel, which holds a
+    maximum packing of it."""
+    return search.ctx.dominance_kernel(mask)
+
+
+def _whole(search, mask: int) -> int:
+    """Piercing: the root is all of `mask`; every object must be pierced."""
+    return mask
+
+
 def _drop_boundary(search, boundary: int) -> Tuple[int, list, int]:
     """Packing: drop the boundary class; no object of either side is lost."""
     return boundary.bit_count(), [], 0
@@ -64,8 +82,9 @@ def _cover_boundary(search, boundary: int) -> Tuple[int, list, int]:
 def _refill(search, witness: list) -> list:
     """Packing: `witness` (context ids) and then the objects, smallest
     first, that join it greedily because they meet none of its objects (the
-    dropped boundaries leave room that the two sides' solutions do not use),
-    or the whole family's greedy packing when that is larger."""
+    dropped boundaries leave room that the two sides' solutions do not use,
+    and the objects outside the kernel were never tried), or the whole
+    family's greedy packing when that is larger."""
     blocked = 0
     for i in witness:
         blocked |= search.ctx.nbr[i]
@@ -90,11 +109,13 @@ def _drop_redundant(search, witness: list) -> list:
     return kept[::-1]
 
 
-def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) -> Solution:
+def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step, finish) -> Solution:
     """Shared recursion of both schemes, over masks of one context.
 
-    A part whose greedy estimate is under the stop threshold, or whose
-    separator is unbalanced, is closed by the exact search's `run`.
+    `root_step(search, mask)` gives the part, within the whole family's
+    mask, that the recursion starts from.  A part whose greedy estimate is
+    under the stop threshold, or whose separator is unbalanced, is closed
+    by the exact search's `run`.
     Otherwise `boundary_step(search, boundary)` pays for the boundary class
     and returns (cost, witness, covered): `cost` adds to `discarded`,
     `witness` joins the witness, and the `covered` objects leave both sides
@@ -107,6 +128,11 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
     # packing refill walk the same masks: each greedy walk is made once.
     ctx.greedy_pack_mask = functools.cache(ctx.greedy_pack_mask)
     search = search_cls(ctx, cfg.solve)
+    # A piercing leaf restricts its mask for its estimate and again for its
+    # search: each mask is restricted once.
+    table = getattr(search, "table", None)
+    if table is not None:
+        table.restrict = functools.cache(table.restrict)
     discarded = 0
     nodes = 0
     max_depth = 0
@@ -130,9 +156,11 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
         discarded += cost
         return witness + rec(inside & ~covered, depth + 1) + rec(outside & ~covered, depth + 1)
 
-    witness = finish(search, rec(ctx.full_mask(), 0))
-    # The memo goes with the solve: it and the context refer to each other.
+    witness = finish(search, rec(root_step(search, ctx.full_mask()), 0))
+    # The memos go with the solve: each and its owner refer to each other.
     del ctx.greedy_pack_mask
+    if table is not None:
+        del table.restrict
     return Solution(
         problem=search.problem,
         witness=search.output(witness),
@@ -145,13 +173,14 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, boundary_step, finish) ->
 
 
 def ptas_pack(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
-    """(1 - eps)-approximate packing; witness is always feasible and never
-    smaller than `greedy_pack`'s.
+    """(1 - eps)-approximate packing of the family's dominance kernel,
+    which holds a maximum packing of the family; witness is always
+    feasible and never smaller than `greedy_pack`'s.
 
     `discarded` counts the boundary objects dropped, the realized loss to
     compare against eps/3, before the refill adds back those it can.
     """
-    return _ptas(inst, cfg or PtasConfig(), _PackSearch, _drop_boundary, _refill)
+    return _ptas(inst, cfg or PtasConfig(), _PackSearch, _kernel, _drop_boundary, _refill)
 
 
 def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
@@ -160,4 +189,4 @@ def ptas_pierce(inst: Instance, cfg: Optional[PtasConfig] = None) -> Solution:
     `discarded` counts the greedy points spent on boundary classes, before
     the redundant points of the witness are dropped.
     """
-    return _ptas(inst, cfg or PtasConfig(), _PierceSearch, _cover_boundary, _drop_redundant)
+    return _ptas(inst, cfg or PtasConfig(), _PierceSearch, _whole, _cover_boundary, _drop_redundant)

@@ -636,3 +636,56 @@ def test_intersection_context_small_and_mixed_dimensions():
         IntersectionContext(
             [AxisBox((0.0, 0.0), (1.0, 1.0)), Ball((5.0, 5.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0)]
         )
+
+
+def kernel_families():
+    """Small families for the dominance kernel, as (d, objects): balls and
+    boxes in d = 2 and 3 at densities 1 to 8, each as generated, with equal
+    sizes, and with four exact duplicates."""
+    families = []
+    for d in (2, 3):
+        for shape in ("ball", "box"):
+            for density in (1, 2, 4, 8):
+                for seed in range(5):
+                    objs = list(gen_instance("random", d, shape=shape, n=10, seed=seed, density=density).objects)
+                    if shape == "ball":
+                        equal = [Ball(o.center, 1.0) for o in objs]
+                    else:
+                        mids = [[(l + h) / 2 for l, h in zip(o.low, o.high)] for o in objs]
+                        equal = [AxisBox([x - 0.7 for x in m], [x + 0.7 for x in m]) for m in mids]
+                    rng = random.Random(seed)
+                    doubled = objs + rng.sample(objs, 4)
+                    rng.shuffle(doubled)
+                    families += [(d, objs), (d, equal), (d, doubled)]
+    return families
+
+
+def test_dominance_kernel_keeps_a_maximum_packing():
+    # Dropping u for a neighbour v with N[v] ⊆ N[u] keeps a maximum
+    # packing: any packing with u may take v instead.
+    families = kernel_families()
+    assert len(families) >= 200
+    shrunk = 0
+    for d, objs in families:
+        ctx = IntersectionContext(objs)
+        kernel = ctx.dominance_kernel(ctx.full_mask())
+        kept = tuple(ctx.objs[i] for i in mask_to_ids(kernel))
+        assert brute_pack(Instance(dim=d, objects=kept)).value == brute_pack(Instance(dim=d, objects=tuple(objs))).value
+        shrunk += kernel != ctx.full_mask()
+    assert shrunk > len(families) // 2
+
+
+def test_dominance_kernel_is_a_fixed_point():
+    # No kept object has a kept neighbour whose closed neighbourhood within
+    # the kernel lies in its own (twins included), and the kernel of a mask
+    # lies in that mask.
+    rng = random.Random(0)
+    for _, objs in kernel_families():
+        ctx = IntersectionContext(objs)
+        for mask in (ctx.full_mask(), rng.getrandbits(ctx.n)):
+            kernel = ctx.dominance_kernel(mask)
+            assert kernel & ~mask == 0
+            for u in mask_to_ids(kernel):
+                nu = ctx.nbr[u] & kernel
+                for v in mask_to_ids(nu & ~(1 << u)):
+                    assert ctx.nbr[v] & kernel & ~nu, (u, v)

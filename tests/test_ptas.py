@@ -196,12 +196,34 @@ def test_cover_boundary_covers_what_its_points_pierce(shape):
 # --- one context per call ---------------------------------------------------
 
 
+def reference_kernel(objs):
+    """The given positions of the objects that neighbourhood domination
+    keeps, sorted, from `intersects` alone: in (size, given position) order,
+    each pass drops every object u that has a neighbour v with N[v] ⊆ N[u]
+    among the objects left (of twins the later in that order), until a pass
+    drops nothing."""
+    order = sorted(range(len(objs)), key=lambda i: (size(objs[i]), i))
+    rank = {i: r for r, i in enumerate(order)}
+    nbr = {i: {j for j in order if intersects(objs[i], objs[j])} for i in order}
+    kept = set(order)
+    dropped = True
+    while dropped:
+        dropped = False
+        for u in [i for i in order if i in kept]:
+            nu = nbr[u] & kept
+            if any(nbr[v] & kept <= nu and (nbr[v] & kept != nu or rank[v] < rank[u]) for v in nu - {u}):
+                kept.discard(u)
+                dropped = True
+    return sorted(kept)
+
+
 def reference_ptas_pack(inst, cfg):
-    """The object-list recursion `ptas_pack` replaced: each part is copied
-    into an instance of its own, estimated with `greedy_pack`, split with
-    `separate` and, at a leaf, closed by `solve_pack`.  Then every object,
-    smallest first, that meets no chosen object joins the answer, and the
-    whole family's `greedy_pack` replaces it when that is larger."""
+    """The object-list recursion `ptas_pack` replaced, from the family's
+    `reference_kernel`: each part is copied into an instance of its own,
+    estimated with `greedy_pack`, split with `separate` and, at a leaf,
+    closed by `solve_pack`.  Then every object of the family, smallest
+    first, that meets no chosen object joins the answer, and the whole
+    family's `greedy_pack` replaces it when that is larger."""
     stop = cfg.stop_threshold(inst.dim)
     stats = {"nodes": 0, "depth": 0, "discarded": 0, "aborted": False}
 
@@ -225,7 +247,7 @@ def reference_ptas_pack(inst, cfg):
         vout, wout = rec([ids[j] for j in sep.outside_ids], depth + 1)
         return vin + vout, win + wout
 
-    _, witness = rec(list(range(inst.n)), 0)
+    _, witness = rec(reference_kernel(inst.objects), 0)
     for i in sorted(range(inst.n), key=lambda i: (size(inst.objects[i]), i)):
         if not any(intersects(inst.objects[i], inst.objects[j]) for j in witness):
             witness.append(i)
@@ -400,9 +422,11 @@ def test_solves_build_one_set_of_separator_tables(monkeypatch):
 def test_ptas_answers_pinned_on_the_seed_1_benchmark_mix():
     # The six instances of the ptas-large mix of `perfbench/run.py --seed 1`
     # (30 s) at its PTAS settings, with the value, witness, nodes, depth and
-    # discarded count of each solve as recorded at commit 3695a73, before
-    # the base-box ladder was computed rung by rung, the shells' corners in
-    # one array and each greedy walk once per solve.
+    # discarded count of each solve.  The `ptas_pierce` rows were recorded
+    # at commit 3695a73, before the base-box ladder was computed rung by
+    # rung, the shells' corners in one array and each greedy walk once per
+    # solve; the `ptas_pack` rows when packing came to start from the
+    # family's dominance kernel.
     pinned = json.loads(Path(__file__).with_name("ptas_large_seed1.json").read_text())
     assert len(pinned) == 6
     cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
@@ -445,6 +469,49 @@ def test_ptas_walks_each_mask_once_per_solve(monkeypatch):
             assert len(masks) == len(walks) == len(set(masks))
             counts.append(len(masks))
         assert counts[0] == counts[1] > 1
+
+
+def test_ptas_pierce_restricts_each_mask_once_per_solve(monkeypatch):
+    # A leaf's estimate and its search restrict the same mask; the solve's
+    # table restricts it once.  The memo goes with the solve.
+    tables, restricts = [], []
+    init, restrict = measure.PierceTable.__init__, measure.PierceTable.restrict
+
+    def recorded_init(self, ctx):
+        init(self, ctx)
+        tables.append(self)
+
+    def recorded_restrict(self, mask):
+        restricts.append((self, mask))
+        return restrict(self, mask)
+
+    monkeypatch.setattr(measure.PierceTable, "__init__", recorded_init)
+    monkeypatch.setattr(measure.PierceTable, "restrict", recorded_restrict)
+    cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
+    for seed in (0, 2):
+        inst = gen_instance("random", 2, shape="box", n=90, seed=seed)
+        counts = []
+        for _ in range(2):
+            del tables[:], restricts[:]
+            assert ptas_pierce(inst, cfg).discarded > 0
+            (table,) = tables
+            assert "restrict" not in vars(table)
+            masks = [mask for owner, mask in restricts if owner is table]
+            assert len(masks) == len(restricts) == len(set(masks))
+            counts.append(len(masks))
+        assert counts[0] == counts[1] > 1
+
+
+@pytest.mark.parametrize(
+    "solve, shape, n, seeds", [(ptas_pack, "ball", 400, range(5)), (ptas_pierce, "box", 90, range(3))]
+)
+def test_ptas_large_pool_discards_on_every_instance(solve, shape, n, seeds):
+    # The ptas-large benchmark fails a run whose PTAS solves discard nothing
+    # (they would have fallen through to the exact search).  Its pools at
+    # 30 s are these instances, at its PTAS settings.
+    cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
+    for seed in seeds:
+        assert solve(gen_instance("random", 2, shape=shape, n=n, seed=seed), cfg).discarded > 0, seed
 
 
 def test_pierce_leaf_abort_falls_back_to_greedy():
