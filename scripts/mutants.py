@@ -357,6 +357,30 @@ MUTANTS = [
         "blocked | 1 << i",
         "tests/test_solver.py::test_dense_families_match_oracle_on_every_path",
     ),
+    # A component node hands every part its estimate, a lone object's 1.
+    Mutant(
+        "part-handed-estimate-low",
+        "solver.py",
+        "answers.append(self.solve(part, estimate))",
+        "answers.append(self.solve(part, estimate - 1))",
+        "tests/test_solver.py::test_handed_estimates_answer_as_computed_ones",
+    ),
+    Mutant(
+        "lone-object-estimate-zero",
+        "solver.py",
+        "if c & (c - 1) else 1 for c in comps]",
+        "if c & (c - 1) else 0 for c in comps]",
+        "tests/test_solver.py::test_handed_estimates_answer_as_computed_ones",
+    ),
+    # The closer takes a component of two objects, which meet, by its
+    # smaller one.
+    Mutant(
+        "closer-pair-takes-both",
+        "measure.py",
+        "chosen |= part & -part",
+        "chosen |= part",
+        "tests/test_solver.py::test_pack_answers_pinned_on_the_seed_1_benchmark_mix",
+    ),
     # A batch hands the closer its own components.
     Mutant(
         "batch-closed-with-earlier-parts",

@@ -147,15 +147,15 @@ class IntersectionContext:
         while mask:
             part = frontier = mask & -mask
             while frontier:
+                mask ^= frontier  # what is left unreached
                 reach = 0
                 while frontier:  # over the bits of frontier, without a generator
                     low = frontier & -frontier
                     reach |= nbr[low.bit_length() - 1]
                     frontier ^= low
-                frontier = reach & mask & ~part
+                frontier = reach & mask
                 part |= frontier
             parts.append(part)
-            mask &= ~part
         return parts
 
     def greedy_pack_mask(self, mask: int):
@@ -204,10 +204,10 @@ class IntersectionContext:
         """Exact Pack within `mask`; returns (value, chosen_mask).
 
         Pack adds up over the intersection graph's components, so each
-        component of `mask` is closed on its own (a single object directly)
-        and the values are summed, the chosen masks joined.  A caller that
-        holds those components passes them as `parts`.  Within a
-        component it branches on the closed neighborhood of the smallest
+        component of `mask` is closed on its own (one of at most two objects,
+        which meet, by its smallest) and the values are summed, the chosen
+        masks joined.  A caller that holds them passes them as `parts`.
+        Within one it branches on the closed neighborhood of the smallest
         remaining object: every maximal independent set contains one of
         those objects, so depth equals the component's solution size.
         Each branch calls `tick` (a solve's budget, which may abort it).
@@ -231,9 +231,9 @@ class IntersectionContext:
 
         value = chosen = 0
         for part in self.components(mask) if parts is None else parts:
-            if not part & (part - 1):
+            if part.bit_count() <= 2:
                 value += 1
-                chosen |= part
+                chosen |= part & -part
                 continue
             best_val, best_wit = -1, 0
             rec(part, 0, 0)

@@ -19,7 +19,8 @@ points all pierce.
 Each call builds one `IntersectionContext` and one search object over it
 (piercing: with one `PierceTable`), and recurses on masks.  Estimates,
 splits, boundary covers and exact leaves all go through that search, whose
-`run` gives each leaf its own memo and node budget.  The witness stays in
+`run` gives each leaf its own memo and node budget and takes the leaf's
+estimate, so a piercing leaf makes one greedy cover.  The witness stays in
 the search's ids (context ids, table rows) through the finish step, which
 each scheme passes in as it passes its root and boundary steps, and leaves
 through the search's `output`.  For the length of one call the context
@@ -115,7 +116,7 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step,
     `root_step(search, mask)` gives the part, within the whole family's
     mask, that the recursion starts from.  A part whose greedy estimate is
     under the stop threshold, or whose separator is unbalanced, is closed
-    by the exact search's `run`.
+    by the exact search's `run`, handed that estimate.
     Otherwise `boundary_step(search, boundary)` pays for the boundary class
     and returns (cost, witness, covered): `cost` adds to `discarded`,
     `witness` joins the witness, and the `covered` objects leave both sides
@@ -145,9 +146,10 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step,
         if not mask:
             return []
         # A greedy value above stop >= 1 needs two objects, as `separate` does.
-        parts = search.split(mask) if search.estimate(mask) > stop else None
+        g = search.estimate(mask)
+        parts = search.split(mask) if g > stop else None
         if parts is None:
-            witness, _, leaf_nodes, leaf_aborted = search.run(mask)
+            witness, _, leaf_nodes, leaf_aborted = search.run(mask, g)
             nodes += leaf_nodes
             aborted |= leaf_aborted
             return witness

@@ -4,42 +4,46 @@ Each solve builds one `IntersectionContext` and searches subproblems as
 bitmasks over it; piercing also builds one `PierceTable` and restricts it
 to each subproblem's mask, as a mask of the table rows kept, which the
 greedy cover and the boundary search read through the table's incidence
-index (the rows that pierce each object).  An answer is its witness (with
-a depth), its value the witness's length: context ids (size ranks) for
+index (the rows that pierce each object).  An answer is its witness (with a
+depth), its value the witness's length: context ids (size ranks) for
 packing, table rows for piercing, until the search's `output` maps them to
-given positions or points once per solve.  Small subproblems (by greedy estimate) are
-base cases, closed exactly: packing by `IntersectionContext.exact_pack_mask`,
-piercing by the boundary search below with the whole mask as the boundary
-and nothing inside or outside.  A larger one that is disconnected in the
-intersection graph is a component node: Pack and Pierce add up over
-components, and so do both greedy estimates, so components whose estimates
-sum to at most `base_threshold` close together as one base case and each
-larger component is searched on its own.  The packing closer then searches
-each component of such a batch alone, handed the components already found.
-A larger connected one is split with a box separator, enumerating
-independent sets (packing) or candidate pierce covers (piercing) of the
-boundary class; a piercing configuration
-counts only if its whole cover is no larger than the node's greedy one,
-then only if it is smaller than the best found.  `split` passes
-`separate` the context read through the mask (`Subfamily`), so every split
-of a solve shares its one context and separator tables, and takes the
-separator's regions as masks over the context.  An unbalanced or
-degenerate separator makes the node pivot: a split whose boundary is one
-object (packing: the one with the most neighbours, piercing: the smallest)
-and whose outside is empty, so every connected node branches in
-`_separated` and termination and exactness never depend on separator quality.
+given positions or points once per solve.  One node step serves both
+problems, and a node reads only its greedy estimate.  Small subproblems (by
+greedy estimate) are base cases, closed exactly: packing by
+`IntersectionContext.exact_pack_mask`, piercing by the boundary search
+below with the whole mask as the boundary and nothing inside or outside.  A
+larger one that is disconnected in the intersection graph is a component
+node: Pack and Pierce add up over components, and so do both greedy
+estimates, so each part is estimated alone (a lone object counts 1),
+components whose estimates sum to at most `base_threshold` close together
+as one base case and each larger component is searched on its own, each
+handed its estimate.  The packing closer then searches each component of
+such a batch alone, handed the components already found.  A larger
+connected one is split with a box separator, enumerating independent sets
+(packing) or candidate pierce covers (piercing) of the boundary class; a
+piercing configuration counts only if its whole cover is no larger than
+the node's greedy one, then only if it is smaller than the best
+found.  `split` passes `separate` the context read through the mask
+(`Subfamily`), so every split of a solve shares its one context and
+separator tables, and takes the separator's regions as masks over the
+context.  An unbalanced or degenerate separator makes the node pivot: a
+split whose boundary is one object (packing: the one with the most
+neighbours, piercing: the smallest) and whose outside is empty, so every
+connected node branches in `_separated` and termination and exactness
+never depend on separator quality.
 
-`_Search.run(mask)` is the one runner: the exact solvers run it on the
-full mask, and `ptas` on each leaf of its recursion over the same context.
-A memo per run maps each non-empty mask to its answer (the empty one is
-answered at once), so every subproblem is expanded once however many
-boundary configurations reach it; `Solution.nodes` counts these expansions:
-base cases, component nodes (and each batch or component they solve),
-separated nodes and pivots.  `depth` counts separated levels (pivots too);
-base cases and component nodes separate nothing.  The node cap counts every
-subproblem request, memo hits included, every branch of the packing closer
-and every step of the piercing boundary search (base cases included), so
-it bounds a base case's work too.
+`_Search.run(mask, estimate)` is the one runner: the exact solvers run it
+on the full mask, and `ptas` on each leaf of its recursion over the same
+context, handing the leaf's estimate.  A memo per run maps each non-empty
+mask to its answer (the empty one is answered at once), so every
+subproblem is expanded once however many boundary configurations reach
+it; `Solution.nodes` counts these expansions: base cases, component nodes
+(and each batch or component they solve), separated nodes and pivots.
+`depth` counts separated levels (pivots too); base cases and component
+nodes separate nothing.  The node cap counts every subproblem request,
+memo hits included, every branch of the packing closer and every step of
+the piercing boundary search (base cases included), so it bounds a base
+case's work too.
 """
 from __future__ import annotations
 
@@ -120,42 +124,38 @@ class _Search:
     """Memoized search over the masks of one context.  An answer is
     (witness, depth), its value the witness's length; a witness lists
     context ids (packing) or `PierceTable` rows (piercing).  `solve(mask)`
-    returns one; subclasses expand a non-empty mask in `_expand(mask, g,
-    parts)` (closing it exactly, each branch ticking the budget, when its greedy
-    estimate `g`, computed there unless given, is at most `base_threshold`,
-    else branching in `_separated` on `split`'s regions or `_pivot`'s;
-    piercing closes in `_separated` too, on the whole mask as boundary),
-    give its greedy witness in `greedy` and that witness's length in
-    `estimate`, and map a witness out of the search, for `problem`, in
-    `output`."""
+    returns one, expanding a non-empty mask once in `_expand`.  A problem
+    supplies the hooks: `view(mask)`, what a node reads of its mask
+    (piercing: the kept rows, packing: None); `estimate(mask, view)`, the
+    greedy value through the view of `mask` or of a mask holding it as
+    components; `close(mask, view, g, parts)`, a base case's witness, each
+    branch ticking the budget; `_pivot(mask)`, the one-object split;
+    `_separated(inside, outside, boundary, view, g)`, the branching over a
+    boundary class; `greedy(mask)`, a feasible witness; and `output`, which
+    maps a witness out of the search, for `problem`."""
 
     def __init__(self, ctx: IntersectionContext, cfg: SolveConfig):
         self.ctx = ctx
         self.cfg = cfg
         self.sepcfg = cfg.separator_config()
 
-    def run(self, mask: int) -> tuple:
+    def run(self, mask: int, estimate: Optional[int] = None) -> tuple:
         """Exact search of `mask` with a fresh memo and node budget:
-        (witness, depth, nodes, aborted).  On a node-cap abort the witness
-        is `greedy(mask)`."""
+        (witness, depth, nodes, aborted), `estimate` passed on to `solve`.
+        On a node-cap abort the witness is `greedy(mask)`."""
         self.memo: Dict[int, tuple] = {}
         self.budget = _Budget(self.cfg.node_cap)
         try:
-            witness, depth = self.solve(mask)
+            witness, depth = self.solve(mask, estimate)
             aborted = False
         except _CapStop:
             witness, depth, aborted = self.greedy(mask), 0, True
         return witness, depth, len(self.memo), aborted
 
     def solve(self, mask: int, estimate: Optional[int] = None, parts: Optional[List[int]] = None) -> tuple:
-        """Memoized answer of `mask`.  A caller that knows the mask's greedy
-        `estimate` passes it on to `_expand`, which then skips computing it.
-        Only a base case may be handed its estimate (at most
-        `base_threshold`, as `_components`' batches are): a larger node
-        needs the greedy witness itself.  A batch passes its component
-        `parts` too, which the packing closer reads instead of finding them
-        again."""
-        assert estimate is None or estimate <= self.cfg.base_threshold, "only a base case takes an estimate"
+        """Memoized answer of `mask`, `_expand` handed the mask's greedy
+        `estimate` when its caller knows it and a batch's component `parts`,
+        which the packing closer reads instead of finding them again."""
         self.budget.tick()
         if not mask:
             return [], 0
@@ -164,14 +164,25 @@ class _Search:
             hit = self.memo[mask] = self._expand(mask, estimate, parts)
         return hit
 
+    def _expand(self, mask: int, g: Optional[int], parts: Optional[List[int]]) -> tuple:
+        """The node step of both problems; `g` is computed unless given."""
+        view = self.view(mask)
+        if g is None:
+            g = self.estimate(mask, view)
+        if g <= self.cfg.base_threshold:
+            return self.close(mask, view, g, parts), 0
+        comps = self.ctx.components(mask)
+        if len(comps) > 1:
+            return self._components(comps, [self.estimate(c, view) if c & (c - 1) else 1 for c in comps])
+        return self._separated(*(self.split(mask) or self._pivot(mask)), view, g)
+
     def _components(self, parts: List[int], estimates: List[int]) -> tuple:
         """Answer of a disconnected mask from its component `parts` and
         their greedy `estimates`.
 
         Both greedy estimates add up over components, so components whose
         estimates sum to at most `base_threshold` close together as one
-        base case (a batch, formed in order of lowest bit, whose estimate
-        `_expand` is handed, so it cannot come back here); each larger
+        base case (a batch, formed in order of lowest bit); each larger
         component gets its own search.  The witness is the union of the
         solved parts' and the depth the largest of theirs: this node
         separates nothing.
@@ -182,7 +193,7 @@ class _Search:
         held: List[int] = []
         for part, estimate in zip(parts, estimates):
             if estimate > cap:
-                answers.append(self.solve(part))
+                answers.append(self.solve(part, estimate))
                 continue
             if load + estimate > cap:
                 answers.append(self.solve(batch, load, held))
@@ -210,21 +221,17 @@ class _PackSearch(_Search):
     def greedy(self, mask: int) -> List[int]:
         return mask_to_ids(self.ctx.greedy_pack_mask(mask)[1])
 
-    def estimate(self, mask: int) -> int:
+    def view(self, mask: int):
+        return None
+
+    def estimate(self, mask: int, view=None) -> int:
         return self.ctx.greedy_pack_mask(mask)[0]
+
+    def close(self, mask: int, view, g: int, parts: Optional[List[int]]) -> List[int]:
+        return mask_to_ids(self.ctx.exact_pack_mask(mask, self.budget.tick, parts)[1])
 
     def output(self, witness: List[int]) -> List[int]:
         return sorted(self.ctx.ids[i] for i in witness)
-
-    def _expand(self, mask: int, g: Optional[int] = None, parts: Optional[List[int]] = None) -> Tuple[List[int], int]:
-        if g is None:
-            g, greedy = self.ctx.greedy_pack_mask(mask)
-        if g <= self.cfg.base_threshold:
-            return mask_to_ids(self.ctx.exact_pack_mask(mask, self.budget.tick, parts)[1]), 0
-        comps = self.ctx.components(mask)
-        if len(comps) > 1:
-            return self._components(comps, [(greedy & c).bit_count() for c in comps])
-        return self._separated(*(self.split(mask) or self._pivot(mask)))
 
     def _pivot(self, mask):
         # The object with the most neighbours alone as the boundary, so
@@ -232,7 +239,7 @@ class _PackSearch(_Search):
         o = 1 << max(mask_to_ids(mask), key=lambda i: ((self.ctx.nbr[i] & mask).bit_count(), -i))
         return mask & ~o, 0, o
 
-    def _separated(self, inside: int, outside: int, boundary: int):
+    def _separated(self, inside: int, outside: int, boundary: int, *_):
         # Independent sets of the boundary, the empty one first: a set grows
         # only by higher bits of `cand`, its bits that no chosen object
         # meets, and `blocked` is the union of its objects' neighbourhoods.
@@ -266,33 +273,22 @@ class _PierceSearch(_Search):
         self.table = PierceTable(ctx)
 
     def greedy(self, mask: int) -> List[int]:
-        return self.table.greedy(mask, self.table.restrict(mask))
+        return self.table.greedy(mask, self.view(mask))
 
-    def estimate(self, mask: int) -> int:
-        return len(self.greedy(mask))
+    def view(self, mask: int) -> int:
+        return self.table.restrict(mask)
+
+    def estimate(self, mask: int, view: Optional[int] = None) -> int:
+        # A point pierces one component's objects only, so of the view of
+        # `mask` and other components, the rows that pierce `mask` are its own.
+        return len(self.table.greedy(mask, self.view(mask) if view is None else view))
+
+    def close(self, mask: int, kept: int, g: int, parts: Optional[List[int]]) -> List[int]:
+        # A base case separates nothing: its whole mask is the boundary.
+        return self._separated(0, 0, mask, kept, g)[0]
 
     def output(self, witness: List[int]) -> List[Point]:
         return [self.table.points[r] for r in witness]
-
-    def _expand(self, mask: int, g: Optional[int] = None, parts: Optional[List[int]] = None) -> Tuple[List[int], int]:
-        kept = self.table.restrict(mask)
-        if g is None:
-            greedy = self.table.greedy(mask, kept)
-            g = len(greedy)
-        if g <= self.cfg.base_threshold:
-            # A base case separates nothing: its whole mask is the boundary.
-            return self._separated(0, 0, mask, kept, g)[0], 0
-        comps = self.ctx.components(mask)
-        if len(comps) > 1:
-            # A point pierces objects of one component only: a greedy row
-            # counts in the component of the lowest object it pierces.
-            comp_of = {o: k for k, c in enumerate(comps) for o in mask_to_ids(c)}
-            counts = [0] * len(comps)
-            for r in greedy:
-                low = self.table.cov[r] & mask
-                counts[comp_of[(low & -low).bit_length() - 1]] += 1
-            return self._components(comps, counts)
-        return self._separated(*(self.split(mask) or self._pivot(mask)), kept, g)
 
     def _pivot(self, mask):
         # The smallest object alone as the boundary: its covers are the

@@ -69,6 +69,22 @@ def test_pierce_answers_repeat_byte_for_byte(tmp_path):
     assert all(r["value"] == len(r["witness"]) for r in records)
 
 
+def test_interleave_times_both_trees(tmp_path):
+    # One pair of processes, one pass each, this tree against itself, run
+    # from outside the repository without PYTHONPATH.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "interleave.py"), "--other", str(ROOT),
+         "--workload", "pierce-exact", "--seed", "1", "--pairs", "1", "--passes", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pair, wins, medians = proc.stdout.splitlines()
+    assert pair.startswith("pair 1: this ") and pair.endswith("this first")
+    assert wins in ("this tree faster in 0 of 1 pairs", "this tree faster in 1 of 1 pairs")
+    assert medians.startswith("median: this ")
+
+
 def test_mutants_script_lists_no_stale_mutant():
     # `--list` exits 1 when some mutant's text no longer occurs exactly once
     # in its file, so a refactor that moves mutated code fails here.

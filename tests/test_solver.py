@@ -210,17 +210,42 @@ def test_pierce_base_case_covers_with_kept_rows():
             assert pierced & mask == mask
 
 
-@pytest.mark.parametrize("search_cls", [_PackSearch, _PierceSearch])
-def test_solve_takes_an_estimate_only_for_a_base_case(search_cls):
-    # `_expand` skips the greedy witness when handed an estimate, and a
-    # component node needs it: an estimate above `base_threshold` is refused.
-    inst = gen_instance("cluster", 2, shape="box", clusters=2, cluster_size=7, seed=0)
-    ctx = IntersectionContext(inst.objects)
-    search = search_cls(ctx, SolveConfig(base_threshold=2))
-    search.run(0)
-    assert len(ctx.components(ctx.full_mask())) > 1
-    with pytest.raises(AssertionError, match="only a base case"):
-        search.solve(ctx.full_mask(), 3)
+@pytest.mark.parametrize(
+    "search, solve, approx, shape, density",
+    [(_PackSearch, solve_pack, ptas_pack, "ball", 8), (_PierceSearch, solve_pierce, ptas_pierce, "box", 2)],
+)
+def test_handed_estimates_answer_as_computed_ones(monkeypatch, search, solve, approx, shape, density):
+    # A component node hands each batch and each larger (connected) part its
+    # greedy estimate, and the PTAS hands each leaf its own.  Computing every
+    # estimate again instead gives the same witness, depth and node count, on
+    # dense families that reach component, separated and pivot nodes.
+    expanded = count_calls(monkeypatch, _Search, "_expand")
+    runs = count_calls(monkeypatch, _Search, "run")
+    pivots = count_calls(monkeypatch, search, "_pivot")
+    separated = count_calls(monkeypatch, search, "_separated")
+    components = count_calls(monkeypatch, _Search, "_components")
+    base = 2
+    insts = [gen_instance("random", 2, shape=shape, n=16, seed=seed, density=density) for seed in range(6)]
+    ptas_cfg = PtasConfig(epsilon=0.5, c_stop=1.0, solve=SolveConfig(base_threshold=base))
+    ptas_inst = gen_instance("random", 2, shape=shape, n=60, seed=1, density=density)
+
+    def answers():
+        got = []
+        for balance_cap in (0.8, 1e-9):
+            cfg = SolveConfig(base_threshold=base, balance_cap=balance_cap)
+            got += [solve(inst, cfg) for inst in insts]
+        got.append(approx(ptas_inst, ptas_cfg))
+        return [(sol.witness, sol.depth, sol.nodes) for sol in got]
+
+    handed = answers()
+    assert components and pivots and any(args[0] | args[1] for args in separated)
+    assert any(parts is not None for _, g, parts in expanded)  # batches
+    assert any(parts is None and g is not None and g > base for _, g, parts in expanded)  # connected parts
+    assert any(len(args) == 2 and args[1] is not None for args in runs)  # PTAS leaves
+    handing_solve, handing_run = _Search.solve, _Search.run
+    monkeypatch.setattr(_Search, "solve", lambda self, mask, estimate=None, parts=None: handing_solve(self, mask, None, parts))
+    monkeypatch.setattr(_Search, "run", lambda self, mask, estimate=None: handing_run(self, mask))
+    assert answers() == handed
 
 
 def test_pierce_builds_one_candidate_table(monkeypatch):
@@ -493,6 +518,12 @@ def test_greedy_estimates_add_up_over_components(shape, d):
             assert all(not (ctx.nbr[i] & mask & ~part) for part in parts for i in mask_to_ids(part))
             for estimate in (lambda m: ctx.greedy_pack_mask(m)[0], lambda m: len(search.greedy(m))):
                 assert estimate(mask) == sum(estimate(part) for part in parts)
+            # A part's piercing estimate through the view of the whole mask,
+            # the node's, is its own; the full mask's view is every row.
+            for whole in (mask, ctx.full_mask()):
+                view = search.view(whole)
+                for part in ctx.components(whole):
+                    assert search.estimate(part, view) == search.estimate(part)
 
 
 # --- dense differential -------------------------------------------------------
