@@ -7,8 +7,10 @@ workload and seed (from its own tree, read only, as `scripts/answers.py`
 reads it, at the benchmark's run length of 30 s), solves every case once
 per pass through the mix's entry points, and reports the best of
 `--passes` in-process passes, in milliseconds.  The script prints each
-pair, how many pairs this tree won and the median of each side with the
-other tree's interquartile range.
+pair, how many pairs this tree won, the median of each side with the
+other tree's interquartile range, and the median and quartiles of the
+per-pair ratio this/other: a ratio within a pair cancels a slow phase of
+the machine that a batch's medians keep.
 
 Usage: python scripts/interleave.py --other DIR --workload W --seed S
            [--pairs 10] [--passes 5]
@@ -38,6 +40,14 @@ def best_pass_ms(tree: Path, workload: str, seed: int, passes: int) -> float:
             mix.solve(case)
         best = min(best, time.perf_counter() - t)
     return best * 1000
+
+
+def quartiles(values):
+    """First quartile, median and third quartile of `values`."""
+    if len(values) == 1:
+        return values * 3
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], statistics.median(values), q[2]
 
 
 def run_side(tree: Path, args) -> float:
@@ -77,9 +87,11 @@ def main(argv=None):
               f"{order[0][0]} first", flush=True)
     wins = sum(a < b for a, b in zip(this_ms, other_ms))
     print(f"this tree faster in {wins} of {args.pairs} pairs")
-    q = statistics.quantiles(other_ms, n=4, method="inclusive") if len(other_ms) > 1 else [other_ms[0]] * 3
-    print(f"median: this {statistics.median(this_ms):.2f} ms, other {statistics.median(other_ms):.2f} ms "
-          f"(other's quartiles {q[0]:.2f}-{q[2]:.2f} ms)")
+    q = quartiles(other_ms)
+    r = quartiles([a / b for a, b in zip(this_ms, other_ms)])
+    print(f"median: this {statistics.median(this_ms):.2f} ms, other {q[1]:.2f} ms "
+          f"(other's quartiles {q[0]:.2f}-{q[2]:.2f} ms), "
+          f"this/other per pair {r[1]:.3f} (quartiles {r[0]:.3f}-{r[2]:.3f})")
 
 
 if __name__ == "__main__":

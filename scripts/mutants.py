@@ -280,6 +280,22 @@ MUTANTS = [
         "extent / SIDE_SEARCH_RATIO ** (steps - i + 1)",
         "tests/test_separator.py::test_find_base_box_bounding_corner_first",
     ),
+    # The search probes the lowest rung any threshold admits first, and
+    # bisects the ladder when that rung fails.
+    Mutant(
+        "base-box-first-probe-one-rung-up",
+        "separator.py",
+        "best = rung(r_min)",
+        "best = rung(r_min + 1)",
+        "tests/test_separator.py::test_find_base_box_follows_the_listed_ladder",
+    ),
+    Mutant(
+        "base-box-fallback-dropped",
+        "separator.py",
+        "lo, hi = 0, steps",
+        "lo, hi = steps, steps",
+        "tests/test_separator.py::test_find_base_box_follows_the_listed_ladder",
+    ),
     Mutant(
         "base-box-ladder-floor-below-grid",
         "separator.py",
@@ -357,7 +373,15 @@ MUTANTS = [
         "blocked | 1 << i",
         "tests/test_solver.py::test_dense_families_match_oracle_on_every_path",
     ),
-    # A component node hands every part its estimate, a lone object's 1.
+    # A node not handed its estimate sums its components' estimates; a
+    # component node hands every part its estimate, a lone object's 1.
+    Mutant(
+        "part-estimates-max",
+        "solver.py",
+        "g = sum(estimates)",
+        "g = max(estimates)",
+        "tests/test_solver.py::test_pierce_matches_oracle",
+    ),
     Mutant(
         "part-handed-estimate-low",
         "solver.py",
@@ -368,8 +392,8 @@ MUTANTS = [
     Mutant(
         "lone-object-estimate-zero",
         "solver.py",
-        "if c & (c - 1) else 1 for c in comps]",
-        "if c & (c - 1) else 0 for c in comps]",
+        "if c & (c - 1) else 1 for c in parts]",
+        "if c & (c - 1) else 0 for c in parts]",
         "tests/test_solver.py::test_handed_estimates_answer_as_computed_ones",
     ),
     # The closer takes a component of two objects, which meet, by its

@@ -21,15 +21,21 @@ packing holds at most one object of each clique of `ctx.cliques` cut to the
 mask, so once per search every cube gets the side below which it holds
 centres of fewer cliques than the target; a rung walks only the cubes at or
 above theirs, each walk taking the lowest unblocked bits (size rank) and
-stopping once the answer is known.  The ladder is not listed: the
-bisection works out each rung it probes.  `shell_sweep` builds the corners
-of all its shells in one array, with `magnify`'s float operations,
-classifies against them in one `_classify` call and returns the chosen
-shell's row, which `separate` takes as its classification: the only one it
-makes, also when the centres coincide (the family is then a clique, so its
-greedy measure is 1 and the sweep has one shell, at m = 1).  A
-`SeparatorResult` holds its regions as masks over the context, their ids
-(given positions) derived from them, and measure values only.
+stopping once the answer is known.  No cube is tried below the lowest rung
+any threshold admits, so that rung is probed first, and a cube found there
+is on the smallest achieving rung of the whole ladder; only when it fails
+is the ladder bisected.  The greedy measure is not monotone in the side (a
+larger cube can hold centres whose greedy walk picks fewer), so the
+bisection promises less: its rung achieves and the next lower one does not.
+The ladder is not listed: the search works out each rung it probes.
+`shell_sweep` builds the corners of all its shells in one array, with
+`magnify`'s float operations, classifies against them in one `_classify`
+call and returns the chosen shell's row, which `separate` takes as its
+classification: the only one it makes, also when the centres coincide (the
+family is then a clique, so its greedy measure is 1 and the sweep has one
+shell, at m = 1).  A `SeparatorResult` holds its regions as masks over the
+context, their ids (given positions) derived from them, and measure values
+only.
 """
 from __future__ import annotations
 
@@ -223,14 +229,18 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
 
     Searches cubes anchored at object centers, with sides on a geometric
     ladder from the centers' extent (the longest side of their bounding box)
-    down by `SIDE_SEARCH_RATIO` to no less than `extent * 1e-9`.  The top
-    rung's corner cube holds every center.  The smallest achieving ladder
-    size is located by bisection (achievability is monotone in the side
-    length), so no family member with at most half the volume can reach
-    tau.  Only the rungs the bisection probes are worked out: rung i of
-    0 .. steps has the extent over the ratio to the power steps - i.  Every
-    candidate cube's threshold side (`_min_sides`) is computed once per
-    call, so a rung tries only the cubes at or above it.
+    down by `SIDE_SEARCH_RATIO` to no less than `extent * 1e-9`: rung i of
+    0 .. steps has the extent over the ratio to the power steps - i, and the
+    top rung's corner cube holds every center.  Every candidate cube's
+    threshold side (`_min_sides`) is computed once per call, so a rung tries
+    only the cubes at or above it, and no cube on a rung below `r_min`, the
+    first whose side reaches the smallest threshold.  `r_min` is probed
+    first: a cube found there lies on the smallest achieving rung of the
+    whole ladder.  Otherwise the top rung is probed, then the ladder is
+    bisected, rungs up to `r_min` counted as failing without a walk.  The
+    greedy measure is not monotone in the side, so the bisection's rung is
+    one whose next lower rung fails, not always the smallest achieving one.
+    Only the rungs probed are worked out.
     """
     centers = sub.arrays.center
     if len(centers) == 0:
@@ -249,11 +259,31 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     anchors = _anchors(sub)
     min_side = _min_sides(sub, anchors, tau)
 
-    def rung(i: int) -> Optional[BoxRegion]:
+    def side(i: int) -> float:
         # Rung i of the ladder, whose top is rung `steps`.
-        return _achieving_box(sub, anchors, extent / SIDE_SEARCH_RATIO ** (steps - i), tau, min_side)
+        return extent / SIDE_SEARCH_RATIO ** (steps - i)
 
-    best = rung(steps)
+    def rung(i: int) -> Optional[BoxRegion]:
+        return _achieving_box(sub, anchors, side(i), tau, min_side)
+
+    # The logarithm places `r_min` to within a rung and `side` settles it;
+    # at steps + 1 no rung admits a cube.
+    low = float(min_side.min())
+    r_min = 0
+    if low > extent:
+        r_min = steps + 1
+    elif low > 0:
+        r_min = max(math.ceil(steps - (math.log(extent) - math.log(low)) / math.log(SIDE_SEARCH_RATIO)), 0)
+    while r_min > 0 and side(r_min - 1) >= low:
+        r_min -= 1
+    while r_min <= steps and side(r_min) < low:
+        r_min += 1
+    if r_min <= steps:
+        best = rung(r_min)
+        if best is not None:
+            return best
+
+    best = rung(steps) if steps > r_min else None
     if best is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
 
@@ -261,7 +291,7 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     lo, hi = 0, steps
     while lo < hi:
         mid = (lo + hi) // 2
-        box = rung(mid)
+        box = rung(mid) if mid > r_min else None
         if box is not None:
             hi, best = mid, box
         else:

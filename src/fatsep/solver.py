@@ -14,7 +14,8 @@ greedy estimate) are base cases, closed exactly: packing by
 below with the whole mask as the boundary and nothing inside or outside.  A
 larger one that is disconnected in the intersection graph is a component
 node: Pack and Pierce add up over components, and so do both greedy
-estimates, so each part is estimated alone (a lone object counts 1),
+estimates, so a node not handed its estimate finds its components first and
+estimates each part alone (a lone object counts 1), their sum its estimate;
 components whose estimates sum to at most `base_threshold` close together
 as one base case and each larger component is searched on its own, each
 handed its estimate.  The packing closer then searches each component of
@@ -165,15 +166,21 @@ class _Search:
         return hit
 
     def _expand(self, mask: int, g: Optional[int], parts: Optional[List[int]]) -> tuple:
-        """The node step of both problems; `g` is computed unless given."""
+        """The node step of both problems.  Unless `g` is handed in, the
+        mask's components come first and each is estimated once (a lone
+        object counts 1), `g` their sum; a closer and `_components` read
+        those parts and estimates.  A handed `g` above `base_threshold`
+        finds the components and, if there are several, their estimates."""
         view = self.view(mask)
-        if g is None:
-            g = self.estimate(mask, view)
+        if g is None or g > self.cfg.base_threshold:
+            parts = self.ctx.components(mask)
+            if g is None or len(parts) > 1:
+                estimates = [self.estimate(c, view) if c & (c - 1) else 1 for c in parts]
+                g = sum(estimates)
         if g <= self.cfg.base_threshold:
             return self.close(mask, view, g, parts), 0
-        comps = self.ctx.components(mask)
-        if len(comps) > 1:
-            return self._components(comps, [self.estimate(c, view) if c & (c - 1) else 1 for c in comps])
+        if len(parts) > 1:
+            return self._components(parts, estimates)
         return self._separated(*(self.split(mask) or self._pivot(mask)), view, g)
 
     def _components(self, parts: List[int], estimates: List[int]) -> tuple:

@@ -83,6 +83,9 @@ def test_interleave_times_both_trees(tmp_path):
     assert pair.startswith("pair 1: this ") and pair.endswith("this first")
     assert wins in ("this tree faster in 0 of 1 pairs", "this tree faster in 1 of 1 pairs")
     assert medians.startswith("median: this ")
+    # Against itself, one pair's ratio is its own quartiles.
+    ratio = medians.split("this/other per pair ")[1]
+    assert ratio == f"{ratio.split()[0]} (quartiles {ratio.split()[0]}-{ratio.split()[0]})"
 
 
 def test_mutants_script_lists_no_stale_mutant():

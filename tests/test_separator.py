@@ -55,7 +55,7 @@ def test_find_base_box_single_cluster():
     inside = [o for o in objs if all(l - 1e-9 <= c <= h + 1e-9 for c, l, h in zip(o.center, box.low, box.high))]
     assert greedy_pack(inside).value >= 3
     # independent oracle: exhaustive ascending ladder scan for the first
-    # achieving size must match the bisection result
+    # achieving size must match the search's result
     s = next(s for s in ladder(objs) if achieving_box(ctx, s, 3) is not None)
     assert box.longest_side == pytest.approx(s)
 
@@ -140,26 +140,38 @@ def test_find_base_box_matches_per_candidate_loop(monkeypatch):
             assert (got.low, got.high) == (want.low, want.high)
 
 
-def ladder_bisection(sub, tau):
-    """The base-box search over its whole ladder, listed: the bounding rung,
-    then a bisection for the smallest achieving rung.  Returns its box and
-    the sides it asked `_achieving_box` about, in order."""
+def listed_ladder(sub, tau):
+    """`find_base_box`'s ladder for `sub`, listed bottom up, with the anchors
+    and thresholds it hands `_achieving_box`."""
     centers = sub.arrays.center
     extent = float((centers.max(axis=0) - centers.min(axis=0)).max())
     floor = max(extent * 1e-9, 2.0**-50 * float(np.abs(centers).max()))
     steps = max(int(math.log(extent / floor) / math.log(SIDE_SEARCH_RATIO)), 0)
-    ladder = [extent / SIDE_SEARCH_RATIO**j for j in range(steps, -1, -1)]
     anchors = separator._anchors(sub)
-    min_side = separator._min_sides(sub, anchors, tau)
-    asked = [ladder[-1]]
-    best = separator._achieving_box(sub, anchors, ladder[-1], tau, min_side)
+    return [extent / SIDE_SEARCH_RATIO**j for j in range(steps, -1, -1)], anchors, separator._min_sides(sub, anchors, tau)
+
+
+def ladder_bisection(sub, tau, first=-1):
+    """The bounding rung of the listed ladder, then a bisection for an
+    achieving rung, rungs up to `first` counted as failing unasked.  Returns
+    its box and the sides it asked `_achieving_box` about, in order; with no
+    `first`, the base-box search before it probed a lowest rung first."""
+    ladder, anchors, min_side = listed_ladder(sub, tau)
+    asked = []
+
+    def probe(i):
+        if i <= first:
+            return None
+        asked.append(ladder[i])
+        return separator._achieving_box(sub, anchors, ladder[i], tau, min_side)
+
+    best = probe(len(ladder) - 1)
     if best is None:
         return None, asked
     lo, hi = 0, len(ladder) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        asked.append(ladder[mid])
-        box = separator._achieving_box(sub, anchors, ladder[mid], tau, min_side)
+        box = probe(mid)
         if box is not None:
             hi, best = mid, box
         else:
@@ -167,10 +179,28 @@ def ladder_bisection(sub, tau):
     return best, asked
 
 
-def test_find_base_box_bisects_the_ladder_list(monkeypatch):
-    # The same rungs asked in the same order, and the same box, as a
-    # bisection over the listed ladder, on masks of ball and box families;
-    # above the mask's clique count every threshold is inf and both fail.
+def ladder_search(sub, tau):
+    """The base-box search over its listed ladder: the lowest rung whose side
+    reaches every threshold's minimum (found by a scan), then, when that
+    fails, `ladder_bisection` with the rungs up to it failing.  Returns the
+    box, the sides asked, in order, and whether the first probe achieved."""
+    ladder, anchors, min_side = listed_ladder(sub, tau)
+    first = next((i for i, s in enumerate(ladder) if s >= min_side.min()), len(ladder))
+    if first == len(ladder):
+        return None, [], False
+    box = separator._achieving_box(sub, anchors, ladder[first], tau, min_side)
+    if box is not None:
+        return box, [ladder[first]], True
+    best, asked = ladder_bisection(sub, tau, first)
+    return best, [ladder[first]] + asked, False
+
+
+def test_find_base_box_follows_the_listed_ladder(monkeypatch):
+    # The same rungs asked in the same order, and the same box, as
+    # `ladder_search` over the listed ladder, on masks of ball and box
+    # families, whose first probes achieve and fail; above the mask's
+    # clique count every threshold is inf, no rung is asked and both fail.
+    # The box is never larger than the bisection's of the whole ladder.
     rng = random.Random(7)
     asked = []
     original = separator._achieving_box
@@ -179,7 +209,7 @@ def test_find_base_box_bisects_the_ladder_list(monkeypatch):
         asked.append(s)
         return original(sub, anchors, s, tau, min_side)
 
-    unreachable = 0
+    outcomes = {"first": 0, "fallback": 0, "unreachable": 0}
     for shape in ("ball", "box"):
         for d in (2, 3):
             for density in (1.0, 8.0):
@@ -188,8 +218,8 @@ def test_find_base_box_bisects_the_ladder_list(monkeypatch):
                     sub = Subfamily(ctx, mask)
                     cliques = len(separator._clique_boxes(sub)[0])
                     g = ctx.greedy_pack_mask(mask)[0]
-                    for tau in sorted({1, 2, max(1, g // 3), g, cliques, cliques + 1}):
-                        want, want_asked = ladder_bisection(sub, tau)
+                    for tau in sorted({1, 2, max(1, g // 3), math.ceil(1.25 / 3 * g), g, cliques, cliques + 1}):
+                        want, want_asked, first = ladder_search(sub, tau)
                         del asked[:]
                         with monkeypatch.context() as m:
                             m.setattr(separator, "_achieving_box", recording)
@@ -200,10 +230,14 @@ def test_find_base_box_bisects_the_ladder_list(monkeypatch):
                                 assert find_base_box(sub, tau) == want
                         assert asked == want_asked, (shape, d, tau)
                         if tau > cliques:
-                            assert want is None
+                            assert want is None and not asked
                             assert np.isinf(separator._min_sides(sub, separator._anchors(sub), tau)).all()
-                            unreachable += 1
-    assert unreachable
+                            outcomes["unreachable"] += 1
+                        if want is None:
+                            continue
+                        outcomes["first" if first else "fallback"] += 1
+                        assert want.longest_side <= ladder_bisection(sub, tau)[0].longest_side
+    assert all(outcomes.values()), outcomes
 
 
 def test_find_base_box_bounding_corner_first(monkeypatch):
@@ -229,28 +263,54 @@ def test_achieving_box_tolerance_at_cube_faces():
         assert got is not None and (got.low, got.high) == (want.low, want.high)
 
 
+def achieves_on_any_cube(ctx, s, tau):
+    """True when some candidate cube of side s, any of `candidate_cubes`,
+    holds centres whose greedy measure reaches tau: every cube walked, none
+    skipped by a threshold or a centre count."""
+    _, cubes = candidate_cubes(ctx, s)
+    return any(
+        ctx.greedy_pack_mask(sum(1 << i for i in np.flatnonzero(row).tolist()))[0] >= tau for row in cubes
+    )
+
+
 def test_find_base_box_evaluates_each_rung_once(monkeypatch):
-    # One call for the bounding rung, then one per bisection step; the
-    # smallest passing rung's box is kept, not searched for again.
-    for objs in (random_objects(1, 40), random_objects(2, 40, d=3, shape="box")):
-        calls = []
-        original = separator._achieving_box
+    # Each rung is asked at most once and the box is the last achieving
+    # rung's.  When the first probe achieves, no candidate cube of any lower
+    # rung reaches tau, walked without thresholds; when it fails, the box is
+    # the bisection's of the whole ladder.  The box is never larger than
+    # that bisection's.
+    families = [random_objects(1, 40), random_objects(2, 40, d=3, shape="box"), random_objects(3, 30, d=3)]
+    families.append(list(gen_instance("random", 2, shape="box", n=40, seed=5, density=8).objects))
+    original = separator._achieving_box
+    outcomes = set()
+    for objs in families:
+        ctx = IntersectionContext(objs)
+        sub = Subfamily(ctx)
+        g = greedy_pack(objs).value
+        for tau in sorted({2, max(1, g // 3), math.ceil(1.25 / 3.0 * g), max(1, g // 2), g}):
+            calls = []
 
-        def counting(sub, anchors, s, tau, min_side):
-            box = original(sub, anchors, s, tau, min_side)
-            calls.append((s, box))
-            return box
+            def counting(sub, anchors, s, tau, min_side):
+                box = original(sub, anchors, s, tau, min_side)
+                calls.append((s, box))
+                return box
 
-        tau = max(1, greedy_pack(objs).value // 2)
-        with monkeypatch.context() as m:
-            m.setattr(separator, "_achieving_box", counting)
-            got = find_base_box(Subfamily(IntersectionContext(objs)), tau)
-        sides = [s for s, _ in calls]
-        assert len(calls) > 2 and len(set(sides)) == len(sides)
-        assert sides[0] == max(sides)
-        passing = [(s, box) for s, box in calls if box is not None]
-        assert max(s for s, box in calls if box is None) < min(s for s, _ in passing)
-        assert min(passing)[1] == got
+            with monkeypatch.context() as m:
+                m.setattr(separator, "_achieving_box", counting)
+                got = find_base_box(sub, tau)
+            sides = [s for s, _ in calls]
+            assert len(set(sides)) == len(sides)
+            assert [box for _, box in calls if box is not None][-1] == got
+            old, _ = ladder_bisection(sub, tau)
+            assert got.longest_side <= old.longest_side
+            ladder = listed_ladder(sub, tau)[0]
+            if calls[0][1] is not None:
+                outcomes.add("first")
+                assert not any(achieves_on_any_cube(ctx, s, tau) for s in ladder if s < sides[0])
+            else:
+                outcomes.add("fallback")
+                assert got == old
+    assert outcomes == {"first", "fallback"}
 
 
 def rank_walk_families(balls=24, boxes=12, per_dim=4, seed=11):
