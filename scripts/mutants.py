@@ -285,15 +285,22 @@ MUTANTS = [
     Mutant(
         "base-box-first-probe-one-rung-up",
         "separator.py",
-        "best = rung(r_min)",
-        "best = rung(r_min + 1)",
+        "box = rung(r_min)",
+        "box = rung(r_min + 1)",
         "tests/test_separator.py::test_find_base_box_follows_the_listed_ladder",
+    ),
+    Mutant(
+        "base-box-lowest-rung-strict",
+        "separator.py",
+        "side(i) >= low",
+        "side(i) > low",
+        "tests/test_separator.py::test_find_base_box_first_probes_the_lowest_rung_reaching_the_thresholds",
     ),
     Mutant(
         "base-box-fallback-dropped",
         "separator.py",
-        "lo, hi = 0, steps",
-        "lo, hi = steps, steps",
+        "bisect_left(range(steps), True, key",
+        "bisect_left(range(steps), True, steps, key",
         "tests/test_separator.py::test_find_base_box_follows_the_listed_ladder",
     ),
     Mutant(

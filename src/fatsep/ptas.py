@@ -48,6 +48,8 @@ class PtasConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        if not (0.0 < self.c_stop < math.inf):
+            raise ValueError("c_stop must be positive and finite")
 
     def stop_threshold(self, d: int) -> int:
         # d=2 with c_stop=1 recovers the classic (1/eps)^2 stop rule.

@@ -22,12 +22,13 @@ mask, so once per search every cube gets the side below which it holds
 centres of fewer cliques than the target; a rung walks only the cubes at or
 above theirs, each walk taking the lowest unblocked bits (size rank) and
 stopping once the answer is known.  No cube is tried below the lowest rung
-any threshold admits, so that rung is probed first, and a cube found there
-is on the smallest achieving rung of the whole ladder; only when it fails
-is the ladder bisected.  The greedy measure is not monotone in the side (a
-larger cube can hold centres whose greedy walk picks fewer), so the
-bisection promises less: its rung achieves and the next lower one does not.
-The ladder is not listed: the search works out each rung it probes.
+any threshold admits, so that rung (a `bisect_left` over the sides) is
+probed first, and a cube found there is on the smallest achieving rung of
+the whole ladder; only when it fails does a second `bisect_left` run over
+the rungs' outcomes.  The greedy measure is not monotone in the side (a
+larger cube can hold centres whose greedy walk picks fewer), so it
+promises less: its rung achieves and the next lower one does not.  The
+ladder is not listed: the search works out each rung it probes.
 `shell_sweep` builds the corners of all its shells in one array, with
 `magnify`'s float operations, classifies against them in one `_classify`
 call and returns the chosen shell's row, which `separate` takes as its
@@ -39,6 +40,7 @@ only.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -234,13 +236,14 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     top rung's corner cube holds every center.  Every candidate cube's
     threshold side (`_min_sides`) is computed once per call, so a rung tries
     only the cubes at or above it, and no cube on a rung below `r_min`, the
-    first whose side reaches the smallest threshold.  `r_min` is probed
-    first: a cube found there lies on the smallest achieving rung of the
-    whole ladder.  Otherwise the top rung is probed, then the ladder is
-    bisected, rungs up to `r_min` counted as failing without a walk.  The
-    greedy measure is not monotone in the side, so the bisection's rung is
-    one whose next lower rung fails, not always the smallest achieving one.
-    Only the rungs probed are worked out.
+    first whose side reaches the smallest threshold, found by `bisect_left`
+    over the rungs' sides.  It is probed first: a cube found there lies on
+    the smallest achieving rung of the whole ladder.  Otherwise the top rung
+    is probed, then a second `bisect_left` over the rungs' outcomes (up to
+    `r_min` failing unasked, each rung probed once) finds the rung to
+    return.  The greedy measure is not monotone in the side, so that rung
+    is one whose next lower rung fails, not always the smallest achieving
+    one.  Only the rungs probed are worked out.
     """
     centers = sub.arrays.center
     if len(centers) == 0:
@@ -266,37 +269,16 @@ def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:
     def rung(i: int) -> Optional[BoxRegion]:
         return _achieving_box(sub, anchors, side(i), tau, min_side)
 
-    # The logarithm places `r_min` to within a rung and `side` settles it;
-    # at steps + 1 no rung admits a cube.
+    # `r_min` is steps + 1 when no rung admits a cube.
     low = float(min_side.min())
-    r_min = 0
-    if low > extent:
-        r_min = steps + 1
-    elif low > 0:
-        r_min = max(math.ceil(steps - (math.log(extent) - math.log(low)) / math.log(SIDE_SEARCH_RATIO)), 0)
-    while r_min > 0 and side(r_min - 1) >= low:
-        r_min -= 1
-    while r_min <= steps and side(r_min) < low:
-        r_min += 1
-    if r_min <= steps:
-        best = rung(r_min)
-        if best is not None:
-            return best
-
-    best = rung(steps) if steps > r_min else None
-    if best is None:
+    r_min = bisect_left(range(steps + 1), True, key=lambda i: side(i) >= low)
+    box = rung(r_min) if r_min <= steps else None
+    if box is not None:
+        return box
+    rung = functools.cache(rung)
+    if r_min >= steps or rung(steps) is None:
         raise ValueError(f"tau={tau} unreachable even by the bounding cube")
-
-    # `best` is always the achieving box of rung `hi`.
-    lo, hi = 0, steps
-    while lo < hi:
-        mid = (lo + hi) // 2
-        box = rung(mid) if mid > r_min else None
-        if box is not None:
-            hi, best = mid, box
-        else:
-            lo = mid + 1
-    return best
+    return rung(bisect_left(range(steps), True, key=lambda i: i > r_min and rung(i) is not None))
 
 
 # `_classify` codes of `RegionClass.INSIDE`, `.BOUNDARY` and `.OUTSIDE`.
@@ -362,13 +344,9 @@ def shell_sweep(sub: Subfamily, base: BoxRegion, g: int) -> Tuple[float, int, np
     centre = (low + high) / 2.0
     half = (1.0 + np.arange(shell_count(d, g)) * step)[:, None] * (high - low) / 2.0
     codes = _classify(sub.arrays, np.stack([centre - half, centre + half], axis=1))
-    best_j = 0
-    best_val = None
-    for j, mask in enumerate(sub.masks(codes == _BOUNDARY)):
-        value, _ = sub.ctx.greedy_pack_mask(mask)
-        if best_val is None or value < best_val:
-            best_j, best_val = j, value
-    return 1.0 + best_j * step, int(best_val), codes[best_j]
+    values = [sub.ctx.greedy_pack_mask(mask)[0] for mask in sub.masks(codes == _BOUNDARY)]
+    best_j = values.index(min(values))
+    return 1.0 + best_j * step, values[best_j], codes[best_j]
 
 
 def separate(

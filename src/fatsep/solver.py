@@ -70,6 +70,8 @@ class SolveConfig:
             raise ValueError("base_threshold must be >= 1")
         if self.node_cap < 1:
             raise ValueError("node_cap must be >= 1")
+        if not (0.0 < self.balance_cap <= 1.0):
+            raise ValueError("balance_cap must lie in (0, 1]")
 
     def separator_config(self) -> SeparatorConfig:
         return SeparatorConfig(epsilon=self.epsilon, balance_cap=self.balance_cap)

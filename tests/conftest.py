@@ -28,6 +28,21 @@ def random_objects(seed, n, d=2, shape="ball", span=10.0):
     return objs
 
 
+# Instance files, each with the line `parse_instance` reports it bad at, or
+# None when it parses.
+INSTANCE_FILES = {
+    "empty": ("", 1),
+    "bad-d": ("fatsep v1 d=two n=1\nball 0 0 1\n", 1),
+    "bad-n": ("fatsep v1 d=2 n=-x\nball 0 0 1\n", 1),
+    "bad-seed": ("fatsep v1 d=2 n=1\n# seed: 1.5\nball 0 0 1\n", 2),
+    "missing-radius": ("fatsep v1 d=2 n=1\nball 0 0\n", 2),
+    "box-coordinates": ("fatsep v1 d=2 n=2\nbox 0 0 1 1\nbox 0 0 1\n", 3),
+    "unknown-kind": ("fatsep v1 d=2 n=1\ncone 0 0 1\n", 2),
+    "negative-radius": ("fatsep v1 d=2 n=2\nball 0 0 1\n\nball 5 0 -1\n", 4),
+    "blank-line": ("fatsep v1 d=2 n=2\nball 0 0 1\n\nball 5 0 1\n", None),
+}
+
+
 def given_mask(ctx, mask):
     """`mask`, whose bit i is the context's `objs[i]`, over the family's
     given positions instead."""

@@ -8,6 +8,7 @@ import pytest
 from fatsep.cli import EXIT_NODE_CAP, EXIT_OK, EXIT_SPEC_ERROR, _format_solution, main
 from fatsep.instances import read_instance
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
+from conftest import INSTANCE_FILES
 
 
 def run_cli(args):
@@ -137,11 +138,8 @@ def test_separator_record(inst_file, tmp_path):
 
 
 def test_parse_error_exit_code(inst_file, tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("fatsep v1 d=2 n=1\nball 0 0\n")
     unopenable = str(tmp_path / "no-such-dir" / "f.txt")
     for args in (
-        ["pack", "--in", str(bad)],
         # A missing --in or --svg, and paths that cannot be opened.
         ["pack"],
         ["render", "--in", inst_file],
@@ -153,6 +151,18 @@ def test_parse_error_exit_code(inst_file, tmp_path, capsys):
         assert rc == EXIT_SPEC_ERROR, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+    # Each instance file of the table exits 2 with one line naming its bad
+    # line, or solves when it has none.
+    for case, (text, bad_line) in INSTANCE_FILES.items():
+        path = tmp_path / f"{case}.txt"
+        path.write_text(text)
+        rc = run_cli(["pack", "--in", str(path)])
+        err = capsys.readouterr().err
+        if bad_line is None:
+            assert rc == EXIT_OK and not err.startswith("error"), case
+        else:
+            assert rc == EXIT_SPEC_ERROR, case
+            assert err.startswith(f"error: line {bad_line}: ") and err.count("\n") == 1, (case, err)
 
 
 def test_infinite_radius_exit_code(tmp_path, capsys):

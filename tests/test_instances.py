@@ -12,6 +12,7 @@ from fatsep.instances import (
 )
 from fatsep.oracle import brute_pack
 from fatsep.solver import solve_pack
+from conftest import INSTANCE_FILES
 
 
 def test_grid_pack_by_construction():
@@ -73,11 +74,15 @@ def test_round_trip_byte_stable(tmp_path):
     assert count == 20
 
 
-def test_parse_missing_radius():
-    text = "fatsep v1 d=2 n=1\nball 0 0\n"
+@pytest.mark.parametrize("case", INSTANCE_FILES)
+def test_parse_instance_files(case):
+    text, bad_line = INSTANCE_FILES[case]
+    if bad_line is None:
+        assert parse_instance(text).n == 2
+        return
     with pytest.raises(ParseError) as exc:
         parse_instance(text)
-    assert exc.value.line_no == 2
+    assert exc.value.line_no == bad_line
 
 
 def test_parse_bad_header():

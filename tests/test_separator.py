@@ -240,6 +240,40 @@ def test_find_base_box_follows_the_listed_ladder(monkeypatch):
     assert all(outcomes.values()), outcomes
 
 
+def test_find_base_box_first_probes_the_lowest_rung_reaching_the_thresholds(monkeypatch):
+    # Every threshold set to one value: the first rung asked is the first
+    # listed rung whose side reaches it.  That is rung 0 for 0, the rung
+    # itself for a rung's side or one ulp below it, and the next rung one
+    # ulp above it.  Above the centres' extent (the top rung's side) no rung
+    # reaches it, none is asked and the search fails.
+    sub = Subfamily(IntersectionContext(random_objects(4, 20)))
+    ladder, _, min_side = listed_ladder(sub, 2)
+    k = len(ladder) // 2
+    original = separator._achieving_box
+    asked = []
+
+    def recording(sub, anchors, s, tau, min_side):
+        asked.append(s)
+        return original(sub, anchors, s, tau, min_side)
+
+    lows = (0.0, ladder[k], math.nextafter(ladder[k], 0.0), math.nextafter(ladder[k], math.inf))
+    lows += (math.nextafter(ladder[-1], math.inf), math.inf)
+    wants = [ladder[0], ladder[k], ladder[k], ladder[k + 1], None, None]
+    for low, want in zip(lows, wants):
+        assert want == next((s for s in ladder if s >= low), None)
+        del asked[:]
+        with monkeypatch.context() as m:
+            m.setattr(separator, "_min_sides", lambda sub, anchors, tau: np.full_like(min_side, low))
+            m.setattr(separator, "_achieving_box", recording)
+            if want is None:
+                with pytest.raises(ValueError):
+                    find_base_box(sub, 2)
+                assert asked == []
+            else:
+                find_base_box(sub, 2)
+                assert asked[0] == want, low
+
+
 def test_find_base_box_bounding_corner_first(monkeypatch):
     # No cube anchored at a centre holds both centres; the one at the
     # bounding-box corner (0, 0) does, at the top rung, the centres' extent.
