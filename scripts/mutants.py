@@ -508,6 +508,23 @@ MUTANTS = [
         "every_ball = balls.any()",
         "tests/test_separator.py::test_shapes_classify_matches_classify",
     ),
+    # The PTAS splits a part only when its greedy estimate lies above the
+    # stop threshold and below its size: an independent part is a leaf, and
+    # one pair that meets is enough to split.
+    Mutant(
+        "ptas-splits-independent-parts",
+        "ptas.py",
+        "if stop < g < mask.bit_count() else None",
+        "if g > stop else None",
+        "tests/test_ptas.py::test_disjoint_family_is_closed_without_a_split",
+    ),
+    Mutant(
+        "ptas-closes-one-pair-short",
+        "ptas.py",
+        "if stop < g < mask.bit_count() else None",
+        "if stop < g < mask.bit_count() - 1 else None",
+        "tests/test_ptas.py::test_one_meeting_pair_still_splits",
+    ),
     # A PTAS solve walks each mask's greedy packing once, and piercing
     # restricts each mask once, on memos that live as long as the solve.
     Mutant(

@@ -5,16 +5,21 @@ boundary class is not enumerated.  Packing drops it outright and unions the
 two sides' solutions; piercing covers it with greedy points and recurses on
 what is left.  Once the greedy estimate falls under the stop threshold the
 exact search takes over, so each level loses at most the (small) boundary
-measure and the overall ratio follows.  Packing starts that recursion from
-the family's dominance kernel (`IntersectionContext.dominance_kernel`): an
-object goes when a neighbour's closed neighbourhood lies in its own, and a
-packing may take that neighbour instead, so the kernel holds a maximum
-packing of the family.  OPT, and with it the ratio, stays, and every split
-reads fewer objects.  Packing ends with a greedy refill, from the whole
-family, of the room the dropped objects leave, and answers the whole
-family's greedy packing instead when that is larger; piercing starts from
-the whole family and ends by dropping each point whose objects the other
-points all pierce.
+measure and the overall ratio follows.  A part whose greedy estimate equals
+its size is independent (greedy packing takes every object of a mask just
+when no two meet, and greedy piercing spends one point per object just
+then), so Pack = Pierce = its size: the exact search closes it, component
+by component, and nothing is split or paid for.
+
+Packing starts that recursion from the family's dominance kernel
+(`IntersectionContext.dominance_kernel`): an object goes when a
+neighbour's closed neighbourhood lies in its own, and a packing may take
+that neighbour instead, so the kernel holds a maximum packing of the
+family.  OPT, and with it the ratio, stays, and every split reads fewer
+objects.  Packing ends with a greedy refill, from the whole family, of the
+room the dropped objects leave, and answers the whole family's greedy
+packing instead when that is larger; piercing starts from the whole family
+and ends by dropping each point whose objects the other points all pierce.
 
 Each call builds one `IntersectionContext` and one search object over it
 (piercing: with one `PierceTable`), and recurses on masks.  Estimates,
@@ -117,8 +122,9 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step,
 
     `root_step(search, mask)` gives the part, within the whole family's
     mask, that the recursion starts from.  A part whose greedy estimate is
-    under the stop threshold, or whose separator is unbalanced, is closed
-    by the exact search's `run`, handed that estimate.
+    at most the stop threshold, or equals its size (an independent part),
+    or whose separator is unbalanced, is a leaf: the exact search's `run`
+    closes it, handed that estimate.
     Otherwise `boundary_step(search, boundary)` pays for the boundary class
     and returns (cost, witness, covered): `cost` adds to `discarded`,
     `witness` joins the witness, and the `covered` objects leave both sides
@@ -147,9 +153,10 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step,
         max_depth = max(max_depth, depth)
         if not mask:
             return []
-        # A greedy value above stop >= 1 needs two objects, as `separate` does.
+        # A greedy value above stop >= 1 needs two objects, as `separate`
+        # does, and one below the size needs two that meet.
         g = search.estimate(mask)
-        parts = search.split(mask) if g > stop else None
+        parts = search.split(mask) if stop < g < mask.bit_count() else None
         if parts is None:
             witness, _, leaf_nodes, leaf_aborted = search.run(mask, g)
             nodes += leaf_nodes

@@ -73,6 +73,8 @@ class SeparatorConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 0.5):
             raise ValueError("epsilon must lie in (0, 1/2]")
+        if not (0.0 < self.balance_cap <= 1.0):
+            raise ValueError("balance_cap must lie in (0, 1]")
 
 
 @dataclass

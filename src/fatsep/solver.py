@@ -48,6 +48,7 @@ case's work too.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -66,10 +67,17 @@ class SolveConfig:
     balance_cap: float = 0.8
 
     def __post_init__(self):
-        if self.base_threshold < 1:
-            raise ValueError("base_threshold must be >= 1")
-        if self.node_cap < 1:
-            raise ValueError("node_cap must be >= 1")
+        for name in ("base_threshold", "node_cap"):
+            value = getattr(self, name)
+            # `int` first: every solve builds a config, and the ABC check
+            # alone costs about a microsecond.
+            integral = isinstance(value, int) or isinstance(value, numbers.Integral)
+            if not integral or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        # The separator takes epsilon in (0, 1/2]; a PTAS carries its own
+        # epsilon in (0, 1) here (see `bench.run_solver`).
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError("epsilon must lie in (0, 1)")
         if not (0.0 < self.balance_cap <= 1.0):
             raise ValueError("balance_cap must lie in (0, 1]")
 

@@ -1,12 +1,13 @@
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from fatsep.geometry import TOL, AxisBox, Ball, center, size
-from fatsep.instances import gen_instance
+from fatsep.instances import Instance, gen_instance
 
 
 def random_objects(seed, n, d=2, shape="ball", span=10.0):
@@ -26,6 +27,25 @@ def random_objects(seed, n, d=2, shape="ball", span=10.0):
                 )
             )
     return objs
+
+
+def equal_size(inst):
+    """`inst` with the same centres and every object's size set to the
+    family's median size: balls of that diameter, cubes of that side."""
+    side = statistics.median(size(o) for o in inst.objects)
+    objs = []
+    for o in inst.objects:
+        c = center(o)
+        if isinstance(o, Ball):
+            objs.append(Ball(c, side / 2))
+        else:
+            objs.append(AxisBox(tuple(x - side / 2 for x in c), tuple(x + side / 2 for x in c)))
+    return Instance(dim=inst.dim, objects=tuple(objs), label=f"eq-{inst.label}")
+
+
+def equal_size_balls(n, seed):
+    """A dense (density 8) random ball family in d = 2, `equal_size`."""
+    return equal_size(gen_instance("random", 2, shape="ball", n=n, seed=seed, density=8))
 
 
 # Instance files, each with the line `parse_instance` reports it bad at, or

@@ -243,10 +243,11 @@ def test_ptas_epsilon_above_half(tmp_path, capsys):
 
 def test_ptas_exit_code_tracks_node_cap_only(tmp_path, capsys):
     # Dropping boundary objects makes the answer approximate (optimal=false)
-    # but is no abort: the exit code stays 0.
+    # but is no abort: the exit code stays 0.  The family is dense, so the
+    # PTAS splits it: an independent dominance kernel would be solved exactly.
     p = tmp_path / "big.txt"
-    assert run_cli(["gen", "--family", "random", "--dim", "2", "--n", "80",
-                    "--seed", "1", "--out", str(p)]) == EXIT_OK
+    assert run_cli(["gen", "--family", "random", "--dim", "2", "--n", "200",
+                    "--seed", "0", "--density", "8", "--out", str(p)]) == EXIT_OK
     out = tmp_path / "sol.txt"
     rc = run_cli(["ptas-pack", "--in", str(p), "--epsilon", "0.5", "--out", str(out)])
     assert rc == EXIT_OK

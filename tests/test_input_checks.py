@@ -16,7 +16,14 @@ UNIT = BoxRegion((0.0, 0.0), (1.0, 1.0))
 # Each bad input, the error it raises and a pattern of its message.
 BAD_INPUTS = {
     "base-threshold-0": (lambda: SolveConfig(base_threshold=0), ValueError, "base_threshold"),
+    "base-threshold-fraction": (lambda: SolveConfig(base_threshold=2.5), ValueError, "base_threshold"),
+    "base-threshold-inf": (lambda: SolveConfig(base_threshold=math.inf), ValueError, "base_threshold"),
     "node-cap-0": (lambda: SolveConfig(node_cap=0), ValueError, "node_cap"),
+    "node-cap-fraction": (lambda: SolveConfig(node_cap=2.5), ValueError, "node_cap"),
+    "node-cap-inf": (lambda: SolveConfig(node_cap=math.inf), ValueError, "node_cap"),
+    "epsilon-nan": (lambda: SolveConfig(epsilon=math.nan), ValueError, "epsilon"),
+    "epsilon-0": (lambda: SolveConfig(epsilon=0.0), ValueError, "epsilon"),
+    "epsilon-1": (lambda: SolveConfig(epsilon=1.0), ValueError, "epsilon"),
     "balance-cap-nan": (lambda: SolveConfig(balance_cap=math.nan), ValueError, "balance_cap"),
     "balance-cap-negative": (lambda: SolveConfig(balance_cap=-1.0), ValueError, "balance_cap"),
     "balance-cap-0": (lambda: SolveConfig(balance_cap=0.0), ValueError, "balance_cap"),
@@ -26,6 +33,8 @@ BAD_INPUTS = {
     "c-stop-negative": (lambda: PtasConfig(c_stop=-1.0), ValueError, "c_stop"),
     "c-stop-0": (lambda: PtasConfig(c_stop=0.0), ValueError, "c_stop"),
     "separator-epsilon-above-half": (lambda: SeparatorConfig(epsilon=0.6), ValueError, "epsilon"),
+    "separator-balance-cap-nan": (lambda: SeparatorConfig(balance_cap=math.nan), ValueError, "balance_cap"),
+    "separator-balance-cap-negative": (lambda: SeparatorConfig(balance_cap=-1.0), ValueError, "balance_cap"),
     "base-box-of-nothing": (
         lambda: find_base_box(Subfamily(IntersectionContext(PAIR), 0), 1),
         ValueError,
@@ -62,8 +71,11 @@ def test_bad_input_is_rejected(case):
 
 def test_config_range_ends_are_accepted():
     # Values at the edges of the ranges stay valid: a balance cap just
-    # above 0 and at 1, and a tiny and a huge c_stop.
+    # above 0 and at 1, a tiny and a huge c_stop, and an epsilon above the
+    # separator's 1/2, which `bench.run_solver` carries as the PTAS's.
     for cap in (1e-9, 1.0):
         SolveConfig(balance_cap=cap)
+        SeparatorConfig(balance_cap=cap)
+    SolveConfig(epsilon=0.6)
     for c_stop in (1e-9, 1e9):
         PtasConfig(c_stop=c_stop)

@@ -1,17 +1,22 @@
 import json
 import math
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fatsep import candidates, measure, ptas, separator, solver
-from fatsep.geometry import Ball, contains_point, intersects, size
+from fatsep.geometry import AxisBox, Ball, contains_point, intersects, size
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack, greedy_pierce
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
 from fatsep.separator import separate
 from fatsep.solver import SolveConfig, solve_pack, solve_pierce
+
+from conftest import equal_size, equal_size_balls, families_and_masks, shifted
 
 
 def inst_of(objs, d=2):
@@ -47,8 +52,10 @@ def test_abort_flag_tracks_exact_leaves():
     inst = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=1)
     sol = ptas_pack(inst, PtasConfig(solve=SolveConfig(base_threshold=1, node_cap=3)))
     assert sol.aborted and not sol.optimal and sol.discarded == 0
-    # Discarding boundary objects loses optimality but is no abort.
-    inst = gen_instance("random", 2, n=80, seed=1)
+    # Discarding boundary objects loses optimality but is no abort.  (The
+    # dominance kernel of a sparse random ball family is often independent,
+    # and then nothing is split: this dense one splits.)
+    inst = gen_instance("random", 2, n=200, seed=0, density=8)
     sol = ptas_pack(inst, PtasConfig(epsilon=0.5))
     assert sol.discarded > 0 and not sol.optimal and not sol.aborted
 
@@ -121,14 +128,15 @@ def test_depth_bounded_by_balance_law():
 
 
 def test_pack_leaf_finishes_under_a_work_cap():
-    # Without the per-solve memo, one exact leaf of this run re-solved the
-    # same masks for minutes.  Memoized, its largest leaf makes about 108k
-    # budget ticks; the cap bounds that work, not the wall time.
-    inst = gen_instance("random", 2, shape="ball", n=400, seed=23)
+    # The PTAS splits this equal-size family and its largest exact leaf
+    # makes about 70k budget ticks: a tenth of the cap aborts it, and the
+    # cap bounds that work, not the wall time.
+    inst = equal_size_balls(250, 1)
     eps = 0.5
-    cfg = PtasConfig(epsilon=eps, c_stop=2.0, solve=SolveConfig(node_cap=150_000))
+    cfg = PtasConfig(epsilon=eps, c_stop=2.0, solve=SolveConfig(node_cap=100_000))
+    assert ptas_pack(inst, replace(cfg, solve=SolveConfig(node_cap=10_000))).aborted
     sol = ptas_pack(inst, cfg)
-    assert not sol.aborted
+    assert sol.discarded > 0 and not sol.aborted
     wit = [inst.objects[i] for i in sol.witness]
     assert len(wit) == sol.value
     assert not any(intersects(a, b) for i, a in enumerate(wit) for b in wit[i + 1 :])
@@ -136,21 +144,33 @@ def test_pack_leaf_finishes_under_a_work_cap():
     assert sol.value >= (1 - eps) * greedy_pack(inst.objects).value
 
 
+# (n, density, seed) of random ball families in d = 2 whose dominance kernel
+# is independent: the PTAS closes it exactly instead of splitting it.
+INDEPENDENT_KERNELS = {(400, 1, s) for s in (0, 1, 2, 3, 4, 23)} | {(200, 8, 1), (200, 8, 2), (200, 8, 3), (400, 8, 3)}
+
+
 @pytest.mark.parametrize(
     "n, density, seed",
     [pytest.param(400, 1, s, id=str(s)) for s in (0, 1, 2, 3, 4, 23)]
-    + [pytest.param(n, 8, s, id=f"rho8-n{n}-{s}") for n in (200, 400) for s in range(4)],
+    + [pytest.param(n, 8, s, id=f"rho8-n{n}-{s}") for n in (200, 400) for s in range(4)]
+    + [pytest.param(400, 4, 2, id="rho4-n400-2")],
 )
 def test_pack_refill_reaches_greedy(n, density, seed):
     # Dropped boundaries leave room: the refill adds, smallest first, every
     # object that meets no chosen one, so the answer is a maximal packing
-    # (seed 23 gave 212 against greedy's 250 without it).  On dense families
-    # the refilled answer can still fall below greedy's (ρ=8 n=200 gave 41
-    # and 44 against 45 and 45 on seeds 0 and 3, n=400 96 against 99 on
-    # seed 1); then the whole family's greedy packing is the answer.
+    # (ρ=1 n=400 seed 23 gave 212 against greedy's 250 without it, when its
+    # parts were split).  On dense families the refilled answer can still
+    # fall below greedy's (ρ=8 n=200 gave 41 and 44 against 45 and 45 on
+    # seeds 0 and 3, n=400 96 against 99 on seed 1, when every part above
+    # the stop threshold was split); then the whole family's greedy packing
+    # is the answer.  An independent kernel is closed exactly, nothing
+    # dropped, so the answer is optimal.
     inst = gen_instance("random", 2, shape="ball", n=n, seed=seed, density=density)
     sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=2.0))
-    assert sol.discarded > 0
+    if (n, density, seed) in INDEPENDENT_KERNELS:
+        assert sol.discarded == 0 and sol.optimal
+    else:
+        assert sol.discarded > 0
     assert sol.value >= greedy_pack(inst.objects).value
     wit = [inst.objects[i] for i in sol.witness]
     assert len(wit) == sol.value
@@ -193,6 +213,65 @@ def test_cover_boundary_covers_what_its_points_pierce(shape):
             assert covered & boundary == boundary
 
 
+# --- independent parts -------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_and_masks(), st.data())
+def test_greedy_estimates_reach_the_size_exactly_on_independent_masks(case, data):
+    # The PTAS closes a part whose greedy estimate equals its size, taking
+    # it for independent: greedy packing takes every object of a mask just
+    # when no two meet, and greedy piercing then spends one point per object
+    # and otherwise, in the first round that holds two that meet, picks a
+    # point that pierces both.  The piercing table takes balls in d = 2 only.
+    objs, mask = case
+    assume(isinstance(objs[0], AxisBox) or len(objs[0].center) == 2)
+    ctx = IntersectionContext(objs)
+    # A random mask is seldom independent: half the cases take the mask's
+    # greedy packing with one object added, which may meet it or not.
+    if data.draw(st.booleans()):
+        mask = ctx.greedy_pack_mask(mask)[1] | 1 << data.draw(st.integers(0, len(objs) - 1))
+    independent = all(ctx.nbr[i] & mask == 1 << i for i in measure.mask_to_ids(mask))
+    count = mask.bit_count()
+    assert (solver._PackSearch(ctx, SolveConfig()).estimate(mask) == count) == independent
+    assert (solver._PierceSearch(ctx, SolveConfig()).estimate(mask) == count) == independent
+
+
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_disjoint_family_is_closed_without_a_split(monkeypatch, shape):
+    # No two objects of a grid family meet: both schemes answer every
+    # object, exactly, without a separator call.
+    inst = gen_instance("grid", 2, shape=shape, k=10, seed=1)
+    splits = count_everywhere(monkeypatch, separator, "separate")
+    cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
+    for solve in (ptas_pack, ptas_pierce):
+        sol = solve(inst, cfg)
+        assert sol.value == inst.n and sol.discarded == 0 and sol.optimal
+    assert not splits
+
+
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_one_meeting_pair_still_splits(monkeypatch, shape):
+    # The grid with its second object replaced by a copy of the first moved
+    # a little, so the copy meets the first and nothing else: the greedy
+    # piercing estimate falls one short of the size, and piercing splits
+    # the family.  Packing starts from the dominance kernel, which keeps
+    # one of the pair, so it closes an independent kernel exactly.
+    grid = gen_instance("grid", 2, shape=shape, k=10, seed=1).objects
+    inst = inst_of([grid[0], shifted(grid[0], 0.1), *grid[2:]])
+    ctx = IntersectionContext(inst.objects)
+    assert sum(nbr.bit_count() - 1 for nbr in ctx.nbr) == 2
+    splits = count_everywhere(monkeypatch, separator, "separate")
+    cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
+    sol = ptas_pierce(inst, cfg)
+    assert splits and sol.value == inst.n - 1
+    assert all(any(contains_point(o, p) for p in sol.witness) for o in inst.objects)
+    del splits[:]
+    sol = ptas_pack(inst, cfg)
+    assert not splits
+    assert sol.value == inst.n - 1 and sol.optimal
+
+
 # --- one context per call ---------------------------------------------------
 
 
@@ -220,8 +299,9 @@ def reference_kernel(objs):
 def reference_ptas_pack(inst, cfg):
     """The object-list recursion `ptas_pack` replaced, from the family's
     `reference_kernel`: each part is copied into an instance of its own,
-    estimated with `greedy_pack`, split with `separate` and, at a leaf,
-    closed by `solve_pack`.  Then every object of the family, smallest
+    estimated with `greedy_pack`, split with `separate` when that estimate
+    lies above the stop threshold and below the part's size (an
+    independent part is a leaf) and, at a leaf, closed by `solve_pack`.  Then every object of the family, smallest
     first, that meets no chosen object joins the answer, and the whole
     family's `greedy_pack` replaces it when that is larger."""
     stop = cfg.stop_threshold(inst.dim)
@@ -235,7 +315,7 @@ def reference_ptas_pack(inst, cfg):
         sub = Instance(dim=inst.dim, objects=tuple(inst.objects[i] for i in ids))
         objs = list(sub.objects)
         sep = None
-        if greedy_pack(objs).value > stop and len(ids) >= 2:
+        if stop < greedy_pack(objs).value < len(ids):
             sep = separate(objs, cfg.solve.separator_config())
         if sep is None or sep.unbalanced(cfg.solve.balance_cap):
             sol = solve_pack(sub, cfg.solve)
@@ -267,13 +347,19 @@ def reference_ptas_pack(inst, cfg):
 
 @pytest.mark.parametrize("shape", ["ball", "box"])
 def test_pack_matches_object_list_recursion(shape):
+    # The dominance kernels of the sparse families are independent, so only
+    # the dense equal-size ones split.
     runs = [
         (
-            gen_instance("random", 2, shape=shape, n=n, seed=seed),
+            make(gen_instance("random", 2, shape=shape, n=n, seed=seed, density=density)),
             PtasConfig(epsilon=eps, c_stop=c_stop, solve=SolveConfig(base_threshold=base)),
         )
         for eps, c_stop, base in ((0.5, 1.0, 4), (0.5, 2.0, 12), (0.25, 1.0, 6))
-        for n, seeds in ((20, range(4)), (60, range(3)))
+        for make, n, density, seeds in (
+            (lambda inst: inst, 20, 1, range(4)),
+            (lambda inst: inst, 60, 1, range(3)),
+            (equal_size, 100, 8, (1, 3)),
+        )
         for seed in seeds
     ]
     # The node-cap case of test_abort_flag_tracks_exact_leaves.
@@ -371,7 +457,7 @@ def test_pack_solves_build_one_context(monkeypatch):
     assert sol.optimal and separated and splits
     assert contexts == [inst.n]
     del contexts[:], splits[:]
-    inst = gen_instance("random", 2, n=120, seed=1, density=8)
+    inst = gen_instance("random", 2, n=200, seed=0, density=8)
     sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=1.0))
     assert sol.discarded > 0 and splits
     assert contexts == [inst.n]
@@ -396,11 +482,11 @@ def count_table_builds(monkeypatch):
 
 def test_solves_build_one_set_of_separator_tables(monkeypatch):
     # Every split of a solve reads the solve's own tables through its mask:
-    # the packing PTAS at the benchmark's size and an exact packing that
-    # reaches separated nodes each build them once.
+    # the packing PTAS on a family of the benchmark's size that it splits
+    # and an exact packing that reaches separated nodes each build them once.
     builds = count_table_builds(monkeypatch)
     splits = count_everywhere(monkeypatch, separator, "separate")
-    inst = gen_instance("random", 2, shape="ball", n=400, seed=1, density=1.0)
+    inst = gen_instance("random", 2, shape="ball", n=400, seed=2, density=4.0)
     sol = ptas_pack(inst, PtasConfig(epsilon=0.5, c_stop=2.0))
     assert sol.discarded > 0 and len(splits) > 1
     assert builds == {"rank_axes": 1, "cliques": 1}
@@ -425,8 +511,9 @@ def test_ptas_answers_pinned_on_the_seed_1_benchmark_mix():
     # discarded count of each solve.  The `ptas_pierce` rows were recorded
     # at commit 3695a73, before the base-box ladder was computed rung by
     # rung, the shells' corners in one array and each greedy walk once per
-    # solve; the `ptas_pack` rows when packing came to start from the
-    # family's dominance kernel.
+    # solve; the `ptas_pack` rows when an independent part came to be closed
+    # exactly: each of these kernels is independent, so nothing is split
+    # or discarded.
     pinned = json.loads(Path(__file__).with_name("ptas_large_seed1.json").read_text())
     assert len(pinned) == 6
     cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
@@ -457,8 +544,8 @@ def test_ptas_walks_each_mask_once_per_solve(monkeypatch):
     monkeypatch.setattr(IntersectionContext, "__init__", recorded_init)
     monkeypatch.setattr(IntersectionContext, "greedy_pack_mask", recorded_walk)
     cfg = PtasConfig(epsilon=0.5, c_stop=1.0)
-    for solve, shape in ((ptas_pack, "ball"), (ptas_pierce, "box")):
-        inst = gen_instance("random", 2, shape=shape, n=120, seed=1, density=8)
+    for solve, shape, n, seed in ((ptas_pack, "ball", 200, 0), (ptas_pierce, "box", 120, 1)):
+        inst = gen_instance("random", 2, shape=shape, n=n, seed=seed, density=8)
         counts = []
         for _ in range(2):
             del contexts[:], walks[:]
@@ -503,15 +590,30 @@ def test_ptas_pierce_restricts_each_mask_once_per_solve(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "solve, shape, n, seeds", [(ptas_pack, "ball", 400, range(5)), (ptas_pierce, "box", 90, range(3))]
+    "solve, shape, n, seeds",
+    [
+        pytest.param(ptas_pack, "ball", 400, range(5), id="ptas_pack-ball-400-seeds0"),
+        pytest.param(ptas_pierce, "box", 90, range(3), id="ptas_pierce-box-90-seeds1"),
+    ],
 )
 def test_ptas_large_pool_discards_on_every_instance(solve, shape, n, seeds):
     # The ptas-large benchmark fails a run whose PTAS solves discard nothing
-    # (they would have fallen through to the exact search).  Its pools at
-    # 30 s are these instances, at its PTAS settings.
+    # in sum (they would all have fallen through to the exact search).  Its
+    # pools at 30 s are these instances, at its PTAS settings, and every run
+    # solves two `ptas_pierce` instances of its pool, each of which
+    # discards.  The `ptas_pack` instances' dominance kernels are
+    # independent: each is closed exactly, nothing discarded, and answers
+    # the kernel's size.
     cfg = PtasConfig(epsilon=0.5, c_stop=2.0)
     for seed in seeds:
-        assert solve(gen_instance("random", 2, shape=shape, n=n, seed=seed), cfg).discarded > 0, seed
+        inst = gen_instance("random", 2, shape=shape, n=n, seed=seed)
+        sol = solve(inst, cfg)
+        if solve is ptas_pierce:
+            assert sol.discarded > 0, seed
+            continue
+        ctx = IntersectionContext(inst.objects)
+        assert sol.discarded == 0 and sol.optimal, seed
+        assert sol.value == ctx.dominance_kernel(ctx.full_mask()).bit_count(), seed
 
 
 def test_pierce_leaf_abort_falls_back_to_greedy():

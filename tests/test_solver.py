@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import statistics
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from fatsep.solver import (
     solve_pack,
     solve_pierce,
 )
-from conftest import random_objects, shifted
+from conftest import equal_size_balls, random_objects, shifted
 from milp_reference import milp_pack, milp_pierce
 
 
@@ -726,14 +725,6 @@ def test_pierce_node_cap_counts_boundary_steps(monkeypatch):
     sol = solve_pierce(inst, SolveConfig(base_threshold=2))
     assert sol.optimal and len(callers) > len(requests)
     assert "dfs" in callers
-
-
-def equal_size_balls(n, seed):
-    """A dense random ball family with every radius set to half the
-    family's median size."""
-    inst = gen_instance("random", 2, shape="ball", n=n, seed=seed, density=8)
-    side = statistics.median(size(o) for o in inst.objects)
-    return inst_of([Ball(o.center, side / 2) for o in inst.objects])
 
 
 @pytest.mark.parametrize(

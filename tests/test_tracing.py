@@ -70,7 +70,7 @@ def test_traced_ptas_separates_on_restrictions():
     # The PTAS splits on subfamilies of its one context: the tracer's
     # `separate` hook reads them as object sequences, and the only context
     # build it sees is the solve's own.
-    inst = gen_instance("random", 2, n=120, seed=1, density=8)
+    inst = gen_instance("random", 2, n=200, seed=0, density=8)
     cfg = ptas.PtasConfig(epsilon=0.5, c_stop=1.0)
 
     def run_ptas():
