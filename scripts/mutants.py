@@ -135,6 +135,13 @@ MUTANTS = [
         "tests/test_separator.py::test_achieving_box_bound_reaches_tau_exactly",
     ),
     Mutant(
+        "base-box-walk-strict",
+        "separator.py",
+        "greedy_pack_mask(mask)[0] >= tau",
+        "greedy_pack_mask(mask)[0] > tau",
+        "tests/test_separator.py::test_achieving_box_counts_centres_on_tolerant_faces",
+    ),
+    Mutant(
         "base-box-slack-dropped",
         "separator.py",
         "slack = 2.0**-40 *",
@@ -211,6 +218,13 @@ MUTANTS = [
         "blocked | nbr[i]",
         "nbr[i]",
         "tests/test_solver.py::test_boundary_dfs_answer_is_best_over_subsets",
+    ),
+    Mutant(
+        "pack-dfs-blocked-misses-a-neighbour",
+        "solver.py",
+        "blocked | nbr[i])",
+        "blocked | 1 << i | (nbr[i] & ~(1 << i)) & ((nbr[i] & ~(1 << i)) - 1))",
+        "tests/test_solver.py::test_pack_matches_oracle[box-3]",
     ),
     Mutant(
         "pack-dfs-keeps-neighbours",
@@ -419,6 +433,14 @@ MUTANTS = [
         "                batch = load = 0\n                held = []\n",
         "                batch = load = 0\n",
         "tests/test_solver.py::test_pack_answers_pinned_on_the_seed_1_benchmark_mix",
+    ),
+    # A batch closes once its estimates would pass `base_threshold`.
+    Mutant(
+        "batch-ignores-base-threshold",
+        "solver.py",
+        "if load + estimate > cap:",
+        "if False:",
+        "tests/test_solver.py::test_pack_matches_oracle[ball-2]",
     ),
     # Every branch of a closer ticks the solve's budget; the piercing closer
     # is the boundary search, its whole mask the boundary.

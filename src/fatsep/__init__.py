@@ -7,7 +7,6 @@ from .geometry import (
     BoxRegion,
     RegionClass,
     center,
-    center_in,
     classify,
     intersects,
     magnify,
@@ -45,7 +44,6 @@ __all__ = [
     "brute_pierce",
     "candidate_pierce_points",
     "center",
-    "center_in",
     "classify",
     "exact_small_pack",
     "exact_small_pierce",

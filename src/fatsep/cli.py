@@ -132,12 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solvers", default="pack", help="comma-separated solver names")
 
     p = sub.add_parser("render", help="render an instance to SVG")
-    _add_shared(p, "--in", "--svg", *_SOLVE)
-    p.add_argument(
-        "--overlay",
-        default="none",
-        choices=["none", "separator", "pack", "pierce"],
-    )
+    _add_shared(p, "--in", "--svg")
     return parser
 
 
@@ -235,12 +230,7 @@ def _dispatch(args) -> int:
         inst = _load(args)
         if not args.svg:
             raise ValueError("render requires --svg PATH")
-        overlay = None
-        if args.overlay == "separator":
-            overlay = separate(list(inst.objects), SeparatorConfig(epsilon=args.epsilon))
-        elif args.overlay in ("pack", "pierce"):
-            overlay = run_solver(args.overlay, inst, _solve_config(args))
-        render_svg(inst, overlay, args.svg)
+        render_svg(inst, None, args.svg)
         return EXIT_OK
 
     raise SystemExit(f"unknown command {cmd!r}")

@@ -315,13 +315,6 @@ def classify(obj: FatObject, box: BoxRegion) -> RegionClass:
     return RegionClass.INSIDE if inside else RegionClass.BOUNDARY
 
 
-def center_in(obj: FatObject, box: BoxRegion) -> bool:
-    """True iff the object's center lies in the closed box."""
-    _check_same_dim(obj, box)
-    c = center(obj)
-    return all(l - TOL <= x <= h + TOL for x, l, h in zip(c, box.low, box.high))
-
-
 def magnify(box: BoxRegion, m: float) -> BoxRegion:
     """Scale every side by m about the box center."""
     if m < 1.0 - TOL:

@@ -16,6 +16,7 @@ its line; an `Instance` built through the API rejects such values too.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -86,7 +87,7 @@ def gen_instance(
       grid:    k^d objects on a pitch-10 lattice with small jitter; objects
                are pairwise disjoint by construction, so Pack = Pierce = k^d.
       random:  n objects with centers uniform in a cube whose side scales
-               with (n / density)^(1/d).
+               with (n / density)^(1/d), density finite and > 0.
       cluster: `clusters` groups of `cluster_size` objects; groups sit on a
                widely spaced lattice so no two groups interact.
     """
@@ -113,7 +114,9 @@ def gen_instance(
     elif family == "random":
         if n < 0:
             raise ValueError("random family needs n >= 0")
-        side = 3.0 * max(n / max(density, 1e-9), 1.0) ** (1.0 / d)
+        if not (math.isfinite(density) and density > 0):
+            raise ValueError(f"random family needs a finite density > 0, got {density}")
+        side = 3.0 * max(n / density, 1.0) ** (1.0 / d)
         for _ in range(n):
             center = [rng.uniform(0.0, side) for _ in range(d)]
             objs.append(make(center, rng.uniform(0.5, 1.5)))

@@ -20,12 +20,13 @@ cube-by-centre array, and a rung stops at its first achieving cube.  A
 packing holds at most one object of each clique of `ctx.cliques` cut to the
 mask, so once per search every cube gets the side below which it holds
 centres of fewer cliques than the target; a rung walks only the cubes at or
-above theirs, each walk taking the lowest unblocked bits (size rank) and
-stopping once the answer is known.  No cube is tried below the lowest rung
-any threshold admits, so that rung (a `bisect_left` over the sides) is
-probed first, and a cube found there is on the smallest achieving rung of
-the whole ladder; only when it fails does a second `bisect_left` run over
-the rungs' outcomes.  The greedy measure is not monotone in the side (a
+above theirs, each walk being the context's one greedy packing walk
+(`ctx.greedy_pack_mask`, the lowest unblocked bits in size rank) over the
+cube's centre set.  No cube is tried below the lowest rung any threshold
+admits, so that rung (a `bisect_left` over the sides) is probed first,
+and a cube found there is on the smallest achieving rung of the whole
+ladder; only when it fails does a second `bisect_left` run over the rungs'
+outcomes.  The greedy measure is not monotone in the side (a
 larger cube can hold centres whose greedy walk picks fewer), so it
 promises less: its rung achieves and the next lower one does not.  The
 ladder is not listed: the search works out each rung it probes.
@@ -200,7 +201,9 @@ def _achieving_box(
     so only those are tried.  A cube holds the run `[i, j)` of sorted
     coordinates (`ctx.rank_axes`) within `[low - TOL, high + TOL]` on each
     axis (`bisect_left`, `bisect_right`), so its centre set is the mask ANDed
-    over axes with `prefixes[j] ^ prefixes[i]`.
+    over axes with `prefixes[j] ^ prefixes[i]`, and its centre measure is
+    `ctx.greedy_pack_mask` of that set, the walk every greedy measure here
+    takes.
     """
     coords, prefixes, _, _ = sub.ctx.rank_axes
     shifts = (s / 2.0, 0.0, s)
@@ -210,22 +213,9 @@ def _achieving_box(
         mask = sub.mask
         for coord, prefix, x in zip(coords, prefixes, low):
             mask &= prefix[bisect_right(coord, x + s + TOL)] ^ prefix[bisect_left(coord, x - TOL)]
-        if _greedy_reaches(sub.ctx, mask, tau):
+        if sub.ctx.greedy_pack_mask(mask)[0] >= tau:
             return BoxRegion(tuple(low), tuple(x + s for x in low))
     return None
-
-
-def _greedy_reaches(ctx: IntersectionContext, mask: int, tau: int) -> bool:
-    """`ctx.greedy_pack_mask(mask)[0] >= tau`, by the same lowest-bit walk,
-    stopped as soon as the value reaches tau or the free bits can no longer
-    lift it there."""
-    nbr = ctx.nbr
-    value = 0
-    while value < tau <= value + mask.bit_count():
-        low = mask & -mask
-        mask &= ~nbr[low.bit_length() - 1]
-        value += 1
-    return value >= tau
 
 
 def find_base_box(sub: Subfamily, tau: int) -> BoxRegion:

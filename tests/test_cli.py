@@ -1,3 +1,4 @@
+import argparse
 import re
 import subprocess
 import sys
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from fatsep.cli import EXIT_NODE_CAP, EXIT_OK, EXIT_SPEC_ERROR, _format_solution, main
+from fatsep.cli import _SHARED, EXIT_NODE_CAP, EXIT_OK, EXIT_SPEC_ERROR, _format_solution, build_parser, main
 from fatsep.instances import read_instance
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
+from fatsep.render import render_svg
 from conftest import INSTANCE_FILES
 
 
@@ -47,7 +49,7 @@ READS = {
     "separator": (("--in", "--out", "--svg", "--epsilon"), []),
     "oracle": (("--in", "--out"), ["--problem", "pack"]),
     "bench": (("--out", "--seed", "--dim", *SOLVE), ["--ks", "2"]),
-    "render": (("--in", "--svg", *SOLVE), ["--overlay", "pack"]),
+    "render": (("--in", "--svg"), []),
 }
 IGNORED = [(cmd, flag) for cmd, (reads, _) in READS.items() for flag in SHARED if flag not in reads]
 
@@ -73,7 +75,7 @@ def command_line(cmd, values):
 
 
 def test_ignored_flags_are_the_listed_pairs():
-    assert len(IGNORED) == 27
+    assert len(IGNORED) == 30
 
 
 @pytest.mark.parametrize("cmd, flag", IGNORED)
@@ -201,12 +203,54 @@ def test_bench_family_is_grid_only():
     assert exc.value.code == EXIT_SPEC_ERROR
 
 
-def test_render_svg(inst_file, tmp_path):
+def test_render_svg(inst_file, tmp_path, capsys):
+    # A separator figure comes from `separator --svg`; `render` draws the
+    # instance alone and takes no overlay.
     svg = tmp_path / "fig.svg"
-    rc = run_cli(["render", "--in", inst_file, "--svg", str(svg),
-                  "--overlay", "separator"])
+    rc = run_cli(["separator", "--in", inst_file, "--svg", str(svg)])
     assert rc == EXIT_OK
-    assert svg.read_text().startswith("<svg")
+    text = svg.read_text()
+    assert text.startswith("<svg") and 'class="separator"' in text
+    plain = tmp_path / "inst.svg"
+    assert run_cli(["render", "--in", inst_file, "--svg", str(plain)]) == EXIT_OK
+    assert plain.read_text() == render_svg(read_instance(inst_file))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["render", "--in", inst_file, "--svg", str(plain), "--overlay", "pack"])
+    assert exc.value.code == EXIT_SPEC_ERROR
+    capsys.readouterr()
+
+
+def test_readme_flag_table_matches_parser():
+    # README's "command | shared flags" table lists, row by row, the shared
+    # flags each subcommand declares, in the parser's order, and every
+    # subcommand once.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("| command | shared flags |")
+    table = {}
+    for row in readme[start:].splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        commands, flags = (re.findall(r"`([^`]*)`", cell) for cell in row.strip("|").split("|"))
+        for cmd in commands:
+            assert cmd not in table, cmd
+            table[cmd] = flags[0].split()
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        cmd: [f for a in p._actions for f in a.option_strings if f in _SHARED]
+        for cmd, p in subparsers.choices.items()
+    }
+    assert table == declared
+
+
+def test_gen_rejects_a_meaningless_density(capsys):
+    # The random family takes a finite positive density only.
+    for value in ("-1", "0", "inf", "nan"):
+        rc = run_cli(["gen", "--family", "random", "--n", "3", "--density", value])
+        err = capsys.readouterr().err
+        assert rc == EXIT_SPEC_ERROR, value
+        assert err.startswith("error: ") and "density" in err and err.count("\n") == 1, (value, err)
+    assert run_cli(["gen", "--family", "random", "--n", "3", "--density", "8"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_byte_determinism_across_processes():

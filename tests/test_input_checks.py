@@ -51,6 +51,10 @@ BAD_INPUTS = {
     "gen-unknown-family": (lambda: gen_instance("spiral", 2, n=1), ValueError, "family"),
     "gen-grid-k-0": (lambda: gen_instance("grid", 2, k=0), ValueError, "k >= 1"),
     "gen-random-n-negative": (lambda: gen_instance("random", 2, n=-1), ValueError, "n >= 0"),
+    "gen-random-density-negative": (lambda: gen_instance("random", 2, n=3, density=-1.0), ValueError, "density"),
+    "gen-random-density-0": (lambda: gen_instance("random", 2, n=3, density=0.0), ValueError, "density"),
+    "gen-random-density-inf": (lambda: gen_instance("random", 2, n=3, density=math.inf), ValueError, "density"),
+    "gen-random-density-nan": (lambda: gen_instance("random", 2, n=3, density=math.nan), ValueError, "density"),
     "gen-cluster-0": (lambda: gen_instance("cluster", 2, clusters=0, cluster_size=3), ValueError, "clusters"),
     "exact-pack-cap-negative": (lambda: exact_small_pack(PAIR, -1), ValueError, "cap"),
     "exact-pierce-cap-negative": (lambda: exact_small_pierce(PAIR, -1), ValueError, "cap"),

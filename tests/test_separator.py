@@ -418,14 +418,14 @@ def test_achieving_box_matches_reference_across_blocks(monkeypatch):
             masks = candidate_masks(ctx, s)
             for tau in sorted({1, 2, 5, g // 2, g}):
                 walked = []
-                original = separator._greedy_reaches
+                original = ctx.greedy_pack_mask
 
-                def recording(ctx, mask, tau):
+                def recording(mask):
                     walked.append(mask)
-                    return original(ctx, mask, tau)
+                    return original(mask)
 
                 with monkeypatch.context() as m:
-                    m.setattr(separator, "_greedy_reaches", recording)
+                    m.setattr(ctx, "greedy_pack_mask", recording)
                     got = achieving_box(ctx, s, tau)
                 want = reference_achieving_box(ctx, s, tau)
                 assert got == want, (n, s, tau)
@@ -444,7 +444,8 @@ def test_achieving_box_matches_reference_across_blocks(monkeypatch):
 def test_achieving_box_counts_centres_on_tolerant_faces():
     # On axis 0 the second centre sits exactly at the low-anchored unit
     # cube's `low - TOL` and the third at its `high + TOL`: both count, as
-    # in `center_in`, so that cube is the first to reach 3.
+    # a cube's faces are closed within TOL, so that cube is the first to
+    # reach 3.
     objs = [Ball((0.0, 0.0), 0.3), Ball((0.0 - TOL, 0.9), 0.3), Ball((1.0 + TOL, 0.45), 0.3)]
     ctx = IntersectionContext(objs)
     box = achieving_box(ctx, 1.0, 3)
@@ -667,15 +668,16 @@ def test_find_base_box_walks_few_cubes(monkeypatch):
     objs = list(gen_instance("random", 2, shape="ball", n=400, seed=1).objects)
     tau = math.ceil(1.25 / 3.0 * greedy_pack(objs).value)
     walks = []
-    original = separator._greedy_reaches
+    ctx = IntersectionContext(objs)
+    original = ctx.greedy_pack_mask
 
-    def recording(ctx, mask, tau):
+    def recording(mask):
         walks.append(mask)
-        return original(ctx, mask, tau)
+        return original(mask)
 
     with monkeypatch.context() as m:
-        m.setattr(separator, "_greedy_reaches", recording)
-        got = find_base_box(Subfamily(IntersectionContext(objs)), tau)
+        m.setattr(ctx, "greedy_pack_mask", recording)
+        got = find_base_box(Subfamily(ctx), tau)
     distinct = 0
 
     def counting(sub, anchors, s, tau, _):
@@ -694,17 +696,6 @@ def test_find_base_box_walks_few_cubes(monkeypatch):
         want = find_base_box(Subfamily(IntersectionContext(objs)), tau)
     assert got == want
     assert walks and 10 * len(walks) <= distinct
-
-
-def test_greedy_reaches_equals_greedy_pack_mask():
-    # Every mask of a few small families, at every tau up to its size.
-    for objs in rank_walk_families()[:2]:
-        objs = objs[:9]
-        ctx = IntersectionContext(objs)
-        for mask in range(1 << len(objs)):
-            for tau in range(mask.bit_count() + 2):
-                want = ctx.greedy_pack_mask(mask)[0] >= tau
-                assert separator._greedy_reaches(ctx, mask, tau) == want
 
 
 CODES = {
