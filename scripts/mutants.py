@@ -497,8 +497,40 @@ MUTANTS = [
     Mutant(
         "ball-matrix-pow",
         "measure.py",
-        "np.multiply(blim2, blim2, out=blim2)",
-        "np.float_power(blim2, 2.0, out=blim2)",
+        "np.multiply(lim2, lim2, out=lim2)",
+        "np.float_power(lim2, 2.0, out=lim2)",
+        "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
+    ),
+    Mutant(
+        "ball-sweep-pow",
+        "measure.py",
+        "lim2 *= lim2",
+        "np.float_power(lim2, 2.0, out=lim2)",
+        "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
+    ),
+    # The sweep's window holds every ball that can meet: the limit of any
+    # pair, with slack for the rounding of the offset, and inf where the
+    # window squares past the float range, since such a limit meets all.
+    Mutant(
+        "sweep-window-without-slack",
+        "measure.py",
+        "    w *= 1.0 + 1e-6\n",
+        "",
+        "tests/test_measure.py::test_ball_sweep_matches_intersects",
+    ),
+    # A later pass of the sweep numbers its pairs from its own first ball.
+    Mutant(
+        "sweep-pass-from-family-start",
+        "measure.py",
+        "(ends[start:stop] - k - done)",
+        "(ends[start:stop] - k)",
+        "tests/test_measure.py::test_ball_sweep_matches_intersects",
+    ),
+    Mutant(
+        "sweep-window-finite-past-overflow",
+        "measure.py",
+        "w[np.isinf(w * w)] = np.inf",
+        "pass",
         "tests/test_measure.py::test_intersection_context_rounds_like_intersects",
     ),
     Mutant(
@@ -530,22 +562,23 @@ MUTANTS = [
         "every_ball = balls.any()",
         "tests/test_separator.py::test_shapes_classify_matches_classify",
     ),
-    # The PTAS splits a part only when its greedy estimate lies above the
-    # stop threshold and below its size: an independent part is a leaf, and
-    # one pair that meets is enough to split.
+    # The PTAS answers a part whose greedy estimate equals its size (an
+    # independent part) with its greedy witness, and splits any other part
+    # whose estimate lies above the stop threshold: one pair that meets is
+    # enough to split.
     Mutant(
         "ptas-splits-independent-parts",
         "ptas.py",
-        "if stop < g < mask.bit_count() else None",
-        "if g > stop else None",
+        "        if g == mask.bit_count():\n            return greedy\n",
+        "",
         "tests/test_ptas.py::test_disjoint_family_is_closed_without_a_split",
     ),
     Mutant(
         "ptas-closes-one-pair-short",
         "ptas.py",
-        "if stop < g < mask.bit_count() else None",
-        "if stop < g < mask.bit_count() - 1 else None",
-        "tests/test_ptas.py::test_one_meeting_pair_still_splits",
+        "if g == mask.bit_count():",
+        "if g >= mask.bit_count() - 1:",
+        "tests/test_ptas.py::test_pack_matches_object_list_recursion",
     ),
     # A PTAS solve walks each mask's greedy packing once, and piercing
     # restricts each mask once, on memos that live as long as the solve.

@@ -22,8 +22,9 @@ rows once, and keeps them as `ctx.arrays`, whose centres and corners the
 separator and `PierceTable` read, built on first use: a packing solve that
 never splits never builds them.  Its neighbourhood masks come from one
 numpy array per pair of shapes with the float operations of
-`geometry.intersects`, bit for bit; ball pairs are taken a block of rows
-at a time.  `dominance_kernel` drops, by neighbourhood domination, objects
+`geometry.intersects`, bit for bit; a family of more than `_DENSE_BALLS`
+balls is swept on axis 0, so only the pairs within reach there are
+tested.  `dominance_kernel` drops, by neighbourhood domination, objects
 that some maximum packing does without; the packing PTAS starts from it.
 A split reads the context through a mask
 (`Subfamily`), so a solve's splits share its one context.
@@ -380,14 +381,20 @@ def _undominated(inc: Sequence[int], first: dict) -> int:
     return kept
 
 
-# Ball rows per block of `_ball_matrix`: its float buffers are _BALL_ROWS x
-# balls, not balls x balls, which at a few hundred balls is the faster.
-_BALL_ROWS = 128
+# Balls up to which `_ball_matrix` tests every pair in one broadcast; a larger
+# family is swept on axis 0.  On random balls d=2 the sweep overtook the
+# broadcast near 90 balls at density 1 and not yet at 128 at density 8; at the
+# 26-30 balls of the exact workloads it took 3x the broadcast's time (2-core
+# x86 VM, CPython 3.11, numpy 2.4).
+_DENSE_BALLS = 128
+# Candidate pairs per ball that one pass of the sweep takes: about 50 bytes a
+# pair, so a pass holds about what three float rows of 128 per ball would.
+_SWEEP_PAIRS = 64
 
 
 def _intersection_matrix(shapes: ShapeArrays) -> np.ndarray:
     """Boolean n x n array of `geometry.intersects` (every object meets itself);
-    a family of one shape gets its one block, without the scatter.
+    a family of one shape gets its kernel's array, without the scatter.
 
     Ball tests square as the `geometry` module states.  A ball-box offset
     is `_dist2_point_box`'s `max(l - x, x - h, 0)`; boxes compare
@@ -431,24 +438,76 @@ def _box_matrix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _ball_matrix(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """`intersects` of every pair of balls with centres `c` and radii `r`,
-    `_BALL_ROWS` rows at a time."""
+    """`intersects` of every pair of balls with centres `c` and radii `r`.
+
+    Up to `_DENSE_BALLS` balls, every pair in one broadcast.  More are swept
+    (Bentley, Stanat and Williams, 1977): the centres are sorted on axis 0,
+    and ball i is tested only against the balls after it whose axis-0
+    coordinate is at most `x_i + w_i`, its window `w_i = (r_i + r_max +
+    TOL) * (1 + 1e-6)`, or inf where `w_i * w_i` overflows.  Those pairs
+    get the predicate's float operations, so the answer is bit for bit the
+    broadcast's.  The window drops no pair that meets: rounding is
+    monotone, so a pair whose squared offsets sum to at most its limit L
+    squared has `|offset_0| <= L * (1 + 2**-52) < w_i` (L is at most
+    `r_i + r_max + TOL`, rounded alike), so the exact difference of the two
+    coordinates is at most `w_i` and the later one at most `fl(x_i + w_i)`.
+    A limit whose square overflows meets everything (`inf <= inf`), which
+    is why such a window is inf; `w_i` squares to inf whenever that limit
+    does.  Of a pair, the ball first in the sorted order tests it.  The
+    pairs are taken `_SWEEP_PAIRS` per ball at a time, so a family whose
+    windows hold most of it (one huge ball, centres on one axis-0 line)
+    needs no array of all its pairs.
+    """
     m, d = c.shape
-    hit = np.empty((m, m), dtype=bool)
-    t, d2, lim2 = np.empty((3, min(m, _BALL_ROWS), m))
-    for start in range(0, m, _BALL_ROWS):
-        stop = min(start + _BALL_ROWS, m)
-        bt, bd2, blim2 = t[: stop - start], d2[: stop - start], lim2[: stop - start]
-        np.subtract(c[start:stop, 0, None], c[:, 0], out=bd2)
-        np.multiply(bd2, bd2, out=bd2)
-        for a in range(1, d):
-            np.subtract(c[start:stop, a, None], c[:, a], out=bt)
-            bd2 += np.multiply(bt, bt, out=bt)
-        np.add(r[start:stop, None], r, out=blim2)
-        blim2 += TOL
-        np.multiply(blim2, blim2, out=blim2)
-        np.less_equal(bd2, blim2, out=hit[start:stop])
-    return hit
+    if m <= _DENSE_BALLS:
+        t, d2, lim2 = np.zeros((3, m, m))
+        for a in range(d):
+            np.subtract(c[:, a, None], c[:, a], out=t)
+            d2 += np.multiply(t, t, out=t)
+        np.add(r[:, None], r, out=lim2)
+        lim2 += TOL
+        np.multiply(lim2, lim2, out=lim2)
+        return np.less_equal(d2, lim2)
+    # The sweep works in sorted order: `cs[a]` and `rs` hold the sorted
+    # balls' coordinates on axis a and radii.
+    order = np.argsort(c[:, 0], kind="stable")
+    cs, rs = c.T[:, order], r[order]
+    w = rs + rs.max()
+    w += TOL
+    w *= 1.0 + 1e-6
+    with np.errstate(over="ignore"):
+        w[np.isinf(w * w)] = np.inf
+    counts = np.searchsorted(cs[0], cs[0] + w, side="right")
+    counts -= np.arange(1, m + 1)
+    ends = np.cumsum(counts)
+    hit = np.zeros(m * m, dtype=bool)
+    hit[:: m + 1] = True
+    start = 0
+    while start < m:
+        # Balls start to stop - 1 hold at most `_SWEEP_PAIRS * m` pairs (one
+        # ball has fewer than m); `first` and `second` list them, ball p's
+        # k-th being (p, p + 1 + k).
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + _SWEEP_PAIRS * m, side="right"))
+        k = counts[start:stop]
+        first = np.repeat(np.arange(start, stop), k)
+        second = np.repeat(np.arange(start + 1, stop + 1) - (ends[start:stop] - k - done), k)
+        second += np.arange(len(second))
+        d2 = np.zeros(len(first))
+        for a in range(d):
+            t = cs[a].take(first)
+            t -= cs[a].take(second)
+            t *= t
+            d2 += t
+        lim2 = rs.take(first)
+        lim2 += rs.take(second)
+        lim2 += TOL
+        lim2 *= lim2
+        meet = d2 <= lim2
+        i, j = order.take(first[meet]), order.take(second[meet])
+        hit[i * m + j] = hit[j * m + i] = True
+        start = stop
+    return hit.reshape(m, m)
 
 
 def _bits(mask: int):

@@ -8,8 +8,14 @@ exact search takes over, so each level loses at most the (small) boundary
 measure and the overall ratio follows.  A part whose greedy estimate equals
 its size is independent (greedy packing takes every object of a mask just
 when no two meet, and greedy piercing spends one point per object just
-then), so Pack = Pierce = its size: the exact search closes it, component
-by component, and nothing is split or paid for.
+then), so Pack = Pierce = its size, and its greedy witness is the exact
+search's answer: nothing is split, searched or paid for.  For packing that
+witness is the whole part.  For piercing, no kept row of the part's
+restricted table then pierces two of its objects: an object in such a row
+has no kept row that pierces it alone (those are dominated), so greedy's
+first pick of such a row would pierce two objects that no earlier pick
+did.  So each object has one kept row, and greedy and the exact search both
+take them all, in object order.
 
 Packing starts that recursion from the family's dominance kernel
 (`IntersectionContext.dominance_kernel`): an object goes when a
@@ -121,10 +127,11 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step,
     """Shared recursion of both schemes, over masks of one context.
 
     `root_step(search, mask)` gives the part, within the whole family's
-    mask, that the recursion starts from.  A part whose greedy estimate is
-    at most the stop threshold, or equals its size (an independent part),
-    or whose separator is unbalanced, is a leaf: the exact search's `run`
-    closes it, handed that estimate.
+    mask, that the recursion starts from.  A part whose greedy estimate
+    equals its size (an independent part) answers its greedy witness.  One
+    whose estimate is at most the stop threshold, or whose separator is
+    unbalanced, is a leaf: the exact search's `run` closes it, handed that
+    estimate.
     Otherwise `boundary_step(search, boundary)` pays for the boundary class
     and returns (cost, witness, covered): `cost` adds to `discarded`,
     `witness` joins the witness, and the `covered` objects leave both sides
@@ -153,10 +160,14 @@ def _ptas(inst: Instance, cfg: PtasConfig, search_cls, root_step, boundary_step,
         max_depth = max(max_depth, depth)
         if not mask:
             return []
-        # A greedy value above stop >= 1 needs two objects, as `separate`
-        # does, and one below the size needs two that meet.
-        g = search.estimate(mask)
-        parts = search.split(mask) if stop < g < mask.bit_count() else None
+        greedy = search.greedy(mask)
+        g = len(greedy)
+        # An independent part: its greedy witness is the exact search's.
+        # Any other part with a greedy value above stop >= 1 has two objects
+        # that meet, as `separate` needs.
+        if g == mask.bit_count():
+            return greedy
+        parts = search.split(mask) if g > stop else None
         if parts is None:
             witness, _, leaf_nodes, leaf_aborted = search.run(mask, g)
             nodes += leaf_nodes

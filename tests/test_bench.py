@@ -75,7 +75,9 @@ def test_config_digest_stable_and_sensitive():
 
 
 def test_aborted_column_marks_node_cap_aborts_only():
-    dense = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=1, label="dense")
+    # A dense family whose dominance kernel is not independent, so its
+    # leaf searches and hits the cap.
+    dense = gen_instance("random", 2, n=40, seed=2, density=8, label="dense")
     lossy = gen_instance("random", 2, n=80, seed=1, label="lossy")
     records = run_bench(
         [

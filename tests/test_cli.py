@@ -296,11 +296,9 @@ def test_ptas_exit_code_tracks_node_cap_only(tmp_path, capsys):
     rc = run_cli(["ptas-pack", "--in", str(p), "--epsilon", "0.5", "--out", str(out)])
     assert rc == EXIT_OK
     assert "optimal=false" in out.read_text()
-    # An exact leaf that hits the node cap is an abort: exit code 3.
-    q = tmp_path / "dense.txt"
-    assert run_cli(["gen", "--family", "cluster", "--dim", "2", "--clusters", "4",
-                    "--cluster-size", "5", "--seed", "1", "--out", str(q)]) == EXIT_OK
-    rc = run_cli(["ptas-pack", "--in", str(q), "--base-threshold", "1",
+    # An exact leaf that hits the node cap is an abort: exit code 3.  At the
+    # default epsilon the whole kernel, which is not independent, is a leaf.
+    rc = run_cli(["ptas-pack", "--in", str(p), "--base-threshold", "1",
                   "--node-cap", "3", "--out", str(out)])
     assert rc == EXIT_NODE_CAP
     assert "optimal=false" in out.read_text()

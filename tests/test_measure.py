@@ -408,6 +408,25 @@ def pairwise_nbr(objs):
     return nbr
 
 
+def padded(objs):
+    """`objs` and then `_DENSE_BALLS` balls of radius 0.5 in a row far from
+    them, so the family's balls are more than the ball kernel tests in one
+    broadcast: it sweeps them."""
+    d = objs[0].dim
+    fillers = [Ball((10.0 * k, -1e6) + (0.0,) * (d - 2), 0.5) for k in range(measure._DENSE_BALLS)]
+    return objs + fillers
+
+
+def check_both_paths(objs):
+    """Assert the context's masks of `objs`, and of `objs` padded past one
+    broadcast, equal `pairwise_nbr`; return the former, in given order."""
+    nbr = given_nbr(IntersectionContext(objs))
+    assert nbr == pairwise_nbr(objs)
+    big = padded(objs)
+    assert given_nbr(IntersectionContext(big)) == pairwise_nbr(big)
+    return nbr
+
+
 def near_touching_pairs(d):
     """Ball-ball, ball-box and box-box pairs whose gap is 0, +-0.5, +-1 or
     +-2 TOL from touching, along an axis and along the diagonal."""
@@ -482,7 +501,7 @@ def test_intersection_context_matches_intersects(d):
             families.append([a, b])
             families.append([b, a])
     for objs in families:
-        assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
+        check_both_paths(objs)
     # Each kind of near-touching pair lands on both sides of the predicate.
     outcomes = {}
     for a, b in pairs:
@@ -518,8 +537,7 @@ def test_intersection_context_rounds_like_intersects():
         objs.append(Ball((r + TOL, y + 0.5), r))
         objs.append(AxisBox((0.0, y + 2.0), (1.0, y + 3.0)))
         objs.append(Ball((-(r + TOL), y + 2.5), r))
-    nbr = given_nbr(IntersectionContext(objs))
-    assert nbr == pairwise_nbr(objs)
+    nbr = check_both_paths(objs)
     assert all(nbr[i] & (1 << (i + 1)) for i in range(0, len(objs), 2))
     # Ball pairs offset on two axes within an ulp or so of touching, whose
     # sums of squares compare otherwise under x * x than under `**`.
@@ -537,11 +555,11 @@ def test_intersection_context_rounds_like_intersects():
         dy = np.nextafter(dy, np.inf)
     touching = [intersects(a, b) for a, b in zip(objs[::2], objs[1::2])]
     assert len(touching) >= 10 and set(touching) == {True, False}
-    assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
-    # Tangent pairs across a block boundary of the ball kernel: a small ball
-    # ranks below `_BALL_ROWS` far fillers of middle size and its tangent
-    # partner, a large ball, above them.
-    objs = [Ball((100.0 + 10.0 * k, -50.0), 0.55) for k in range(measure._BALL_ROWS)]
+    check_both_paths(objs)
+    # Tangent pairs `_DENSE_BALLS` ranks apart: a small ball ranks below that
+    # many far fillers of middle size and its tangent partner, a large ball,
+    # above them.
+    objs = [Ball((100.0 + 10.0 * k, -50.0), 0.55) for k in range(measure._DENSE_BALLS)]
     pairs = []
     while len(pairs) < 40:
         r, big = rng.uniform(0.2, 0.5), rng.uniform(0.6, 0.9)
@@ -553,18 +571,17 @@ def test_intersection_context_rounds_like_intersects():
         objs.append(Ball((0.0, 10.0 * k), r))
         objs.append(Ball((r + big + TOL, 10.0 * k), big))
     ctx = IntersectionContext(objs)
-    small, large = ctx.by_given[measure._BALL_ROWS :: 2], ctx.by_given[measure._BALL_ROWS + 1 :: 2]
-    assert max(small) < measure._BALL_ROWS <= min(large)
+    small, large = ctx.by_given[measure._DENSE_BALLS :: 2], ctx.by_given[measure._DENSE_BALLS + 1 :: 2]
+    assert max(small) < measure._DENSE_BALLS <= min(large)
     nbr = given_nbr(ctx)
     assert nbr == pairwise_nbr(objs)
-    assert all(nbr[i] & (1 << (i + 1)) for i in range(measure._BALL_ROWS, len(objs), 2))
+    assert all(nbr[i] & (1 << (i + 1)) for i in range(measure._DENSE_BALLS, len(objs), 2))
     # Near +-1e160 the offsets round in the subtraction; the kernel must
     # take the same offsets as the exact test.
     far = random.Random(5)
     for x in (1e160, -1e160):
         objs = huge_ball_family(x, far)
-        nbr = given_nbr(IntersectionContext(objs))
-        assert nbr == pairwise_nbr(objs)
+        nbr = check_both_paths(objs)
         hits = [bool(nbr[i] >> (i + 1) & 1) for i in range(0, len(objs), 2)]
         assert set(hits) == {True, False}
     # Across +-1e160 every offset squares past the float range, to inf: a
@@ -575,8 +592,7 @@ def test_intersection_context_rounds_like_intersects():
     sizes = [1.0, 1e152, root / 2 * (1 - 1e-9), root / 2 * (1 + 1e-9), 1e155]
     objs = [Ball((x, 3.0 * k), r) for x in (1e160, -1e160) for k, r in enumerate(sizes)]
     with np.errstate(over="ignore"):
-        nbr = given_nbr(IntersectionContext(objs))
-    assert nbr == pairwise_nbr(objs)
+        nbr = check_both_paths(objs)
     across = {(i, j) for i in range(5) for j in range(5, 10) if nbr[i] >> j & 1}
     assert (0, 5) not in across and (4, 5) in across and (3, 8) in across and (2, 7) not in across
     # At the top of the float range a squared offset can overflow under
@@ -590,7 +606,48 @@ def test_intersection_context_rounds_like_intersects():
         objs += [Ball((0.0, 0.0), limit / 2.0), Ball((x, y), limit / 2.0)]
         assert not intersects(objs[-2], objs[-1])
     with np.errstate(over="ignore"):
+        check_both_paths(objs)
+
+
+def test_ball_sweep_matches_intersects():
+    # Families past one broadcast, which the ball kernel sweeps on axis 0:
+    # duplicate balls, whose centres tie on it; centres all on one line
+    # across it, so every window holds every later ball; and a random family.
+    twice = random_objects(4, 70, span=6.0)
+    line = [Ball((2.5, 0.7 * k), 0.2 + 0.05 * (k % 7)) for k in range(150)]
+    many = random_objects(6, 600, span=60.0)
+    for objs in (twice + twice, line, many):
+        assert len(objs) > measure._DENSE_BALLS
         assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
+    assert len({o.center[0] for o in line}) == 1
+    nbr = given_nbr(IntersectionContext(line))
+    assert {nbr[k] >> (k + 1) & 1 for k in range(149)} == {0, 1}
+    # Windows holding more pairs than one pass of the sweep takes, so it
+    # makes several: the line's, and those of a sparse family with one ball
+    # wider than the family's span on axis 0, which widens every window.
+    wide = random_objects(7, 300, span=300.0)
+    wide[0] = Ball(wide[0].center, 1e3)
+    for objs in (line, wide):
+        assert (len(objs) - 1) / 2 > measure._SWEEP_PAIRS
+        assert given_nbr(IntersectionContext(objs)) == pairwise_nbr(objs)
+    # Pairs that meet although their centres lie farther apart on axis 0
+    # than their limit L (the largest ball of the family is one of each):
+    # half an ulp of L to the right of 0 and an ulp past L, both sums tie
+    # and round to L, an even float, so the offset taken is L.  The window
+    # needs its slack to hold them.
+    rng = random.Random(8)
+    r2 = 1.1
+    objs = []
+    while len(objs) < 40:
+        r1 = rng.uniform(0.3, 1.0)
+        limit = r1 + r2 + TOL
+        ulp = math.ulp(limit)
+        if limit / ulp % 2 == 0:
+            y = 10.0 * len(objs)
+            a, b = Ball((ulp / 2, y), r1), Ball((limit + ulp, y), r2)
+            assert intersects(a, b) and b.center[0] > a.center[0] + limit
+            objs += [a, b]
+    check_both_paths(objs)
 
 
 def test_intersection_context_numbers_objects_by_size():

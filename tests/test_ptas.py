@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatsep import candidates, measure, ptas, separator, solver
-from fatsep.geometry import AxisBox, Ball, contains_point, intersects, size
+from fatsep.geometry import TOL, AxisBox, Ball, contains_point, intersects, size
 from fatsep.instances import Instance, gen_instance
 from fatsep.measure import IntersectionContext, greedy_pack, greedy_pierce
 from fatsep.ptas import PtasConfig, ptas_pack, ptas_pierce
@@ -48,8 +48,9 @@ def test_small_instance_is_exact():
 
 def test_abort_flag_tracks_exact_leaves():
     # A leaf that hits the node cap makes the whole run aborted and not
-    # optimal, even though nothing was discarded.
-    inst = gen_instance("cluster", 2, clusters=4, cluster_size=5, seed=1)
+    # optimal, even though nothing was discarded.  An independent part
+    # searches nothing: this dense family's dominance kernel is not one.
+    inst = gen_instance("random", 2, n=40, seed=2, density=8)
     sol = ptas_pack(inst, PtasConfig(solve=SolveConfig(base_threshold=1, node_cap=3)))
     assert sol.aborted and not sol.optimal and sol.discarded == 0
     # Discarding boundary objects loses optimality but is no abort.  (The
@@ -237,6 +238,41 @@ def test_greedy_estimates_reach_the_size_exactly_on_independent_masks(case, data
     assert (solver._PierceSearch(ctx, SolveConfig()).estimate(mask) == count) == independent
 
 
+@st.composite
+def tol_gap_boxes(draw):
+    """(objects, mask): a row of unit squares along axis 0, each the one
+    before it moved by its side plus 0 to 2 TOL, so neighbours meet, just
+    touch or lie just apart, and a mask of at least two of them."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n))
+    objs, x = [], 0.0
+    for gap in gaps:
+        objs.append(AxisBox((x, 0.0), (x + 1.0, 1.0)))
+        x += 1.0 + gap * TOL
+    bits = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    return objs, sum(1 << i for i in bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(families_and_masks(max_n=30), tol_gap_boxes()), st.data())
+def test_independent_piercing_greedy_is_the_exact_search(case, data):
+    # Where greedy piercing spends one point per object of a mask, no kept
+    # row of the mask's restricted table pierces two of its objects, and
+    # the greedy rows are the exact search's, in its order: the PTAS
+    # answers such a part with them.
+    objs, mask = case
+    assume(isinstance(objs[0], AxisBox) or len(objs[0].center) == 2)
+    ctx = IntersectionContext(objs)
+    if data.draw(st.booleans()):
+        mask = ctx.greedy_pack_mask(mask)[1] | 1 << data.draw(st.integers(0, len(objs) - 1))
+    search = solver._PierceSearch(ctx, SolveConfig())
+    kept = search.table.restrict(mask)
+    rows = search.table.greedy(mask, kept)
+    if len(rows) == mask.bit_count():
+        assert all((search.table.cov[r] & mask).bit_count() == 1 for r in measure.mask_to_ids(kept))
+        assert rows == search.run(mask)[0]
+
+
 @pytest.mark.parametrize("shape", ["ball", "box"])
 def test_disjoint_family_is_closed_without_a_split(monkeypatch, shape):
     # No two objects of a grid family meet: both schemes answer every
@@ -299,11 +335,12 @@ def reference_kernel(objs):
 def reference_ptas_pack(inst, cfg):
     """The object-list recursion `ptas_pack` replaced, from the family's
     `reference_kernel`: each part is copied into an instance of its own,
-    estimated with `greedy_pack`, split with `separate` when that estimate
-    lies above the stop threshold and below the part's size (an
-    independent part is a leaf) and, at a leaf, closed by `solve_pack`.  Then every object of the family, smallest
-    first, that meets no chosen object joins the answer, and the whole
-    family's `greedy_pack` replaces it when that is larger."""
+    estimated with `greedy_pack`, answered whole when that estimate equals
+    the part's size (an independent part), split with `separate` when it
+    lies above the stop threshold and, at a leaf, closed by `solve_pack`.
+    Then every object of the family, smallest first, that meets no chosen
+    object joins the answer, and the whole family's `greedy_pack` replaces
+    it when that is larger."""
     stop = cfg.stop_threshold(inst.dim)
     stats = {"nodes": 0, "depth": 0, "discarded": 0, "aborted": False}
 
@@ -314,8 +351,11 @@ def reference_ptas_pack(inst, cfg):
             return 0, []
         sub = Instance(dim=inst.dim, objects=tuple(inst.objects[i] for i in ids))
         objs = list(sub.objects)
+        g = greedy_pack(objs).value
+        if g == len(ids):
+            return g, list(ids)
         sep = None
-        if stop < greedy_pack(objs).value < len(ids):
+        if g > stop:
             sep = separate(objs, cfg.solve.separator_config())
         if sep is None or sep.unbalanced(cfg.solve.balance_cap):
             sol = solve_pack(sub, cfg.solve)
@@ -362,10 +402,11 @@ def test_pack_matches_object_list_recursion(shape):
         )
         for seed in seeds
     ]
-    # The node-cap case of test_abort_flag_tracks_exact_leaves.
+    # The node-cap case of test_abort_flag_tracks_exact_leaves, on a dense
+    # family of each shape whose dominance kernel is not independent.
     runs.append(
         (
-            gen_instance("cluster", 2, shape=shape, clusters=4, cluster_size=5, seed=1),
+            gen_instance("random", 2, shape=shape, n=40, seed={"ball": 2, "box": 7}[shape], density=8),
             PtasConfig(solve=SolveConfig(base_threshold=1, node_cap=3)),
         )
     )
@@ -511,9 +552,10 @@ def test_ptas_answers_pinned_on_the_seed_1_benchmark_mix():
     # discarded count of each solve.  The `ptas_pierce` rows were recorded
     # at commit 3695a73, before the base-box ladder was computed rung by
     # rung, the shells' corners in one array and each greedy walk once per
-    # solve; the `ptas_pack` rows when an independent part came to be closed
-    # exactly: each of these kernels is independent, so nothing is split
-    # or discarded.
+    # solve; the `ptas_pack` rows' values and witnesses when an independent
+    # part came to be closed exactly, and their node counts when it came to
+    # be answered by its greedy witness: each of these kernels is
+    # independent, so nothing is split, searched or discarded.
     pinned = json.loads(Path(__file__).with_name("ptas_large_seed1.json").read_text())
     assert len(pinned) == 6
     cfg = PtasConfig(epsilon=0.5, c_stop=2.0)

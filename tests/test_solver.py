@@ -226,7 +226,9 @@ def test_handed_estimates_answer_as_computed_ones(monkeypatch, search, solve, ap
     base = 2
     insts = [gen_instance("random", 2, shape=shape, n=16, seed=seed, density=density) for seed in range(6)]
     ptas_cfg = PtasConfig(epsilon=0.5, c_stop=1.0, solve=SolveConfig(base_threshold=base))
-    ptas_inst = gen_instance("random", 2, shape=shape, n=60, seed=1, density=density)
+    # Seed 11: the packing kernel's parts are not all independent, so some
+    # PTAS leaf searches.
+    ptas_inst = gen_instance("random", 2, shape=shape, n=60, seed=11, density=density)
 
     def answers():
         got = []
